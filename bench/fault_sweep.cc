@@ -139,12 +139,18 @@ main(int argc, char **argv)
         sc.failover = failover;
         sc.admissionControl = admission;
 
+        // Own mapper and store cache per cell, so concurrent cells
+        // cannot leak into each other's rebuild costs and counters
+        // (see serve_loadgen).
+        costmodel::Mapper mapper(hw.tech);
+        kernels::KernelStoreCache cache;
         serve::ServeRuntime rt(
             w.dg, tc, hw,
             baselines::schedulerConfig(baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna), sc,
             w.name);
-        rt.setSharedMapper(sweep.sharedMapper());
+        rt.setSharedMapper(&mapper);
+        rt.setSharedStoreCache(&cache);
         return rt.run();
     };
 

@@ -227,13 +227,18 @@ main(int argc, char **argv)
             wls.push_back({&w.dg, tc, w.name});
         }
 
+        // Own mapper and store cache per cell, so concurrent cells
+        // cannot leak into each other's rebuild costs and counters
+        // (see serve_loadgen).
+        costmodel::Mapper mapper(hw.tech);
+        kernels::KernelStoreCache cache;
         mtenant::MTenantRuntime rt(
             std::move(wls), hw,
             baselines::schedulerConfig(baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna),
             std::move(mc));
-        if (sweep.sharedMapper())
-            rt.setSharedMapper(sweep.sharedMapper());
+        rt.setSharedMapper(&mapper);
+        rt.setSharedStoreCache(&cache);
         return rt.run();
     };
     const auto reports = sweep.map(specs.size(), runSpec);

@@ -150,12 +150,19 @@ main(int argc, char **argv)
         sc.numRequests = requests;
         sc.seed = p.seed;
 
+        // Every cell gets its own mapper and store cache: a rebuild's
+        // modelled cost reads the store cache's miss delta, so caches
+        // shared by concurrent cells would leak thread interleaving
+        // into the report (see pod_loadgen).
+        costmodel::Mapper mapper(hw.tech);
+        kernels::KernelStoreCache cache;
         serve::ServeRuntime rt(
             w.dg, tc, hw, baselines::schedulerConfig(
                               baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna), sc,
             w.name);
-        rt.setSharedMapper(sweep.sharedMapper());
+        rt.setSharedMapper(&mapper);
+        rt.setSharedStoreCache(&cache);
         return rt.run();
     };
     const auto reports = sweep.map(specs.size(), runSpec);

@@ -40,6 +40,8 @@ Noc::Noc(const HwConfig &cfg) : cfg_(cfg)
         links_.emplace_back(cfg_.nocLinkBytesPerCycle);
     linkDown_.assign(n, 0);
     linkFactor_.assign(n, 1.0);
+    southExtent_.assign(static_cast<std::size_t>(cfg_.gridCols), 0);
+    northExtent_.assign(static_cast<std::size_t>(cfg_.gridCols), 0);
 }
 
 std::size_t
@@ -91,14 +93,6 @@ std::vector<std::size_t>
 Noc::path(TileId src, TileId dst) const
 {
     std::vector<std::size_t> out;
-    appendPathXY(src, dst, out);
-    return out;
-}
-
-void
-Noc::appendPathXY(TileId src, TileId dst,
-                  std::vector<std::size_t> &out) const
-{
     int row = cfg_.tileRow(src);
     int col = cfg_.tileCol(src);
     const int dstRow = cfg_.tileRow(dst);
@@ -121,6 +115,7 @@ Noc::appendPathXY(TileId src, TileId dst,
             linkIndex(here, dir > 0 ? kLinkSouth : kLinkNorth));
         row = (row + dir + cfg_.gridRows) % cfg_.gridRows;
     }
+    return out;
 }
 
 std::vector<std::size_t>
@@ -319,42 +314,90 @@ Noc::multicast(Tick earliest, TileId src,
     if (bytes == 0 || dsts.empty())
         return t;
 
-    // Union of the per-destination paths: each link carries the
-    // payload once (replication happens at branch points). The link
-    // list lives in a member scratch buffer so steady-state
-    // multicasts reuse its capacity instead of allocating.
-    auto &links = scratchLinks_;
-    links.clear();
+    // Each link of the union of the per-destination paths carries the
+    // payload once (replication happens at branch points). Every link
+    // is its own resource and the finish time is a max over links, so
+    // the order the union is reserved in changes no grant.
+    Tick latest = earliest;
     int maxHops = 0;
-    for (TileId dst : dsts) {
-        if (dst == src)
-            continue;
-        if (anyLinkFault_) {
+    std::size_t unionLinks = 0;
+    if (anyLinkFault_) {
+        // Detours are not tree-shaped: collect the fault-aware routes
+        // and deduplicate them. The buffer is a member so its capacity
+        // persists across calls.
+        auto &links = scratchLinks_;
+        links.clear();
+        for (TileId dst : dsts) {
+            if (dst == src)
+                continue;
             const auto rt = route(src, dst);
 #ifdef ADYNA_SANITIZE
             validateRoute(rt, src, dst);
 #endif
             maxHops = std::max(maxHops, static_cast<int>(rt.size()));
-            for (std::size_t link : rt)
-                links.push_back(link);
-        } else {
-            const auto before = links.size();
-            appendPathXY(src, dst, links);
-            maxHops = std::max(
-                maxHops, static_cast<int>(links.size() - before));
+            links.insert(links.end(), rt.begin(), rt.end());
         }
-    }
-    std::sort(links.begin(), links.end());
-    links.erase(std::unique(links.begin(), links.end()), links.end());
+        std::sort(links.begin(), links.end());
+        links.erase(std::unique(links.begin(), links.end()), links.end());
+        for (std::size_t link : links)
+            latest =
+                std::max(latest, acquireLink(link, earliest, bytes).end);
+        unionLinks = links.size();
+    } else {
+        // X-Y routing from one source is a tree: every path runs along
+        // the source row to its destination's column, then along that
+        // column. The union is therefore the first `east`/`west` links
+        // of the source row (the farthest destination column each
+        // way) plus, per column, the first south/north links from the
+        // source row (the farthest destination row each way). One
+        // pass over dsts finds the extents; torusDir breaks the n/2
+        // tie toward +1 exactly as path() does.
+        const int rows = cfg_.gridRows;
+        const int cols = cfg_.gridCols;
+        const int srcRow = cfg_.tileRow(src);
+        const int srcCol = cfg_.tileCol(src);
+        int east = 0;
+        int west = 0;
+        for (TileId dst : dsts) {
+            const int row = cfg_.tileRow(dst);
+            const int col = cfg_.tileCol(dst);
+            const int dx = torusDist(srcCol, col, cols);
+            const int dy = torusDist(srcRow, row, rows);
+            int &xExtent = torusDir(srcCol, col, cols) > 0 ? east : west;
+            auto &colExtents = torusDir(srcRow, row, rows) > 0
+                                   ? southExtent_
+                                   : northExtent_;
+            int &yExtent = colExtents[static_cast<std::size_t>(col)];
+            xExtent = std::max(xExtent, dx);
+            yExtent = std::max(yExtent, dy);
+            maxHops = std::max(maxHops, dx + dy);
+        }
 
-    Tick latest = earliest;
-    for (std::size_t link : links) {
-        const auto res = acquireLink(link, earliest, bytes);
-        latest = std::max(latest, res.end);
+        const auto reserve = [&](int row, int col, int dir) {
+            const auto here = static_cast<TileId>(row * cols + col);
+            latest = std::max(
+                latest,
+                acquireLink(linkIndex(here, dir), earliest, bytes).end);
+            ++unionLinks;
+        };
+        for (int k = 0; k < east; ++k)
+            reserve(srcRow, (srcCol + k) % cols, kLinkEast);
+        for (int k = 0; k < west; ++k)
+            reserve(srcRow, (srcCol - k + cols) % cols, kLinkWest);
+        for (int col = 0; col < cols; ++col) {
+            int &south = southExtent_[static_cast<std::size_t>(col)];
+            int &north = northExtent_[static_cast<std::size_t>(col)];
+            for (int k = 0; k < south; ++k)
+                reserve((srcRow + k) % rows, col, kLinkSouth);
+            for (int k = 0; k < north; ++k)
+                reserve((srcRow - k + rows) % rows, col, kLinkNorth);
+            south = 0;
+            north = 0;
+        }
     }
     t.hops = maxHops;
     t.end = latest + static_cast<Tick>(maxHops) * cfg_.nocHopLatency;
-    t.byteHops = bytes * static_cast<Bytes>(links.size());
+    t.byteHops = bytes * static_cast<Bytes>(unionLinks);
     byteHops_ += t.byteHops;
     return t;
 }

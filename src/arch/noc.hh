@@ -2,11 +2,11 @@
  * @file
  * 2D-torus network-on-chip model with X-Y routing (Section VI-A/C).
  *
- * Links are modelled as bandwidth resources with busy-until
- * reservations; a message reserves every link on its X-Y path and
- * finishes after the slowest link plus per-hop router latency. The
- * probe/ack synchronization of Section VI-C is a small round trip
- * charged before a data transfer may begin.
+ * Links are modelled as gap-filling bandwidth resources; a message
+ * reserves every link on its X-Y path and finishes after the slowest
+ * link plus per-hop router latency. The probe/ack synchronization of
+ * Section VI-C is a small round trip charged before a data transfer
+ * may begin.
  *
  * Fault model: individual directed links can be marked down (routing
  * falls back to Y-X order, then to a deterministic BFS detour over
@@ -75,7 +75,9 @@ class Noc
      * message is injected once and replicated at routing-tree branch
      * points, so each link on the union of the X-Y paths is reserved
      * exactly once (the instruction issuer's multicast support,
-     * Section VI-B).
+     * Section VI-B). Fault-free, the union is read off the X-Y tree's
+     * row and per-column extents, so the cost is one pass over
+     * @p dsts plus one reservation per union link.
      */
     NocTransfer multicast(Tick earliest, TileId src,
                           const std::vector<TileId> &dsts, Bytes bytes);
@@ -161,10 +163,6 @@ class Noc
     /** Torus X-Y path as a sequence of directed link indices. */
     std::vector<std::size_t> path(TileId src, TileId dst) const;
 
-    /** Append the X-Y path's directed link indices to @p out. */
-    void appendPathXY(TileId src, TileId dst,
-                      std::vector<std::size_t> &out) const;
-
     /** Y-X (rows first) variant of path(). */
     std::vector<std::size_t> pathYX(TileId src, TileId dst) const;
 
@@ -192,20 +190,27 @@ class Noc
 
     /**
      * Directed links as gap-filling bandwidth reservations (the
-     * same model as the HBM channels). The serial appender used
-     * previously (BandwidthResource) makes grants order-sensitive:
-     * under multi-tenant interleaving, a tenant running ahead in
-     * simulated time pushes a shared link's busy horizon to its own
-     * period end, serializing every co-tenant behind it no matter
-     * how little bandwidth either uses. Gap search keeps grants a
-     * function of the reserved intervals alone.
+     * same model as the HBM channels). A busy-until appender would
+     * make grants order-sensitive: under multi-tenant interleaving, a
+     * tenant running ahead in simulated time would push a shared
+     * link's busy horizon to its own period end, serializing every
+     * co-tenant behind it no matter how little bandwidth either uses.
+     * Gap search keeps grants a function of the reserved intervals
+     * alone.
      */
     const HwConfig cfg_;
     std::vector<des::GapBandwidthResource> links_;
     Bytes byteHops_ = 0;
 
-    /** Reused multicast link-union buffer (capacity persists). */
+    /** Reused link-union buffer of the fault-aware multicast path
+     * (capacity persists). */
     std::vector<std::size_t> scratchLinks_;
+
+    /** Per-column south/north extents of a fault-free multicast's
+     * X-Y tree, in hops from the source row. Sized once; multicast()
+     * zeroes them after use. */
+    std::vector<int> southExtent_;
+    std::vector<int> northExtent_;
 
     // Fault state. anyLinkFault_ gates every hot-path branch so the
     // healthy case costs one bool test.

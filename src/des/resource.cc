@@ -7,40 +7,6 @@
 
 namespace adyna::des {
 
-BandwidthResource::BandwidthResource(double bytes_per_tick)
-    : rate_(bytes_per_tick)
-{
-    ADYNA_ASSERT(rate_ > 0.0, "channel rate must be positive: ", rate_);
-}
-
-Tick
-BandwidthResource::serviceTime(Bytes bytes) const
-{
-    if (bytes == 0)
-        return 0;
-    const double ticks = static_cast<double>(bytes) / rate_;
-    return static_cast<Tick>(std::ceil(ticks));
-}
-
-Reservation
-BandwidthResource::acquire(Tick earliest, Bytes bytes)
-{
-    const Tick start = std::max(earliest, busyUntil_);
-    const Tick dur = serviceTime(bytes);
-    busyUntil_ = start + dur;
-    busyTicks_ += dur;
-    bytesServed_ += bytes;
-    return {start, busyUntil_};
-}
-
-void
-BandwidthResource::reset()
-{
-    busyUntil_ = 0;
-    busyTicks_ = 0;
-    bytesServed_ = 0;
-}
-
 GapBandwidthResource::GapBandwidthResource(double bytes_per_tick)
     : rate_(bytes_per_tick)
 {
@@ -64,10 +30,21 @@ GapBandwidthResource::acquire(Tick earliest, Bytes bytes)
     busyTicks_ += dur;
 
     // First idle gap of length >= dur starting at or after earliest.
-    // Expired entries before head_ are skipped: their ends precede
-    // every admissible earliest, so they cannot move the candidate.
+    // The intervals are sorted and disjoint, so their ends are sorted
+    // too: binary-search past every interval ending before earliest.
+    // Such an interval cannot hold the request and cannot move the
+    // candidate, so skipping it changes no grant. (Expired entries
+    // before head_ end before every admissible earliest.) The bound
+    // is end >= earliest, not >, so a zero-length interval at
+    // earliest stays in the scan: a zero-byte request stops at it,
+    // as it does in a scan from head_.
     Tick candidate = earliest;
-    std::size_t insertAt = head_;
+    const auto first = std::lower_bound(
+        busy_.begin() + static_cast<std::ptrdiff_t>(head_), busy_.end(),
+        earliest,
+        [](const Reservation &r, Tick e) { return r.end < e; });
+    std::size_t insertAt =
+        static_cast<std::size_t>(first - busy_.begin());
     for (; insertAt < busy_.size(); ++insertAt) {
         const Reservation &r = busy_[insertAt];
         if (candidate + dur <= r.start)

@@ -1,13 +1,14 @@
 /**
  * @file
- * Timed resources with busy-until reservation semantics.
+ * Timed resources with reservation semantics.
  *
- * BandwidthResource models a serial channel (a NoC link, an HBM
+ * GapBandwidthResource models a serial channel (a NoC link, an HBM
  * channel) at a fixed rate: a reservation of B bytes occupies the
- * channel for ceil(B / rate) ticks starting no earlier than both the
- * requested time and the end of the previous reservation. This is the
- * standard message-level contention model for interconnect and memory
- * in multi-tile accelerator simulators.
+ * channel for ceil(B / rate) ticks in the first idle gap that starts
+ * no earlier than the requested time. This is the standard
+ * message-level contention model for interconnect and memory in
+ * multi-tile accelerator simulators. SerialResource is the
+ * busy-until server used for tile compute occupancy.
  */
 
 #ifndef ADYNA_DES_RESOURCE_HH
@@ -29,54 +30,22 @@ struct Reservation
     Tick duration() const { return end - start; }
 };
 
-/** Serial channel with a fixed byte rate and FIFO reservations. */
-class BandwidthResource
-{
-  public:
-    /**
-     * @param bytes_per_tick channel rate; must be positive.
-     */
-    explicit BandwidthResource(double bytes_per_tick);
-
-    /**
-     * Reserve the channel for @p bytes starting no earlier than
-     * @p earliest. Advances the busy horizon.
-     */
-    Reservation acquire(Tick earliest, Bytes bytes);
-
-    /** Time at which all granted reservations end. */
-    Tick busyUntil() const { return busyUntil_; }
-
-    /** Total bytes granted so far. */
-    Bytes bytesServed() const { return bytesServed_; }
-
-    /** Total ticks the channel has been occupied. */
-    Tick busyTicks() const { return busyTicks_; }
-
-    /** Channel rate in bytes per tick. */
-    double rate() const { return rate_; }
-
-    /** Duration of transferring @p bytes at the channel rate. */
-    Tick serviceTime(Bytes bytes) const;
-
-    /** Forget all reservations (e.g. between benchmark repetitions). */
-    void reset();
-
-  private:
-    double rate_;
-    Tick busyUntil_ = 0;
-    Tick busyTicks_ = 0;
-    Bytes bytesServed_ = 0;
-};
-
 /**
- * Serial channel with gap-filling reservations: like
- * BandwidthResource, but a request whose desired start lies in an
- * idle gap between existing reservations may claim that gap instead
- * of queueing at the end. This avoids head-of-line blocking when
- * requests are issued out of time order (e.g. a late write-back
- * issued before the next batch's early read). Used for the HBM
- * channels, where reservation counts stay small.
+ * Serial channel with gap-filling reservations: a request whose
+ * desired start lies in an idle gap between existing reservations may
+ * claim that gap instead of queueing at the end. This avoids
+ * head-of-line blocking when requests are issued out of time order
+ * (e.g. a late write-back issued before the next batch's early read),
+ * and makes every grant a function of the reserved intervals alone,
+ * not of the order they were requested in. Backs the HBM channels,
+ * every directed NoC link and the engine's host CPU.
+ *
+ * Lookup cost: acquire() binary-searches the live intervals for the
+ * first one ending at or after the requested time, then scans forward
+ * only until the request fits, so it costs O(log n) plus the
+ * intervals it must skip past, not O(n) in the live interval count.
+ * Live lists grow long when a period spans many batches (the engine
+ * trims only at period barriers).
  */
 class GapBandwidthResource
 {
@@ -125,8 +94,8 @@ class GapBandwidthResource
 
 /**
  * Unit-capacity server: a reservation occupies the server for an
- * explicit duration (used for tile compute occupancy and for the
- * host-CPU scheduling path in the baselines).
+ * explicit duration, starting no earlier than the end of the previous
+ * one (used for tile compute occupancy).
  */
 class SerialResource
 {

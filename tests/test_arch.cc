@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "arch/chip.hh"
 #include "arch/hbm.hh"
 #include "arch/hwconfig.hh"
 #include "arch/noc.hh"
 #include "arch/profiler.hh"
+#include "common/rng.hh"
 
 namespace {
 
@@ -323,6 +327,58 @@ TEST(NocMulticast, SelfAndEmptyDestinations)
     EXPECT_EQ(noc.multicast(5, 0, {}, 100).end, 5u);
     EXPECT_EQ(noc.multicast(5, 0, {0}, 100).end, 5u);
     EXPECT_EQ(noc.byteHopsServed(), 0u);
+}
+
+/**
+ * Drive the same random multicast stream through a fault-free Noc
+ * (X-Y tree extents) and one with an inert probe-drop window, which
+ * routes every multicast through route() plus sort/unique without
+ * changing any route or grant. Every transfer and the final link
+ * accounting must agree.
+ */
+void
+expectMulticastMatchesRoutedUnion(int rows, int cols, std::uint64_t seed)
+{
+    HwConfig hw = cfg();
+    hw.gridRows = rows;
+    hw.gridCols = cols;
+    Noc tree(hw), routed(hw);
+    routed.setProbeDropWindow(0.5, 0, seed);
+    Rng rng(seed);
+    const std::int64_t tiles = hw.tiles();
+    std::vector<TileId> dsts;
+    for (int call = 0; call < 400; ++call) {
+        const auto src = static_cast<TileId>(rng.uniformInt(0, tiles - 1));
+        dsts.clear();
+        const auto n = rng.uniformInt(1, 2 * tiles);
+        for (std::int64_t i = 0; i < n; ++i) {
+            // Duplicates come from the draw; the source joins often.
+            dsts.push_back(rng.bernoulli(0.1)
+                               ? src
+                               : static_cast<TileId>(
+                                     rng.uniformInt(0, tiles - 1)));
+        }
+        const auto earliest = static_cast<Tick>(rng.uniformInt(0, 20000));
+        const auto bytes = static_cast<Bytes>(rng.uniformInt(1, 8192));
+        const auto a = tree.multicast(earliest, src, dsts, bytes);
+        const auto b = routed.multicast(earliest, src, dsts, bytes);
+        ASSERT_EQ(a.start, b.start) << rows << "x" << cols << " #" << call;
+        ASSERT_EQ(a.end, b.end) << rows << "x" << cols << " #" << call;
+        ASSERT_EQ(a.hops, b.hops) << rows << "x" << cols << " #" << call;
+        ASSERT_EQ(a.byteHops, b.byteHops)
+            << rows << "x" << cols << " #" << call;
+    }
+    EXPECT_EQ(tree.byteHopsServed(), routed.byteHopsServed());
+    EXPECT_EQ(tree.linkBusyTicks(), routed.linkBusyTicks());
+}
+
+TEST(NocMulticast, TreeExtentsMatchRoutedUnion)
+{
+    expectMulticastMatchesRoutedUnion(12, 12, 1); // Table III grid
+    expectMulticastMatchesRoutedUnion(5, 7, 2);   // odd: no n/2 tie
+    expectMulticastMatchesRoutedUnion(4, 6, 3);   // ties at n/2 go +1
+    expectMulticastMatchesRoutedUnion(1, 8, 4);   // one row
+    expectMulticastMatchesRoutedUnion(8, 1, 5);   // one column
 }
 
 TEST(NocMulticast, MatchesUnicastForSingleDestination)

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the discrete-event engine: event ordering, FIFO
- * tie-breaking, run-until semantics, and the bandwidth / serial
- * resource reservation models.
+ * tie-breaking, run-until semantics, and the gap-filling bandwidth /
+ * serial resource reservation models.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -78,47 +80,13 @@ TEST(Simulator, StepReturnsFalseWhenEmpty)
     EXPECT_FALSE(sim.step());
 }
 
-TEST(BandwidthResource, ServiceTimeCeils)
+TEST(GapBandwidthResource, ServiceTimeCeils)
 {
-    BandwidthResource link(4.0); // 4 bytes per tick
+    GapBandwidthResource link(4.0); // 4 bytes per tick
     EXPECT_EQ(link.serviceTime(0), 0u);
     EXPECT_EQ(link.serviceTime(4), 1u);
     EXPECT_EQ(link.serviceTime(5), 2u);
     EXPECT_EQ(link.serviceTime(8), 2u);
-}
-
-TEST(BandwidthResource, BackToBackReservationsQueue)
-{
-    BandwidthResource link(10.0);
-    const auto r1 = link.acquire(0, 100); // 10 ticks
-    EXPECT_EQ(r1.start, 0u);
-    EXPECT_EQ(r1.end, 10u);
-    const auto r2 = link.acquire(0, 50); // queued behind r1
-    EXPECT_EQ(r2.start, 10u);
-    EXPECT_EQ(r2.end, 15u);
-    EXPECT_EQ(link.busyUntil(), 15u);
-    EXPECT_EQ(link.bytesServed(), 150u);
-}
-
-TEST(BandwidthResource, LateRequestStartsAtRequestTime)
-{
-    BandwidthResource link(10.0);
-    link.acquire(0, 100);
-    const auto r = link.acquire(50, 10);
-    EXPECT_EQ(r.start, 50u);
-    EXPECT_EQ(r.end, 51u);
-    // Idle gap is not counted as busy.
-    EXPECT_EQ(link.busyTicks(), 11u);
-}
-
-TEST(BandwidthResource, ResetClearsState)
-{
-    BandwidthResource link(10.0);
-    link.acquire(0, 100);
-    link.reset();
-    EXPECT_EQ(link.busyUntil(), 0u);
-    EXPECT_EQ(link.bytesServed(), 0u);
-    EXPECT_EQ(link.busyTicks(), 0u);
 }
 
 TEST(SerialResource, SerializesOverlappingWork)
@@ -431,4 +399,183 @@ TEST(GapBandwidthResource, TrimPreservesAcquireTimings)
     }
     EXPECT_EQ(trimmed.bytesServed(), reference.bytesServed());
     EXPECT_EQ(trimmed.busyTicks(), reference.busyTicks());
+}
+
+// ---- GapBandwidthResource vs a brute-force first-fit model ---------
+
+namespace {
+
+/**
+ * Reference first-fit channel: keeps every grant in a flat list and
+ * answers each request from scratch. Touching or overlapping grants
+ * form one busy run; a request of duration d fits at t when, for
+ * every run, it ends by the run's start or starts at or after the
+ * run's end. The grant is the smallest fitting t >= earliest, which
+ * is always earliest or some run's end.
+ */
+class FirstFitModel
+{
+  public:
+    explicit FirstFitModel(Tick bytesPerTick) : rate_(bytesPerTick) {}
+
+    Reservation
+    acquire(Tick earliest, Bytes bytes)
+    {
+        const Tick dur = (bytes + rate_ - 1) / rate_;
+        bytesServed_ += bytes;
+        busyTicks_ += dur;
+
+        std::vector<Reservation> sorted = grants_;
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const Reservation &a, const Reservation &b) {
+                      return a.start != b.start ? a.start < b.start
+                                                : a.end < b.end;
+                  });
+        std::vector<Reservation> runs;
+        for (const Reservation &r : sorted) {
+            if (!runs.empty() && r.start <= runs.back().end)
+                runs.back().end = std::max(runs.back().end, r.end);
+            else
+                runs.push_back(r);
+        }
+        const auto fits = [&](Tick t) {
+            for (const Reservation &run : runs)
+                if (!(t + dur <= run.start || t >= run.end))
+                    return false;
+            return true;
+        };
+        Tick best = fits(earliest) ? earliest : ~Tick{0};
+        for (const Reservation &run : runs)
+            if (run.end >= earliest && run.end < best && fits(run.end))
+                best = run.end;
+        const Reservation granted{best, best + dur};
+        grants_.push_back(granted);
+        return granted;
+    }
+
+    Bytes bytesServed() const { return bytesServed_; }
+    Tick busyTicks() const { return busyTicks_; }
+
+  private:
+    Tick rate_;
+    std::vector<Reservation> grants_;
+    Bytes bytesServed_ = 0;
+    Tick busyTicks_ = 0;
+};
+
+/** Feed one request to both channels and compare the grants. */
+void
+acquireBoth(GapBandwidthResource &ch, FirstFitModel &model,
+            Tick earliest, Bytes bytes)
+{
+    const Reservation got = ch.acquire(earliest, bytes);
+    const Reservation want = model.acquire(earliest, bytes);
+    ASSERT_EQ(got.start, want.start)
+        << "earliest " << earliest << " bytes " << bytes;
+    ASSERT_EQ(got.end, want.end)
+        << "earliest " << earliest << " bytes " << bytes;
+}
+
+} // namespace
+
+TEST(GapBandwidthResource, MatchesFirstFitModelOutOfOrder)
+{
+    GapBandwidthResource ch(2.0);
+    FirstFitModel model(2);
+    Rng rng(2024);
+    for (int i = 0; i < 600; ++i) {
+        const Tick t = static_cast<Tick>(rng.uniformInt(0, 4000));
+        const Bytes b = static_cast<Bytes>(rng.uniformInt(1, 90));
+        acquireBoth(ch, model, t, b);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(ch.bytesServed(), model.bytesServed());
+    EXPECT_EQ(ch.busyTicks(), model.busyTicks());
+}
+
+TEST(GapBandwidthResource, MatchesFirstFitModelOnExactFitGaps)
+{
+    // Reserve every other 10-tick slot, then fill each gap with a
+    // request of exactly its length, so the grant touches both
+    // neighbours and the three intervals merge into one.
+    GapBandwidthResource ch(1.0);
+    FirstFitModel model(1);
+    for (Tick slot = 0; slot < 40; slot += 2)
+        acquireBoth(ch, model, slot * 10, 10);
+    // Fill the 19 gaps [10, 20), [30, 40), ... in shuffled order,
+    // each from an earliest inside the busy slot just before it.
+    std::vector<Tick> gaps;
+    for (Tick slot = 1; slot < 39; slot += 2)
+        gaps.push_back(slot * 10);
+    Rng rng(5);
+    for (std::size_t i = gaps.size(); i > 1; --i)
+        std::swap(gaps[i - 1],
+                  gaps[static_cast<std::size_t>(rng.uniformInt(
+                      0, static_cast<std::int64_t>(i) - 1))]);
+    for (Tick gap : gaps) {
+        const Tick t = gap - static_cast<Tick>(rng.uniformInt(0, 10));
+        acquireBoth(ch, model, t, 10);
+        if (HasFatalFailure())
+            return;
+    }
+    // [0, 390) is now one busy run: the next grant starts at its end.
+    EXPECT_EQ(ch.acquire(0, 1).start, 390u);
+    (void)model.acquire(0, 1);
+    EXPECT_EQ(ch.bytesServed(), model.bytesServed());
+    EXPECT_EQ(ch.busyTicks(), model.busyTicks());
+}
+
+TEST(GapBandwidthResource, MatchesFirstFitModelWithZeroByteRequests)
+{
+    // Zero-byte requests grant zero-length intervals, which stay in
+    // the list (a later request may not span them) or merge into a
+    // neighbour they touch.
+    GapBandwidthResource ch(1.0);
+    FirstFitModel model(1);
+    Rng rng(31);
+    for (int i = 0; i < 500; ++i) {
+        const Tick t = static_cast<Tick>(rng.uniformInt(0, 600));
+        const Bytes b = rng.bernoulli(0.3)
+                            ? 0
+                            : static_cast<Bytes>(rng.uniformInt(1, 12));
+        acquireBoth(ch, model, t, b);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(ch.bytesServed(), model.bytesServed());
+    EXPECT_EQ(ch.busyTicks(), model.busyTicks());
+}
+
+TEST(GapBandwidthResource, MatchesFirstFitModelAcrossTrimBarriers)
+{
+    // Out-of-order requests within each period, all at or after the
+    // monotone barrier the channel is trimmed to. Trimming drops only
+    // intervals that cannot change a later grant, so the untrimmed
+    // model must agree on every grant.
+    GapBandwidthResource ch(3.0);
+    FirstFitModel model(3);
+    Rng rng(77);
+    Tick barrier = 0;
+    for (int period = 0; period < 40; ++period) {
+        Tick periodEnd = barrier;
+        for (int i = 0; i < 20; ++i) {
+            const Tick t =
+                barrier + static_cast<Tick>(rng.uniformInt(0, 300));
+            const Bytes b = static_cast<Bytes>(rng.uniformInt(0, 60));
+            const Reservation got = ch.acquire(t, b);
+            const Reservation want = model.acquire(t, b);
+            ASSERT_EQ(got.start, want.start) << "period " << period;
+            ASSERT_EQ(got.end, want.end) << "period " << period;
+            periodEnd = std::max(periodEnd, got.end);
+        }
+        // A barrier inside the period's last grants keeps some live
+        // intervals across it.
+        const Tick back = static_cast<Tick>(rng.uniformInt(0, 40));
+        if (periodEnd > barrier + back)
+            barrier = periodEnd - back;
+        ch.trim(barrier);
+    }
+    EXPECT_EQ(ch.bytesServed(), model.bytesServed());
+    EXPECT_EQ(ch.busyTicks(), model.busyTicks());
 }
