@@ -7,33 +7,13 @@
 #include <optional>
 
 #include "arch/chip.hh"
-#include "arch/profiler.hh"
 #include "common/logging.hh"
-#include "core/sampling.hh"
-#include "core/validate.hh"
+#include "serve/backend.hh"
 #include "serve/validate.hh"
 
 namespace adyna::mtenant {
 
 namespace {
-
-/** Same synthetic total-load series the single-tenant runtime feeds
- * its drift monitor (see serve/server.cc for the rationale). */
-constexpr OpId kLoadSeriesOp = 0xFFFFFFFFu;
-
-void
-recordRequest(arch::Profiler &prof, const graph::DynGraph &dg,
-              const trace::BatchRouting &routing)
-{
-    prof.noteBatch();
-    std::int64_t totalLoad = 0;
-    for (OpId op : dg.dynamicOps()) {
-        const std::int64_t v = routing.dynValue(dg, op);
-        prof.recordValue(op, v);
-        totalLoad += v;
-    }
-    prof.recordValue(kLoadSeriesOp, totalLoad);
-}
 
 /** Ascending intersection of two ascending tile lists. */
 std::vector<TileId>
@@ -54,30 +34,14 @@ offeredLoad(const serve::TenantSpec &spec)
                                  : spec.serve.arrival.ratePerSec;
 }
 
-/** One tenant's complete serving state: the single-tenant runtime's
- * locals, packaged so N of them interleave on one chip. */
+/** One tenant: its serving back-end and open-loop stream, plus the
+ * multi-tenant driver's own state (region, context-switch working
+ * set, controller signals). */
 struct Tenant
 {
     const serve::TenantSpec *spec;
-    const TenantWorkload *wl;
-    std::uint64_t seed;
-    double deadlineTicks;
-
-    core::Scheduler scheduler;
-    core::Engine engine;
-    arch::Profiler engineProf;
-    arch::Profiler driftProf;
-    serve::DriftMonitor monitor;
-    serve::ArrivalProcess arrivals;
-    trace::TraceGenerator reqGen;
-    serve::Batcher batcher;
-    serve::SloTracker slo;
-
-    std::map<OpId, double> expectations;
-    std::map<OpId, double> installedExp;
-    std::map<OpId, std::vector<std::int64_t>> kernelValues;
-    std::map<OpId, std::vector<std::int64_t>> installedKv;
-    core::Schedule schedule;
+    serve::Backend backend;
+    serve::OpenLoopSource source;
 
     /** The tenant's partition rectangle and its tile ids
      * (ascending). */
@@ -88,26 +52,6 @@ struct Tenant
      * context-switch traffic re-streamed over HBM when another
      * tenant ran on this tenant's tiles since its last dispatch. */
     Bytes weightBytes = 0;
-
-    Tick engineFree = 0;
-    Tick nextArrival = 0;
-    Tick firstArrival = 0;
-    Tick lastArrival = 0;
-    std::uint64_t total = 0;
-    std::uint64_t issued = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t batches = 0;
-    int reschedules = 0;
-    int driftWindows = 0;
-    int failovers = 0;
-    int watchdogFallbacks = 0;
-    int storeFitFailures = 0;
-    int deltaReschedules = 0;
-    std::uint64_t segmentsRebuilt = 0;
-    std::uint64_t segmentsSpliced = 0;
-    double serviceEwma = 0.0;
-    bool haveService = false;
 
     // Controller state: arrival-rate EWMAs (repartition) and
     // end-to-end latency (preemption). The repartition signal is the
@@ -126,30 +70,16 @@ struct Tenant
 
     bool done = false;
 
-    // Per-tenant shared-cache activity, accumulated around this
-    // tenant's own (re-)schedule builds.
-    std::uint64_t mapperHits = 0;
-    std::uint64_t mapperMisses = 0;
-    std::uint64_t storeHits = 0;
-    std::uint64_t storeMisses = 0;
-
     Tenant(const serve::TenantSpec &s, const TenantWorkload &w,
-           std::uint64_t sd, const arch::HwConfig &hw,
-           costmodel::Mapper &mapper,
+           std::uint64_t seed, const arch::HwConfig &hw,
            const core::SchedulerConfig &sched_cfg,
            const core::ExecPolicy &policy,
-           const serve::ArrivalConfig &arrival_cfg,
-           const trace::TraceConfig &req_cfg)
-        : spec(&s), wl(&w), seed(sd),
-          deadlineTicks(s.serve.slo.deadlineMs * hw.tech.freqGhz *
-                        1e6),
-          scheduler(*w.dg, hw, mapper, sched_cfg),
-          engine(*w.dg, hw, mapper, policy),
-          monitor(s.serve.drift),
-          arrivals(arrival_cfg, sd ^ 0x9e3779b97f4a7c15ULL),
-          reqGen(*w.dg, req_cfg, sd), batcher(s.serve.batching),
-          slo(s.serve.slo, hw.tech.freqGhz),
-          total(static_cast<std::uint64_t>(s.serve.numRequests))
+           serve::BackendContext &ctx)
+        : spec(&s),
+          backend(*w.dg, w.traceCfg, hw, sched_cfg, policy, s.serve,
+                  w.name, ctx, seed),
+          source(*w.dg, w.traceCfg, hw, s.serve, seed),
+          weightBytes(w.dg->graph().totalWeightBytes())
     {
     }
 };
@@ -224,24 +154,6 @@ MTenantRuntime::MTenantRuntime(std::vector<TenantWorkload> workloads,
     }
 }
 
-void
-MTenantRuntime::setSharedMapper(costmodel::Mapper *mapper)
-{
-    sharedMapper_ = mapper;
-}
-
-void
-MTenantRuntime::setSharedStoreCache(kernels::KernelStoreCache *cache)
-{
-    sharedStoreCache_ = cache;
-}
-
-void
-MTenantRuntime::setSchedulerPool(ThreadPool *pool)
-{
-    schedulerPool_ = pool;
-}
-
 MTenantReport
 MTenantRuntime::runSingle()
 {
@@ -254,12 +166,9 @@ MTenantRuntime::runSingle()
     serve::ServeRuntime rt(*workloads_[0].dg, workloads_[0].traceCfg,
                            hw_, schedCfg_, policy_, serveCfg,
                            workloads_[0].name);
-    if (sharedMapper_)
-        rt.setSharedMapper(sharedMapper_);
-    if (sharedStoreCache_)
-        rt.setSharedStoreCache(sharedStoreCache_);
-    if (schedulerPool_)
-        rt.setSchedulerPool(schedulerPool_);
+    rt.setSharedMapper(sharedMapper_);
+    rt.setSharedStoreCache(sharedStoreCache_);
+    rt.setSchedulerPool(schedulerPool_);
 
     MTenantReport report;
     report.mode = partitionKindName(cfg_.partition.kind);
@@ -286,14 +195,8 @@ MTenantRuntime::run()
 
     const std::size_t n = cfg_.tenants.size();
 
-    std::optional<costmodel::Mapper> localMapper;
-    if (!sharedMapper_)
-        localMapper.emplace(hw_.tech);
-    costmodel::Mapper &mapper =
-        sharedMapper_ ? *sharedMapper_ : *localMapper;
-    kernels::KernelStoreCache &storeCache =
-        sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global();
+    serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_,
+                              schedulerPool_);
 
     // ---- initial partition -----------------------------------------
     TilePartitioner partitioner(hw_, cfg_.partition);
@@ -309,36 +212,8 @@ MTenantRuntime::run()
     for (const InterferenceDegrade &d : applied)
         chip.noc().setLinkBandwidthFactor(d.tile, d.dir, d.factor);
 
-    // ---- per-tenant bring-up (profiling, drift reference, first
-    // schedule), each restricted to its own region -------------------
-    std::vector<std::unique_ptr<Tenant>> tens;
-    tens.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const serve::TenantSpec &spec = cfg_.tenants[i];
-        const TenantWorkload &wl = workloads_[i];
-        serve::ArrivalConfig arrivalCfg = spec.serve.arrival;
-        arrivalCfg.freqGhz = hw_.tech.freqGhz;
-        trace::TraceConfig reqCfg = wl.traceCfg;
-        reqCfg.batchSize = 1;
-        const std::uint64_t seed =
-            spec.serve.seed ^
-            (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i));
-        tens.push_back(std::make_unique<Tenant>(
-            spec, wl, seed, hw_, mapper, schedCfg_, policy_,
-            arrivalCfg, reqCfg));
-        Tenant &t = *tens.back();
-        t.rect = regions[i];
-        t.region = t.rect.tiles(hw_);
-        t.weightBytes = wl.dg->graph().totalWeightBytes();
-        t.scheduler.setStoreCache(&storeCache);
-        if (schedulerPool_)
-            t.scheduler.setThreadPool(schedulerPool_);
-        // SharedGrid regions cover the full grid, which
-        // setHealthyTiles treats as "no restriction" — exactly the
-        // naive everyone-everywhere contention mode.
-        t.scheduler.setHealthyTiles(t.region);
-    }
-
+    // Fault state is chip-level: one injector replays the plan on the
+    // shared chip, and its store-fit windows apply to every tenant.
     std::optional<fault::FaultInjector> injector;
     if (!cfg_.faultPlan.empty())
         injector.emplace(cfg_.faultPlan,
@@ -347,263 +222,29 @@ MTenantRuntime::run()
                              : cfg_.tenants[0].serve.seed ^
                                    0xda3e39cb94b95bdbULL);
 
-    const auto checkSchedule = [&](Tenant &t,
-                                   const core::Schedule &sch) {
-        const auto issues =
-            core::validateSchedule(sch, *t.wl->dg, hw_);
-        ADYNA_ASSERT(issues.empty(), "tenant \"", t.spec->id,
-                     "\": invalid schedule:\n",
-                     core::issuesToString(issues));
-    };
-
-    /** Rebuild one tenant's schedule (the single-tenant runtime's
-     * rebuildSchedule, with per-tenant cache-activity accounting). */
-    struct Rebuild
-    {
-        core::Schedule schedule;
-        Cycles cost = 0;
-        bool delta = false;
-        core::DeltaStats stats;
-    };
-    const auto rebuildSchedule =
-        [&](Tenant &t, Tick now,
-            const std::vector<OpId> *delta) -> Rebuild {
-        const serve::ServeConfig &s = t.spec->serve;
-        const bool bypassStores =
-            injector && injector->storeFitFailActive(now);
-        if (bypassStores) {
-            t.scheduler.setStoreCache(nullptr);
-            ++t.storeFitFailures;
-        }
-        const std::uint64_t mh0 = mapper.hits();
-        const std::uint64_t mm0 = mapper.misses();
-        const std::uint64_t sh0 = storeCache.hits();
-        const std::uint64_t sm0 = storeCache.misses();
-        Rebuild rb;
-        if (delta && !bypassStores) {
-            rb.schedule = t.scheduler.buildDelta(
-                t.schedule, t.expectations, t.kernelValues,
-                &t.engineProf, *delta, &rb.stats);
-            rb.delta = true;
-        } else {
-            rb.schedule = t.scheduler.build(
-                t.expectations, t.kernelValues, &t.engineProf);
-        }
-        if (bypassStores)
-            t.scheduler.setStoreCache(&storeCache);
-        checkSchedule(t, rb.schedule);
-        const std::uint64_t compiled =
-            schedCfg_.storeCache && !bypassStores
-                ? storeCache.misses() - sm0
-                : (rb.delta ? rb.stats.segmentsRebuilt
-                            : rb.schedule.segments.size());
-        rb.cost = s.reconfigOverheadCycles +
-                  static_cast<Cycles>(compiled) *
-                      s.storeCompileCycles;
-        t.mapperHits += mapper.hits() - mh0;
-        t.mapperMisses += mapper.misses() - mm0;
-        t.storeHits += storeCache.hits() - sh0;
-        t.storeMisses += storeCache.misses() - sm0;
-        return rb;
-    };
-
-    for (auto &tp : tens) {
-        Tenant &t = *tp;
-        const serve::ServeConfig &s = t.spec->serve;
-
-        t.kernelValues = t.scheduler.initialKernelValues();
-        if (!schedCfg_.worstCase && s.profileBatches > 0) {
-            trace::TraceGenerator probe(*t.wl->dg, t.wl->traceCfg,
-                                        t.seed ^
-                                            0x517cc1b727220a95ULL);
-            for (int b = 0; b < s.profileBatches; ++b) {
-                const trace::BatchRouting routing = probe.next();
-                t.engineProf.noteBatch();
-                for (const auto &[sw, oc] : routing.outcomes)
-                    t.engineProf.recordBranchLoads(sw,
-                                                   oc.branchCounts);
-                for (OpId op : t.wl->dg->dynamicOps())
-                    t.engineProf.recordValue(
-                        op, routing.dynValue(*t.wl->dg, op));
-            }
-            core::refreshScheduleInputs(
-                t.engineProf,
-                s.resampleKernels && !policy_.exactKernels,
-                t.expectations, t.kernelValues);
-            t.engineProf.resetTables();
-        }
-
-        // Drift reference + noise floor (see serve/server.cc).
-        {
-            trace::TraceConfig reqCfg = t.wl->traceCfg;
-            reqCfg.batchSize = 1;
-            trace::TraceGenerator refProbe(
-                *t.wl->dg, reqCfg, t.seed ^ 0x517cc1b727220a95ULL);
-            const int half = s.drift.windowRequests;
-            for (int i = 0; i < half; ++i)
-                recordRequest(t.driftProf, *t.wl->dg,
-                              refProbe.next());
-            auto reference = t.driftProf.tablesSnapshot();
-            t.driftProf.resetTables();
-            for (int i = 0; i < half; ++i)
-                recordRequest(t.driftProf, *t.wl->dg,
-                              refProbe.next());
-            t.monitor.setReference(reference);
-            t.monitor.setNoiseFloor(
-                t.monitor.distanceTo(t.driftProf));
-            for (const auto &[op, hist] :
-                 t.driftProf.tablesSnapshot())
-                reference[op].merge(hist);
-            t.monitor.setReference(std::move(reference));
-            t.driftProf.resetTables();
-        }
-
-        {
-            const std::uint64_t mh0 = mapper.hits();
-            const std::uint64_t mm0 = mapper.misses();
-            const std::uint64_t sh0 = storeCache.hits();
-            const std::uint64_t sm0 = storeCache.misses();
-            t.schedule = t.scheduler.build(
-                t.expectations, t.kernelValues,
-                schedCfg_.worstCase ? nullptr : &t.engineProf);
-            t.mapperHits += mapper.hits() - mh0;
-            t.mapperMisses += mapper.misses() - mm0;
-            t.storeHits += storeCache.hits() - sh0;
-            t.storeMisses += storeCache.misses() - sm0;
-        }
-        checkSchedule(t, t.schedule);
-        t.installedExp = t.expectations;
-        t.installedKv = t.kernelValues;
-
-        t.nextArrival = t.arrivals.next();
-        t.firstArrival = t.nextArrival;
-        t.lastArrival = t.nextArrival;
+    // ---- per-tenant bring-up (profiling, drift reference, first
+    // schedule), each restricted to its own region -------------------
+    std::vector<std::unique_ptr<Tenant>> tens;
+    tens.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t seed =
+            cfg_.tenants[i].serve.seed ^
+            (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i));
+        tens.push_back(std::make_unique<Tenant>(
+            cfg_.tenants[i], workloads_[i], seed, hw_, schedCfg_,
+            policy_, ctx));
+        Tenant &t = *tens.back();
+        t.rect = regions[i];
+        t.region = t.rect.tiles(hw_);
+        // SharedGrid regions cover the full grid, which
+        // setHealthyTiles treats as "no restriction" — exactly the
+        // naive everyone-everywhere contention mode.
+        t.backend.setTiles(t.region);
+        if (injector)
+            t.backend.setFaultInjector(&*injector);
     }
-
-    /** Ops whose expectation moved past the tenant's delta tolerance
-     * (the single-tenant runtime's changedOps). */
-    const auto changedOps = [&](Tenant &t) {
-        std::vector<OpId> changed;
-        for (OpId op : t.wl->dg->dynamicOps()) {
-            const auto ne = t.expectations.find(op);
-            const auto oe = t.installedExp.find(op);
-            const bool haveNew = ne != t.expectations.end();
-            const bool haveOld = oe != t.installedExp.end();
-            bool moved = haveNew != haveOld;
-            if (!moved && haveNew) {
-                const double ref =
-                    std::max(std::abs(oe->second), 1.0);
-                moved = std::abs(ne->second - oe->second) >
-                        t.spec->serve.deltaExpectationTol * ref;
-            }
-            if (moved)
-                changed.push_back(op);
-        }
-        return changed;
-    };
-
-    /** Admission fixpoint for one tenant; returns its dispatch
-     * moment, marking the tenant done when nothing is left. */
-    const auto admit = [&](Tenant &t) -> Tick {
-        const serve::ServeConfig &s = t.spec->serve;
-        for (;;) {
-            const Tick form = t.batcher.nextFormTick();
-            const Tick dispatchAt =
-                form == serve::Batcher::kNever
-                    ? serve::Batcher::kNever
-                    : std::max(t.engineFree, form);
-            if (t.issued < t.total && t.nextArrival <= dispatchAt) {
-                if (s.admissionControl && t.haveService) {
-                    const double backlog =
-                        t.engineFree > t.nextArrival
-                            ? static_cast<double>(t.engineFree -
-                                                  t.nextArrival)
-                            : 0.0;
-                    const double queuedAhead =
-                        static_cast<double>(t.batcher.queued()) /
-                        s.batching.maxBatch;
-                    if (backlog +
-                            (1.0 + queuedAhead) * t.serviceEwma >
-                        s.shedLatencyFactor * t.deadlineTicks) {
-                        (void)t.reqGen.next();
-                        t.lastArrival = t.nextArrival;
-                        ++t.issued;
-                        ++t.shed;
-                        t.nextArrival = t.arrivals.next();
-                        continue;
-                    }
-                }
-                serve::Request r;
-                r.id = t.issued;
-                r.arrival = t.nextArrival;
-                r.routing = t.reqGen.next();
-                t.lastArrival = t.nextArrival;
-                t.batcher.enqueue(std::move(r));
-                ++t.issued;
-                t.nextArrival = t.arrivals.next();
-                continue;
-            }
-            break;
-        }
-        if (t.batcher.queued() == 0) {
-            t.done = true; // every remaining arrival was shed
-            return serve::Batcher::kNever;
-        }
-        return std::max(t.engineFree, t.batcher.nextFormTick());
-    };
-
-    /** Close one drift window for a tenant (the single-tenant
-     * runtime's closeWindow, including the delta / watchdog
-     * bookkeeping). */
-    const auto closeWindow = [&](Tenant &t) {
-        const serve::ServeConfig &s = t.spec->serve;
-        ++t.driftWindows;
-        const bool fire = t.monitor.observe(t.driftProf);
-        if (fire && s.driftReschedule && !schedCfg_.worstCase) {
-            auto reference = t.driftProf.tablesSnapshot();
-            core::refreshScheduleInputs(
-                t.engineProf,
-                s.resampleKernels && !policy_.exactKernels,
-                t.expectations, t.kernelValues);
-            t.engineProf.resetTables();
-            const std::vector<OpId> changed = changedOps(t);
-            Rebuild rb = rebuildSchedule(
-                t, t.engineFree,
-                s.deltaReschedule ? &changed : nullptr);
-            if (s.rescheduleBudgetCycles > 0 &&
-                rb.cost > s.rescheduleBudgetCycles) {
-                t.engineFree += s.rescheduleBudgetCycles;
-                ++t.watchdogFallbacks;
-            } else {
-                t.schedule = std::move(rb.schedule);
-                t.monitor.setReference(std::move(reference));
-                if (rb.delta) {
-                    ++t.deltaReschedules;
-                    t.segmentsRebuilt += rb.stats.segmentsRebuilt;
-                    t.segmentsSpliced += rb.stats.segmentsTotal -
-                                         rb.stats.segmentsRebuilt;
-                    for (OpId op : changed) {
-                        const auto e = t.expectations.find(op);
-                        if (e != t.expectations.end())
-                            t.installedExp[op] = e->second;
-                        else
-                            t.installedExp.erase(op);
-                        const auto k = t.kernelValues.find(op);
-                        if (k != t.kernelValues.end())
-                            t.installedKv[op] = k->second;
-                        else
-                            t.installedKv.erase(op);
-                    }
-                } else {
-                    t.installedExp = t.expectations;
-                    t.installedKv = t.kernelValues;
-                }
-                t.engineFree += s.reconfigOverheadCycles;
-                ++t.reschedules;
-            }
-        }
-        t.driftProf.resetTables();
-    };
+    for (auto &tp : tens)
+        tp->backend.bringUp();
 
     // ---- the co-scheduled serving loop -----------------------------
     int repartitions = 0;
@@ -636,13 +277,15 @@ MTenantRuntime::run()
             Tenant &t = *tens[i];
             if (t.done)
                 continue;
-            if (t.completed + t.shed >= t.total) {
+            if (t.source.finished(t.backend)) {
                 t.done = true;
                 continue;
             }
-            const Tick d = admit(t);
-            if (t.done)
+            const Tick d = t.source.admit(t.backend);
+            if (d == serve::Batcher::kNever) {
+                t.done = true; // every remaining arrival was shed
                 continue;
+            }
             if (d < best) {
                 best = d;
                 bestIdx = i;
@@ -658,9 +301,10 @@ MTenantRuntime::run()
             const double alpha = cfg_.repartition.loadEwmaAlpha;
             for (auto &up : tens) {
                 Tenant &u = *up;
-                const double arrived = static_cast<double>(
-                    u.issued - u.issuedAtCheck);
-                u.issuedAtCheck = u.issued;
+                const std::uint64_t issued = u.source.issued();
+                const double arrived =
+                    static_cast<double>(issued - u.issuedAtCheck);
+                u.issuedAtCheck = issued;
                 if (u.haveRateObs) {
                     u.shortRateEwma = (1.0 - alpha) * u.shortRateEwma +
                                       alpha * arrived;
@@ -684,7 +328,7 @@ MTenantRuntime::run()
                     u.haveLatency && u.boost == 1.0 &&
                     u.latencyEwmaTicks >
                         cfg_.preemption.latencyFactor *
-                            u.deadlineTicks) {
+                            u.source.deadlineTicks()) {
                     // The latency-critical tenant is drowning: boost
                     // its share and repartition now, hysteresis be
                     // damned — that is what priority means.
@@ -753,21 +397,15 @@ MTenantRuntime::run()
                     u.region = u.rect.tiles(hw_);
                     std::vector<TileId> alive = intersectTiles(
                         u.region, chip.healthyTiles());
-                    u.scheduler.setHealthyTiles(
-                        alive.empty() ? u.region
-                                      : std::move(alive));
+                    u.backend.setTiles(alive.empty() ? u.region
+                                                     : std::move(alive));
                     if (u.done)
                         continue;
                     // The old schedule targets tiles this tenant no
                     // longer owns, so — like fail-over — the rebuild
                     // is mandatory and exempt from the watchdog; its
                     // modeled cost is still charged in full.
-                    Rebuild rb = rebuildSchedule(u, now, nullptr);
-                    u.schedule = std::move(rb.schedule);
-                    u.installedExp = u.expectations;
-                    u.installedKv = u.kernelValues;
-                    u.engineFree =
-                        std::max(u.engineFree, now) + rb.cost;
+                    u.backend.reinstall(now);
                     repartitioned = true;
                 }
                 if (repartitioned)
@@ -796,18 +434,12 @@ MTenantRuntime::run()
                 if (!affected)
                     continue; // the fault struck someone else's
                               // region
-                const std::vector<TileId> alive = intersectTiles(
+                std::vector<TileId> alive = intersectTiles(
                     u.region, chip.healthyTiles());
                 if (alive.empty())
                     continue; // whole region dead: degraded
                               // lockstep execution serves on
-                u.scheduler.setHealthyTiles(alive);
-                Rebuild rb = rebuildSchedule(u, now, nullptr);
-                u.schedule = std::move(rb.schedule);
-                u.installedExp = u.expectations;
-                u.installedKv = u.kernelValues;
-                u.engineFree = std::max(u.engineFree, now) + rb.cost;
-                ++u.failovers;
+                u.backend.failover(std::move(alive), now);
                 ++failoverRepairs;
                 repaired = true;
             }
@@ -818,15 +450,6 @@ MTenantRuntime::run()
 
         // ---- dispatch the chosen tenant ----------------------------
         Tenant &t = *tens[bestIdx];
-        std::vector<serve::FormedBatch> formed;
-        while (t.batcher.queued() > 0 &&
-               t.batcher.nextFormTick() <= now)
-            formed.push_back(t.batcher.form(now));
-
-        std::vector<trace::BatchRouting> routings;
-        routings.reserve(formed.size());
-        for (const serve::FormedBatch &fb : formed)
-            routings.push_back(fb.routing);
 
         // Context-switch cost: tiles another tenant ran on since
         // this tenant's last dispatch hold foreign weights, so the
@@ -858,35 +481,18 @@ MTenantRuntime::run()
             tileOwner[static_cast<std::size_t>(tile)] =
                 static_cast<int>(bestIdx);
 
-        const core::PeriodResult res = t.engine.runPeriod(
-            chip, t.schedule, routings, &t.engineProf, now);
-        t.engineFree = res.endTime;
-        t.batches += formed.size();
-        if (!res.batchEnds.empty()) {
-            const double service =
-                static_cast<double>(res.batchEnds.back() - now);
-            t.serviceEwma = t.haveService
-                                ? 0.8 * t.serviceEwma + 0.2 * service
-                                : service;
-            t.haveService = true;
-        }
-
-        for (std::size_t b = 0; b < formed.size(); ++b) {
-            for (const serve::Request &r : formed[b].requests) {
-                t.slo.record(r.arrival, now, res.batchEnds[b]);
-                ++t.completed;
-                const double lat = static_cast<double>(
-                    res.batchEnds[b] - r.arrival);
+        const serve::Backend::Dispatch d =
+            t.backend.dispatch(chip, now);
+        for (std::size_t b = 0; b < d.formed.size(); ++b) {
+            for (const serve::Request &r : d.formed[b].requests) {
+                const Tick end = d.result.batchEnds[b];
+                const double lat = static_cast<double>(end - r.arrival);
                 t.latencyEwmaTicks =
                     t.haveLatency
                         ? 0.9 * t.latencyEwmaTicks + 0.1 * lat
                         : lat;
                 t.haveLatency = true;
-                recordRequest(t.driftProf, *t.wl->dg, r.routing);
-                if (t.driftProf.windowBatches() >=
-                    static_cast<std::uint64_t>(
-                        t.spec->serve.drift.windowRequests))
-                    closeWindow(t);
+                t.backend.complete(r.routing, r.arrival, now, end);
             }
         }
     }
@@ -899,72 +505,12 @@ MTenantRuntime::run()
     report.failoverRepairs = failoverRepairs;
     report.interferenceLinks = static_cast<int>(applied.size());
     report.tenantSwitches = tenantSwitches;
-    const double tickSec = 1.0 / (hw_.tech.freqGhz * 1e9);
     for (std::size_t i = 0; i < n; ++i) {
         Tenant &t = *tens[i];
-        serve::ServeReport r;
-        r.workload = t.wl->name;
-        r.mode =
-            t.spec->serve.driftReschedule ? "adaptive" : "static";
-        r.requests = t.completed;
-        r.batches = t.batches;
-        r.meanBatchSize =
-            t.batches == 0 ? 0.0
-                           : static_cast<double>(t.completed) /
-                                 static_cast<double>(t.batches);
-        if (t.issued > 1 && t.lastArrival > t.firstArrival)
-            r.offeredRps = static_cast<double>(t.issued - 1) /
-                           (static_cast<double>(t.lastArrival -
-                                                t.firstArrival) *
-                            tickSec);
-        r.horizonTicks = t.slo.lastEnd();
-        if (r.horizonTicks > 0)
-            r.achievedRps =
-                static_cast<double>(t.completed) /
-                (static_cast<double>(r.horizonTicks) * tickSec);
-        r.p50Ms = t.slo.latencyPercentileMs(0.50);
-        r.p95Ms = t.slo.latencyPercentileMs(0.95);
-        r.p99Ms = t.slo.latencyPercentileMs(0.99);
-        r.meanMs = t.slo.meanLatencyMs();
-        r.maxMs = t.slo.maxLatencyMs();
-        r.meanQueueMs = t.slo.meanQueueMs();
-        r.sloAttainment = t.slo.sloAttainment();
-        r.goodputRps = t.slo.goodputRps(r.horizonTicks);
-        r.reschedules = t.reschedules;
-        r.deltaReschedules = t.deltaReschedules;
-        r.segmentsRebuilt = t.segmentsRebuilt;
-        r.segmentsSpliced = t.segmentsSpliced;
-        r.driftWindows = t.driftWindows;
-        r.lastDriftDistance = t.monitor.lastDistance();
-        r.driftThreshold = t.monitor.effectiveThreshold();
-        r.mapperHits = t.mapperHits;
-        r.mapperMisses = t.mapperMisses;
-        if (schedCfg_.storeCache) {
-            r.storeHits = t.storeHits;
-            r.storeMisses = t.storeMisses;
-        }
-        r.execHits = t.engine.execHits();
-        r.execMisses = t.engine.execMisses();
-        r.shedRequests = t.shed;
-        r.failovers = t.failovers;
-        r.watchdogFallbacks = t.watchdogFallbacks;
-        r.storeFitFailures = t.storeFitFailures;
-        r.faultActive = injector.has_value() ||
-                        t.spec->serve.admissionControl ||
-                        t.spec->serve.rescheduleBudgetCycles > 0;
-        if (injector) {
-            // Fault state is chip-level; every tenant reports the
-            // same end-of-run snapshot.
-            const fault::FaultStats fs = injector->stats(chip);
-            r.failedTiles = fs.failedTiles;
-            r.downLinks = fs.downLinks;
-            r.degradedLinks = fs.degradedLinks;
-            r.probeDrops = fs.probeDrops;
-            r.probeRetries = fs.probeRetries;
-            r.probeGiveUps = fs.probeGiveUps;
-            r.nocDetours = fs.detourRoutes;
-            r.unroutablePaths = fs.unroutablePaths;
-        }
+        // Fault state is chip-level; every tenant reports the same
+        // end-of-run snapshot.
+        serve::ServeReport r = t.backend.report(chip);
+        t.source.fillReport(r);
 
         TenantResult tr;
         tr.id = t.spec->id;

@@ -2,16 +2,17 @@
  * @file
  * The multi-tenant serving runtime: N tenants — each a workload with
  * its own serving configuration and an SLO class — co-scheduled on
- * one chip through spatial tile partitioning. Each tenant runs the
- * full single-tenant serving loop (admission, batching, drift-driven
- * delta re-scheduling, SLO tracking) restricted to its own
- * rectangular tile region via Scheduler::setHealthyTiles, while all
- * tenants share the physical chip: the NoC, the HBM stacks, and —
- * under the naive SharedGrid mode — the tiles themselves. Disjoint
- * regions execute concurrently in simulated time because tile
- * reservations never collide; cross-tenant interference enters
- * through the shared memory system and through bandwidth degrades on
- * partition-boundary NoC links (see partition.hh).
+ * one chip through spatial tile partitioning. Each tenant is one
+ * serve::Backend (batching, drift-driven delta re-scheduling, SLO
+ * tracking) fed by its own serve::OpenLoopSource (arrivals and
+ * admission) and restricted to its own rectangular tile region via
+ * Backend::setTiles, while all tenants share the physical chip: the
+ * NoC, the HBM stacks, and — under the naive SharedGrid mode — the
+ * tiles themselves. Disjoint regions execute concurrently in
+ * simulated time because tile reservations never collide;
+ * cross-tenant interference enters through the shared memory system
+ * and through bandwidth degrades on partition-boundary NoC links (see
+ * partition.hh).
  *
  * On top of the per-tenant loops sit three chip-level controllers:
  *  - an elastic repartition controller that tracks each tenant's
@@ -184,7 +185,7 @@ struct MTenantReport
 std::string toJson(const MTenantReport &report);
 
 /** Multi-tenant serving simulation over one shared chip. */
-class MTenantRuntime
+class MTenantRuntime : public serve::SharedCaches
 {
   public:
     /** @param workloads one workload per cfg.tenants entry, same
@@ -192,19 +193,6 @@ class MTenantRuntime
     MTenantRuntime(std::vector<TenantWorkload> workloads,
                    arch::HwConfig hw, core::SchedulerConfig sched_cfg,
                    core::ExecPolicy policy, MTenantConfig cfg);
-
-    /** Share a mapping-search memo across tenants / runtimes (same
-     * contract as ServeRuntime::setSharedMapper). */
-    void setSharedMapper(costmodel::Mapper *mapper);
-
-    /** Use @p cache for compiled-store reuse across tenants (same
-     * contract as ServeRuntime::setSharedStoreCache). The cache is
-     * keyed by tile count, so same-size regions stay warm across
-     * repartitions. */
-    void setSharedStoreCache(kernels::KernelStoreCache *cache);
-
-    /** Build kernel stores on @p pool during (re-)schedules. */
-    void setSchedulerPool(ThreadPool *pool);
 
     /** Serve every tenant's numRequests requests and report. */
     MTenantReport run();
@@ -219,9 +207,6 @@ class MTenantRuntime
     core::SchedulerConfig schedCfg_;
     core::ExecPolicy policy_;
     MTenantConfig cfg_;
-    costmodel::Mapper *sharedMapper_ = nullptr;
-    kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
 };
 
 } // namespace adyna::mtenant

@@ -10,72 +10,27 @@
 #include <tuple>
 
 #include "arch/chip.hh"
-#include "arch/profiler.hh"
 #include "common/logging.hh"
-#include "core/sampling.hh"
-#include "core/validate.hh"
+#include "serve/backend.hh"
 #include "serve/validate.hh"
 
 namespace adyna::pod {
 
 namespace {
 
-/** Same synthetic total-load series the single-chip runtime feeds
- * its drift monitor (see serve/server.cc for the rationale). */
-constexpr OpId kLoadSeriesOp = 0xFFFFFFFFu;
-
-void
-recordRequest(arch::Profiler &prof, const graph::DynGraph &dg,
-              const trace::BatchRouting &routing)
-{
-    prof.noteBatch();
-    std::int64_t totalLoad = 0;
-    for (OpId op : dg.dynamicOps()) {
-        const std::int64_t v = routing.dynValue(dg, op);
-        prof.recordValue(op, v);
-        totalLoad += v;
-    }
-    prof.recordValue(kLoadSeriesOp, totalLoad);
-}
-
-/** Mean per-request dynamic load an expectation set embodies: the
- * affinity target the router compares request signatures
- * (trace::totalDynLoad, a per-sample scalar) against. Expectations
- * are compiled-batch statistics, so divide the batch size out. */
-double
-loadMean(const graph::DynGraph &dg,
-         const std::map<OpId, double> &expectations,
-         std::int64_t batch_size)
-{
-    double sum = 0.0;
-    for (OpId op : dg.dynamicOps()) {
-        const auto it = expectations.find(op);
-        if (it != expectations.end())
-            sum += it->second;
-    }
-    return sum / static_cast<double>(batch_size);
-}
-
-/** One chip back-end's complete serving state: the single-chip
- * runtime's locals, packaged so K of them serve behind one router. */
+/** One chip: its serving back-end plus the pod driver's own state
+ * (the physical chip and its tile-scope faults, interconnect
+ * deliveries, dark/heal state, and routing counters). */
 struct ChipBackend
 {
     int id = 0;
     int model = 0;
-    const PodWorkload *wl = nullptr;
-    std::uint64_t seed = 0;
-
-    core::Scheduler scheduler;
-    core::Engine engine;
     arch::Chip chip;
-    arch::Profiler engineProf;
-    arch::Profiler driftProf;
-    serve::DriftMonitor monitor;
-    serve::Batcher batcher;
-    serve::SloTracker slo;
 
     /** Per-chip (tile/link/probe/store-fit) fault timeline. */
     std::optional<fault::FaultInjector> injector;
+
+    serve::Backend backend;
 
     /** Requests routed to this chip but still crossing the
      * interconnect (delivery-ordered — deliveries on one directed
@@ -85,22 +40,11 @@ struct ChipBackend
      * everything queued has already arrived. */
     std::deque<serve::Request> inflight;
 
-    std::map<OpId, double> expectations;
-    std::map<OpId, double> installedExp;
-    std::map<OpId, std::vector<std::int64_t>> kernelValues;
-    std::map<OpId, std::vector<std::int64_t>> installedKv;
-    core::Schedule schedule;
-
-    /** The installed schedule's mean per-request dynamic load (the
-     * router's affinity target). */
-    double installedLoadMean = 0.0;
-
     /** Weight working set re-streamed over the interconnect on
      * (re)join. */
     Bytes weightBytes = 0;
 
     bool dark = false;
-    Tick engineFree = 0;
 
     // Delivered-arrival bookkeeping (per-chip offered rate).
     bool haveArrival = false;
@@ -111,36 +55,17 @@ struct ChipBackend
     std::uint64_t rerouted = 0;
     std::uint64_t hedged = 0;
     std::uint64_t drained = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t batches = 0;
-    int reschedules = 0;
-    int driftWindows = 0;
-    int failovers = 0;
-    int watchdogFallbacks = 0;
-    int storeFitFailures = 0;
-    int deltaReschedules = 0;
-    std::uint64_t segmentsRebuilt = 0;
-    std::uint64_t segmentsSpliced = 0;
-    double serviceEwma = 0.0;
-    bool haveService = false;
-
-    // Shared-cache activity around this chip's own builds.
-    std::uint64_t mapperHits = 0;
-    std::uint64_t mapperMisses = 0;
-    std::uint64_t storeHits = 0;
-    std::uint64_t storeMisses = 0;
 
     ChipBackend(int chip_id, int model_idx, const PodWorkload &w,
-                std::uint64_t sd, const arch::HwConfig &hw,
-                costmodel::Mapper &mapper,
+                std::uint64_t seed, const arch::HwConfig &hw,
                 const core::SchedulerConfig &sched_cfg,
                 const core::ExecPolicy &policy,
-                const serve::ServeConfig &serve_cfg)
-        : id(chip_id), model(model_idx), wl(&w), seed(sd),
-          scheduler(*w.dg, hw, mapper, sched_cfg),
-          engine(*w.dg, hw, mapper, policy), chip(hw),
-          monitor(serve_cfg.drift), batcher(serve_cfg.batching),
-          slo(serve_cfg.slo, hw.tech.freqGhz)
+                const serve::ServeConfig &serve_cfg,
+                serve::BackendContext &ctx)
+        : id(chip_id), model(model_idx), chip(hw),
+          backend(*w.dg, w.traceCfg, hw, sched_cfg, policy, serve_cfg,
+                  w.name, ctx, seed),
+          weightBytes(w.dg->graph().totalWeightBytes())
     {
     }
 };
@@ -428,24 +353,6 @@ PodRuntime::PodRuntime(std::vector<PodWorkload> workloads,
     }
 }
 
-void
-PodRuntime::setSharedMapper(costmodel::Mapper *mapper)
-{
-    sharedMapper_ = mapper;
-}
-
-void
-PodRuntime::setSharedStoreCache(kernels::KernelStoreCache *cache)
-{
-    sharedStoreCache_ = cache;
-}
-
-void
-PodRuntime::setSchedulerPool(ThreadPool *pool)
-{
-    schedulerPool_ = pool;
-}
-
 PodReport
 PodRuntime::runSingle()
 {
@@ -469,12 +376,9 @@ PodRuntime::runSingle()
     serve::ServeRuntime rt(*workloads_[0].dg, workloads_[0].traceCfg,
                            hw_, schedCfg_, policy_, serveCfg,
                            workloads_[0].name);
-    if (sharedMapper_)
-        rt.setSharedMapper(sharedMapper_);
-    if (sharedStoreCache_)
-        rt.setSharedStoreCache(sharedStoreCache_);
-    if (schedulerPool_)
-        rt.setSchedulerPool(schedulerPool_);
+    rt.setSharedMapper(sharedMapper_);
+    rt.setSharedStoreCache(sharedStoreCache_);
+    rt.setSchedulerPool(schedulerPool_);
 
     PodReport report;
     report.policy = routePolicyName(cfg_.router.policy);
@@ -510,14 +414,8 @@ PodRuntime::run()
     const int K = cfg_.chips;
     const auto kNever = serve::Batcher::kNever;
 
-    std::optional<costmodel::Mapper> localMapper;
-    if (!sharedMapper_)
-        localMapper.emplace(hw_.tech);
-    costmodel::Mapper &mapper =
-        sharedMapper_ ? *sharedMapper_ : *localMapper;
-    kernels::KernelStoreCache &storeCache =
-        sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global();
+    serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_,
+                              schedulerPool_);
 
     Interconnect ic(cfg_.interconnect, K);
     Router router(cfg_.router, K);
@@ -626,165 +524,35 @@ PodRuntime::run()
     chips.reserve(static_cast<std::size_t>(K));
     for (int c = 0; c < K; ++c) {
         const int model = chipModel_[static_cast<std::size_t>(c)];
-        const PodWorkload &wl =
-            workloads_[static_cast<std::size_t>(model)];
         const std::uint64_t chipSeed =
             cfg_.serve.seed ^
             (0x6a09e667f3bcc909ULL *
              static_cast<std::uint64_t>(c + 1));
         chips.push_back(std::make_unique<ChipBackend>(
-            c, model, wl, chipSeed, hw_, mapper, schedCfg_, policy_,
-            cfg_.serve));
+            c, model, workloads_[static_cast<std::size_t>(model)],
+            chipSeed, hw_, schedCfg_, policy_, cfg_.serve, ctx));
         ChipBackend &b = *chips.back();
-        b.weightBytes = wl.dg->graph().totalWeightBytes();
-        b.scheduler.setStoreCache(&storeCache);
-        if (schedulerPool_)
-            b.scheduler.setThreadPool(schedulerPool_);
         if (!cfg_.chipFaultPlans.empty() &&
             !cfg_.chipFaultPlans[static_cast<std::size_t>(c)]
-                 .empty())
+                 .empty()) {
             b.injector.emplace(
                 cfg_.chipFaultPlans[static_cast<std::size_t>(c)],
                 faultSeedBase ^ (0x2545f4914f6cdd1dULL *
                                  static_cast<std::uint64_t>(c)));
+            b.backend.setFaultInjector(&*b.injector);
+        }
     }
-
-    const auto checkSchedule = [&](ChipBackend &b,
-                                   const core::Schedule &sch) {
-        const auto issues =
-            core::validateSchedule(sch, *b.wl->dg, hw_);
-        ADYNA_ASSERT(issues.empty(), "pod chip ", b.id,
-                     ": invalid schedule:\n",
-                     core::issuesToString(issues));
-    };
-
-    /** Rebuild one chip's schedule (the single-chip runtime's
-     * rebuildSchedule, with per-chip cache-activity accounting). */
-    struct Rebuild
-    {
-        core::Schedule schedule;
-        Cycles cost = 0;
-        bool delta = false;
-        core::DeltaStats stats;
-    };
-    const auto rebuildSchedule =
-        [&](ChipBackend &b, Tick now,
-            const std::vector<OpId> *delta) -> Rebuild {
-        const serve::ServeConfig &s = cfg_.serve;
-        const bool bypassStores =
-            b.injector && b.injector->storeFitFailActive(now);
-        if (bypassStores) {
-            b.scheduler.setStoreCache(nullptr);
-            ++b.storeFitFailures;
-        }
-        const std::uint64_t mh0 = mapper.hits();
-        const std::uint64_t mm0 = mapper.misses();
-        const std::uint64_t sh0 = storeCache.hits();
-        const std::uint64_t sm0 = storeCache.misses();
-        Rebuild rb;
-        if (delta && !bypassStores) {
-            rb.schedule = b.scheduler.buildDelta(
-                b.schedule, b.expectations, b.kernelValues,
-                &b.engineProf, *delta, &rb.stats);
-            rb.delta = true;
-        } else {
-            rb.schedule = b.scheduler.build(
-                b.expectations, b.kernelValues, &b.engineProf);
-        }
-        if (bypassStores)
-            b.scheduler.setStoreCache(&storeCache);
-        checkSchedule(b, rb.schedule);
-        const std::uint64_t compiled =
-            schedCfg_.storeCache && !bypassStores
-                ? storeCache.misses() - sm0
-                : (rb.delta ? rb.stats.segmentsRebuilt
-                            : rb.schedule.segments.size());
-        rb.cost = s.reconfigOverheadCycles +
-                  static_cast<Cycles>(compiled) *
-                      s.storeCompileCycles;
-        b.mapperHits += mapper.hits() - mh0;
-        b.mapperMisses += mapper.misses() - mm0;
-        b.storeHits += storeCache.hits() - sh0;
-        b.storeMisses += storeCache.misses() - sm0;
-        return rb;
-    };
 
     // ---- per-chip bring-up: profiling, drift reference, first
     // schedule, initial weight stream over the interconnect ----------
     for (auto &bp : chips) {
         ChipBackend &b = *bp;
-        const serve::ServeConfig &s = cfg_.serve;
-        const graph::DynGraph &dg = *b.wl->dg;
-
-        b.kernelValues = b.scheduler.initialKernelValues();
-        if (!schedCfg_.worstCase && s.profileBatches > 0) {
-            trace::TraceGenerator probe(dg, b.wl->traceCfg,
-                                        b.seed ^
-                                            0x517cc1b727220a95ULL);
-            for (int i = 0; i < s.profileBatches; ++i) {
-                const trace::BatchRouting routing = probe.next();
-                b.engineProf.noteBatch();
-                for (const auto &[sw, oc] : routing.outcomes)
-                    b.engineProf.recordBranchLoads(sw,
-                                                   oc.branchCounts);
-                for (OpId op : dg.dynamicOps())
-                    b.engineProf.recordValue(
-                        op, routing.dynValue(dg, op));
-            }
-            core::refreshScheduleInputs(
-                b.engineProf,
-                s.resampleKernels && !policy_.exactKernels,
-                b.expectations, b.kernelValues);
-            b.engineProf.resetTables();
-        }
-
-        // Drift reference + noise floor (see serve/server.cc).
-        {
-            trace::TraceConfig reqCfg = b.wl->traceCfg;
-            reqCfg.batchSize = 1;
-            trace::TraceGenerator refProbe(
-                dg, reqCfg, b.seed ^ 0x517cc1b727220a95ULL);
-            const int half = s.drift.windowRequests;
-            for (int i = 0; i < half; ++i)
-                recordRequest(b.driftProf, dg, refProbe.next());
-            auto reference = b.driftProf.tablesSnapshot();
-            b.driftProf.resetTables();
-            for (int i = 0; i < half; ++i)
-                recordRequest(b.driftProf, dg, refProbe.next());
-            b.monitor.setReference(reference);
-            b.monitor.setNoiseFloor(
-                b.monitor.distanceTo(b.driftProf));
-            for (const auto &[op, hist] :
-                 b.driftProf.tablesSnapshot())
-                reference[op].merge(hist);
-            b.monitor.setReference(std::move(reference));
-            b.driftProf.resetTables();
-        }
-
-        {
-            const std::uint64_t mh0 = mapper.hits();
-            const std::uint64_t mm0 = mapper.misses();
-            const std::uint64_t sh0 = storeCache.hits();
-            const std::uint64_t sm0 = storeCache.misses();
-            b.schedule = b.scheduler.build(
-                b.expectations, b.kernelValues,
-                schedCfg_.worstCase ? nullptr : &b.engineProf);
-            b.mapperHits += mapper.hits() - mh0;
-            b.mapperMisses += mapper.misses() - mm0;
-            b.storeHits += storeCache.hits() - sh0;
-            b.storeMisses += storeCache.misses() - sm0;
-        }
-        checkSchedule(b, b.schedule);
-        b.installedExp = b.expectations;
-        b.installedKv = b.kernelValues;
-        b.installedLoadMean =
-            loadMean(dg, b.installedExp, b.wl->traceCfg.batchSize);
-
+        b.backend.bringUp();
         // The model's weight working set streams in over the chip's
         // ingress link before it can serve (all chips in parallel —
         // each has its own link).
-        b.engineFree = ic.transfer(b.id, true, 0, b.weightBytes,
-                                   PayloadClass::Weights);
+        b.backend.delayUntil(ic.transfer(b.id, true, 0, b.weightBytes,
+                                         PayloadClass::Weights));
     }
 
     // ---- pod front-end ---------------------------------------------
@@ -905,10 +673,11 @@ PodRuntime::run()
             ChipStatus &s = st[static_cast<std::size_t>(c)];
             s.alive = !b.dark;
             s.servesModel = b.model == model;
-            s.queued = b.batcher.queued() + b.inflight.size();
+            const serve::Backend &be = b.backend;
+            s.queued = be.batcher().queued() + b.inflight.size();
             const double backlog =
-                b.engineFree > now
-                    ? static_cast<double>(b.engineFree - now)
+                be.engineFree() > now
+                    ? static_cast<double>(be.engineFree() - now)
                     : 0.0;
             // Before the first completion there is no service
             // estimate; charge one tick per queued request so equal
@@ -916,12 +685,12 @@ PodRuntime::run()
             // parallel) still tie-break on queue depth instead of
             // funnelling the whole cold-start burst to chip 0.
             const double perRequest =
-                b.haveService ? b.serviceEwma /
-                                    cfg_.serve.batching.maxBatch
-                              : 1.0;
+                be.haveService() ? be.serviceEwma() /
+                                       cfg_.serve.batching.maxBatch
+                                 : 1.0;
             s.load = backlog + static_cast<double>(s.queued) *
                                    perRequest;
-            s.installedLoadMean = b.installedLoadMean;
+            s.installedLoadMean = be.installedLoadMean();
             s.admittable =
                 !haveBreakers ||
                 breakers[static_cast<std::size_t>(c)].admits(now);
@@ -974,7 +743,7 @@ PodRuntime::run()
             o.chipA = -1;
         else if (o.chipB == c)
             o.chipB = -1;
-        if (b.batcher.cancel(id))
+        if (b.backend.batcher().cancel(id))
             return true;
         for (auto it = b.inflight.begin(); it != b.inflight.end();
              ++it) {
@@ -992,7 +761,7 @@ PodRuntime::run()
         bool any = false;
         while (!b.inflight.empty() &&
                b.inflight.front().arrival <= up_to) {
-            b.batcher.enqueue(std::move(b.inflight.front()));
+            b.backend.batcher().enqueue(std::move(b.inflight.front()));
             b.inflight.pop_front();
             any = true;
         }
@@ -1054,7 +823,7 @@ PodRuntime::run()
                 b.dark = true;
                 ++chipFailEvents;
                 std::vector<serve::Request> drained =
-                    b.batcher.drain();
+                    b.backend.batcher().drain();
                 for (serve::Request &r : b.inflight)
                     drained.push_back(std::move(r));
                 b.inflight.clear();
@@ -1067,10 +836,15 @@ PodRuntime::run()
                             o.chipA = -1;
                         else if (o.chipB == ev.chip)
                             o.chipB = -1;
-                        // A hedged twin still lives elsewhere: drop
-                        // this copy silently, nothing is lost.
-                        if (o.done || o.copies() > 0)
+                        if (o.done)
                             continue;
+                        if (o.copies() > 0) {
+                            // A hedged twin still lives elsewhere:
+                            // this copy never runs, so it counts as
+                            // the hedge's cancelled loser.
+                            ++relStats.hedgeCancelled;
+                            continue;
+                        }
                     }
                     if (!cfg_.router.reRouteOnFailure) {
                         ++darkChipSheds;
@@ -1101,94 +875,14 @@ PodRuntime::run()
             } else if (ev.recover && b.dark) {
                 b.dark = false;
                 ++chipHeals;
-                const Tick ready =
+                b.backend.delayUntil(
                     ic.transfer(ev.chip, true, ev.at, b.weightBytes,
-                                PayloadClass::Weights);
-                b.engineFree = std::max(b.engineFree, ready);
+                                PayloadClass::Weights));
             }
             ++podFaultCursor;
             any = true;
         }
         return any;
-    };
-
-    /** Ops whose expectation moved past the delta tolerance (the
-     * single-chip runtime's changedOps). */
-    const auto changedOps = [&](ChipBackend &b) {
-        std::vector<OpId> changed;
-        for (OpId op : b.wl->dg->dynamicOps()) {
-            const auto ne = b.expectations.find(op);
-            const auto oe = b.installedExp.find(op);
-            const bool haveNew = ne != b.expectations.end();
-            const bool haveOld = oe != b.installedExp.end();
-            bool moved = haveNew != haveOld;
-            if (!moved && haveNew) {
-                const double ref =
-                    std::max(std::abs(oe->second), 1.0);
-                moved = std::abs(ne->second - oe->second) >
-                        cfg_.serve.deltaExpectationTol * ref;
-            }
-            if (moved)
-                changed.push_back(op);
-        }
-        return changed;
-    };
-
-    /** Close one drift window for a chip (the single-chip runtime's
-     * closeWindow, plus the affinity target refresh). */
-    const auto closeWindow = [&](ChipBackend &b) {
-        const serve::ServeConfig &s = cfg_.serve;
-        ++b.driftWindows;
-        const bool fire = b.monitor.observe(b.driftProf);
-        if (fire && s.driftReschedule && !schedCfg_.worstCase) {
-            auto reference = b.driftProf.tablesSnapshot();
-            core::refreshScheduleInputs(
-                b.engineProf,
-                s.resampleKernels && !policy_.exactKernels,
-                b.expectations, b.kernelValues);
-            b.engineProf.resetTables();
-            const std::vector<OpId> changed = changedOps(b);
-            Rebuild rb = rebuildSchedule(
-                b, b.engineFree,
-                s.deltaReschedule ? &changed : nullptr);
-            if (s.rescheduleBudgetCycles > 0 &&
-                rb.cost > s.rescheduleBudgetCycles) {
-                b.engineFree += s.rescheduleBudgetCycles;
-                ++b.watchdogFallbacks;
-            } else {
-                b.schedule = std::move(rb.schedule);
-                b.monitor.setReference(std::move(reference));
-                if (rb.delta) {
-                    ++b.deltaReschedules;
-                    b.segmentsRebuilt += rb.stats.segmentsRebuilt;
-                    b.segmentsSpliced += rb.stats.segmentsTotal -
-                                         rb.stats.segmentsRebuilt;
-                    for (OpId op : changed) {
-                        const auto e = b.expectations.find(op);
-                        if (e != b.expectations.end())
-                            b.installedExp[op] = e->second;
-                        else
-                            b.installedExp.erase(op);
-                        const auto k = b.kernelValues.find(op);
-                        if (k != b.kernelValues.end())
-                            b.installedKv[op] = k->second;
-                        else
-                            b.installedKv.erase(op);
-                    }
-                } else {
-                    b.installedExp = b.expectations;
-                    b.installedKv = b.kernelValues;
-                }
-                // The chip now serves a different distribution:
-                // refresh the router's affinity target.
-                b.installedLoadMean =
-                    loadMean(*b.wl->dg, b.installedExp,
-                             b.wl->traceCfg.batchSize);
-                b.engineFree += s.reconfigOverheadCycles;
-                ++b.reschedules;
-            }
-        }
-        b.driftProf.resetTables();
     };
 
     // ---- the pod serving loop --------------------------------------
@@ -1210,10 +904,7 @@ PodRuntime::run()
             if (!b.inflight.empty())
                 nextDelivery = std::min(
                     nextDelivery, b.inflight.front().arrival);
-            if (b.batcher.queued() == 0)
-                continue;
-            const Tick d =
-                std::max(b.engineFree, b.batcher.nextFormTick());
+            const Tick d = b.backend.nextDispatch();
             if (d < best) {
                 best = d;
                 bestIdx = c;
@@ -1353,11 +1044,11 @@ PodRuntime::run()
                 // Graceful brownout: a hedge whose projected
                 // completion already misses the deadline is wasted
                 // interconnect + compute — account and skip it.
-                const ChipBackend &tb =
-                    *chips[static_cast<std::size_t>(target)];
+                const serve::Backend &tb =
+                    chips[static_cast<std::size_t>(target)]->backend;
                 const double perReq =
-                    tb.haveService
-                        ? tb.serviceEwma /
+                    tb.haveService()
+                        ? tb.serviceEwma() /
                               cfg_.serve.batching.maxBatch
                         : 0.0;
                 const double projected =
@@ -1396,63 +1087,20 @@ PodRuntime::run()
         // clock with the single-chip fail-over path.
         if (b.injector && b.injector->advanceTo(best, b.chip) &&
             cfg_.serve.failover && !schedCfg_.worstCase) {
-            const std::vector<TileId> alive = b.chip.healthyTiles();
+            std::vector<TileId> alive = b.chip.healthyTiles();
             if (!alive.empty()) {
-                b.scheduler.setHealthyTiles(alive);
-                Rebuild rb = rebuildSchedule(b, best, nullptr);
-                b.schedule = std::move(rb.schedule);
-                b.installedExp = b.expectations;
-                b.installedKv = b.kernelValues;
-                b.installedLoadMean =
-                    loadMean(*b.wl->dg, b.installedExp,
-                             b.wl->traceCfg.batchSize);
-                b.engineFree = best + rb.cost;
-                ++b.failovers;
+                b.backend.failover(std::move(alive), best);
                 continue; // re-pick against the new engine-free time
             }
         }
 
         // ---- dispatch the chosen chip ------------------------------
-        std::vector<serve::FormedBatch> formed;
-        while (b.batcher.queued() > 0 &&
-               b.batcher.nextFormTick() <= best)
-            formed.push_back(b.batcher.form(best));
-
-        std::vector<trace::BatchRouting> routings;
-        routings.reserve(formed.size());
-        for (const serve::FormedBatch &fb : formed)
-            routings.push_back(fb.routing);
-
-        core::PeriodResult res = b.engine.runPeriod(
-            b.chip, b.schedule, routings, &b.engineProf, best);
-        // A chip_slow span dilates the chip's clock: every cycle the
-        // engine spends between dispatch and completion stretches by
-        // the straggler factor. The dilated service then feeds the
-        // EWMA, so the router's load projections see the slowness.
-        const double sf = slowFactorAt(bestIdx, best);
-        if (sf > 1.0) {
-            const auto dilate = [&](Tick t) {
-                return best + static_cast<Tick>(std::llround(
-                                  static_cast<double>(t - best) *
-                                  sf));
-            };
-            for (Tick &t : res.batchEnds)
-                t = dilate(t);
-            res.endTime = dilate(res.endTime);
-        }
-        b.engineFree = res.endTime;
-        b.batches += formed.size();
-        if (!res.batchEnds.empty()) {
-            const double service =
-                static_cast<double>(res.batchEnds.back() - best);
-            b.serviceEwma = b.haveService
-                                ? 0.8 * b.serviceEwma + 0.2 * service
-                                : service;
-            b.haveService = true;
-        }
-
-        for (std::size_t bi = 0; bi < formed.size(); ++bi) {
-            for (const serve::Request &r : formed[bi].requests) {
+        // A chip_slow span dilates the chip's clock (see
+        // Backend::dispatch).
+        const serve::Backend::Dispatch d = b.backend.dispatch(
+            b.chip, best, slowFactorAt(bestIdx, best));
+        for (std::size_t bi = 0; bi < d.formed.size(); ++bi) {
+            for (const serve::Request &r : d.formed[bi].requests) {
                 if (relTracking) {
                     Outstanding &o = outs[r.id];
                     if (o.done) {
@@ -1474,11 +1122,10 @@ PodRuntime::run()
                 // egress link; end-to-end latency is pod arrival to
                 // response delivery.
                 const Tick respTick = ic.transfer(
-                    bestIdx, false, res.batchEnds[bi],
+                    bestIdx, false, d.result.batchEnds[bi],
                     cfg_.interconnect.responseBytes,
                     PayloadClass::Response);
                 feedSdc(bestIdx, respTick);
-                b.slo.record(podArrivalOf[r.id], best, respTick);
                 podSlo.record(podArrivalOf[r.id], best, respTick);
                 if (rel.hedging) {
                     latWin.push_back(static_cast<double>(
@@ -1488,17 +1135,12 @@ PodRuntime::run()
                                rel.hedgeWindow))
                         latWin.pop_front();
                 }
-                ++b.completed;
                 ++completed;
-                recordRequest(b.driftProf, *b.wl->dg, r.routing);
-                if (b.driftProf.windowBatches() >=
-                    static_cast<std::uint64_t>(
-                        cfg_.serve.drift.windowRequests))
-                    closeWindow(b);
+                b.backend.complete(r.routing, podArrivalOf[r.id], best,
+                                   respTick);
             }
         }
     }
-    (void)completed;
 
     // ---- report -----------------------------------------------------
     PodReport report;
@@ -1550,72 +1192,40 @@ PodRuntime::run()
     report.sloAttainment = podSlo.sloAttainment();
     report.goodputRps = podSlo.goodputRps(report.horizonTicks);
 
+    ADYNA_ASSERT(report.requests + report.shedRequests +
+                         report.darkChipSheds + relStats.timeouts ==
+                     total,
+                 "pod request accounting: ", report.requests,
+                 " completed + ", report.shedRequests, " shed + ",
+                 report.darkChipSheds, " dark-chip sheds + ",
+                 relStats.timeouts, " timeouts != ", total);
+    // Exactly-once hedging: each hedge's losing copy is cancelled
+    // before it runs or completes as a discarded duplicate. A timeout
+    // cancels copies too, so the identity holds only without them.
+    ADYNA_ASSERT(rel.timeoutDeadlineFactor > 0.0 ||
+                     relStats.hedgeCancelled +
+                             relStats.wastedCompletions ==
+                         relStats.hedges,
+                 "hedge accounting: ", relStats.hedgeCancelled,
+                 " cancelled + ", relStats.wastedCompletions,
+                 " wasted != ", relStats.hedges, " hedges");
+
     const bool podFaultActive = !cfg_.faultPlan.empty();
     for (int c = 0; c < K; ++c) {
         ChipBackend &b = *chips[static_cast<std::size_t>(c)];
-        serve::ServeReport r;
-        r.workload = b.wl->name;
-        r.mode =
-            cfg_.serve.driftReschedule ? "adaptive" : "static";
-        r.requests = b.completed;
-        r.batches = b.batches;
-        r.meanBatchSize =
-            b.batches == 0 ? 0.0
-                           : static_cast<double>(b.completed) /
-                                 static_cast<double>(b.batches);
+        serve::ServeReport r = b.backend.report(b.chip);
         if (b.routed > 1 && b.lastArrival > b.firstArrival)
             r.offeredRps = static_cast<double>(b.routed - 1) /
                            (static_cast<double>(b.lastArrival -
                                                 b.firstArrival) *
                             tickSec);
-        r.horizonTicks = b.slo.lastEnd();
-        if (r.horizonTicks > 0)
-            r.achievedRps =
-                static_cast<double>(b.completed) /
-                (static_cast<double>(r.horizonTicks) * tickSec);
-        r.p50Ms = b.slo.latencyPercentileMs(0.50);
-        r.p95Ms = b.slo.latencyPercentileMs(0.95);
-        r.p99Ms = b.slo.latencyPercentileMs(0.99);
-        r.meanMs = b.slo.meanLatencyMs();
-        r.maxMs = b.slo.maxLatencyMs();
-        r.meanQueueMs = b.slo.meanQueueMs();
-        r.sloAttainment = b.slo.sloAttainment();
-        r.goodputRps = b.slo.goodputRps(r.horizonTicks);
-        r.reschedules = b.reschedules;
-        r.deltaReschedules = b.deltaReschedules;
-        r.segmentsRebuilt = b.segmentsRebuilt;
-        r.segmentsSpliced = b.segmentsSpliced;
-        r.driftWindows = b.driftWindows;
-        r.lastDriftDistance = b.monitor.lastDistance();
-        r.driftThreshold = b.monitor.effectiveThreshold();
-        r.mapperHits = b.mapperHits;
-        r.mapperMisses = b.mapperMisses;
-        if (schedCfg_.storeCache) {
-            r.storeHits = b.storeHits;
-            r.storeMisses = b.storeMisses;
-        }
-        r.execHits = b.engine.execHits();
-        r.execMisses = b.engine.execMisses();
-        r.failovers = b.failovers;
-        r.watchdogFallbacks = b.watchdogFallbacks;
-        r.storeFitFailures = b.storeFitFailures;
-        r.faultActive = podFaultActive || b.injector.has_value() ||
-                        cfg_.serve.rescheduleBudgetCycles > 0;
-        if (b.injector) {
-            const fault::FaultStats fs = b.injector->stats(b.chip);
-            r.failedTiles = fs.failedTiles;
-            r.downLinks = fs.downLinks;
-            r.degradedLinks = fs.degradedLinks;
-            r.probeDrops = fs.probeDrops;
-            r.probeRetries = fs.probeRetries;
-            r.probeGiveUps = fs.probeGiveUps;
-            r.nocDetours = fs.detourRoutes;
-            r.unroutablePaths = fs.unroutablePaths;
-        }
+        // Per-chip admission control is off in a pod (asserted at
+        // construction), so only the pod-scope plan adds to faultActive.
+        r.faultActive = r.faultActive || podFaultActive;
 
         ChipResult cr;
         cr.id = b.id;
-        cr.model = b.wl->name;
+        cr.model = r.workload;
         cr.dark = b.dark;
         cr.routed = b.routed;
         cr.rerouted = b.rerouted;

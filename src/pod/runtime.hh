@@ -1,10 +1,10 @@
 /**
  * @file
- * The multi-chip pod runtime: K independent chip back-ends — each a
- * full single-chip serving loop with its own Chip (NoC, HBM, fault
- * state), Scheduler, Engine, drift monitor, and admission queue —
- * behind a front-end Router, with every chip-boundary payload charged
- * on the pod Interconnect (see interconnect.hh / router.hh). This is
+ * The multi-chip pod runtime: K independent chips — each a
+ * serve::Backend (Scheduler, Engine, drift monitor, admission queue)
+ * on its own Chip (NoC, HBM, fault state) — behind a front-end
+ * Router, with every chip-boundary payload charged on the pod
+ * Interconnect (see interconnect.hh / router.hh). This is
  * the ROADMAP's "millions of users" scale-out tier: one open-loop
  * arrival stream at pod-aggregate rate fans out over the chips, and
  * goodput should scale near-linearly with K.
@@ -326,7 +326,7 @@ std::string toJson(const PodReport &report);
 std::string routerStatsJson(const PodReport &report);
 
 /** Multi-chip pod serving simulation. */
-class PodRuntime
+class PodRuntime : public serve::SharedCaches
 {
   public:
     /** @param workloads the served models (one under Replicated);
@@ -334,17 +334,6 @@ class PodRuntime
     PodRuntime(std::vector<PodWorkload> workloads, arch::HwConfig hw,
                core::SchedulerConfig sched_cfg,
                core::ExecPolicy policy, PodConfig cfg);
-
-    /** Share a mapping-search memo across chips / runtimes (same
-     * contract as ServeRuntime::setSharedMapper). */
-    void setSharedMapper(costmodel::Mapper *mapper);
-
-    /** Use @p cache for compiled-store reuse across chips (same
-     * contract as ServeRuntime::setSharedStoreCache). */
-    void setSharedStoreCache(kernels::KernelStoreCache *cache);
-
-    /** Build kernel stores on @p pool during (re-)schedules. */
-    void setSchedulerPool(ThreadPool *pool);
 
     /** Serve PodConfig::serve.numRequests requests and report. */
     PodReport run();
@@ -362,10 +351,6 @@ class PodRuntime
 
     /** chipModel_[c] = index into workloads_ chip c serves. */
     std::vector<int> chipModel_;
-
-    costmodel::Mapper *sharedMapper_ = nullptr;
-    kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
 };
 
 } // namespace adyna::pod

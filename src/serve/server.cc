@@ -1,48 +1,14 @@
 #include "serve/server.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <optional>
 
 #include "arch/chip.hh"
-#include "arch/profiler.hh"
 #include "common/logging.hh"
-#include "core/sampling.hh"
-#include "core/validate.hh"
+#include "serve/backend.hh"
 #include "serve/validate.hh"
 
 namespace adyna::serve {
-
-namespace {
-
-/**
- * Synthetic drift-monitor series: the request's total dynamic load
- * (sum of its dyn-op values). Exit/skip gates are binary per request
- * and all shift together under a drift phase, so each op's own
- * distribution moves only slightly while the execution-path-length
- * distribution moves a lot — this series captures that correlated
- * shift. The id lives far outside any real graph's op-id range and
- * only ever enters the drift profiler, never the scheduler.
- */
-constexpr OpId kLoadSeriesOp = 0xFFFFFFFFu;
-
-/** Record one request's dyn-value draws into a drift profiler. */
-void
-recordRequest(arch::Profiler &prof, const graph::DynGraph &dg,
-              const trace::BatchRouting &routing)
-{
-    prof.noteBatch();
-    std::int64_t totalLoad = 0;
-    for (OpId op : dg.dynamicOps()) {
-        const std::int64_t v = routing.dynValue(dg, op);
-        prof.recordValue(op, v);
-        totalLoad += v;
-    }
-    prof.recordValue(kLoadSeriesOp, totalLoad);
-}
-
-} // namespace
 
 std::string
 toJson(const ServeReport &r)
@@ -163,329 +129,44 @@ ServeRuntime::ServeRuntime(const graph::DynGraph &dg,
                  cfg_.batching.maxBatch, ")");
 }
 
-void
-ServeRuntime::setSharedMapper(costmodel::Mapper *mapper)
-{
-    sharedMapper_ = mapper;
-}
-
-void
-ServeRuntime::setSharedStoreCache(kernels::KernelStoreCache *cache)
-{
-    sharedStoreCache_ = cache;
-}
-
-void
-ServeRuntime::setSchedulerPool(ThreadPool *pool)
-{
-    schedulerPool_ = pool;
-}
-
 ServeReport
 ServeRuntime::run()
 {
-    std::optional<costmodel::Mapper> localMapper;
-    if (!sharedMapper_)
-        localMapper.emplace(hw_.tech);
-    costmodel::Mapper &mapper =
-        sharedMapper_ ? *sharedMapper_ : *localMapper;
+    BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_,
+                       schedulerPool_);
+    costmodel::Mapper &mapper = ctx.mapper();
+    kernels::KernelStoreCache &storeCache = ctx.storeCache();
     const std::uint64_t mHits0 = mapper.hits();
     const std::uint64_t mMisses0 = mapper.misses();
-
-    kernels::KernelStoreCache &storeCache =
-        sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global();
     const std::uint64_t sHits0 = storeCache.hits();
     const std::uint64_t sMisses0 = storeCache.misses();
 
-    core::Scheduler scheduler(dg_, hw_, mapper, schedCfg_);
-    scheduler.setStoreCache(&storeCache); // no-op unless storeCache
-                                          // is configured on
-    if (schedulerPool_)
-        scheduler.setThreadPool(schedulerPool_);
-    core::Engine engine(dg_, hw_, mapper, policy_);
     arch::Chip chip(hw_);
-
-    // Online schedule search (searchOnDrift): owns its own engine so
-    // the serving engine's exec counters never see rejected
-    // candidates; counters it does move on the shared mapper/store
-    // cache are snapshot-scoped into searchStats and subtracted from
-    // the run-level report below.
-    std::optional<search::ScheduleSearch> searcher;
-    core::SearchStats searchStats;
-    core::PlanOverride installedOverride;
-    search::TreeState installedTree;
-    bool haveTree = false;
-    std::vector<trace::BatchRouting> probeRing;
-    int searchReschedules = 0;
-    Cycles maxRescheduleCycles = 0;
-    if (cfg_.searchOnDrift) {
-        search::SearchConfig scfg = cfg_.search;
-        scfg.storeCompileCycles = cfg_.storeCompileCycles;
-        searcher.emplace(dg_, hw_, mapper, policy_, scfg);
-        if (schedulerPool_)
-            searcher->setThreadPool(schedulerPool_);
-    }
-
-    // Two observation streams: merged-batch statistics feed the
-    // scheduler (allocation expectations, kernel re-sampling), while
-    // per-request statistics feed the drift monitor — per-request
-    // distributions are invariant to the realized batch sizes, so
-    // bursty arrivals alone cannot fake a routing-distribution shift.
-    arch::Profiler engineProf;
-    arch::Profiler driftProf;
-
-    trace::TraceConfig reqCfg = traceCfg_;
-    reqCfg.batchSize = 1;
-
-    // ---- offline profiling (compiled-batch statistics) -------------
-    std::map<OpId, double> expectations;
-    std::map<OpId, std::vector<std::int64_t>> kernelValues =
-        scheduler.initialKernelValues();
-    if (!schedCfg_.worstCase && cfg_.profileBatches > 0) {
-        trace::TraceGenerator probe(dg_, traceCfg_,
-                                    cfg_.seed ^
-                                        0x517cc1b727220a95ULL);
-        for (int b = 0; b < cfg_.profileBatches; ++b) {
-            const trace::BatchRouting routing = probe.next();
-            engineProf.noteBatch();
-            for (const auto &[sw, oc] : routing.outcomes)
-                engineProf.recordBranchLoads(sw, oc.branchCounts);
-            for (OpId op : dg_.dynamicOps())
-                engineProf.recordValue(op,
-                                       routing.dynValue(dg_, op));
-        }
-        core::refreshScheduleInputs(engineProf,
-                                    cfg_.resampleKernels &&
-                                        !policy_.exactKernels,
-                                    expectations, kernelValues);
-        engineProf.resetTables();
-    }
-
-    // Drift reference: the per-request distribution the first
-    // schedule implicitly targets. The probe shares the profiling
-    // probe's seed so a drifting trace's phase tilt — drawn before
-    // the first sample, hence identical across batch sizes — matches
-    // the one the schedule inputs were measured under; referencing
-    // an independently-tilted stream would blind the monitor to a
-    // schedule mismatch that is present from the very first request.
-    // Two same-distribution windows calibrate the noise floor (the
-    // distance identical traffic shows at this window size).
-    DriftMonitor monitor(cfg_.drift);
-    {
-        trace::TraceGenerator refProbe(dg_, reqCfg,
-                                       cfg_.seed ^
-                                           0x517cc1b727220a95ULL);
-        const int half = cfg_.drift.windowRequests;
-        for (int i = 0; i < half; ++i)
-            recordRequest(driftProf, dg_, refProbe.next());
-        auto reference = driftProf.tablesSnapshot();
-        driftProf.resetTables();
-        for (int i = 0; i < half; ++i)
-            recordRequest(driftProf, dg_, refProbe.next());
-        monitor.setReference(reference);
-        monitor.setNoiseFloor(monitor.distanceTo(driftProf));
-        // The reference keeps both windows' worth of samples.
-        for (const auto &[op, hist] : driftProf.tablesSnapshot())
-            reference[op].merge(hist);
-        monitor.setReference(std::move(reference));
-        driftProf.resetTables();
-    }
-
-    core::Schedule schedule = scheduler.build(
-        expectations, kernelValues,
-        schedCfg_.worstCase ? nullptr : &engineProf);
-    const auto checkSchedule = [&](const core::Schedule &sch) {
-        const auto issues = core::validateSchedule(sch, dg_, hw_);
-        ADYNA_ASSERT(issues.empty(), "invalid schedule:\n",
-                     core::issuesToString(issues));
-    };
-    checkSchedule(schedule);
-
-    // The schedule inputs the installed schedule actually embodies.
-    // Delta re-schedules compare fresh inputs against these — not
-    // against the previous refresh — so repeated sub-tolerance
-    // drifts accumulate until some op genuinely moves past the
-    // tolerance relative to what is serving.
-    std::map<OpId, double> installedExp = expectations;
-    std::map<OpId, std::vector<std::int64_t>> installedKv =
-        kernelValues;
-
-    // ---- the serving loop ------------------------------------------
-    ArrivalConfig arrivalCfg = cfg_.arrival;
-    arrivalCfg.freqGhz = hw_.tech.freqGhz;
-    ArrivalProcess arrivals(arrivalCfg,
-                            cfg_.seed ^ 0x9e3779b97f4a7c15ULL);
-    trace::TraceGenerator reqGen(dg_, reqCfg, cfg_.seed);
-    Batcher batcher(cfg_.batching);
-    SloTracker slo(cfg_.slo, hw_.tech.freqGhz);
+    Backend be(dg_, traceCfg_, hw_, schedCfg_, policy_, cfg_,
+               workloadName_, ctx, cfg_.seed);
 
     // With an empty plan the injector never exists and no loop branch
     // below fires, keeping the run byte-identical to the pre-fault
     // runtime.
     std::optional<fault::FaultInjector> injector;
-    if (!cfg_.faultPlan.empty())
+    if (!cfg_.faultPlan.empty()) {
         injector.emplace(cfg_.faultPlan,
                          cfg_.faultSeed
                              ? cfg_.faultSeed
                              : cfg_.seed ^ 0xda3e39cb94b95bdbULL);
+        be.setFaultInjector(&*injector);
+    }
+    be.bringUp();
 
-    const auto total = static_cast<std::uint64_t>(cfg_.numRequests);
-    std::uint64_t issued = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t batches = 0;
-    int reschedules = 0;
-    int driftWindows = 0;
-    int failovers = 0;
-    int watchdogFallbacks = 0;
-    int storeFitFailures = 0;
-    int deltaReschedules = 0;
-    std::uint64_t segmentsRebuilt = 0;
-    std::uint64_t segmentsSpliced = 0;
-    Tick engineFree = 0;
-    Tick nextArrival = arrivals.next();
-    const Tick firstArrival = nextArrival;
-    Tick lastArrival = nextArrival;
-
-    // Admission control projects each arrival's completion from the
-    // engine backlog plus an EWMA of recent dispatch-to-completion
-    // times, and sheds it when the projection overshoots the SLO.
-    const double deadlineTicks =
-        cfg_.slo.deadlineMs * hw_.tech.freqGhz * 1e6;
-    double serviceEwma = 0.0;
-    bool haveService = false;
-
-    /** Ops whose allocation expectation moved beyond the delta
-     * tolerance relative to the installed schedule's build inputs
-     * (plus ops whose expectation appeared or vanished). */
-    const auto changedOps = [&]() {
-        std::vector<OpId> changed;
-        for (OpId op : dg_.dynamicOps()) {
-            const auto ne = expectations.find(op);
-            const auto oe = installedExp.find(op);
-            const bool haveNew = ne != expectations.end();
-            const bool haveOld = oe != installedExp.end();
-            bool moved = haveNew != haveOld;
-            if (!moved && haveNew) {
-                const double ref =
-                    std::max(std::abs(oe->second), 1.0);
-                moved = std::abs(ne->second - oe->second) >
-                        cfg_.deltaExpectationTol * ref;
-            }
-            if (moved)
-                changed.push_back(op);
-        }
-        return changed;
-    };
-
-    /** Rebuild the schedule from the current expectations / kernel
-     * values; returns the candidate plus its modeled runtime cost.
-     * @p delta, when non-null, routes through
-     * Scheduler::buildDelta, splicing segments untouched by the
-     * listed ops from the installed schedule. An active
-     * store-fit-failure window forces a cold full compile (the
-     * cached stores no longer fit — spliced ones included), which
-     * the watchdog model sees as a full-cost rebuild. */
-    struct Rebuild
-    {
-        core::Schedule schedule;
-        Cycles cost = 0;
-        bool delta = false;
-        core::DeltaStats stats;
-    };
-    const auto rebuildSchedule =
-        [&](Tick now, const std::vector<OpId> *delta) -> Rebuild {
-        const bool bypassStores =
-            injector && injector->storeFitFailActive(now);
-        if (bypassStores) {
-            scheduler.setStoreCache(nullptr);
-            ++storeFitFailures;
-        }
-        const std::uint64_t misses0 = storeCache.misses();
-        Rebuild rb;
-        if (delta && !bypassStores) {
-            rb.schedule = scheduler.buildDelta(
-                schedule, expectations, kernelValues, &engineProf,
-                *delta, &rb.stats);
-            rb.delta = true;
-        } else {
-            rb.schedule = scheduler.build(expectations, kernelValues,
-                                          &engineProf);
-        }
-        if (bypassStores)
-            scheduler.setStoreCache(&storeCache);
-        checkSchedule(rb.schedule);
-        const std::uint64_t compiled =
-            schedCfg_.storeCache && !bypassStores
-                ? storeCache.misses() - misses0
-                : (rb.delta ? rb.stats.segmentsRebuilt
-                            : rb.schedule.segments.size());
-        rb.cost = cfg_.reconfigOverheadCycles +
-                  static_cast<Cycles>(compiled) *
-                      cfg_.storeCompileCycles;
-        return rb;
-    };
-
-    while (completed + shed < total) {
-        // Admit every arrival that lands no later than the next
-        // dispatch moment. Admission can only pull the dispatch
-        // moment earlier (the batch fills up), so iterate to the
-        // fixpoint.
-        for (;;) {
-            const Tick form = batcher.nextFormTick();
-            const Tick dispatchAt =
-                form == Batcher::kNever
-                    ? Batcher::kNever
-                    : std::max(engineFree, form);
-            if (issued < total && nextArrival <= dispatchAt) {
-                if (cfg_.admissionControl && haveService) {
-                    const double backlog =
-                        engineFree > nextArrival
-                            ? static_cast<double>(engineFree -
-                                                  nextArrival)
-                            : 0.0;
-                    // Projected completion: engine backlog, plus the
-                    // batches already queued ahead of this arrival,
-                    // plus its own service. Without the queued term
-                    // an open-loop overload admits everything before
-                    // the engine's busy horizon ever moves.
-                    const double queuedAhead =
-                        static_cast<double>(batcher.queued()) /
-                        cfg_.batching.maxBatch;
-                    if (backlog + (1.0 + queuedAhead) * serviceEwma >
-                        cfg_.shedLatencyFactor * deadlineTicks) {
-                        // Shed: draw (and discard) the routing so
-                        // the dynamism stream stays aligned with a
-                        // non-shedding run of the same seed.
-                        (void)reqGen.next();
-                        lastArrival = nextArrival;
-                        ++issued;
-                        ++shed;
-                        nextArrival = arrivals.next();
-                        continue;
-                    }
-                }
-                Request r;
-                r.id = issued;
-                r.arrival = nextArrival;
-                r.routing = reqGen.next();
-                lastArrival = nextArrival;
-                batcher.enqueue(std::move(r));
-                ++issued;
-                nextArrival = arrivals.next();
-                continue;
-            }
-            break;
-        }
-        if (batcher.queued() == 0)
+    // ---- the serving loop ------------------------------------------
+    OpenLoopSource source(dg_, traceCfg_, hw_, cfg_, cfg_.seed);
+    while (!source.finished(be)) {
+        // Dispatch every batch formable at the dispatch moment in one
+        // engine period: batches formed while the engine was busy
+        // stream through the pipeline back to back.
+        const Tick dispatchAt = source.admit(be);
+        if (dispatchAt == Batcher::kNever)
             break; // every remaining arrival was shed
-
-        // Dispatch every batch formable at the dispatch moment in
-        // one engine period: batches formed while the engine was
-        // busy stream through the pipeline back to back.
-        const Tick dispatchAt =
-            std::max(engineFree, batcher.nextFormTick());
 
         // Fault events due by the dispatch moment strike before the
         // batch leaves. A healthy-tile change forces a fail-over
@@ -497,259 +178,33 @@ ServeRuntime::run()
         // execution instead.
         if (injector && injector->advanceTo(dispatchAt, chip) &&
             cfg_.failover && !schedCfg_.worstCase) {
-            if (searcher && haveTree) {
-                // The searched structure was tuned for the healthy
-                // grid; fail-over falls back to the pure heuristic.
-                scheduler.setPlanOverride(nullptr);
-                haveTree = false;
-            }
-            scheduler.setHealthyTiles(chip.healthyTiles());
-            Rebuild rb = rebuildSchedule(dispatchAt, nullptr);
-            schedule = std::move(rb.schedule);
-            installedExp = expectations;
-            installedKv = kernelValues;
-            engineFree = dispatchAt + rb.cost;
-            ++failovers;
+            be.failover(chip.healthyTiles(), dispatchAt);
             continue; // re-admit against the new engine-free time
         }
-        std::vector<FormedBatch> formed;
-        while (batcher.queued() > 0 &&
-               batcher.nextFormTick() <= dispatchAt)
-            formed.push_back(batcher.form(dispatchAt));
-
-        std::vector<trace::BatchRouting> routings;
-        routings.reserve(formed.size());
-        for (const FormedBatch &fb : formed)
-            routings.push_back(fb.routing);
-        if (searcher) {
-            // Ring of the most recent dispatched batches: the
-            // search's scoring probe.
-            for (const trace::BatchRouting &r : routings) {
-                if (static_cast<int>(probeRing.size()) >=
-                    cfg_.searchProbeBatches)
-                    probeRing.erase(probeRing.begin());
-                probeRing.push_back(r);
-            }
-        }
-        const core::PeriodResult res = engine.runPeriod(
-            chip, schedule, routings, &engineProf, dispatchAt);
-        engineFree = res.endTime;
-        batches += formed.size();
-        if (!res.batchEnds.empty()) {
-            const double service = static_cast<double>(
-                res.batchEnds.back() - dispatchAt);
-            serviceEwma = haveService
-                              ? 0.8 * serviceEwma + 0.2 * service
-                              : service;
-            haveService = true;
-        }
-
-        // Window boundary: score the drift and, in adaptive mode,
-        // close the loop through the scheduler. Checked per request
-        // (not per dispatch) so windows stay exactly windowRequests
-        // wide even when a backlogged engine completes hundreds of
-        // requests in one dispatch group — wider windows would smear
-        // several drift phases into one near-reference mixture.
-        const auto closeWindow = [&]() {
-            ++driftWindows;
-            const bool fire = monitor.observe(driftProf);
-            if (fire && cfg_.driftReschedule &&
-                !schedCfg_.worstCase) {
-                // The new schedule targets the drifted window: its
-                // per-request snapshot becomes the new reference.
-                auto reference = driftProf.tablesSnapshot();
-                core::refreshScheduleInputs(
-                    engineProf,
-                    cfg_.resampleKernels && !policy_.exactKernels,
-                    expectations, kernelValues);
-                engineProf.resetTables();
-                const std::vector<OpId> changed = changedOps();
-                Rebuild rb = rebuildSchedule(
-                    engineFree,
-                    cfg_.deltaReschedule ? &changed : nullptr);
-                if (cfg_.rescheduleBudgetCycles > 0 &&
-                    rb.cost > cfg_.rescheduleBudgetCycles) {
-                    // Watchdog: the rebuild blew its cycle budget.
-                    // Abandon it, keep the last-known-good schedule
-                    // (and its reference, so the monitor keeps
-                    // scoring against what is actually installed),
-                    // and charge only the budget the watchdog let
-                    // the rebuild burn before killing it.
-                    engineFree += cfg_.rescheduleBudgetCycles;
-                    ++watchdogFallbacks;
-                    maxRescheduleCycles =
-                        std::max(maxRescheduleCycles,
-                                 cfg_.rescheduleBudgetCycles);
-                } else {
-                    Cycles charge = rb.cost;
-                    if (searcher && !probeRing.empty()) {
-                        // Anytime search inside the watchdog's
-                        // leftover: its modeled spend is capped at
-                        // budget - rb.cost, so charge never exceeds
-                        // the budget (0 budget = unbounded).
-                        searcher->setCycleBudget(
-                            cfg_.rescheduleBudgetCycles > 0
-                                ? cfg_.rescheduleBudgetCycles -
-                                      rb.cost
-                                : 0);
-                        searcher->setSeed(
-                            cfg_.search.seed ^
-                            (0x2545f4914f6cdd1dULL *
-                             static_cast<std::uint64_t>(
-                                 reschedules + 1)));
-                        search::ScheduleSearch::Result sr =
-                            searcher->run(
-                                scheduler, rb.schedule,
-                                haveTree ? &installedTree : nullptr,
-                                expectations, kernelValues,
-                                &engineProf, probeRing,
-                                schedCfg_.storeCache ? &storeCache
-                                                     : nullptr,
-                                &searchStats);
-                        charge += sr.spentCycles;
-                        if (sr.improved) {
-                            rb.schedule = std::move(sr.schedule);
-                            installedOverride =
-                                std::move(sr.planOverride);
-                            installedTree = sr.tree;
-                            haveTree = true;
-                            // Later delta re-schedules splice
-                            // against the searched structure.
-                            scheduler.setPlanOverride(
-                                &installedOverride);
-                            ++searchReschedules;
-                        }
-                        ADYNA_ASSERT(
-                            cfg_.rescheduleBudgetCycles == 0 ||
-                                charge <=
-                                    cfg_.rescheduleBudgetCycles,
-                            "search overshot the watchdog budget");
-                        engineFree += sr.spentCycles;
-                    }
-                    maxRescheduleCycles =
-                        std::max(maxRescheduleCycles, charge);
-                    schedule = std::move(rb.schedule);
-                    monitor.setReference(std::move(reference));
-                    if (rb.delta) {
-                        // Spliced segments still embody the old
-                        // inputs, so only the changed ops' installed
-                        // references advance.
-                        ++deltaReschedules;
-                        segmentsRebuilt += rb.stats.segmentsRebuilt;
-                        segmentsSpliced += rb.stats.segmentsTotal -
-                                           rb.stats.segmentsRebuilt;
-                        for (OpId op : changed) {
-                            const auto e = expectations.find(op);
-                            if (e != expectations.end())
-                                installedExp[op] = e->second;
-                            else
-                                installedExp.erase(op);
-                            const auto k = kernelValues.find(op);
-                            if (k != kernelValues.end())
-                                installedKv[op] = k->second;
-                            else
-                                installedKv.erase(op);
-                        }
-                    } else {
-                        installedExp = expectations;
-                        installedKv = kernelValues;
-                    }
-                    // The dispatch barrier already drained the
-                    // pipeline; charge the kernel/metadata reload on
-                    // top.
-                    engineFree += cfg_.reconfigOverheadCycles;
-                    ++reschedules;
-                }
-            }
-            driftProf.resetTables();
-        };
-
-        for (std::size_t b = 0; b < formed.size(); ++b) {
-            for (const Request &r : formed[b].requests) {
-                slo.record(r.arrival, dispatchAt, res.batchEnds[b]);
-                ++completed;
-                recordRequest(driftProf, dg_, r.routing);
-                if (driftProf.windowBatches() >=
-                    static_cast<std::uint64_t>(
-                        cfg_.drift.windowRequests))
-                    closeWindow();
-            }
-        }
+        const Backend::Dispatch d = be.dispatch(chip, dispatchAt);
+        for (std::size_t b = 0; b < d.formed.size(); ++b)
+            for (const Request &r : d.formed[b].requests)
+                be.complete(r.routing, r.arrival, dispatchAt,
+                            d.result.batchEnds[b]);
     }
 
     // ---- report -----------------------------------------------------
-    ServeReport report;
-    report.workload = workloadName_;
-    report.mode = cfg_.driftReschedule ? "adaptive" : "static";
-    report.requests = completed;
-    report.batches = batches;
-    report.meanBatchSize =
-        batches == 0 ? 0.0
-                     : static_cast<double>(completed) /
-                           static_cast<double>(batches);
-    const double tickSec = 1.0 / (hw_.tech.freqGhz * 1e9);
-    if (issued > 1 && lastArrival > firstArrival)
-        report.offeredRps =
-            static_cast<double>(issued - 1) /
-            (static_cast<double>(lastArrival - firstArrival) *
-             tickSec);
-    report.horizonTicks = slo.lastEnd();
-    if (report.horizonTicks > 0)
-        report.achievedRps =
-            static_cast<double>(completed) /
-            (static_cast<double>(report.horizonTicks) * tickSec);
-    report.p50Ms = slo.latencyPercentileMs(0.50);
-    report.p95Ms = slo.latencyPercentileMs(0.95);
-    report.p99Ms = slo.latencyPercentileMs(0.99);
-    report.meanMs = slo.meanLatencyMs();
-    report.maxMs = slo.maxLatencyMs();
-    report.meanQueueMs = slo.meanQueueMs();
-    report.sloAttainment = slo.sloAttainment();
-    report.goodputRps = slo.goodputRps(report.horizonTicks);
-    report.reschedules = reschedules;
-    report.deltaReschedules = deltaReschedules;
-    report.segmentsRebuilt = segmentsRebuilt;
-    report.segmentsSpliced = segmentsSpliced;
-    report.driftWindows = driftWindows;
-    report.lastDriftDistance = monitor.lastDistance();
-    report.driftThreshold = monitor.effectiveThreshold();
-    // Counter scoping: lookups the search burned on rejected
-    // candidates are carved out of the run-level counters, so these
-    // reflect the schedules that actually served (the search's own
-    // share is reported under report.search).
+    ServeReport report = be.report(chip);
+    source.fillReport(report);
+    // Counter scoping: run-level deltas (engine lookups under
+    // exactKernels included), minus the lookups the search burned on
+    // rejected candidates, so these reflect the schedules that
+    // actually served (the search's own share is reported under
+    // report.search).
     report.mapperHits =
-        mapper.hits() - mHits0 - searchStats.mapperHits;
+        mapper.hits() - mHits0 - report.search.mapperHits;
     report.mapperMisses =
-        mapper.misses() - mMisses0 - searchStats.mapperMisses;
+        mapper.misses() - mMisses0 - report.search.mapperMisses;
     if (schedCfg_.storeCache) {
         report.storeHits =
-            storeCache.hits() - sHits0 - searchStats.storeHits;
+            storeCache.hits() - sHits0 - report.search.storeHits;
         report.storeMisses =
-            storeCache.misses() - sMisses0 - searchStats.storeMisses;
-    }
-    report.execHits = engine.execHits();
-    report.execMisses = engine.execMisses();
-    report.shedRequests = shed;
-    report.failovers = failovers;
-    report.watchdogFallbacks = watchdogFallbacks;
-    report.storeFitFailures = storeFitFailures;
-    report.faultActive = injector.has_value() ||
-                         cfg_.admissionControl ||
-                         cfg_.rescheduleBudgetCycles > 0;
-    report.searchReschedules = searchReschedules;
-    report.maxRescheduleCycles = maxRescheduleCycles;
-    report.search = searchStats;
-    report.searchActive = cfg_.searchOnDrift;
-    if (injector) {
-        const fault::FaultStats fs = injector->stats(chip);
-        report.failedTiles = fs.failedTiles;
-        report.downLinks = fs.downLinks;
-        report.degradedLinks = fs.degradedLinks;
-        report.probeDrops = fs.probeDrops;
-        report.probeRetries = fs.probeRetries;
-        report.probeGiveUps = fs.probeGiveUps;
-        report.nocDetours = fs.detourRoutes;
-        report.unroutablePaths = fs.unroutablePaths;
+            storeCache.misses() - sMisses0 - report.search.storeMisses;
     }
     return report;
 }

@@ -280,8 +280,45 @@ struct ServeReport
 /** One serving run as a JSON object (for BENCH_serve.json). */
 std::string toJson(const ServeReport &report);
 
-/** Request-driven serving simulation over one workload graph. */
-class ServeRuntime
+/**
+ * The cache and pool hooks every serving runtime (single-chip,
+ * multi-tenant, pod) exposes to its back-ends' schedule builds.
+ */
+class SharedCaches
+{
+  public:
+    /** Share a mapping-search memo across concurrent runtimes (same
+     * contract as System::setSharedMapper). */
+    void setSharedMapper(costmodel::Mapper *mapper)
+    {
+        sharedMapper_ = mapper;
+    }
+
+    /** Use @p cache for compiled-store reuse across runs (same
+     * contract as System::setSharedStoreCache). It is keyed by tile
+     * count, so same-size regions stay warm across repartitions.
+     * Unset, each run compiles into a cache local to that run. */
+    void setSharedStoreCache(kernels::KernelStoreCache *cache)
+    {
+        sharedStoreCache_ = cache;
+    }
+
+    /** Build per-stage kernel stores on @p pool during (re-)schedules
+     * (same contract as System::setSchedulerPool). */
+    void setSchedulerPool(ThreadPool *pool) { schedulerPool_ = pool; }
+
+  protected:
+    ~SharedCaches() = default;
+
+    costmodel::Mapper *sharedMapper_ = nullptr;
+    kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
+    ThreadPool *schedulerPool_ = nullptr;
+};
+
+/** Request-driven serving simulation over one workload graph: one
+ * serve::Backend (backend.hh) fed by one open-loop arrival stream on
+ * one chip. */
+class ServeRuntime : public SharedCaches
 {
   public:
     /**
@@ -295,19 +332,6 @@ class ServeRuntime
                  core::ExecPolicy policy, ServeConfig serve_cfg,
                  std::string workload_name);
 
-    /** Share a mapping-search memo across concurrent runtimes (same
-     * contract as System::setSharedMapper). */
-    void setSharedMapper(costmodel::Mapper *mapper);
-
-    /** Use @p cache instead of KernelStoreCache::global() for
-     * compiled-store reuse (same contract as
-     * System::setSharedStoreCache). */
-    void setSharedStoreCache(kernels::KernelStoreCache *cache);
-
-    /** Build per-stage kernel stores on @p pool during (re-)schedules
-     * (same contract as System::setSchedulerPool). */
-    void setSchedulerPool(ThreadPool *pool);
-
     /** Serve ServeConfig::numRequests requests and report. */
     ServeReport run();
 
@@ -319,9 +343,6 @@ class ServeRuntime
     core::ExecPolicy policy_;
     ServeConfig cfg_;
     std::string workloadName_;
-    costmodel::Mapper *sharedMapper_ = nullptr;
-    kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
 };
 
 } // namespace adyna::serve

@@ -5,7 +5,8 @@
  * proportionality, determinism, mode behaviour), boundary-link
  * enumeration and interference degrades, the 1-tenant byte-identity
  * gate against serve::ServeRuntime, multi-tenant run determinism,
- * elastic repartitioning, and partition-local fail-over.
+ * elastic repartitioning, partition-local fail-over, and the on-drift
+ * schedule search for every tenant.
  */
 
 #include <gtest/gtest.h>
@@ -198,12 +199,15 @@ struct TestWorkload
     graph::DynGraph dg;
     trace::TraceConfig tc;
 
-    explicit TestWorkload(const char *name, int maxBatch)
+    explicit TestWorkload(const char *name, int maxBatch,
+                          double drift_strength = 0.0)
         : bundle(models::buildByName(name, maxBatch)),
           dg(graph::parseModel(bundle.graph)), tc(bundle.traceConfig)
     {
         tc.batchSize = maxBatch;
-        tc.driftStrength = 0.0;
+        tc.driftStrength = drift_strength;
+        if (drift_strength > 0.0)
+            tc.driftPeriod = 40;
     }
 };
 
@@ -355,6 +359,45 @@ TEST(MTenantRuntime, FaultInOneRegionRepairsOnlyStruckTenants)
     EXPECT_TRUE((failovers0 > 0) != (failovers1 > 0))
         << "failovers: " << failovers0 << " / " << failovers1;
     EXPECT_EQ(r.failoverRepairs, failovers0 + failovers1);
+}
+
+TEST(MTenantRuntime, SearchOnDriftSearchesTenantReschedules)
+{
+    // searchOnDrift applies to every tenant's drift re-schedules, not
+    // only to the single-tenant runtime's.
+    static TestWorkload w("skipnet", 8, 0.9);
+    MTenantConfig mc;
+    mc.repartition.elastic = false;
+    for (int i = 0; i < 2; ++i) {
+        serve::TenantSpec ts;
+        ts.id = "skipnet-" + std::to_string(i);
+        ts.serve = smokeServeConfig(11 + i, 2400);
+        ts.serve.drift.windowRequests = 32;
+        ts.serve.searchOnDrift = true;
+        ts.serve.search.chains = 2;
+        ts.serve.search.mutationBudget = 200;
+        ts.serve.search.materializeTop = 2;
+        mc.tenants.push_back(ts);
+    }
+    MTenantRuntime rt(
+        {{&w.dg, w.tc, "skipnet"}, {&w.dg, w.tc, "skipnet"}},
+        arch::HwConfig{},
+        baselines::schedulerConfig(baselines::Design::Adyna),
+        baselines::execPolicy(baselines::Design::Adyna), mc);
+    kernels::KernelStoreCache stores;
+    rt.setSharedStoreCache(&stores);
+    const MTenantReport r = rt.run();
+
+    int reschedules = 0;
+    for (const TenantResult &t : r.tenants) {
+        EXPECT_TRUE(t.serve.searchActive);
+        reschedules += t.serve.reschedules;
+        if (t.serve.reschedules > 0) {
+            EXPECT_GT(t.serve.search.candidatesTried, 0u) << t.id;
+        }
+    }
+    ASSERT_GT(reschedules, 0) << "drift must trigger";
+    EXPECT_NE(toJson(r).find("search_tried"), std::string::npos);
 }
 
 } // namespace

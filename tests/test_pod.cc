@@ -6,8 +6,9 @@
  * fail-over eligibility), Interconnect serialization/latency/FIFO
  * math and per-class byte accounting, the K=1 byte-identity gate
  * against serve::ServeRuntime, multi-chip determinism, chip-loss
- * drain + re-route, heal-time weight re-streaming, and partitioned
- * placement.
+ * drain + re-route, heal-time weight re-streaming, partitioned
+ * placement, hedge exactly-once under chip loss, per-request
+ * timeouts, and the on-drift schedule search on every chip.
  */
 
 #include <gtest/gtest.h>
@@ -407,12 +408,15 @@ struct TestWorkload
     graph::DynGraph dg;
     trace::TraceConfig tc;
 
-    explicit TestWorkload(const char *name, int maxBatch)
+    explicit TestWorkload(const char *name, int maxBatch,
+                          double drift_strength = 0.0)
         : bundle(models::buildByName(name, maxBatch)),
           dg(graph::parseModel(bundle.graph)), tc(bundle.traceConfig)
     {
         tc.batchSize = maxBatch;
-        tc.driftStrength = 0.0;
+        tc.driftStrength = drift_strength;
+        if (drift_strength > 0.0)
+            tc.driftPeriod = 40;
     }
 };
 
@@ -451,17 +455,18 @@ skipnetPod(PodConfig pc)
     return runPod(std::move(pc), {{&w.dg, w.tc, "skipnet", 1.0}});
 }
 
-/** chip_fail plan text striking chip 1 about a third of the way
+/** chip_fail plan text striking @p chip about a third of the way
  * through @p requests pod arrivals (1 GHz clock, 5e5 r/s). */
 std::string
-midRunStrike(unsigned requests, const char *extra = "")
+midRunStrike(unsigned requests, const char *extra = "", int chip = 1)
 {
     const arch::HwConfig hw;
     const double ticksPerSec = hw.tech.freqGhz * 1e9;
     const auto at = static_cast<Tick>(requests / 3 * ticksPerSec /
                                       smokeServeConfig(0, 1)
                                           .arrival.ratePerSec);
-    return "chip_fail@" + std::to_string(at) + ":chip=1" + extra;
+    return "chip_fail@" + std::to_string(at) +
+           ":chip=" + std::to_string(chip) + extra;
 }
 
 TEST(PodRuntime, SingleChipPodMatchesServeRuntimeByteForByte)
@@ -731,6 +736,100 @@ TEST(PodRuntime, DefaultPodReportHasNoReliabilityJson)
     EXPECT_EQ(json.find("router_stats"), std::string::npos);
     EXPECT_EQ(json.find("hedged"), std::string::npos);
     EXPECT_EQ(json.find("\"sdc\""), std::string::npos);
+}
+
+TEST(PodRuntime, HedgeExactlyOnceUnderChipLoss)
+{
+    // A chip_fail drain that drops a hedge copy whose twin still runs
+    // elsewhere must count that copy as the hedge's cancelled loser.
+    PodConfig pc;
+    pc.chips = 3;
+    pc.serve = smokeServeConfig(11, 360);
+    pc.interconnect.bytesPerCycle = 4800.0;
+    pc.reliability.hedging = true;
+    pc.reliability.hedgeMinDeadlineFraction = 0.02;
+    pc.reliability.hedgeMaxDeadlineFraction = 0.1;
+    // Chip 1 straggles from the start, so requests stuck there hedge
+    // onto the others; it goes dark at arrival 80 with hedged copies
+    // queued, and chip 2 follows at arrival 160.
+    pc.faultPlan = fault::parseFaultPlanOrDie(
+        "chip_slow@0:chip=1,factor=8;" + midRunStrike(240) + ";" +
+        midRunStrike(480, "", 2));
+    const PodReport r = skipnetPod(pc);
+
+    EXPECT_EQ(r.chipFailEvents, 2u);
+    const PodReliabilityStats &s = r.reliability;
+    EXPECT_GT(s.hedges, 0u);
+    EXPECT_EQ(s.hedgeCancelled + s.wastedCompletions, s.hedges);
+    EXPECT_EQ(r.requests + r.shedRequests + r.darkChipSheds, 360u);
+}
+
+TEST(PodRuntime, TimeoutsAccountEveryRequest)
+{
+    PodConfig pc;
+    pc.chips = 2;
+    pc.serve = smokeServeConfig(11, 240);
+    // Fast fabric (see above): deliveries track arrivals, so only
+    // the x8 straggler pushes requests past their deadline.
+    pc.interconnect.bytesPerCycle = 4800.0;
+    pc.reliability.timeoutDeadlineFactor = 1.0;
+    pc.faultPlan = fault::parseFaultPlanOrDie(
+        "chip_slow@0:chip=1,factor=8");
+    const PodReport r = skipnetPod(pc);
+
+    const PodReliabilityStats &s = r.reliability;
+    EXPECT_GT(s.timeouts, 0u);
+    EXPECT_GT(r.requests, 0u);
+    EXPECT_EQ(r.requests + r.shedRequests + r.darkChipSheds +
+                  s.timeouts,
+              240u);
+    EXPECT_EQ(toJson(r), toJson(skipnetPod(pc)));
+}
+
+/** Two drifting SkipNet chips with the on-drift schedule search. */
+PodReport
+searchPod(Cycles watchdog_budget)
+{
+    static TestWorkload w("skipnet", 8, 0.9);
+    PodConfig pc;
+    pc.chips = 2;
+    pc.serve = smokeServeConfig(11, 2400);
+    pc.serve.drift.windowRequests = 32;
+    pc.serve.rescheduleBudgetCycles = watchdog_budget;
+    pc.serve.searchOnDrift = true;
+    pc.serve.search.chains = 2;
+    pc.serve.search.mutationBudget = 200;
+    pc.serve.search.materializeTop = 2;
+    return runPod(std::move(pc), {{&w.dg, w.tc, "skipnet", 1.0}});
+}
+
+TEST(PodRuntime, SearchOnDriftSearchesChipReschedules)
+{
+    // searchOnDrift applies to every chip's drift re-schedules, not
+    // only to the single-chip runtime's.
+    const PodReport r = searchPod(0);
+    int reschedules = 0;
+    for (const ChipResult &c : r.chips) {
+        EXPECT_TRUE(c.serve.searchActive);
+        reschedules += c.serve.reschedules;
+        if (c.serve.reschedules > 0) {
+            EXPECT_GT(c.serve.search.candidatesTried, 0u)
+                << "chip " << c.id;
+        }
+    }
+    ASSERT_GT(reschedules, 0) << "drift must trigger";
+    EXPECT_NE(toJson(r).find("search_tried"), std::string::npos);
+
+    // A watchdog budget caps every chip's rebuild + search charge.
+    const Cycles budget = 40'000'000;
+    const PodReport bounded = searchPod(budget);
+    std::uint64_t tried = 0;
+    for (const ChipResult &c : bounded.chips) {
+        tried += c.serve.search.candidatesTried;
+        EXPECT_LE(c.serve.maxRescheduleCycles, budget)
+            << "chip " << c.id;
+    }
+    EXPECT_GT(tried, 0u);
 }
 
 TEST(PodRuntime, RoundRobinSpreadsArrivalsEvenly)

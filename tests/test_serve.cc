@@ -5,7 +5,8 @@
  * invariants and routing merges, SLO accounting, drift-monitor
  * hysteresis and noise-floor behaviour, and end-to-end ServeRuntime
  * determinism (the stationary adaptive run must match the static
- * run exactly).
+ * run exactly; back-to-back runs without a shared store cache must
+ * match each other).
  */
 
 #include <gtest/gtest.h>
@@ -874,6 +875,47 @@ TEST(ServeRuntime, SearchRunIsDeterministic)
     const ServeReport a = searchServe(true, 40'000'000, 13);
     const ServeReport b = searchServe(true, 40'000'000, 13);
     EXPECT_EQ(toJson(a), toJson(b));
+}
+
+TEST(ServeRuntime, BackToBackRunsWithoutSharedCacheMatch)
+{
+    // Without setSharedStoreCache each run compiles into a store
+    // cache of its own. A rebuild's modeled cost reads the cache's
+    // miss delta, so a cache warmed by an earlier run in the process
+    // would change what the watchdog decides, not just the counters.
+    models::ModelBundle bundle = models::buildByName("skipnet", 8);
+    const graph::DynGraph dg = graph::parseModel(bundle.graph);
+    trace::TraceConfig tc = bundle.traceConfig;
+    tc.batchSize = 8;
+    tc.driftStrength = 0.9;
+    tc.driftPeriod = 40;
+
+    const arch::HwConfig hw;
+    ServeConfig sc;
+    sc.arrival.ratePerSec = 5e5;
+    sc.batching.maxBatch = 8;
+    sc.batching.maxWaitCycles = 20000;
+    sc.slo.deadlineMs = 1.0;
+    sc.drift.windowRequests = 64;
+    sc.numRequests = 1200;
+    sc.profileBatches = 8;
+    sc.seed = 11;
+    sc.rescheduleBudgetCycles = 15000;
+
+    const auto serveOnce = [&] {
+        ServeRuntime rt(
+            dg, tc, hw,
+            baselines::schedulerConfig(baselines::Design::Adyna),
+            baselines::execPolicy(baselines::Design::Adyna), sc,
+            "skipnet");
+        return rt.run();
+    };
+    const ServeReport first = serveOnce();
+    const ServeReport second = serveOnce();
+    ASSERT_GT(first.reschedules + first.watchdogFallbacks, 0)
+        << "drift must trigger";
+    EXPECT_GT(first.storeMisses, 0u);
+    EXPECT_EQ(toJson(first), toJson(second));
 }
 
 TEST(Validate, RejectsNegativeDeltaExpectationTol)
