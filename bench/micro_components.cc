@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot simulator components:
- * the event queue, NoC transfers, HBM gap-filling, the mapping
- * search, kernel dispatch, metadata encode/decode, the sampling
- * algorithm, and trace generation.
+ * NoC transfers, HBM gap-filling, the mapping search, kernel
+ * dispatch, metadata encode/decode, the sampling algorithm, and
+ * trace generation.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 #include "arch/noc.hh"
 #include "core/sampling.hh"
 #include "costmodel/mapper.hh"
-#include "des/simulator.hh"
 #include "graph/parser.hh"
 #include "kernels/codec.hh"
 #include "kernels/store.hh"
@@ -22,22 +21,6 @@
 namespace {
 
 using namespace adyna;
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    for (auto _ : state) {
-        des::Simulator sim;
-        int fired = 0;
-        for (int i = 0; i < 1024; ++i)
-            sim.schedule(static_cast<Tick>((i * 37) % 1000),
-                         [&fired] { ++fired; });
-        sim.run();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_EventQueue);
 
 void
 BM_NocTransfer(benchmark::State &state)

@@ -1,26 +1,19 @@
 /**
  * @file
- * Harness self-check: times the hot paths of the simulator three
- * ways and gates every optimization on byte-identical outputs.
+ * Harness self-check: times the hot paths of the simulator and gates
+ * every optimization on byte-identical outputs.
  *
  * 1. The full workload x design sweep -- (A) the seed configuration
  *    (serial, per-run mapper, legacy per-period segment planner, no
- *    store cache, no exec memo), (B) serial with every cache layer
- *    on, and (C) the same plus the --jobs thread pool -- verifying
- *    that all three produce identical reports.
+ *    store cache), (B) serial with every cache layer on, and (C) the
+ *    same plus the --jobs thread pool -- verifying that all three
+ *    produce identical reports.
  * 2. The reconfiguration-latency bench: N re-schedules per workload
- *    cold (fresh mapper, no store cache), cold with the parallel
- *    per-stage store build, and warm (primed kernel-store cache +
- *    mapper memo), verifying cold- and warm-built schedules are
- *    identical down to the encoded kernel images.
- * 3. The engine-throughput bench: the same batch stream through
- *    Engine::runPeriod with the exec-cost memo off and on, verifying
- *    identical PeriodResults.
- * 4. The event-queue bench: the same self-propagating event stream
- *    through the legacy priority-queue simulator and the arena /
- *    calendar-queue simulator, verifying identical fired order and
- *    gating the arena path at >= 2x the legacy throughput.
- * 5. The delta re-schedule bench: warm full rebuilds vs pure-splice
+ *    cold (fresh mapper, no store cache) and warm (primed
+ *    kernel-store cache + mapper memo), verifying cold- and
+ *    warm-built schedules are identical down to the encoded kernel
+ *    images.
+ * 3. The delta re-schedule bench: warm full rebuilds vs pure-splice
  *    Scheduler::buildDelta calls on the most segmented workload,
  *    verifying splices are byte-identical to their base and gating
  *    delta p99 at >= 10x below full-rebuild p99.
@@ -38,7 +31,6 @@
 #include "bench_common.hh"
 #include "common/buildinfo.hh"
 #include "core/report_io.hh"
-#include "des/simulator.hh"
 #include "kernels/store_cache.hh"
 
 using namespace adyna;
@@ -62,7 +54,6 @@ struct SweepCfg
     bool planCache = false;
     bool shareMapper = false;
     bool storeCache = false;
-    bool execMemo = false;
 };
 
 struct SweepResult
@@ -73,13 +64,11 @@ struct SweepResult
     std::uint64_t mapperMisses = 0;
     std::uint64_t storeHits = 0;
     std::uint64_t storeMisses = 0;
-    std::uint64_t execHits = 0;
-    std::uint64_t execMisses = 0;
 };
 
 /** Run the full workload x design matrix under one configuration.
  * Each sweep gets its own store cache so timings are independent of
- * sweep order (the process-global cache is never touched). */
+ * sweep order. */
 SweepResult
 runSweep(const std::vector<Workload> &workloads,
          const std::vector<Design> &designs, const BenchParams &p,
@@ -107,7 +96,6 @@ runSweep(const std::vector<Workload> &workloads,
         tc.batchSize = p.batchSize;
         auto pol = baselines::execPolicy(tasks[i].d);
         pol.planCache = cfg.planCache;
-        pol.execCostMemo = cfg.execMemo;
         auto scfg = baselines::schedulerConfig(tasks[i].d);
         scfg.storeCache = cfg.storeCache;
         core::System sys(w.dg, tc, hw, scfg, pol,
@@ -124,10 +112,6 @@ runSweep(const std::vector<Workload> &workloads,
     out.mapperMisses = shared.misses();
     out.storeHits = cache.hits();
     out.storeMisses = cache.misses();
-    for (const core::RunReport &r : out.reports) {
-        out.execHits += r.execHits;
-        out.execMisses += r.execMisses;
-    }
     return out;
 }
 
@@ -176,7 +160,6 @@ scheduleFingerprint(const core::Schedule &sch)
 struct ReconfigResult
 {
     double coldMs = 0.0;
-    double coldParallelMs = 0.0;
     double warmMs = 0.0;
     bool identical = false;
     std::uint64_t storeHits = 0;
@@ -186,13 +169,11 @@ struct ReconfigResult
 /**
  * Time @p rounds re-schedules of one workload. Cold builds recompile
  * every store through a fresh mapper (the seed re-schedule path);
- * the parallel variant adds the per-stage thread-pool build; warm
- * builds reuse a primed kernel-store cache, the path a
+ * warm builds reuse a primed kernel-store cache, the path a
  * drift-triggered re-schedule takes in the serving runtime.
  */
 ReconfigResult
-runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds,
-            int jobs)
+runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds)
 {
     const auto scfg =
         baselines::schedulerConfig(Design::Adyna);
@@ -224,19 +205,6 @@ runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds,
         out.coldMs = (nowMs() - t0) / rounds;
     }
 
-    // Cold + parallel per-stage store build.
-    {
-        ThreadPool pool(jobs);
-        const double t0 = nowMs();
-        for (int r = 0; r < rounds; ++r) {
-            costmodel::Mapper m(hw.tech);
-            core::Scheduler s(w.dg, hw, m, scfg);
-            s.setThreadPool(&pool);
-            (void)s.build(expectations, kernelValues, nullptr);
-        }
-        out.coldParallelMs = (nowMs() - t0) / rounds;
-    }
-
     // Warm: one untimed priming build, then re-schedules against the
     // populated store cache and mapper memo.
     {
@@ -257,195 +225,7 @@ runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds,
     return out;
 }
 
-/** Engine-throughput figures: the exec-cost memo off vs on. */
-struct EngineResult
-{
-    double uncachedMs = 0.0;
-    double memoMs = 0.0;
-    bool identical = false;
-    std::uint64_t execHits = 0;
-    std::uint64_t execMisses = 0;
-};
-
-bool
-samePeriod(const core::PeriodResult &a, const core::PeriodResult &b)
-{
-    return a.endTime == b.endTime && a.batchEnds == b.batchEnds &&
-           a.stageCycles == b.stageCycles;
-}
-
-/**
- * Stream the same batch routing sequence through Engine::runPeriod
- * @p reps times per memo setting (fresh chip per rep, so every rep
- * is the same simulation) and compare results and wall-clock.
- */
-EngineResult
-runEngineBench(const Workload &w, const arch::HwConfig &hw,
-               const BenchParams &p, int reps)
-{
-    costmodel::Mapper mapper(hw.tech);
-    const auto scfg = baselines::schedulerConfig(Design::Adyna);
-    core::Scheduler sched(w.dg, hw, mapper, scfg);
-    const core::Schedule schedule = sched.build(
-        {}, sched.initialKernelValues(), nullptr);
-
-    trace::TraceConfig tc = w.bundle.traceConfig;
-    tc.batchSize = p.batchSize;
-    trace::TraceGenerator gen(w.dg, tc, p.seed);
-    std::vector<trace::BatchRouting> routings;
-    routings.reserve(static_cast<std::size_t>(p.batches));
-    for (int b = 0; b < p.batches; ++b)
-        routings.push_back(gen.next());
-
-    EngineResult out;
-    core::PeriodResult uncachedRes;
-    for (const bool memo : {false, true}) {
-        auto pol = baselines::execPolicy(Design::Adyna);
-        pol.execCostMemo = memo;
-        core::Engine eng(w.dg, hw, mapper, pol);
-        const double t0 = nowMs();
-        core::PeriodResult first;
-        for (int r = 0; r < reps; ++r) {
-            arch::Chip chip(hw);
-            core::PeriodResult res = eng.runPeriod(
-                chip, schedule, routings, nullptr, 0);
-            if (r == 0)
-                first = std::move(res);
-        }
-        const double ms = (nowMs() - t0) / reps;
-        if (memo) {
-            out.memoMs = ms;
-            out.identical = samePeriod(first, uncachedRes);
-            out.execHits = eng.execHits();
-            out.execMisses = eng.execMisses();
-        } else {
-            out.uncachedMs = ms;
-            uncachedRes = std::move(first);
-        }
-    }
-    return out;
-}
-
-// ---- 4. event-queue A/B --------------------------------------------
-
-/** One FNV-1a step (order-sensitive fired-sequence checksum). */
-constexpr std::uint64_t
-mix(std::uint64_t h, std::uint64_t x)
-{
-    return (h ^ x) * 0x100000001b3ull;
-}
-
-/**
- * Deterministic event-delay pattern shaped like the engine's
- * traffic: same-tick bursts, mostly near-future posts, and a
- * far-future tail that exercises the overflow heap behind the
- * calendar window.
- */
-constexpr Tick
-queueDelta(std::uint64_t id)
-{
-    if ((id & 63u) == 63u)
-        return 4000 + id % 1031;
-    return id % 3u == 0 ? 0 : 1 + id % 7;
-}
-
-/** Event-queue A/B figures. */
-struct QueueResult
-{
-    double legacyMs = 0.0;
-    double arenaMs = 0.0;
-    double eventsPerSec = 0.0; ///< arena (typed) path
-    std::uint64_t events = 0;
-    bool identical = false; ///< fired sequences match exactly
-};
-
-/** Legacy path: every event is a heap-allocated closure ordered by
- * the binary heap. Each fired event spawns its successor, keeping a
- * steady population of @p seedChains in-flight events. */
-struct LegacyQueueDriver
-{
-    des::LegacySimulator sim;
-    std::uint64_t spawned = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t sum = 0xcbf29ce484222325ull;
-    std::uint64_t total = 0;
-
-    void
-    spawn()
-    {
-        const std::uint64_t id = spawned++;
-        sim.schedule(sim.now() + queueDelta(id), [this, id] {
-            sum = mix(sum, (sim.now() << 20) ^ id);
-            ++fired;
-            if (spawned < total)
-                spawn();
-        });
-    }
-};
-
-/** Arena path: the same stream as typed zero-allocation posts. */
-struct ArenaQueueDriver
-{
-    des::Simulator sim;
-    std::uint64_t spawned = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t sum = 0xcbf29ce484222325ull;
-    std::uint64_t total = 0;
-
-    static void
-    handler(void *ctx, std::uint64_t id, std::uint64_t)
-    {
-        auto *self = static_cast<ArenaQueueDriver *>(ctx);
-        self->sum = mix(self->sum, (self->sim.now() << 20) ^ id);
-        ++self->fired;
-        if (self->spawned < self->total)
-            self->spawn();
-    }
-
-    void
-    spawn()
-    {
-        const std::uint64_t id = spawned++;
-        sim.post(sim.now() + queueDelta(id), 1, id, 0);
-    }
-};
-
-QueueResult
-runQueueBench(std::uint64_t events, int seedChains)
-{
-    QueueResult out;
-    out.events = events;
-
-    std::uint64_t legacySum = 0;
-    {
-        LegacyQueueDriver d;
-        d.total = events;
-        const double t0 = nowMs();
-        for (int i = 0; i < seedChains; ++i)
-            d.spawn();
-        d.sim.run();
-        out.legacyMs = nowMs() - t0;
-        legacySum = d.sum;
-        out.events = d.fired;
-    }
-    {
-        ArenaQueueDriver d;
-        d.total = events;
-        d.sim.setHandler(1, &ArenaQueueDriver::handler, &d);
-        const double t0 = nowMs();
-        for (int i = 0; i < seedChains; ++i)
-            d.spawn();
-        d.sim.run();
-        out.arenaMs = nowMs() - t0;
-        out.identical = d.sum == legacySum && d.fired == out.events;
-        if (out.arenaMs > 0.0)
-            out.eventsPerSec = static_cast<double>(d.fired) /
-                               (out.arenaMs * 1e-3);
-    }
-    return out;
-}
-
-// ---- 5. delta re-schedule latency ----------------------------------
+// ---- 3. delta re-schedule latency ----------------------------------
 
 /** Warm full rebuild vs pure-splice buildDelta percentiles. */
 struct DeltaResult
@@ -576,10 +356,6 @@ main(int argc, char **argv)
         p.batches = 120;
     const int reconfigRounds =
         static_cast<int>(args.getInt("reconfig-rounds", 5));
-    const int engineReps =
-        static_cast<int>(args.getInt("engine-reps", 3));
-    const auto queueEvents = static_cast<std::uint64_t>(
-        args.getInt("queue-events", 2000000));
     const int deltaRounds =
         static_cast<int>(args.getInt("delta-rounds", 60));
     const arch::HwConfig hw;
@@ -596,13 +372,11 @@ main(int argc, char **argv)
 
     // ---- 1. the full sweep, three ways -----------------------------
     const auto base = runSweep(workloads, designs, p, hw,
-                               SweepCfg{1, false, false, false,
-                                        false});
+                               SweepCfg{1, false, false, false});
     const auto cached = runSweep(workloads, designs, p, hw,
-                                 SweepCfg{1, true, true, true, true});
-    const auto parallel = runSweep(
-        workloads, designs, p, hw,
-        SweepCfg{p.jobs, true, true, true, true});
+                                 SweepCfg{1, true, true, true});
+    const auto parallel = runSweep(workloads, designs, p, hw,
+                                   SweepCfg{p.jobs, true, true, true});
 
     const bool eqCached = reportsIdentical(base.reports,
                                            cached.reports);
@@ -630,29 +404,23 @@ main(int argc, char **argv)
                      : 0.0;
     };
     std::printf("\nSerial cached sweep: mapper %llu/%llu hits/misses "
-                "(%.1f%%), stores %llu/%llu (%.1f%%), exec memo "
-                "%llu/%llu (%.1f%%)\n",
+                "(%.1f%%), stores %llu/%llu (%.1f%%)\n",
                 static_cast<unsigned long long>(cached.mapperHits),
                 static_cast<unsigned long long>(cached.mapperMisses),
                 hitRate(cached.mapperHits, cached.mapperMisses),
                 static_cast<unsigned long long>(cached.storeHits),
                 static_cast<unsigned long long>(cached.storeMisses),
-                hitRate(cached.storeHits, cached.storeMisses),
-                static_cast<unsigned long long>(cached.execHits),
-                static_cast<unsigned long long>(cached.execMisses),
-                hitRate(cached.execHits, cached.execMisses));
+                hitRate(cached.storeHits, cached.storeMisses));
 
     // ---- 2. reconfiguration latency --------------------------------
     std::vector<ReconfigResult> reconfigs;
     for (const Workload &w : workloads)
-        reconfigs.push_back(
-            runReconfig(w, hw, reconfigRounds, p.jobs));
+        reconfigs.push_back(runReconfig(w, hw, reconfigRounds));
 
     TextTable rt("Re-schedule latency (ms per build, " +
                  std::to_string(reconfigRounds) + " rounds)");
-    rt.header({"workload", "cold", "cold --jobs", "warm", "speedup",
-               "identical"});
-    double coldSum = 0.0, coldParSum = 0.0, warmSum = 0.0;
+    rt.header({"workload", "cold", "warm", "speedup", "identical"});
+    double coldSum = 0.0, warmSum = 0.0;
     double bestSpeedup = 0.0;
     bool schedulesIdentical = true;
     for (std::size_t i = 0; i < workloads.size(); ++i) {
@@ -661,44 +429,19 @@ main(int argc, char **argv)
             r.warmMs > 0.0 ? r.coldMs / r.warmMs : 0.0;
         bestSpeedup = std::max(bestSpeedup, spd);
         coldSum += r.coldMs;
-        coldParSum += r.coldParallelMs;
         warmSum += r.warmMs;
         schedulesIdentical = schedulesIdentical && r.identical;
         rt.row({workloads[i].name, TextTable::num(r.coldMs, 2),
-                TextTable::num(r.coldParallelMs, 2),
                 TextTable::num(r.warmMs, 3), TextTable::mult(spd),
                 r.identical ? "yes" : "NO"});
     }
     rt.print(std::cout);
 
-    // ---- 3. engine throughput --------------------------------------
-    const auto eng = runEngineBench(workloads.front(), hw, p,
-                                    engineReps);
-    std::printf("\nEngine throughput (%s, %d batches x %d reps): "
-                "memo off %.1f ms, on %.1f ms (%.2fx), results %s, "
-                "%llu/%llu hits/misses\n",
-                workloads.front().name.c_str(), p.batches, engineReps,
-                eng.uncachedMs, eng.memoMs,
-                eng.memoMs > 0.0 ? eng.uncachedMs / eng.memoMs : 0.0,
-                eng.identical ? "identical" : "DIVERGED",
-                static_cast<unsigned long long>(eng.execHits),
-                static_cast<unsigned long long>(eng.execMisses));
-
-    // ---- 4. event-queue throughput ---------------------------------
-    const QueueResult q = runQueueBench(queueEvents, 1024);
-    const double queueSpeedup =
-        q.arenaMs > 0.0 ? q.legacyMs / q.arenaMs : 0.0;
-    std::printf("\nEvent queue (%llu events): legacy %.1f ms, arena "
-                "%.1f ms (%.2fx, %.1fM events/s), fired order %s\n",
-                static_cast<unsigned long long>(q.events), q.legacyMs,
-                q.arenaMs, queueSpeedup, q.eventsPerSec * 1e-6,
-                q.identical ? "identical" : "DIVERGED");
-
-    // ---- 5. delta re-schedule latency ------------------------------
+    // ---- 3. delta re-schedule latency ------------------------------
     const DeltaResult del = runDeltaBench(workloads, hw, deltaRounds);
     const double deltaSpeedupP99 =
         del.deltaP99 > 0.0 ? del.fullP99 / del.deltaP99 : 0.0;
-    std::printf("Delta re-schedule (%s, %llu segments, %d rounds): "
+    std::printf("\nDelta re-schedule (%s, %llu segments, %d rounds): "
                 "warm full p50/p99 %.3f/%.3f ms, splice p50/p99 "
                 "%.4f/%.4f ms (p99 %.1fx), schedules %s\n",
                 del.workload.c_str(),
@@ -730,8 +473,6 @@ main(int argc, char **argv)
            << ",\n  \"mapper_misses\": " << cached.mapperMisses
            << ",\n  \"store_hits\": " << cached.storeHits
            << ",\n  \"store_misses\": " << cached.storeMisses
-           << ",\n  \"exec_hits\": " << cached.execHits
-           << ",\n  \"exec_misses\": " << cached.execMisses
            << ",\n  \"reports_identical\": "
            << (eqCached && eqParallel ? "true" : "false")
            << ",\n  \"reconfig\": [\n";
@@ -739,7 +480,6 @@ main(int argc, char **argv)
             const ReconfigResult &r = reconfigs[i];
             os << "    {\"workload\": \"" << workloads[i].name
                << "\", \"cold_ms\": " << r.coldMs
-               << ", \"cold_parallel_ms\": " << r.coldParallelMs
                << ", \"warm_ms\": " << r.warmMs << ", \"speedup\": "
                << (r.warmMs > 0.0 ? r.coldMs / r.warmMs : 0.0)
                << ", \"store_hits\": " << r.storeHits
@@ -749,24 +489,10 @@ main(int argc, char **argv)
                << (i + 1 < workloads.size() ? "," : "") << "\n";
         }
         os << "  ],\n  \"reconfig_cold_ms\": " << coldSum
-           << ",\n  \"reconfig_cold_parallel_ms\": " << coldParSum
            << ",\n  \"reconfig_warm_ms\": " << warmSum
            << ",\n  \"reconfig_speedup\": " << bestSpeedup
            << ",\n  \"schedules_identical\": "
            << (schedulesIdentical ? "true" : "false")
-           << ",\n  \"engine_uncached_ms\": " << eng.uncachedMs
-           << ",\n  \"engine_memo_ms\": " << eng.memoMs
-           << ",\n  \"engine_speedup\": "
-           << (eng.memoMs > 0.0 ? eng.uncachedMs / eng.memoMs : 0.0)
-           << ",\n  \"engine_identical\": "
-           << (eng.identical ? "true" : "false")
-           << ",\n  \"queue_events\": " << q.events
-           << ",\n  \"queue_legacy_ms\": " << q.legacyMs
-           << ",\n  \"queue_arena_ms\": " << q.arenaMs
-           << ",\n  \"queue_speedup\": " << queueSpeedup
-           << ",\n  \"engine_events_per_sec\": " << q.eventsPerSec
-           << ",\n  \"queue_identical\": "
-           << (q.identical ? "true" : "false")
            << ",\n  \"delta_workload\": \"" << del.workload << "\""
            << ",\n  \"delta_segments\": " << del.segmentsTotal
            << ",\n  \"delta_full_p50_ms\": " << del.fullP50
@@ -780,38 +506,29 @@ main(int argc, char **argv)
     }
     std::printf("Wrote %s\n", jsonPath.c_str());
 
-    const bool queueOk = q.identical && queueSpeedup >= 2.0;
     const bool deltaOk = del.identical && deltaSpeedupP99 >= 10.0;
     const bool pass = eqCached && eqParallel && schedulesIdentical &&
-                      eng.identical && warmFaster && queueOk &&
-                      deltaOk;
+                      warmFaster && deltaOk;
     if (!pass) {
-        std::printf("\nFAIL:%s%s%s%s%s%s\n",
+        std::printf("\nFAIL:%s%s%s%s\n",
                     !eqCached || !eqParallel
                         ? " sweep reports diverge from the seed path;"
                         : "",
                     !schedulesIdentical
                         ? " warm-built schedules differ from cold;"
                         : "",
-                    !eng.identical
-                        ? " exec-memo results diverge;"
-                        : "",
                     !warmFaster
                         ? " warm re-schedules not faster than cold;"
                         : "",
-                    !queueOk ? " event-queue path below 2x the "
-                               "legacy simulator (or order diverged);"
-                             : "",
                     !deltaOk ? " delta re-schedule p99 below 10x the "
                                "warm full rebuild (or splice "
                                "diverged);"
                              : "");
         return 1;
     }
-    std::printf("\nPASS: cached/parallel sweeps, warm re-schedules "
-                "and the exec memo are all equivalent to the seed "
-                "path, warm re-schedules are faster than cold, the "
-                "arena event queue clears 2x legacy, and delta "
-                "re-schedule p99 clears 10x the warm full rebuild\n");
+    std::printf("\nPASS: cached/parallel sweeps and warm re-schedules "
+                "are equivalent to the seed path, warm re-schedules "
+                "are faster than cold, and delta re-schedule p99 "
+                "clears 10x the warm full rebuild\n");
     return 0;
 }

@@ -110,7 +110,6 @@ main(int argc, char **argv)
 
         core::Scheduler scheduler(w.dg, hw, mapper, schedCfg);
         scheduler.setStoreCache(&storeCache);
-        scheduler.setThreadPool(&pool);
 
         // Offline profiling at the compiled batch size (the System /
         // ServeRuntime profiling loop).

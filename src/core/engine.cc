@@ -15,33 +15,6 @@ using graph::OpNode;
 
 namespace {
 
-/** One FNV-1a step over a 64-bit word. */
-std::uint64_t
-fnvMix(std::uint64_t h, std::uint64_t word)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (word >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** Exec-memo key: (op, tile count, executed value) packed into 64
- * bits. The fitting / worst-case / exact-kernel policy flags are
- * engine constants, so they need no key bits. */
-std::uint64_t
-execMemoKey(OpId op, int tiles, std::int64_t v_exec)
-{
-    ADYNA_ASSERT(op < (1u << 16) && tiles >= 0 && tiles < (1 << 16) &&
-                     v_exec >= 0 &&
-                     v_exec < (std::int64_t{1} << 32),
-                 "exec memo key overflow: op ", op, " tiles ", tiles,
-                 " v ", v_exec);
-    return (static_cast<std::uint64_t>(op) << 48) |
-           (static_cast<std::uint64_t>(tiles) << 32) |
-           static_cast<std::uint64_t>(v_exec);
-}
-
 /** Per-row output bytes of an op given its fused output dims. */
 Bytes
 perRowOutBytes(const OpNode &node, const graph::LoopDims &out_dims)
@@ -87,62 +60,6 @@ Engine::accumulateN(ExecCost acc, const KernelCost &c, std::int64_t n)
     acc.spill += c.dramSpillBytes * k;
     acc.sram += c.sramBytes * k;
     return acc;
-}
-
-std::uint64_t
-Engine::storeOpSignature(const StageAssign &st)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnvMix(h, st.op);
-    for (const auto &[count, store] : st.stores) {
-        h = fnvMix(h, static_cast<std::uint64_t>(count));
-        for (const kernels::Kernel &k : store->kernels())
-            h = fnvMix(h, static_cast<std::uint64_t>(k.value));
-    }
-    return h;
-}
-
-std::uint64_t
-Engine::storeSignature(const Schedule &schedule)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const auto &seg : schedule.segments) {
-        for (const StageAssign &st : seg->stages) {
-            h = fnvMix(h, st.op);
-            for (const auto &[count, store] : st.stores) {
-                h = fnvMix(h, static_cast<std::uint64_t>(count));
-                for (const kernels::Kernel &k : store->kernels())
-                    h = fnvMix(h,
-                               static_cast<std::uint64_t>(k.value));
-            }
-        }
-    }
-    return h;
-}
-
-void
-Engine::invalidateExecMemo(const Schedule &schedule)
-{
-    // Memo values are deterministic functions of (op, tile count,
-    // executed value) given that op's stores, so only ops whose
-    // stores actually changed lose their entries. A delta
-    // re-schedule that splices most segments unchanged keeps their
-    // ops' memo warm.
-    opSigScratch_.clear();
-    for (const auto &seg : schedule.segments)
-        for (const StageAssign &st : seg->stages)
-            opSigScratch_.emplace(st.op, storeOpSignature(st));
-
-    for (auto it = execMemo_.begin(); it != execMemo_.end();) {
-        const OpId op = static_cast<OpId>(it->first >> 48);
-        const auto nit = opSigScratch_.find(op);
-        const auto oit = opSig_.find(op);
-        const bool keep = nit != opSigScratch_.end() &&
-                          oit != opSig_.end() &&
-                          nit->second == oit->second;
-        it = keep ? std::next(it) : execMemo_.erase(it);
-    }
-    opSig_.swap(opSigScratch_);
 }
 
 Engine::Engine(const graph::DynGraph &dg, arch::HwConfig hw,
@@ -395,17 +312,6 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
     chip.hbm().trim(barrier);
     chip.noc().trim(barrier);
 
-    // Memoized exec costs are valid only against the kernel stores
-    // they were dispatched from; a re-schedule drops the entries of
-    // the ops whose stores changed (and only those).
-    if (policy_.execCostMemo) {
-        const std::uint64_t sig = storeSignature(schedule);
-        if (sig != execMemoSig_) {
-            invalidateExecMemo(schedule);
-            execMemoSig_ = sig;
-        }
-    }
-
     const std::vector<TileId> &snake = snake_;
     // Switch/merge on the host CPU (M-tenant): a serial processor
     // that executes routing tasks in time order (gap-filling, one
@@ -643,27 +549,9 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                 }
 
                 // --- kernel selection and cost -----------------------
-                // The accumulated dispatch cost depends only on
-                // (op, vExec, tileCount) given fixed stores, so it
-                // memoizes; the useful-MACs clamp depends on the
-                // per-batch vActual and is applied after the lookup.
                 ExecCost cost;
                 bool rowSplit = true; // consumer splits rows (N)?
-                bool memoized = false;
-                const std::uint64_t memoKey =
-                    policy_.execCostMemo
-                        ? execMemoKey(st.op, tileCount, vExec)
-                        : 0;
-                if (policy_.execCostMemo) {
-                    const auto it = execMemo_.find(memoKey);
-                    if (it != execMemo_.end()) {
-                        cost = it->second.cost;
-                        rowSplit = it->second.rowSplit;
-                        ++execHits_;
-                        memoized = true;
-                    }
-                }
-                if (!memoized && policy_.exactKernels) {
+                if (policy_.exactKernels) {
                     const Mapping m = mapper_.search(
                         node, std::max<std::int64_t>(vExec, 1),
                         tileCount);
@@ -673,7 +561,7 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                         cost, evalKernel(node, m, vExec,
                                          policy_.kernelFitting,
                                          hw_.tech));
-                } else if (!memoized) {
+                } else {
                     const auto storeIt = st.stores.find(tileCount);
                     ADYNA_ASSERT(storeIt != st.stores.end(),
                                  "no kernel store for op ", st.op,
@@ -704,13 +592,6 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                         evalKernel(node, m,
                                    std::max<std::int64_t>(lastRows, 0),
                                    policy_.kernelFitting, hw_.tech));
-                }
-                if (!memoized && policy_.execCostMemo) {
-                    ++execMisses_;
-                    execMemo_.emplace(memoKey,
-                                      ExecEntry{cost, rowSplit});
-                }
-                if (!policy_.exactKernels) {
                     // Useful work never exceeds the actual rows.
                     cost.useful = std::min<MacCount>(
                         cost.useful,

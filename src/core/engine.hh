@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/chip.hh"
@@ -78,18 +77,6 @@ struct ExecPolicy
      * failed tile, so fault-free runs never read it.
      */
     double deadGroupPenalty = 32.0;
-
-    /**
-     * Memoize the accumulated kernel-dispatch cost (the possibly
-     * multi-pass evalKernel chain) per (op, executed value, tile
-     * count). Dynamic values are bucketed draws from a small
-     * discrete set, so the per-batch stage loop keeps redoing
-     * identical cost math; entries are invalidated whenever the
-     * schedule's kernel stores change. Behaviour-preserving; disable
-     * to force the seed per-batch path (used by the equivalence
-     * tests).
-     */
-    bool execCostMemo = true;
 };
 
 /**
@@ -138,10 +125,10 @@ class Engine
 
     /**
      * Allocation-free variant: results land in @p out, whose vectors
-     * and map nodes are reused across calls. With the plan cache and
-     * exec memo warm (same schedule, same dyn-value set), a
-     * steady-state call performs zero heap allocations — the
-     * invariant the allocation-guard test enforces.
+     * and map nodes are reused across calls. With the plan cache
+     * warm (same schedule) and the scratch buffers at their
+     * steady-state sizes, a call performs zero heap allocations —
+     * the invariant the allocation-guard test enforces.
      */
     void runPeriod(arch::Chip &chip, const Schedule &schedule,
                    const std::vector<trace::BatchRouting> &batches,
@@ -150,10 +137,9 @@ class Engine
 
     const ExecPolicy &policy() const { return policy_; }
 
-    /** Exec-cost memo statistics (monotone over the engine's life;
-     * the engine is single-threaded, so plain counters suffice). */
-    std::uint64_t execHits() const { return execHits_; }
-    std::uint64_t execMisses() const { return execMisses_; }
+    /** Always 0 (no exec-cost memo); kept for perfbench/probe.cc. */
+    std::uint64_t execHits() const { return 0; }
+    std::uint64_t execMisses() const { return 0; }
 
   private:
     struct Edge
@@ -191,15 +177,6 @@ class Engine
         MacCount issued = 0;
         Bytes spill = 0;
         Bytes sram = 0;
-    };
-
-    /** One exec-cost memo entry: the accumulated dispatch cost
-     * (before the per-batch useful-MACs clamp) plus the selected
-     * mapping's row-split property. */
-    struct ExecEntry
-    {
-        ExecCost cost;
-        bool rowSplit = true;
     };
 
     /**
@@ -256,21 +233,6 @@ class Engine
                                 const costmodel::KernelCost &c,
                                 std::int64_t n);
 
-    /** Identity of the kernel stores memoized exec costs depend on:
-     * a hash over every stage's op, tile counts, and compiled
-     * values (mappings and images derive deterministically from
-     * those plus the fixed tech parameters). */
-    static std::uint64_t storeSignature(const Schedule &schedule);
-
-    /** Per-op slice of storeSignature(): the stores one op's memo
-     * entries depend on (the segment-level invalidation key). */
-    static std::uint64_t storeOpSignature(const StageAssign &st);
-
-    /** Drop exec-memo entries of ops whose stores changed relative
-     * to the previous schedule, keeping every other op's entries
-     * warm across a delta re-schedule. */
-    void invalidateExecMemo(const Schedule &schedule);
-
     const graph::DynGraph &dg_;
     arch::HwConfig hw_; // by value: small, and callers may pass
                         // temporaries
@@ -291,20 +253,6 @@ class Engine
 
     /** Last M-tenant partition (per-batch repartition hysteresis). */
     std::vector<int> repartCount_;
-
-    /** Exec-cost memo keyed by packed (op, tile count, executed
-     * value); entries are invalidated per op when that op's stores
-     * change (whole-schedule signature match is the no-op fast
-     * path). */
-    std::unordered_map<std::uint64_t, ExecEntry> execMemo_;
-    std::uint64_t execMemoSig_ = 0;
-    std::uint64_t execHits_ = 0;
-    std::uint64_t execMisses_ = 0;
-
-    /** Per-op store signatures of the schedule the memo was filled
-     * against, plus the scratch map for the next comparison. */
-    std::map<OpId, std::uint64_t> opSig_;
-    std::map<OpId, std::uint64_t> opSigScratch_;
 
     // --- reusable runPeriod scratch state ---------------------------
     // Hoisted out of the hot loop so a steady-state period performs

@@ -89,9 +89,7 @@ cacheStatsJson(const RunReport &r)
     os << "{\"mapper_hits\":" << r.mapperHits << ","
        << "\"mapper_misses\":" << r.mapperMisses << ","
        << "\"store_hits\":" << r.storeHits << ","
-       << "\"store_misses\":" << r.storeMisses << ","
-       << "\"exec_hits\":" << r.execHits << ","
-       << "\"exec_misses\":" << r.execMisses << "}";
+       << "\"store_misses\":" << r.storeMisses << "}";
     return os.str();
 }
 
@@ -139,9 +137,7 @@ searchStatsJson(const RunReport &r)
        << "\"store_hits\":" << s.storeHits << ","
        << "\"store_misses\":" << s.storeMisses << ","
        << "\"mapper_hits\":" << s.mapperHits << ","
-       << "\"mapper_misses\":" << s.mapperMisses << ","
-       << "\"exec_hits\":" << s.execHits << ","
-       << "\"exec_misses\":" << s.execMisses << "}";
+       << "\"mapper_misses\":" << s.mapperMisses << "}";
     return os.str();
 }
 

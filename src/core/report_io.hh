@@ -29,10 +29,10 @@ std::string toJson(const std::vector<RunReport> &reports,
 
 /**
  * Serialize the run's cache counters (mapper memo, kernel-store
- * cache, exec-cost memo) as one JSON object. Kept out of toJson()
- * deliberately: the counters depend on cache state and job
- * interleaving, and the machine-readable reports must stay
- * byte-identical across cache settings (the equivalence gates).
+ * cache) as one JSON object. Kept out of toJson() deliberately: the
+ * counters depend on cache state and job interleaving, and the
+ * machine-readable reports must stay byte-identical across cache
+ * settings (the equivalence gates).
  */
 std::string cacheStatsJson(const RunReport &report);
 

@@ -665,17 +665,10 @@ Scheduler::compileStores(std::vector<Segment> &segments,
                                         std::vector<std::int64_t>>
                              &kernel_values) const
 {
-    // Phase 1 (serial): the value set and tile counts each stage
-    // needs, across every segment, so phase 2 can compile all stages
-    // concurrently. Runs before the segments are frozen behind
-    // shared_ptr<const> — spliced segments never pass through here.
-    struct StoreJob
-    {
-        StageAssign *stage = nullptr;
-        std::vector<std::int64_t> values;
-        std::vector<int> counts;
-    };
-    std::vector<StoreJob> storeJobs;
+    // Runs before the segments are frozen behind shared_ptr<const>
+    // — spliced segments never pass through here.
+    kernels::KernelStoreCache *cache =
+        cfg_.storeCache ? storeCache_ : nullptr;
     for (Segment &seg : segments) {
         for (StageAssign &st : seg.stages) {
             const OpNode &node = dg_.graph().node(st.op);
@@ -741,42 +734,22 @@ Scheduler::compileStores(std::vector<Segment> &segments,
                     std::unique(counts.begin(), counts.end()),
                     counts.end());
             }
-            storeJobs.push_back(
-                {&st, std::move(clean), std::move(counts)});
-        }
-    }
-
-    // Phase 2 (parallel when a pool is attached): fetch or compile
-    // each stage's stores. Each job writes only its own stage, and
-    // both the Mapper memo and the store cache are thread-safe, so
-    // the jobs are independent; compilation is deterministic, so the
-    // schedule is identical whichever path produced each store.
-    kernels::KernelStoreCache *cache =
-        cfg_.storeCache ? storeCache_ : nullptr;
-    const auto buildStores = [&](std::size_t i) {
-        StoreJob &job = storeJobs[i];
-        const OpNode &node = dg_.graph().node(job.stage->op);
-        for (int count : job.counts) {
-            if (cache) {
-                job.stage->stores.emplace(
-                    count,
-                    cache->getOrCompile(node, job.values, count,
-                                        mapper_, hw_.tech));
-            } else {
-                job.stage->stores.emplace(
-                    count,
-                    std::make_shared<const kernels::KernelStore>(
-                        kernels::compileStore(node, job.values,
-                                              count, mapper_,
-                                              hw_.tech)));
+            // Fetch or compile one store per tile count (compilation
+            // is deterministic, so a cached store equals a fresh one).
+            for (int count : counts) {
+                if (cache) {
+                    st.stores.emplace(
+                        count, cache->getOrCompile(node, clean, count,
+                                                   mapper_, hw_.tech));
+                } else {
+                    st.stores.emplace(
+                        count,
+                        std::make_shared<const kernels::KernelStore>(
+                            kernels::compileStore(node, clean, count,
+                                                  mapper_, hw_.tech)));
+                }
             }
         }
-    };
-    if (pool_ && pool_->jobs() > 1) {
-        pool_->parallelFor(storeJobs.size(), buildStores);
-    } else {
-        for (std::size_t i = 0; i < storeJobs.size(); ++i)
-            buildStores(i);
     }
 }
 

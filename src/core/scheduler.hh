@@ -13,7 +13,6 @@
 
 #include "arch/hwconfig.hh"
 #include "arch/profiler.hh"
-#include "common/parallel.hh"
 #include "core/schedule.hh"
 #include "costmodel/mapper.hh"
 #include "graph/dyngraph.hh"
@@ -167,14 +166,6 @@ class Scheduler
     }
 
     /**
-     * Build per-stage kernel stores concurrently on @p pool. nullptr
-     * (the default) builds serially; results are identical either
-     * way because store compilation is deterministic per stage. The
-     * pool must outlive the scheduler.
-     */
-    void setThreadPool(ThreadPool *pool) { pool_ = pool; }
-
-    /**
      * Degraded mode: restrict subsequent build() calls to @p healthy
      * tiles — segmentation budgets, tile counts, and tile ranges all
      * use the surviving subset, so a fail-over re-schedule lands
@@ -275,7 +266,6 @@ class Scheduler
     costmodel::Mapper &mapper_;
     SchedulerConfig cfg_;
     kernels::KernelStoreCache *storeCache_ = nullptr;
-    ThreadPool *pool_ = nullptr;
 
     /** Sorted healthy-tile subset; empty = every tile is healthy. */
     std::vector<TileId> healthyTiles_;

@@ -60,16 +60,14 @@ struct SearchStats
 
     /**
      * Cache traffic attributed to candidate evaluation (store cache,
-     * mapper memo, probe-engine exec memo). Scoped here so run-level
-     * cacheStatsJson / serve cache counters reflect the installed
-     * schedule, not the rejected candidates.
+     * mapper memo). Scoped here so run-level cacheStatsJson / serve
+     * cache counters reflect the installed schedule, not the
+     * rejected candidates.
      */
     std::uint64_t storeHits = 0;
     std::uint64_t storeMisses = 0;
     std::uint64_t mapperHits = 0;
     std::uint64_t mapperMisses = 0;
-    std::uint64_t execHits = 0;
-    std::uint64_t execMisses = 0;
 };
 
 } // namespace adyna::core

@@ -43,12 +43,6 @@ System::setSharedStoreCache(kernels::KernelStoreCache *cache)
 }
 
 void
-System::setSchedulerPool(ThreadPool *pool)
-{
-    schedulerPool_ = pool;
-}
-
-void
 System::setFaultPlan(fault::FaultPlan plan, std::uint64_t seed)
 {
     faultPlan_ = std::move(plan);
@@ -66,17 +60,17 @@ System::run()
     const std::uint64_t hits0 = mapper.hits();
     const std::uint64_t misses0 = mapper.misses();
 
+    std::optional<kernels::KernelStoreCache> localStoreCache;
+    if (!sharedStoreCache_)
+        localStoreCache.emplace();
     kernels::KernelStoreCache &storeCache =
-        sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global();
+        sharedStoreCache_ ? *sharedStoreCache_ : *localStoreCache;
     const std::uint64_t sHits0 = storeCache.hits();
     const std::uint64_t sMisses0 = storeCache.misses();
 
     Scheduler scheduler(dg_, hw_, mapper, schedCfg_);
     scheduler.setStoreCache(&storeCache); // no-op unless storeCache
                                           // is configured on
-    if (schedulerPool_)
-        scheduler.setThreadPool(schedulerPool_);
     Engine engine(dg_, hw_, mapper, policy_);
     arch::Chip chip(hw_);
     arch::Profiler profiler;
@@ -234,8 +228,6 @@ System::run()
         report.storeHits = storeCache.hits() - sHits0;
         report.storeMisses = storeCache.misses() - sMisses0;
     }
-    report.execHits = engine.execHits();
-    report.execMisses = engine.execMisses();
     if (injector)
         report.fault = injector->stats(chip);
     return report;

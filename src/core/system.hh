@@ -91,12 +91,6 @@ struct RunReport
     std::uint64_t storeHits = 0;
     std::uint64_t storeMisses = 0;
 
-    /** Engine exec-cost memo lookups (exact: the engine is private
-     * to the run; zero when the memo is disabled). Excluded from the
-     * exporters like the other cache counters. */
-    std::uint64_t execHits = 0;
-    std::uint64_t execMisses = 0;
-
     /** Fault-injection counters (all zero without a fault plan).
      * Excluded from the CSV/JSON exporters like the cache counters so
      * fault-free reports stay byte-identical to the pre-fault code;
@@ -154,23 +148,14 @@ class System
     void setSharedMapper(costmodel::Mapper *mapper);
 
     /**
-     * Use @p cache instead of the process-wide
-     * KernelStoreCache::global() for compiled kernel-store reuse
+     * Use @p cache (shared, possibly with concurrent Systems) instead
+     * of a private per-run cache for compiled kernel-store reuse
      * (honoured only while SchedulerConfig::storeCache is set). Must
-     * outlive the run; pass nullptr to restore the global cache.
+     * outlive the run; pass nullptr to restore the private cache.
      * Results are unaffected; only wall-clock and the cache counters
      * change.
      */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
-
-    /**
-     * Build per-stage kernel stores on @p pool during (re-)schedules
-     * instead of serially on the run's thread. The pool must outlive
-     * the run; nullptr restores serial builds. Nested parallelFor
-     * degrades to inline execution, so a System already running as a
-     * pool task may safely receive the same pool.
-     */
-    void setSchedulerPool(ThreadPool *pool);
 
     /**
      * Inject @p plan during the run: events fire on the chip clock at
@@ -196,7 +181,6 @@ class System
     std::vector<trace::BatchRouting> replay_;
     costmodel::Mapper *sharedMapper_ = nullptr;
     kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
     fault::FaultPlan faultPlan_;
     std::uint64_t faultSeed_ = 0;
 };

@@ -127,13 +127,6 @@ KernelStoreCache::size() const
     return cache_.size();
 }
 
-KernelStoreCache &
-KernelStoreCache::global()
-{
-    static KernelStoreCache instance;
-    return instance;
-}
-
 KernelStoreCache::Key
 KernelStoreCache::makeKey(const graph::OpNode &op,
                           const std::vector<std::int64_t> &values,

@@ -1,6 +1,6 @@
 /**
  * @file
- * A process-wide, thread-safe cache of compiled kernel stores.
+ * A thread-safe cache of compiled kernel stores.
  *
  * Compiling a store is the expensive half of a (re-)schedule: one
  * mapping search plus one 128-byte metadata encode per sampled value
@@ -13,7 +13,7 @@
  * operator's loop-nest signature (extents with N zeroed -- the
  * sampled values supersede the batch extent, mirroring the Mapper
  * memo key), stride, dtype, the exact clamped value set, the tile
- * count, and a hash of the technology parameters (so one global
+ * count, and a hash of the technology parameters (so one shared
  * cache can serve hardware-sweep benches with different chips).
  * Store compilation is deterministic given the key, so sharing a
  * cache across runs or threads never changes simulation outputs;
@@ -88,10 +88,6 @@ class KernelStoreCache
     {
         return misses_.load(std::memory_order_relaxed);
     }
-
-    /** The process-wide instance every System / ServeRuntime uses by
-     * default, so re-schedules and sweeps share compiles. */
-    static KernelStoreCache &global();
 
   private:
     struct Key

@@ -168,7 +168,6 @@ MTenantRuntime::runSingle()
                            workloads_[0].name);
     rt.setSharedMapper(sharedMapper_);
     rt.setSharedStoreCache(sharedStoreCache_);
-    rt.setSchedulerPool(schedulerPool_);
 
     MTenantReport report;
     report.mode = partitionKindName(cfg_.partition.kind);
@@ -195,8 +194,7 @@ MTenantRuntime::run()
 
     const std::size_t n = cfg_.tenants.size();
 
-    serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_,
-                              schedulerPool_);
+    serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_);
 
     // ---- initial partition -----------------------------------------
     TilePartitioner partitioner(hw_, cfg_.partition);

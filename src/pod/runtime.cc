@@ -378,7 +378,6 @@ PodRuntime::runSingle()
                            workloads_[0].name);
     rt.setSharedMapper(sharedMapper_);
     rt.setSharedStoreCache(sharedStoreCache_);
-    rt.setSchedulerPool(schedulerPool_);
 
     PodReport report;
     report.policy = routePolicyName(cfg_.router.policy);
@@ -414,8 +413,7 @@ PodRuntime::run()
     const int K = cfg_.chips;
     const auto kNever = serve::Batcher::kNever;
 
-    serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_,
-                              schedulerPool_);
+    serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_);
 
     Interconnect ic(cfg_.interconnect, K);
     Router router(cfg_.router, K);

@@ -202,8 +202,6 @@ ScheduleSearch::run(core::Scheduler &scheduler,
         store_cache ? store_cache->misses() : 0;
     const std::uint64_t mapperHits0 = mapper_.hits();
     const std::uint64_t mapperMisses0 = mapper_.misses();
-    const std::uint64_t execHits0 = engine_.execHits();
-    const std::uint64_t execMisses0 = engine_.execMisses();
 
     const SearchContext ctx = [&] {
         SearchContext c(scheduler, dg_, hw_, expectations, profiler);
@@ -475,8 +473,6 @@ ScheduleSearch::run(core::Scheduler &scheduler,
         }
         stats->mapperHits += mapper_.hits() - mapperHits0;
         stats->mapperMisses += mapper_.misses() - mapperMisses0;
-        stats->execHits += engine_.execHits() - execHits0;
-        stats->execMisses += engine_.execMisses() - execMisses0;
     }
     return res;
 }

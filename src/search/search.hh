@@ -210,9 +210,9 @@ class ScheduleSearch
     SearchConfig cfg_;
     ThreadPool *pool_ = nullptr;
 
-    /** Private evaluation engine: its plan/exec caches stay warm
-     * across candidates and its counters never leak into the
-     * caller's serving engine. */
+    /** Private evaluation engine: its plan cache stays warm across
+     * candidates and its state never leaks into the caller's
+     * serving engine. */
     core::Engine engine_;
 };
 

@@ -75,9 +75,8 @@ perRequest(trace::TraceConfig tc)
 
 BackendContext::BackendContext(const arch::HwConfig &hw,
                                costmodel::Mapper *shared_mapper,
-                               kernels::KernelStoreCache *shared_stores,
-                               ThreadPool *pool)
-    : mapper_(shared_mapper), stores_(shared_stores), pool_(pool)
+                               kernels::KernelStoreCache *shared_stores)
+    : mapper_(shared_mapper), stores_(shared_stores)
 {
     if (!mapper_)
         mapper_ = &localMapper_.emplace(hw.tech);
@@ -101,14 +100,10 @@ Backend::Backend(const graph::DynGraph &dg,
 {
     scheduler_.setStoreCache(&ctx.storeCache()); // no-op unless
                                                  // storeCache is on
-    if (ctx.pool())
-        scheduler_.setThreadPool(ctx.pool());
     if (cfg_.searchOnDrift) {
         search::SearchConfig scfg = cfg_.search;
         scfg.storeCompileCycles = cfg_.storeCompileCycles;
         searcher_.emplace(dg_, hw_, ctx.mapper(), policy_, scfg);
-        if (ctx.pool())
-            searcher_->setThreadPool(ctx.pool());
     }
 }
 
@@ -477,8 +472,6 @@ Backend::report(const arch::Chip &chip) const
         r.storeHits = 0;
         r.storeMisses = 0;
     }
-    r.execHits = engine_.execHits();
-    r.execMisses = engine_.execMisses();
     r.searchActive = cfg_.searchOnDrift;
     r.faultActive = injector_ || cfg_.admissionControl ||
                     cfg_.rescheduleBudgetCycles > 0;

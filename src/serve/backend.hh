@@ -40,7 +40,6 @@
 #include "arch/chip.hh"
 #include "arch/hwconfig.hh"
 #include "arch/profiler.hh"
-#include "common/parallel.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
 #include "core/search_stats.hh"
@@ -59,32 +58,29 @@
 namespace adyna::serve {
 
 /**
- * The mapping memo, kernel-store cache and scheduler pool one serving
- * run's back-ends share. An unset cache falls back to one local to
- * the run, so a run never depends on what earlier runs in the same
- * process left in a process-wide cache (a rebuild's modeled cost
- * reads the store cache's miss delta).
+ * The mapping memo and kernel-store cache one serving run's
+ * back-ends share. An unset cache falls back to one local to the
+ * run, so a run never depends on what earlier runs in the same
+ * process compiled (a rebuild's modeled cost reads the store cache's
+ * miss delta).
  */
 class BackendContext
 {
   public:
     BackendContext(const arch::HwConfig &hw,
                    costmodel::Mapper *shared_mapper,
-                   kernels::KernelStoreCache *shared_stores,
-                   ThreadPool *pool);
+                   kernels::KernelStoreCache *shared_stores);
     BackendContext(const BackendContext &) = delete;
     BackendContext &operator=(const BackendContext &) = delete;
 
     costmodel::Mapper &mapper() { return *mapper_; }
     kernels::KernelStoreCache &storeCache() { return *stores_; }
-    ThreadPool *pool() const { return pool_; }
 
   private:
     std::optional<costmodel::Mapper> localMapper_;
     std::optional<kernels::KernelStoreCache> localStores_;
     costmodel::Mapper *mapper_;
     kernels::KernelStoreCache *stores_;
-    ThreadPool *pool_;
 };
 
 /** One workload's serving back-end (see the file comment). */

@@ -29,8 +29,7 @@ toJson(const ServeReport &r)
         "\"last_drift_l1\": %.4f, \"drift_threshold\": %.4f, "
         "\"horizon_ticks\": %llu, "
         "\"mapper_hits\": %llu, \"mapper_misses\": %llu, "
-        "\"store_hits\": %llu, \"store_misses\": %llu, "
-        "\"exec_hits\": %llu, \"exec_misses\": %llu}",
+        "\"store_hits\": %llu, \"store_misses\": %llu}",
         r.workload.c_str(), r.mode.c_str(),
         static_cast<unsigned long long>(r.requests),
         static_cast<unsigned long long>(r.batches), r.meanBatchSize,
@@ -44,9 +43,7 @@ toJson(const ServeReport &r)
         static_cast<unsigned long long>(r.mapperHits),
         static_cast<unsigned long long>(r.mapperMisses),
         static_cast<unsigned long long>(r.storeHits),
-        static_cast<unsigned long long>(r.storeMisses),
-        static_cast<unsigned long long>(r.execHits),
-        static_cast<unsigned long long>(r.execMisses));
+        static_cast<unsigned long long>(r.storeMisses));
     std::string out = buf;
     if (r.faultActive) {
         // Appended only when fault machinery was active so
@@ -132,8 +129,7 @@ ServeRuntime::ServeRuntime(const graph::DynGraph &dg,
 ServeReport
 ServeRuntime::run()
 {
-    BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_,
-                       schedulerPool_);
+    BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_);
     costmodel::Mapper &mapper = ctx.mapper();
     kernels::KernelStoreCache &storeCache = ctx.storeCache();
     const std::uint64_t mHits0 = mapper.hits();

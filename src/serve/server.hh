@@ -203,17 +203,15 @@ struct ServeReport
     /**
      * Cache counters of the serving run: mapper memo and
      * kernel-store cache lookups (best-effort snapshot deltas when
-     * the cache is shared across concurrent runtimes) plus the
-     * engine's exec-cost memo (exact). Store counters stay zero when
-     * SchedulerConfig::storeCache is off; warm store hits are what
-     * make drift-triggered re-schedules cheap.
+     * the cache is shared across concurrent runtimes). Store
+     * counters stay zero when SchedulerConfig::storeCache is off;
+     * warm store hits are what make drift-triggered re-schedules
+     * cheap.
      */
     std::uint64_t mapperHits = 0;
     std::uint64_t mapperMisses = 0;
     std::uint64_t storeHits = 0;
     std::uint64_t storeMisses = 0;
-    std::uint64_t execHits = 0;
-    std::uint64_t execMisses = 0;
 
     /** Noise-calibrated trigger threshold the monitor settled on. */
     double driftThreshold = 0.0;
@@ -281,8 +279,8 @@ struct ServeReport
 std::string toJson(const ServeReport &report);
 
 /**
- * The cache and pool hooks every serving runtime (single-chip,
- * multi-tenant, pod) exposes to its back-ends' schedule builds.
+ * The cache hooks every serving runtime (single-chip, multi-tenant,
+ * pod) exposes to its back-ends' schedule builds.
  */
 class SharedCaches
 {
@@ -303,16 +301,11 @@ class SharedCaches
         sharedStoreCache_ = cache;
     }
 
-    /** Build per-stage kernel stores on @p pool during (re-)schedules
-     * (same contract as System::setSchedulerPool). */
-    void setSchedulerPool(ThreadPool *pool) { schedulerPool_ = pool; }
-
   protected:
     ~SharedCaches() = default;
 
     costmodel::Mapper *sharedMapper_ = nullptr;
     kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
 };
 
 /** Request-driven serving simulation over one workload graph: one

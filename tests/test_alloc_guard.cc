@@ -1,9 +1,8 @@
 /**
  * @file
- * Zero-allocation guards for the serve hot path: a steady-state
- * Engine::runPeriod (warm plan cache + exec memo, out-param result)
- * and a steady-state Simulator event churn (typed posts recycled
- * through the arena free-list) must not touch the heap.
+ * Zero-allocation guard for the serve hot path: a steady-state
+ * Engine::runPeriod (warm plan cache, out-param result) must not
+ * touch the heap.
  *
  * The guard counts calls to the replaceable global operator new. The
  * tests skip under sanitizer builds (ADYNA_SANITIZE): sanitizer
@@ -20,7 +19,6 @@
 #include "arch/chip.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
-#include "des/simulator.hh"
 #include "graph/parser.hh"
 #include "trace/trace.hh"
 
@@ -105,7 +103,7 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
     Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
     const Schedule s = sched.build({}, {}, nullptr);
 
-    ExecPolicy policy; // planCache + execCostMemo default on
+    ExecPolicy policy; // planCache default on
     Engine eng(dg, hw(), mapper, policy);
     arch::Chip chip(hw());
 
@@ -117,11 +115,11 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
     for (int i = 0; i < 6; ++i)
         batches.push_back(gen.next());
 
-    // Warm-up periods size every scratch vector, plan-cache entry,
-    // and memo bucket. Several are needed: the HBM gap-resource's
-    // interval vector oscillates over a multi-period trim/compaction
-    // cycle, so its capacity peaks only after a few periods. The
-    // barrier stays monotone like the serve loop's dispatch clock.
+    // Warm-up periods size every scratch vector and plan-cache
+    // entry. Several are needed: the HBM gap-resource's interval
+    // vector oscillates over a multi-period trim/compaction cycle, so
+    // its capacity peaks only after a few periods. The barrier stays
+    // monotone like the serve loop's dispatch clock.
     PeriodResult out;
     Tick barrier = 0;
     for (int i = 0; i < 6; ++i) {
@@ -138,49 +136,6 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
         << "steady-state runPeriod performed " << (after - before)
         << " heap allocations";
     EXPECT_EQ(out.batchEnds.size(), batches.size());
-}
-
-TEST(AllocGuard, SimulatorChurnAllocatesNothingAfterWarmup)
-{
-#ifdef ADYNA_SANITIZE
-    GTEST_SKIP() << "allocation counting is unreliable under "
-                    "sanitizer runtimes";
-#endif
-    des::Simulator sim;
-
-    struct Churn
-    {
-        des::Simulator *sim;
-        int remaining;
-
-        static void
-        handler(void *ctx, std::uint64_t, std::uint64_t)
-        {
-            auto *c = static_cast<Churn *>(ctx);
-            if (c->remaining-- > 0)
-                c->sim->postIn(1 + c->remaining % 13, 1);
-        }
-    };
-    Churn churn{&sim, 0};
-    sim.setHandler(1, &Churn::handler, &churn);
-
-    const auto runBurst = [&] {
-        churn.remaining = 20000;
-        for (int i = 0; i < 24; ++i)
-            sim.postIn(1 + i % 7, 1);
-        sim.run();
-    };
-    runBurst(); // warm-up: grows the arena to its steady-state size
-
-    const std::uint64_t before =
-        g_allocs.load(std::memory_order_relaxed);
-    runBurst();
-    const std::uint64_t after =
-        g_allocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state event churn performed " << (after - before)
-        << " heap allocations";
-    EXPECT_EQ(sim.pending(), 0u);
 }
 
 } // namespace

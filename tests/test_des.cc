@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the discrete-event engine: event ordering, FIFO
- * tie-breaking, run-until semantics, and the gap-filling bandwidth /
- * serial resource reservation models.
+ * Unit tests for the reservation resources the engine times every
+ * transfer and compute step with: the gap-filling bandwidth and
+ * serial resource models.
  */
 
 #include <gtest/gtest.h>
@@ -14,71 +14,11 @@
 
 #include "common/rng.hh"
 #include "des/resource.hh"
-#include "des/simulator.hh"
 
 namespace {
 
 using namespace adyna;
 using namespace adyna::des;
-
-TEST(Simulator, ExecutesInTimeOrder)
-{
-    Simulator sim;
-    std::vector<int> order;
-    sim.schedule(30, [&] { order.push_back(3); });
-    sim.schedule(10, [&] { order.push_back(1); });
-    sim.schedule(20, [&] { order.push_back(2); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(sim.now(), 30u);
-    EXPECT_EQ(sim.eventsProcessed(), 3u);
-}
-
-TEST(Simulator, SameTickFifoOrder)
-{
-    Simulator sim;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        sim.schedule(7, [&order, i] { order.push_back(i); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Simulator, EventsCanScheduleEvents)
-{
-    Simulator sim;
-    int fired = 0;
-    sim.schedule(1, [&] {
-        ++fired;
-        sim.scheduleIn(5, [&] { ++fired; });
-    });
-    sim.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(sim.now(), 6u);
-}
-
-TEST(Simulator, RunUntilStopsAtLimit)
-{
-    Simulator sim;
-    int fired = 0;
-    sim.schedule(10, [&] { ++fired; });
-    sim.schedule(20, [&] { ++fired; });
-    sim.schedule(21, [&] { ++fired; });
-    sim.runUntil(20);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(sim.pending(), 1u);
-    sim.run();
-    EXPECT_EQ(fired, 3);
-}
-
-TEST(Simulator, StepReturnsFalseWhenEmpty)
-{
-    Simulator sim;
-    EXPECT_FALSE(sim.step());
-    sim.schedule(0, [] {});
-    EXPECT_TRUE(sim.step());
-    EXPECT_FALSE(sim.step());
-}
 
 TEST(GapBandwidthResource, ServiceTimeCeils)
 {
@@ -184,175 +124,6 @@ TEST(GapBandwidthResource, ManyRandomReservationsStayDisjoint)
               });
     for (std::size_t i = 1; i < granted.size(); ++i)
         EXPECT_LE(granted[i - 1].end, granted[i].start);
-}
-
-// ---- typed-event / calendar-queue engine ---------------------------
-
-namespace {
-
-/** Recorder context for typed events: (now, payload a) per firing. */
-struct Fired
-{
-    Simulator *sim = nullptr;
-    std::vector<std::pair<Tick, std::uint64_t>> log;
-
-    static void
-    handler(void *ctx, std::uint64_t a, std::uint64_t)
-    {
-        auto *f = static_cast<Fired *>(ctx);
-        f->log.emplace_back(f->sim->now(), a);
-    }
-};
-
-} // namespace
-
-TEST(Simulator, TypedPostDispatchesThroughHandlerTable)
-{
-    Simulator sim;
-    Fired fired;
-    fired.sim = &sim;
-    sim.setHandler(1, &Fired::handler, &fired);
-    sim.post(20, 1, 42);
-    sim.postIn(5, 1, 7);
-    sim.run();
-    ASSERT_EQ(fired.log.size(), 2u);
-    EXPECT_EQ(fired.log[0], (std::pair<Tick, std::uint64_t>{5, 7}));
-    EXPECT_EQ(fired.log[1], (std::pair<Tick, std::uint64_t>{20, 42}));
-    EXPECT_EQ(sim.eventsProcessed(), 2u);
-}
-
-TEST(Simulator, InterleavedTypedAndClosureEventsKeepFifoOrder)
-{
-    // Same-tick events must fire in insertion order regardless of
-    // which API posted them -- the calendar ring appends both paths
-    // to the same bucket FIFO.
-    Simulator sim;
-    std::vector<int> order;
-    Fired fired;
-    fired.sim = &sim;
-    Simulator::Handler record = [](void *ctx, std::uint64_t a,
-                                   std::uint64_t) {
-        static_cast<std::vector<int> *>(ctx)->push_back(
-            static_cast<int>(a));
-    };
-    sim.setHandler(1, record, &order);
-    for (int i = 0; i < 8; ++i) {
-        if (i % 2 == 0)
-            sim.post(50, 1, static_cast<std::uint64_t>(i));
-        else
-            sim.schedule(50, [&order, i] { order.push_back(i); });
-    }
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(Simulator, MatchesLegacyOrderAcrossWindowJumps)
-{
-    // The same deterministic stream through both engines, with
-    // deltas straddling the ring window so events migrate ring ->
-    // heap -> ring. The fired sequence must be identical.
-    const auto delta = [](std::uint64_t id) -> Tick {
-        if (id % 5 == 0)
-            return 3000 + id % 257; // far future: overflow heap
-        return id % 3;              // same-tick and near-future
-    };
-    const int kChains = 16, kHops = 200;
-
-    std::vector<std::pair<Tick, std::uint64_t>> legacyLog;
-    {
-        LegacySimulator sim;
-        std::function<void(std::uint64_t, int)> hop =
-            [&](std::uint64_t id, int depth) {
-                legacyLog.emplace_back(sim.now(), id);
-                if (depth < kHops)
-                    sim.schedule(sim.now() + delta(id + depth),
-                                 [&hop, id, depth] {
-                                     hop(id, depth + 1);
-                                 });
-            };
-        for (std::uint64_t c = 0; c < kChains; ++c)
-            sim.schedule(delta(c), [&hop, c] { hop(c, 0); });
-        sim.run();
-    }
-
-    std::vector<std::pair<Tick, std::uint64_t>> typedLog;
-    {
-        Simulator sim;
-        struct Ctx
-        {
-            Simulator *sim;
-            std::vector<std::pair<Tick, std::uint64_t>> *log;
-            Tick (*delta)(std::uint64_t);
-        };
-        // Re-wrap the lambda as a plain function pointer for Ctx.
-        Ctx ctx{&sim, &typedLog, nullptr};
-        Simulator::Handler hop = [](void *c, std::uint64_t id,
-                                    std::uint64_t depth) {
-            auto *ctx = static_cast<Ctx *>(c);
-            ctx->log->emplace_back(ctx->sim->now(), id);
-            if (depth < kHops) {
-                const Tick d = (id + depth) % 5 == 0
-                                   ? 3000 + (id + depth) % 257
-                                   : (id + depth) % 3;
-                ctx->sim->post(ctx->sim->now() + d, 1, id, depth + 1);
-            }
-        };
-        sim.setHandler(1, hop, &ctx);
-        for (std::uint64_t c = 0; c < kChains; ++c)
-            sim.post(delta(c), 1, c, 0);
-        sim.run();
-    }
-    EXPECT_EQ(typedLog, legacyLog);
-}
-
-TEST(Simulator, ArenaSlotsStayBoundedUnderChurn)
-{
-    // Steady-state churn recycles slots through the free-list: the
-    // arena must not grow past the peak number of in-flight events.
-    Simulator sim;
-
-    struct Churn
-    {
-        Simulator *sim;
-        int remaining;
-
-        static void
-        handler(void *ctx, std::uint64_t, std::uint64_t)
-        {
-            auto *c = static_cast<Churn *>(ctx);
-            if (c->remaining-- > 0)
-                c->sim->postIn(1 + c->remaining % 17, 2);
-        }
-    };
-    Churn churn{&sim, 100000};
-    sim.setHandler(2, &Churn::handler, &churn);
-    for (int i = 0; i < 32; ++i)
-        sim.postIn(1 + i, 2);
-    sim.run();
-    // 100k events recycled through the free-list: the arena never
-    // grows past the peak in-flight count (32 chains, plus at most
-    // one slot for the event being dispatched).
-    EXPECT_LE(sim.arenaSlots(), 33u);
-    EXPECT_EQ(sim.pending(), 0u);
-    EXPECT_EQ(sim.eventsProcessed(), 100032u);
-}
-
-TEST(Simulator, PendingCountsRingAndHeap)
-{
-    Simulator sim;
-    Fired fired;
-    fired.sim = &sim;
-    sim.setHandler(1, &Fired::handler, &fired);
-    sim.post(1, 1);      // ring
-    sim.post(2, 1);      // ring
-    sim.post(500000, 1); // far future: overflow heap
-    EXPECT_EQ(sim.pending(), 3u);
-    EXPECT_TRUE(sim.step());
-    EXPECT_EQ(sim.pending(), 2u);
-    sim.run();
-    EXPECT_EQ(sim.pending(), 0u);
-    EXPECT_EQ(fired.log.size(), 3u);
-    EXPECT_EQ(fired.log.back().first, 500000u);
 }
 
 TEST(GapBandwidthResource, TrimBoundsReservationCount)

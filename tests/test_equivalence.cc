@@ -2,10 +2,9 @@
  * @file
  * Behaviour-preservation tests for the perf optimizations: the
  * schedule-plan cache (with the precomputed producer index), the
- * sweep-shared mapper, the kernel-store cache, and the engine's
- * exec-cost memo must all produce byte-identical run reports to the
- * seed path (legacy per-period planner, private per-run mapper,
- * compile-from-scratch stores, unmemoized kernel evaluation) on
+ * sweep-shared mapper and the kernel-store cache must all produce
+ * byte-identical run reports to the seed path (legacy per-period
+ * planner, private per-run mapper, compile-from-scratch stores) on
  * every workload and on the non-default execution policies
  * (worst-case execution, pipelining off).
  */
@@ -34,15 +33,12 @@ struct RunCfg
 {
     bool planCache = false;
     bool storeCache = false;
-    bool execMemo = false;
 };
 
 /** Serialized report (with per-batch series) for one run. The cache
  * counters are not serialized, so this captures exactly the
  * simulation-visible outputs. @p shared / @p stores, when non-null,
- * share mapper-memo / compiled-store state across runs; passing a
- * test-local store cache also keeps tests independent of the
- * process-global cache. */
+ * share mapper-memo / compiled-store state across runs. */
 std::string
 runReport(const std::string &workload, Design design, int batches,
           const RunCfg &cfg, costmodel::Mapper *shared = nullptr,
@@ -57,7 +53,6 @@ runReport(const std::string &workload, Design design, int batches,
     scfg.storeCache = cfg.storeCache;
     auto pol = baselines::execPolicy(design);
     pol.planCache = cfg.planCache;
-    pol.execCostMemo = cfg.execMemo;
     core::System sys(dg, tc, hw, scfg, pol,
                      baselines::runOptions(design, batches, 1),
                      baselines::designName(design));
@@ -123,21 +118,6 @@ TEST(Equivalence, StoreCacheMatchesScratchCompile)
     EXPECT_GT(stores.misses(), 0u);
 }
 
-/** Exec-cost memo alone: memoized kernel evaluation must reproduce
- * the per-batch series exactly on every workload (the memo caches
- * pre-clamp costs, so the per-batch useful-MAC clamp still sees
- * every actual value). */
-TEST(Equivalence, ExecMemoMatchesUnmemoized)
-{
-    for (const auto &name : models::workloadNames()) {
-        const auto seed = runReport(name, Design::Adyna, 45,
-                                    RunCfg{});
-        const auto memo = runReport(name, Design::Adyna, 45,
-                                    RunCfg{.execMemo = true});
-        EXPECT_EQ(seed, memo) << "workload " << name;
-    }
-}
-
 /** Every layer together, re-using one mapper and one store cache
  * across runs the way the bench sweeps do. */
 TEST(Equivalence, CachedSweepMatchesSeedPath)
@@ -145,8 +125,7 @@ TEST(Equivalence, CachedSweepMatchesSeedPath)
     const arch::HwConfig hw;
     costmodel::Mapper shared(hw.tech);
     kernels::KernelStoreCache stores;
-    const RunCfg all{.planCache = true, .storeCache = true,
-                     .execMemo = true};
+    const RunCfg all{.planCache = true, .storeCache = true};
     for (const auto &name : models::workloadNames()) {
         const auto seed = runReport(name, Design::Adyna, 45,
                                     RunCfg{});
@@ -164,8 +143,7 @@ TEST(Equivalence, BaselineDesignPoliciesMatch)
     const arch::HwConfig hw;
     costmodel::Mapper shared(hw.tech);
     kernels::KernelStoreCache stores;
-    const RunCfg all{.planCache = true, .storeCache = true,
-                     .execMemo = true};
+    const RunCfg all{.planCache = true, .storeCache = true};
     for (Design d : {Design::MTile, Design::MTenant,
                      Design::FullKernel}) {
         const auto seed = runReport("skipnet", d, 45, RunCfg{});
@@ -196,17 +174,37 @@ TEST(Equivalence, CacheCountersReported)
     // Reconfigurations re-map the same ops, so a multi-period run
     // sees hits even with a fresh private mapper.
     EXPECT_GT(rep.mapperHits + rep.mapperMisses, rep.mapperMisses);
-    // The default config compiles stores through the cache and the
-    // exec memo is on; both see activity, and a reconfiguring run
-    // re-uses stores of ops whose allocation did not change.
+    // The default config compiles stores through the cache.
     EXPECT_GT(rep.storeMisses, 0u);
-    EXPECT_GT(rep.execHits, 0u);
-    EXPECT_GT(rep.execMisses, 0u);
     // Counters stay out of the byte-stable report serialization and
     // travel in cacheStatsJson instead.
     const auto json = core::toJson(rep, true);
     EXPECT_EQ(json.find("mapper_hits"), std::string::npos);
     const auto stats = core::cacheStatsJson(rep);
     EXPECT_NE(stats.find("\"store_misses\""), std::string::npos);
-    EXPECT_NE(stats.find("\"exec_hits\""), std::string::npos);
+}
+
+/** Without setSharedStoreCache every run compiles into a cache of its
+ * own, so two identical back-to-back runs report the same cache
+ * counters: the second run must not hit stores the first compiled. */
+TEST(Equivalence, BackToBackSystemRunsWithoutSharedStoreCacheMatch)
+{
+    const arch::HwConfig hw;
+    const auto bundle = models::buildByName("skipnet", 64);
+    const auto dg = graph::parseModel(bundle.graph);
+    trace::TraceConfig tc = bundle.traceConfig;
+    tc.batchSize = 64;
+    const auto run = [&] {
+        core::System sys(dg, tc, hw,
+                         baselines::schedulerConfig(Design::Adyna),
+                         baselines::execPolicy(Design::Adyna),
+                         baselines::runOptions(Design::Adyna, 10, 1),
+                         "Adyna");
+        return sys.run();
+    };
+    const auto first = run();
+    const auto second = run();
+    EXPECT_GT(first.storeMisses, 0u);
+    EXPECT_EQ(core::cacheStatsJson(first), core::cacheStatsJson(second));
+    EXPECT_EQ(core::toJson(first, true), core::toJson(second, true));
 }
