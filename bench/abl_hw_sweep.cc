@@ -39,8 +39,7 @@ speedupsAt(const std::vector<arch::HwConfig> &hws,
         pool.parallelMap(hws.size() * names.size(), [&](std::size_t i) {
             const std::size_t ci = i / names.size();
             const arch::HwConfig &hw = hws[ci];
-            costmodel::Mapper *sm =
-                p.sharedMapper ? &mappers[ci] : nullptr;
+            costmodel::Mapper *sm = &mappers[ci];
             const Workload w =
                 makeWorkload(names[i % names.size()], p.batchSize);
             const double mtile =

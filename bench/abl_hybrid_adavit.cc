@@ -40,7 +40,6 @@ main(int argc, char **argv)
         sweep.map(designs.size(), [&](std::size_t i) {
             return sweep.run(w, designs[i], hw);
         });
-    sweep.printCacheStats();
     double mtileMs = 0.0;
     for (std::size_t di = 0; di < designs.size(); ++di) {
         const auto &rep = reports[di];

@@ -63,7 +63,6 @@ main(int argc, char **argv)
             sys.setSharedMapper(sweep.sharedMapper());
             return sys.run().timeMs;
         });
-    sweep.printCacheStats();
 
     for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
         std::vector<std::string> cells{std::to_string(budgets[bi])};

@@ -51,7 +51,6 @@ main(int argc, char **argv)
             sys.setSharedMapper(sweep.sharedMapper());
             return sys.run().timeMs;
         });
-    sweep.printCacheStats();
 
     std::map<int, std::map<std::string, double>> ms;
     for (std::size_t pi = 0; pi < periods.size(); ++pi)

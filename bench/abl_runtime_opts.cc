@@ -56,7 +56,6 @@ main(int argc, char **argv)
             sys.setSharedMapper(sweep.sharedMapper());
             return sys.run().timeMs;
         });
-    sweep.printCacheStats();
 
     std::map<std::string, double> baseMs;
     for (int sharing = 0; sharing <= 1; ++sharing) {

@@ -67,7 +67,6 @@ main(int argc, char **argv)
             sys.setSharedMapper(sweep.sharedMapper());
             return sys.run().timeMs;
         });
-    sweep.printCacheStats();
 
     std::map<int, std::map<std::string, double>> ms;
     for (int pi = 0; pi < 3; ++pi)

@@ -41,15 +41,6 @@ struct BenchParams
      * serial seed behaviour). */
     int jobs = ThreadPool::defaultJobs();
 
-    /** Share one mapping-search memo cache across the sweep's runs
-     * (--shared-mapper=0 to disable). Results are unaffected. */
-    bool sharedMapper = true;
-
-    /** Print mapper-cache statistics to stderr after the sweep
-     * (--cache-stats). Kept off stdout so bench tables stay
-     * byte-identical across --jobs settings. */
-    bool cacheStats = false;
-
     static BenchParams
     fromArgs(const CliArgs &args)
     {
@@ -64,8 +55,6 @@ struct BenchParams
                         p.jobs, " (omit the flag for the default of ",
                         ThreadPool::defaultJobs(),
                         " hardware threads)");
-        p.sharedMapper = args.getBool("shared-mapper", true);
-        p.cacheStats = args.getBool("cache-stats", false);
         return p;
     }
 };
@@ -89,9 +78,7 @@ printBanner(const std::string &title, const arch::HwConfig &hw,
                 static_cast<unsigned long long>(p.seed));
     // Harness configuration goes to stderr: stdout must remain
     // byte-identical for any --jobs value.
-    std::fprintf(stderr,
-                 "[adyna] sweep harness: jobs=%d shared-mapper=%s\n",
-                 p.jobs, p.sharedMapper ? "on" : "off");
+    std::fprintf(stderr, "[adyna] sweep harness: jobs=%d\n", p.jobs);
 }
 
 /** One workload ready to simulate. */
@@ -172,11 +159,11 @@ class Sweep
         return pool_.parallelMap(n, std::forward<Fn>(fn));
     }
 
-    /** The sweep-wide shared mapper (null when --shared-mapper=0). */
+    /** The sweep-wide shared mapper. */
     costmodel::Mapper *
     sharedMapper()
     {
-        return p_.sharedMapper ? &mapper_ : nullptr;
+        return &mapper_;
     }
 
     /** runDesign through the shared mapper. */
@@ -192,24 +179,6 @@ class Sweep
         const arch::HwConfig &hw)
     {
         return runDesign(w, d, bp, hw, sharedMapper());
-    }
-
-    /** Mapper cache effectiveness to stderr (--cache-stats). */
-    void
-    printCacheStats() const
-    {
-        if (!p_.cacheStats)
-            return;
-        const std::uint64_t h = mapper_.hits();
-        const std::uint64_t m = mapper_.misses();
-        std::fprintf(stderr,
-                     "[adyna] shared mapper cache: %llu hits / %llu "
-                     "misses (%.1f%% hit rate)\n",
-                     static_cast<unsigned long long>(h),
-                     static_cast<unsigned long long>(m),
-                     h + m ? 100.0 * static_cast<double>(h) /
-                                 static_cast<double>(h + m)
-                           : 0.0);
     }
 
   private:

@@ -370,7 +370,6 @@ main(int argc, char **argv)
         out << "  ]\n}\n";
     }
     std::printf("\nWrote %s\n", jsonPath.c_str());
-    sweep.printCacheStats();
 
     if (!pass) {
         std::printf("\nFAIL: adaptive fail-over did not beat the "

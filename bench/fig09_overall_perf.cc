@@ -51,7 +51,6 @@ main(int argc, char **argv)
             return t.gpu ? runGpuBaseline(workloads[t.wi], p)
                          : sweep.run(workloads[t.wi], t.d, hw);
         });
-    sweep.printCacheStats();
 
     // design name -> workload -> time (ms)
     std::map<std::string, std::map<std::string, double>> times;

@@ -44,7 +44,6 @@ main(int argc, char **argv)
             return sweep.run(workloads[i % workloads.size()],
                              designs[i / workloads.size()], hw);
         });
-    sweep.printCacheStats();
 
     for (std::size_t di = 0; di < designs.size(); ++di) {
         const Design d = designs[di];

@@ -39,7 +39,6 @@ main(int argc, char **argv)
             return sweep.run(workloads[i / designs.size()],
                              designs[i % designs.size()].first, hw);
         });
-    sweep.printCacheStats();
 
     for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
         const Workload &w = workloads[wi];

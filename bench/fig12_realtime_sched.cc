@@ -46,7 +46,6 @@ main(int argc, char **argv)
             return baselines::sweepRealtimeScheduling(
                 w.dg, adyna, full, p.batches, latenciesMs);
         });
-    sweep.printCacheStats();
     for (std::size_t i = 0; i < latenciesMs.size(); ++i) {
         std::vector<std::string> cells{
             TextTable::num(latenciesMs[i], 5)};

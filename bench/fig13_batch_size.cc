@@ -51,7 +51,6 @@ main(int argc, char **argv)
             const auto adyna = sweep.run(w, Design::Adyna, bp, hw);
             return mtile.timeMs / adyna.timeMs;
         });
-    sweep.printCacheStats();
 
     for (std::size_t bi = 0; bi < batchSizes.size(); ++bi) {
         std::vector<std::string> cells{

@@ -398,7 +398,6 @@ main(int argc, char **argv)
         out << "  ]\n}\n";
     }
     std::printf("\nWrote %s\n", jsonPath.c_str());
-    sweep.printCacheStats();
 
     if (!matrixPass || !identityPass) {
         std::printf("\nFAIL: %s%s%s\n",

@@ -524,7 +524,6 @@ main(int argc, char **argv)
         out << "  ]\n}\n";
     }
     std::printf("Wrote %s\n", jsonPath.c_str());
-    sweep.printCacheStats();
 
     if (!scalingPass || !failoverPass || !identityPass ||
         !stragglerPass || !integrityPass) {

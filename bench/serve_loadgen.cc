@@ -251,7 +251,6 @@ main(int argc, char **argv)
         out << "  ]\n}\n";
     }
     std::printf("\nWrote %s\n", jsonPath.c_str());
-    sweep.printCacheStats();
 
     if (!pass) {
         std::printf("\nFAIL: drift adaptation did not beat the "

@@ -667,8 +667,6 @@ Scheduler::compileStores(std::vector<Segment> &segments,
 {
     // Runs before the segments are frozen behind shared_ptr<const>
     // — spliced segments never pass through here.
-    kernels::KernelStoreCache *cache =
-        cfg_.storeCache ? storeCache_ : nullptr;
     for (Segment &seg : segments) {
         for (StageAssign &st : seg.stages) {
             const OpNode &node = dg_.graph().node(st.op);
@@ -737,10 +735,11 @@ Scheduler::compileStores(std::vector<Segment> &segments,
             // Fetch or compile one store per tile count (compilation
             // is deterministic, so a cached store equals a fresh one).
             for (int count : counts) {
-                if (cache) {
+                if (storeCache_) {
                     st.stores.emplace(
-                        count, cache->getOrCompile(node, clean, count,
-                                                   mapper_, hw_.tech));
+                        count,
+                        storeCache_->getOrCompile(node, clean, count,
+                                                  mapper_, hw_.tech));
                 } else {
                     st.stores.emplace(
                         count,

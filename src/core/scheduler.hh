@@ -41,11 +41,6 @@ struct SchedulerConfig
     /** Use worst-case (maximum) sizes everywhere: the M-tile
      * baseline's static scheduling. */
     bool worstCase = false;
-
-    /** Reuse compiled kernel stores across (re-)schedules through a
-     * KernelStoreCache (set via Scheduler::setStoreCache). Off means
-     * every build() recompiles every store from scratch. */
-    bool storeCache = true;
 };
 
 /**
@@ -155,10 +150,9 @@ class Scheduler
     const SchedulerConfig &config() const { return cfg_; }
 
     /**
-     * Use @p cache to reuse compiled kernel stores across builds
-     * (honoured only while cfg_.storeCache is set). nullptr restores
-     * the compile-from-scratch path. The cache must outlive the
-     * scheduler.
+     * Use @p cache to reuse compiled kernel stores across builds.
+     * nullptr (the default) compiles every store from scratch. The
+     * cache must outlive the scheduler.
      */
     void setStoreCache(kernels::KernelStoreCache *cache)
     {

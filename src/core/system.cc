@@ -69,8 +69,7 @@ System::run()
     const std::uint64_t sMisses0 = storeCache.misses();
 
     Scheduler scheduler(dg_, hw_, mapper, schedCfg_);
-    scheduler.setStoreCache(&storeCache); // no-op unless storeCache
-                                          // is configured on
+    scheduler.setStoreCache(&storeCache);
     Engine engine(dg_, hw_, mapper, policy_);
     arch::Chip chip(hw_);
     arch::Profiler profiler;
@@ -224,10 +223,8 @@ System::run()
     report.issuedMacs = chip.issuedMacs();
     report.mapperHits = mapper.hits() - hits0;
     report.mapperMisses = mapper.misses() - misses0;
-    if (schedCfg_.storeCache) {
-        report.storeHits = storeCache.hits() - sHits0;
-        report.storeMisses = storeCache.misses() - sMisses0;
-    }
+    report.storeHits = storeCache.hits() - sHits0;
+    report.storeMisses = storeCache.misses() - sMisses0;
     if (injector)
         report.fault = injector->stats(chip);
     return report;

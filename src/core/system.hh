@@ -149,11 +149,10 @@ class System
 
     /**
      * Use @p cache (shared, possibly with concurrent Systems) instead
-     * of a private per-run cache for compiled kernel-store reuse
-     * (honoured only while SchedulerConfig::storeCache is set). Must
-     * outlive the run; pass nullptr to restore the private cache.
-     * Results are unaffected; only wall-clock and the cache counters
-     * change.
+     * of a private per-run cache for compiled kernel-store reuse.
+     * Must outlive the run; pass nullptr to restore the private
+     * cache. Results are unaffected; only wall-clock and the cache
+     * counters change.
      */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 

@@ -155,43 +155,8 @@ MTenantRuntime::MTenantRuntime(std::vector<TenantWorkload> workloads,
 }
 
 MTenantReport
-MTenantRuntime::runSingle()
-{
-    const serve::TenantSpec &spec = cfg_.tenants[0];
-    serve::ServeConfig serveCfg = spec.serve;
-    if (!cfg_.faultPlan.empty()) {
-        serveCfg.faultPlan = cfg_.faultPlan;
-        serveCfg.faultSeed = cfg_.faultSeed;
-    }
-    serve::ServeRuntime rt(*workloads_[0].dg, workloads_[0].traceCfg,
-                           hw_, schedCfg_, policy_, serveCfg,
-                           workloads_[0].name);
-    rt.setSharedMapper(sharedMapper_);
-    rt.setSharedStoreCache(sharedStoreCache_);
-
-    MTenantReport report;
-    report.mode = partitionKindName(cfg_.partition.kind);
-    TenantResult tr;
-    tr.id = spec.id;
-    tr.cls = spec.cls;
-    tr.tiles = hw_.tiles();
-    tr.serve = rt.run();
-    report.aggregateGoodputRps = tr.serve.goodputRps;
-    report.worstP99Ms = tr.serve.p99Ms;
-    report.horizonTicks = tr.serve.horizonTicks;
-    report.tenants.push_back(std::move(tr));
-    return report;
-}
-
-MTenantReport
 MTenantRuntime::run()
 {
-    // One tenant needs no partitioning, no controller, and no
-    // interference: delegate to the single-tenant runtime so the
-    // serve report is byte-identical to the single-workload path.
-    if (cfg_.tenants.size() == 1)
-        return runSingle();
-
     const std::size_t n = cfg_.tenants.size();
 
     serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_);

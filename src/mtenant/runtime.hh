@@ -29,10 +29,10 @@
  *    whose region contains a struck tile (FaultInjector::
  *    changedTiles), not the whole chip.
  *
- * A 1-tenant configuration delegates to serve::ServeRuntime
- * verbatim, so its serve report (and JSON) is byte-identical to the
- * single-workload path — the equivalence gate that pins the
- * multi-tenant layer as a pure extension.
+ * A 1-tenant configuration runs the same loop over the full grid,
+ * and its serve report (and JSON) is byte-identical to the
+ * single-workload serve::ServeRuntime — the equivalence gate that
+ * pins the multi-tenant layer as a pure extension.
  */
 
 #ifndef ADYNA_MTENANT_RUNTIME_HH
@@ -198,10 +198,6 @@ class MTenantRuntime : public serve::SharedCaches
     MTenantReport run();
 
   private:
-    /** 1-tenant delegation to serve::ServeRuntime (byte-identical
-     * serve report). */
-    MTenantReport runSingle();
-
     std::vector<TenantWorkload> workloads_;
     arch::HwConfig hw_;
     core::SchedulerConfig schedCfg_;

@@ -253,6 +253,10 @@ PodRuntime::PodRuntime(std::vector<PodWorkload> workloads,
       schedCfg_(sched_cfg), policy_(policy), cfg_(std::move(cfg))
 {
     serve::validateServeConfig(cfg_.serve);
+    if (!cfg_.serve.faultPlan.empty())
+        ADYNA_FATAL("PodConfig.serve.faultPlan is not supported — "
+                    "configure the pod-scope PodConfig.faultPlan or "
+                    "the per-chip PodConfig.chipFaultPlans instead");
     ADYNA_ASSERT(cfg_.chips >= 1, "a pod needs >= 1 chip (got ",
                  cfg_.chips, ")");
     ADYNA_ASSERT(!workloads_.empty(), "a pod needs >= 1 workload");

@@ -183,7 +183,8 @@ struct PodConfig
      * open-loop stream, numRequests the pod-wide total; batching /
      * slo / drift / re-scheduling knobs apply to every chip alike.
      * admissionControl must stay off for K > 1 — the router's
-     * queueLimit is the pod's admission backpressure.
+     * queueLimit is the pod's admission backpressure. faultPlan must
+     * stay empty: faults go into faultPlan / chipFaultPlans below.
      */
     serve::ServeConfig serve;
 

@@ -98,8 +98,7 @@ Backend::Backend(const graph::DynGraph &dg,
       engine_(dg, hw, ctx.mapper(), policy), monitor_(cfg.drift),
       batcher_(cfg.batching), slo_(cfg.slo, hw.tech.freqGhz)
 {
-    scheduler_.setStoreCache(&ctx.storeCache()); // no-op unless
-                                                 // storeCache is on
+    scheduler_.setStoreCache(&ctx.storeCache());
     if (cfg_.searchOnDrift) {
         search::SearchConfig scfg = cfg_.search;
         scfg.storeCompileCycles = cfg_.storeCompileCycles;
@@ -195,8 +194,15 @@ Backend::dispatch(arch::Chip &chip, Tick at, double slow_factor)
             probeRing_.push_back(r);
         }
     }
+    // The engine asks the mapper only under exactKernels; its
+    // lookups count toward the serving schedules' cache counters.
+    costmodel::Mapper &mapper = ctx_.mapper();
+    const std::uint64_t mh0 = mapper.hits();
+    const std::uint64_t mm0 = mapper.misses();
     d.result =
         engine_.runPeriod(chip, schedule_, routings, &engineProf_, at);
+    stats_.mapperHits += mapper.hits() - mh0;
+    stats_.mapperMisses += mapper.misses() - mm0;
     if (slow_factor > 1.0) {
         // A straggling chip's clock: every cycle between dispatch and
         // completion stretches by the factor, and the dilated service
@@ -307,11 +313,9 @@ Backend::rebuild(Tick now, const std::vector<OpId> *delta)
     rb.schedule = build(rb.delta ? delta : nullptr, &rb.stats);
     if (bypassStores)
         scheduler_.setStoreCache(&ctx_.storeCache());
-    const std::uint64_t compiled =
-        schedCfg_.storeCache && !bypassStores
-            ? stats_.storeMisses - misses0
-            : (rb.delta ? rb.stats.segmentsRebuilt
-                        : rb.schedule.segments.size());
+    const std::uint64_t compiled = bypassStores
+                                       ? rb.schedule.segments.size()
+                                       : stats_.storeMisses - misses0;
     rb.cost = cfg_.reconfigOverheadCycles +
               static_cast<Cycles>(compiled) * cfg_.storeCompileCycles;
     return rb;
@@ -405,8 +409,7 @@ Backend::closeWindow()
                     scheduler_, rb.schedule,
                     haveTree_ ? &installedTree_ : nullptr, expectations_,
                     kernelValues_, &engineProf_, probeRing_,
-                    schedCfg_.storeCache ? &ctx_.storeCache() : nullptr,
-                    &stats_.search);
+                    &ctx_.storeCache(), &stats_.search);
                 charge += sr.spentCycles;
                 if (sr.improved) {
                     rb.schedule = std::move(sr.schedule);
@@ -468,10 +471,6 @@ Backend::report(const arch::Chip &chip) const
     r.goodputRps = slo_.goodputRps(r.horizonTicks);
     r.lastDriftDistance = monitor_.lastDistance();
     r.driftThreshold = monitor_.effectiveThreshold();
-    if (!schedCfg_.storeCache) {
-        r.storeHits = 0;
-        r.storeMisses = 0;
-    }
     r.searchActive = cfg_.searchOnDrift;
     r.faultActive = injector_ || cfg_.admissionControl ||
                     cfg_.rescheduleBudgetCycles > 0;

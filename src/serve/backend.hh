@@ -165,8 +165,9 @@ class Backend
     /**
      * The back-end's share of a ServeReport: everything except the
      * arrival-side fields (offeredRps, shedRequests). Cache counters
-     * are summed over this back-end's own schedule builds; the fault
-     * counters are the injector's end-of-run view of @p chip.
+     * are summed over this back-end's own schedule builds and engine
+     * periods; the fault counters are the injector's end-of-run view
+     * of @p chip.
      */
     ServeReport report(const arch::Chip &chip) const;
 

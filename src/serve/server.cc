@@ -130,13 +130,6 @@ ServeReport
 ServeRuntime::run()
 {
     BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_);
-    costmodel::Mapper &mapper = ctx.mapper();
-    kernels::KernelStoreCache &storeCache = ctx.storeCache();
-    const std::uint64_t mHits0 = mapper.hits();
-    const std::uint64_t mMisses0 = mapper.misses();
-    const std::uint64_t sHits0 = storeCache.hits();
-    const std::uint64_t sMisses0 = storeCache.misses();
-
     arch::Chip chip(hw_);
     Backend be(dg_, traceCfg_, hw_, schedCfg_, policy_, cfg_,
                workloadName_, ctx, cfg_.seed);
@@ -187,21 +180,6 @@ ServeRuntime::run()
     // ---- report -----------------------------------------------------
     ServeReport report = be.report(chip);
     source.fillReport(report);
-    // Counter scoping: run-level deltas (engine lookups under
-    // exactKernels included), minus the lookups the search burned on
-    // rejected candidates, so these reflect the schedules that
-    // actually served (the search's own share is reported under
-    // report.search).
-    report.mapperHits =
-        mapper.hits() - mHits0 - report.search.mapperHits;
-    report.mapperMisses =
-        mapper.misses() - mMisses0 - report.search.mapperMisses;
-    if (schedCfg_.storeCache) {
-        report.storeHits =
-            storeCache.hits() - sHits0 - report.search.storeHits;
-        report.storeMisses =
-            storeCache.misses() - sMisses0 - report.search.storeMisses;
-    }
     return report;
 }
 

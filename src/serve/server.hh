@@ -202,11 +202,11 @@ struct ServeReport
 
     /**
      * Cache counters of the serving run: mapper memo and
-     * kernel-store cache lookups (best-effort snapshot deltas when
-     * the cache is shared across concurrent runtimes). Store
-     * counters stay zero when SchedulerConfig::storeCache is off;
-     * warm store hits are what make drift-triggered re-schedules
-     * cheap.
+     * kernel-store cache lookups of the schedule builds and (under
+     * exactKernels) the engine, excluding the search's own share
+     * (reported under search). Best-effort snapshot deltas when the
+     * cache is shared across concurrent runtimes. Warm store hits
+     * are what make drift-triggered re-schedules cheap.
      */
     std::uint64_t mapperHits = 0;
     std::uint64_t mapperMisses = 0;
@@ -266,9 +266,9 @@ struct ServeReport
     Cycles maxRescheduleCycles = 0;
 
     /** Aggregate search counters (see core/search_stats.hh); the
-     * cache counters here are already subtracted from the run-level
-     * mapper/store counters above, so those keep reflecting the
-     * installed schedules only. */
+     * cache counters here are not part of the mapper/store counters
+     * above, so those keep reflecting the installed schedules
+     * only. */
     core::SearchStats search;
 
     /** ServeConfig::searchOnDrift was set. */

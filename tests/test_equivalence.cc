@@ -2,25 +2,32 @@
  * @file
  * Behaviour-preservation tests for the perf optimizations: the
  * schedule-plan cache (with the precomputed producer index), the
- * sweep-shared mapper and the kernel-store cache must all produce
- * byte-identical run reports to the seed path (legacy per-period
- * planner, private per-run mapper, compile-from-scratch stores) on
- * every workload and on the non-default execution policies
- * (worst-case execution, pipelining off).
+ * sweep-shared mapper and the kernel-store cache, alone, together
+ * and shared by concurrent runs, must all produce byte-identical run
+ * reports to the seed path (legacy per-period planner, private
+ * per-run mapper and store cache, one run at a time) on every
+ * workload and on the non-default execution policies (worst-case
+ * execution, pipelining off). Cold, warm and cache-less schedule
+ * builds must agree down to the encoded kernel images.
  */
 
+#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "arch/chip.hh"
 #include "baselines/designs.hh"
+#include "common/parallel.hh"
 #include "core/report_io.hh"
+#include "core/scheduler.hh"
 #include "core/system.hh"
 #include "graph/parser.hh"
 #include "kernels/store_cache.hh"
 #include "models/models.hh"
+#include "schedule_fingerprint.hh"
 
 namespace {
 
@@ -32,7 +39,6 @@ using baselines::Design;
 struct RunCfg
 {
     bool planCache = false;
-    bool storeCache = false;
 };
 
 /** Serialized report (with per-batch series) for one run. The cache
@@ -49,8 +55,7 @@ runReport(const std::string &workload, Design design, int batches,
     const auto dg = graph::parseModel(bundle.graph);
     trace::TraceConfig tc = bundle.traceConfig;
     tc.batchSize = 64;
-    auto scfg = baselines::schedulerConfig(design);
-    scfg.storeCache = cfg.storeCache;
+    const auto scfg = baselines::schedulerConfig(design);
     auto pol = baselines::execPolicy(design);
     pol.planCache = cfg.planCache;
     core::System sys(dg, tc, hw, scfg, pol,
@@ -96,26 +101,47 @@ TEST(Equivalence, SharedMapperMatchesPrivateMapper)
     EXPECT_GT(shared.hits(), 0u);
 }
 
-/** Kernel-store cache alone: cold (first run populates the cache)
- * and warm (second run hits it) must both match the
- * compile-from-scratch path on every workload. */
+/** Kernel-store cache alone, at the Scheduler: a build with no
+ * cache, one through a cold cache (it compiles and populates) and
+ * one through the same cache warm must give the same schedule down
+ * to the encoded kernel images on every workload. The warm build
+ * compiles nothing: no mapping search and no store miss. */
 TEST(Equivalence, StoreCacheMatchesScratchCompile)
 {
-    kernels::KernelStoreCache stores;
+    const arch::HwConfig hw;
+    const auto scfg = baselines::schedulerConfig(Design::Adyna);
+    const std::map<OpId, double> expectations; // worst-case weights
     for (const auto &name : models::workloadNames()) {
-        const auto seed = runReport(name, Design::Adyna, 20,
-                                    RunCfg{});
-        const auto cold = runReport(name, Design::Adyna, 20,
-                                    RunCfg{.storeCache = true},
-                                    nullptr, &stores);
-        const auto warm = runReport(name, Design::Adyna, 20,
-                                    RunCfg{.storeCache = true},
-                                    nullptr, &stores);
-        EXPECT_EQ(seed, cold) << "workload " << name;
-        EXPECT_EQ(seed, warm) << "workload " << name;
+        const auto bundle = models::buildByName(name, 128);
+        const auto dg = graph::parseModel(bundle.graph);
+
+        costmodel::Mapper scratchMapper(hw.tech);
+        core::Scheduler scratch(dg, hw, scratchMapper, scfg);
+        const auto kv = scratch.initialKernelValues();
+        const std::string want = test::scheduleFingerprint(
+            scratch.build(expectations, kv, nullptr));
+
+        costmodel::Mapper mapper(hw.tech);
+        kernels::KernelStoreCache stores;
+        core::Scheduler cached(dg, hw, mapper, scfg);
+        cached.setStoreCache(&stores);
+        EXPECT_EQ(test::scheduleFingerprint(
+                      cached.build(expectations, kv, nullptr)),
+                  want)
+            << "cold build, workload " << name;
+        EXPECT_GT(stores.misses(), 0u) << name;
+        EXPECT_GT(mapper.misses(), 0u) << name;
+
+        const std::uint64_t lookups0 = mapper.hits() + mapper.misses();
+        const std::uint64_t storeMisses0 = stores.misses();
+        EXPECT_EQ(test::scheduleFingerprint(
+                      cached.build(expectations, kv, nullptr)),
+                  want)
+            << "warm build, workload " << name;
+        EXPECT_EQ(mapper.hits() + mapper.misses(), lookups0) << name;
+        EXPECT_EQ(stores.misses(), storeMisses0) << name;
+        EXPECT_GT(stores.hits(), 0u) << name;
     }
-    EXPECT_GT(stores.hits(), 0u);
-    EXPECT_GT(stores.misses(), 0u);
 }
 
 /** Every layer together, re-using one mapper and one store cache
@@ -125,7 +151,7 @@ TEST(Equivalence, CachedSweepMatchesSeedPath)
     const arch::HwConfig hw;
     costmodel::Mapper shared(hw.tech);
     kernels::KernelStoreCache stores;
-    const RunCfg all{.planCache = true, .storeCache = true};
+    const RunCfg all{.planCache = true};
     for (const auto &name : models::workloadNames()) {
         const auto seed = runReport(name, Design::Adyna, 45,
                                     RunCfg{});
@@ -133,6 +159,46 @@ TEST(Equivalence, CachedSweepMatchesSeedPath)
                                     &shared, &stores);
         EXPECT_EQ(seed, fast) << "workload " << name;
     }
+}
+
+/** The --jobs sweep: every workload x design, run concurrently on a
+ * 4-worker pool whose runs all share one mapper and one store cache
+ * (plus the plan cache), must reproduce the serial private-cache
+ * reports byte for byte. 45 batches cross the 40-batch
+ * reconfiguration, so re-schedules race on the shared caches too. */
+TEST(Equivalence, ConcurrentSharedCacheSweepMatchesSerial)
+{
+    struct Cell
+    {
+        std::string workload;
+        Design design;
+    };
+    std::vector<Cell> cells;
+    for (const auto &name : models::workloadNames())
+        for (Design d : baselines::allDesigns())
+            cells.push_back({name, d});
+
+    std::vector<std::string> serial;
+    for (const Cell &c : cells)
+        serial.push_back(runReport(c.workload, c.design, 45, RunCfg{}));
+
+    const arch::HwConfig hw;
+    costmodel::Mapper shared(hw.tech);
+    kernels::KernelStoreCache stores;
+    ThreadPool pool(4);
+    const std::vector<std::string> concurrent =
+        pool.parallelMap(cells.size(), [&](std::size_t i) {
+            return runReport(cells[i].workload, cells[i].design, 45,
+                             RunCfg{.planCache = true}, &shared,
+                             &stores);
+        });
+    ASSERT_EQ(concurrent.size(), serial.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(concurrent[i], serial[i])
+            << cells[i].workload << " / "
+            << baselines::designName(cells[i].design);
+    EXPECT_GT(shared.hits(), 0u);
+    EXPECT_GT(stores.hits(), 0u);
 }
 
 /** Non-default policies: MTile runs worst-case shapes, MTenant turns
@@ -143,7 +209,7 @@ TEST(Equivalence, BaselineDesignPoliciesMatch)
     const arch::HwConfig hw;
     costmodel::Mapper shared(hw.tech);
     kernels::KernelStoreCache stores;
-    const RunCfg all{.planCache = true, .storeCache = true};
+    const RunCfg all{.planCache = true};
     for (Design d : {Design::MTile, Design::MTenant,
                      Design::FullKernel}) {
         const auto seed = runReport("skipnet", d, 45, RunCfg{});

@@ -226,37 +226,74 @@ smokeServeConfig(std::uint64_t seed, unsigned requests)
     return sc;
 }
 
-TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeByteForByte)
+MTenantReport
+singleTenantRun(baselines::Design design, MTenantConfig mc,
+                const serve::ServeConfig &sc, const TestWorkload &w)
 {
-    TestWorkload w("skipnet", 8);
-    const arch::HwConfig hw;
-    const auto schedCfg =
-        baselines::schedulerConfig(baselines::Design::Adyna);
-    const auto policy = baselines::execPolicy(baselines::Design::Adyna);
-    const serve::ServeConfig sc = smokeServeConfig(7, 200);
-
-    serve::ServeRuntime direct(w.dg, w.tc, hw, schedCfg, policy, sc,
-                               "skipnet");
-    kernels::KernelStoreCache directStores;
-    direct.setSharedStoreCache(&directStores);
-    const std::string want = serve::toJson(direct.run());
-
-    MTenantConfig mc;
     serve::TenantSpec ts;
     ts.id = "solo";
     ts.serve = sc;
     mc.tenants.push_back(ts);
-    MTenantRuntime rt({{&w.dg, w.tc, "skipnet"}}, hw, schedCfg,
-                      policy, mc);
-    kernels::KernelStoreCache viaStores;
-    rt.setSharedStoreCache(&viaStores);
-    const MTenantReport mr = rt.run();
+    MTenantRuntime rt({{&w.dg, w.tc, "skipnet"}}, arch::HwConfig{},
+                      baselines::schedulerConfig(design),
+                      baselines::execPolicy(design), mc);
+    kernels::KernelStoreCache stores;
+    rt.setSharedStoreCache(&stores);
+    return rt.run();
+}
 
-    ASSERT_EQ(mr.tenants.size(), 1u);
-    EXPECT_EQ(serve::toJson(mr.tenants[0].serve), want);
-    EXPECT_EQ(mr.tenants[0].tiles, hw.tiles());
-    EXPECT_EQ(mr.repartitions, 0);
-    EXPECT_EQ(mr.tenantSwitches, 0);
+TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeByteForByte)
+{
+    // One tenant runs the multi-tenant loop itself; Design::MTenant's
+    // exact kernels make the engine ask the mapper, so its cache
+    // counters must be scoped the same way as ServeRuntime's too.
+    TestWorkload w("skipnet", 8);
+    const arch::HwConfig hw;
+    const serve::ServeConfig sc = smokeServeConfig(7, 200);
+    for (const baselines::Design design :
+         {baselines::Design::Adyna, baselines::Design::MTenant}) {
+        serve::ServeRuntime direct(w.dg, w.tc, hw,
+                                   baselines::schedulerConfig(design),
+                                   baselines::execPolicy(design), sc,
+                                   "skipnet");
+        kernels::KernelStoreCache directStores;
+        direct.setSharedStoreCache(&directStores);
+        const std::string want = serve::toJson(direct.run());
+
+        const MTenantReport mr =
+            singleTenantRun(design, MTenantConfig{}, sc, w);
+        const char *name = baselines::designName(design);
+        ASSERT_EQ(mr.tenants.size(), 1u) << name;
+        EXPECT_EQ(serve::toJson(mr.tenants[0].serve), want) << name;
+        EXPECT_EQ(mr.tenants[0].tiles, hw.tiles()) << name;
+        EXPECT_EQ(mr.repartitions, 0) << name;
+        EXPECT_EQ(mr.tenantSwitches, 0) << name;
+    }
+}
+
+TEST(MTenantRuntime, SingleTenantHonoursFailoverOff)
+{
+    // A tile failure inside the only tenant's region: the chip-level
+    // failover switch decides, for one tenant as for many.
+    TestWorkload w("skipnet", 8);
+    const serve::ServeConfig sc = smokeServeConfig(7, 300);
+    MTenantConfig mc;
+    mc.faultPlan = fault::parseFaultPlanOrDie("tile_fail@200000:tile=17");
+
+    const MTenantReport on =
+        singleTenantRun(baselines::Design::Adyna, mc, sc, w);
+    ASSERT_EQ(on.tenants.size(), 1u);
+    EXPECT_EQ(on.tenants[0].serve.failedTiles, 1);
+    EXPECT_EQ(on.tenants[0].serve.failovers, 1);
+    EXPECT_EQ(on.failoverRepairs, 1);
+
+    mc.failover = false;
+    const MTenantReport off =
+        singleTenantRun(baselines::Design::Adyna, mc, sc, w);
+    ASSERT_EQ(off.tenants.size(), 1u);
+    EXPECT_EQ(off.tenants[0].serve.failedTiles, 1);
+    EXPECT_EQ(off.tenants[0].serve.failovers, 0);
+    EXPECT_EQ(off.failoverRepairs, 0);
 }
 
 MTenantReport

@@ -502,6 +502,23 @@ TEST(PodRuntime, SingleChipPodMatchesServeRuntimeByteForByte)
     EXPECT_FALSE(pr.chips[0].dark);
 }
 
+TEST(PodRuntimeDeathTest, ServeFaultPlanIsRejectedAtAnyChipCount)
+{
+    // Pod faults belong in faultPlan / chipFaultPlans. A plan in the
+    // per-chip serving template would strike a 1-chip pod but be
+    // ignored by the K-chip loop, so the pod refuses it for every K.
+    for (const int chips : {1, 2}) {
+        PodConfig pc;
+        pc.chips = chips;
+        pc.serve = smokeServeConfig(7, 50);
+        pc.serve.faultPlan =
+            fault::parseFaultPlanOrDie("tile_fail@200000:tile=17");
+        EXPECT_EXIT(skipnetPod(pc), ::testing::ExitedWithCode(1),
+                    "chipFaultPlans")
+            << chips << " chips";
+    }
+}
+
 TEST(PodRuntime, TwoChipRunIsDeterministic)
 {
     PodConfig pc;

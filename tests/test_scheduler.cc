@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "arch/profiler.hh"
 #include "core/scheduler.hh"
 #include "graph/parser.hh"
 #include "graph/transforms.hh"
 #include "models/models.hh"
+#include "schedule_fingerprint.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -23,6 +23,7 @@ namespace {
 using namespace adyna;
 using namespace adyna::core;
 using namespace adyna::graph;
+using adyna::test::scheduleFingerprint;
 
 arch::HwConfig
 hw()
@@ -307,35 +308,6 @@ TEST(Scheduler, InitialKernelValuesUniformAndCapped)
 
 // ---- delta re-scheduling -------------------------------------------
 
-namespace {
-
-/** Everything a schedule compiles down to, including kernel images. */
-std::string
-deltaFingerprint(const Schedule &s)
-{
-    std::ostringstream os;
-    for (const auto &seg : s.segments) {
-        for (const auto &st : seg->stages) {
-            os << st.op << ':' << st.baseTiles << ':';
-            for (TileId t : st.tiles)
-                os << t << ',';
-            for (const auto &[count, store] : st.stores) {
-                os << '|' << count;
-                for (const auto &k : store->kernels()) {
-                    os << '/' << k.value << '#';
-                    for (unsigned byte : k.image)
-                        os << byte << '.';
-                }
-            }
-            os << ';';
-        }
-        os << '\n';
-    }
-    return os.str();
-}
-
-} // namespace
-
 TEST(SchedulerDelta, AllOpsChangedMatchesFullBuild)
 {
     const auto bundle = models::buildPabee(64);
@@ -356,32 +328,45 @@ TEST(SchedulerDelta, AllOpsChangedMatchesFullBuild)
         sched.buildDelta(base, {}, kv, nullptr, allOps, &stats);
     EXPECT_EQ(stats.segmentsTotal, base.segments.size());
     EXPECT_EQ(stats.segmentsRebuilt, base.segments.size());
-    EXPECT_EQ(deltaFingerprint(rebuilt), deltaFingerprint(base));
+    EXPECT_EQ(scheduleFingerprint(rebuilt), scheduleFingerprint(base));
 }
 
 TEST(SchedulerDelta, PureSpliceSharesBaseSegments)
 {
-    const auto bundle = models::buildPabee(64);
-    const DynGraph dg = parseModel(bundle.graph);
-    costmodel::Mapper mapper(hw().tech);
-    Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
-    kernels::KernelStoreCache cache;
-    sched.setStoreCache(&cache);
-    const auto kv = sched.initialKernelValues();
-    const Schedule base = sched.build({}, kv, nullptr);
+    for (const auto &name : models::workloadNames()) {
+        const auto bundle = models::buildByName(name, 64);
+        const DynGraph dg = parseModel(bundle.graph);
+        costmodel::Mapper mapper(hw().tech);
+        Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
+        kernels::KernelStoreCache cache;
+        sched.setStoreCache(&cache);
+        const auto kv = sched.initialKernelValues();
+        const Schedule base = sched.build({}, kv, nullptr);
 
-    const std::uint64_t missesBefore = cache.misses();
-    DeltaStats stats;
-    const Schedule spliced =
-        sched.buildDelta(base, {}, kv, nullptr, {}, &stats);
-    EXPECT_EQ(stats.segmentsRebuilt, 0u);
-    EXPECT_EQ(stats.segmentsTotal, base.segments.size());
-    // A pure splice never recompiles -- no store-cache traffic at
-    // all -- and shares the base's segment objects outright.
-    EXPECT_EQ(cache.misses(), missesBefore);
-    ASSERT_EQ(spliced.segments.size(), base.segments.size());
-    for (std::size_t i = 0; i < base.segments.size(); ++i)
-        EXPECT_EQ(spliced.segments[i].get(), base.segments[i].get());
+        const auto storeLookups = [&] {
+            return cache.hits() + cache.misses();
+        };
+        const auto mapperLookups = [&] {
+            return mapper.hits() + mapper.misses();
+        };
+        const std::uint64_t storesBefore = storeLookups();
+        const std::uint64_t mapperBefore = mapperLookups();
+        DeltaStats stats;
+        const Schedule spliced =
+            sched.buildDelta(base, {}, kv, nullptr, {}, &stats);
+        EXPECT_EQ(stats.segmentsRebuilt, 0u) << name;
+        EXPECT_EQ(stats.segmentsTotal, base.segments.size()) << name;
+        // A pure splice never recompiles -- no store-cache traffic
+        // and no mapping search at all -- and shares the base's
+        // segment objects outright.
+        EXPECT_EQ(storeLookups(), storesBefore) << name;
+        EXPECT_EQ(mapperLookups(), mapperBefore) << name;
+        ASSERT_EQ(spliced.segments.size(), base.segments.size());
+        for (std::size_t i = 0; i < base.segments.size(); ++i)
+            EXPECT_EQ(spliced.segments[i].get(),
+                      base.segments[i].get())
+                << name;
+    }
 }
 
 TEST(SchedulerDelta, SingleChangedOpRebuildsOnlyItsSegment)
@@ -401,7 +386,7 @@ TEST(SchedulerDelta, SingleChangedOpRebuildsOnlyItsSegment)
     const Schedule delta =
         sched.buildDelta(base, {}, kv, nullptr, {changed}, &stats);
     EXPECT_EQ(stats.segmentsRebuilt, 1u);
-    EXPECT_EQ(deltaFingerprint(delta), deltaFingerprint(base));
+    EXPECT_EQ(scheduleFingerprint(delta), scheduleFingerprint(base));
     for (std::size_t i = 0; i + 1 < base.segments.size(); ++i)
         EXPECT_EQ(delta.segments[i].get(), base.segments[i].get());
     EXPECT_NE(delta.segments.back().get(),
@@ -428,7 +413,7 @@ TEST(SchedulerDelta, HealthyTileChangeInvalidatesPartition)
         sched.buildDelta(base, {}, kv, nullptr, {}, &stats);
     EXPECT_EQ(stats.segmentsRebuilt, stats.segmentsTotal);
     const Schedule full = sched.build({}, kv, nullptr);
-    EXPECT_EQ(deltaFingerprint(degraded), deltaFingerprint(full));
+    EXPECT_EQ(scheduleFingerprint(degraded), scheduleFingerprint(full));
 }
 
 TEST(SchedulerDelta, LongSpliceChainKeepsFingerprintAndIdentity)
@@ -455,7 +440,7 @@ TEST(SchedulerDelta, LongSpliceChainKeepsFingerprintAndIdentity)
         Schedule next =
             sched.buildDelta(cur, {}, kv, nullptr, {changed}, &stats);
         ASSERT_EQ(stats.segmentsRebuilt, 1u) << "round " << round;
-        ASSERT_EQ(deltaFingerprint(next), deltaFingerprint(base))
+        ASSERT_EQ(scheduleFingerprint(next), scheduleFingerprint(base))
             << "round " << round;
         ASSERT_EQ(next.segments.size(), cur.segments.size());
         for (std::size_t i = 0; i < cur.segments.size(); ++i) {
