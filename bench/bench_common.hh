@@ -187,6 +187,35 @@ class Sweep
     costmodel::Mapper mapper_;
 };
 
+/** A workload's serving capacity at the compiled batch size; the
+ * serving benches derive arrival rates, batching waits and SLO
+ * deadlines from it. */
+struct Calibration
+{
+    double capacityRps = 0.0;     ///< max request throughput
+    double batchIntervalMs = 0.0; ///< steady-state ms per batch
+};
+
+/** Calibrate every workload on @p sweep: 60 Adyna-static batches at
+ * @p p's batch size. Results in workload order. */
+inline std::vector<Calibration>
+calibrate(Sweep &sweep, const std::vector<Workload> &workloads,
+          const BenchParams &p, const arch::HwConfig &hw)
+{
+    return sweep.map(workloads.size(), [&](std::size_t i) {
+        BenchParams cp = p;
+        cp.batches = 60;
+        const core::RunReport r =
+            runDesign(workloads[i], baselines::Design::AdynaStatic, cp,
+                      hw, sweep.sharedMapper());
+        Calibration c;
+        c.capacityRps =
+            r.batchesPerSecond * static_cast<double>(p.batchSize);
+        c.batchIntervalMs = 1e3 / r.batchesPerSecond;
+        return c;
+    });
+}
+
 } // namespace adyna::bench
 
 #endif // ADYNA_BENCH_BENCH_COMMON_HH

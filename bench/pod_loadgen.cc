@@ -47,16 +47,6 @@
 using namespace adyna;
 using namespace adyna::bench;
 
-namespace {
-
-struct Calibration
-{
-    double capacityRps = 0.0;
-    double batchIntervalMs = 0.0;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -96,17 +86,7 @@ main(int argc, char **argv)
     Sweep sweep(p, hw);
 
     // ---- calibration: full-grid capacity per workload --------------
-    const auto calibs = sweep.map(workloads.size(), [&](std::size_t i) {
-        BenchParams cp = p;
-        cp.batches = 60;
-        const core::RunReport r =
-            runDesign(workloads[i], baselines::Design::AdynaStatic,
-                      cp, hw, sweep.sharedMapper());
-        Calibration c;
-        c.capacityRps = r.batchesPerSecond * maxBatch;
-        c.batchIntervalMs = 1e3 / r.batchesPerSecond;
-        return c;
-    });
+    const auto calibs = calibrate(sweep, workloads, p, hw);
     std::printf("Calibration (Adyna-static, batch %d, full grid):\n",
                 maxBatch);
     for (std::size_t i = 0; i < workloads.size(); ++i)

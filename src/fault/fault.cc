@@ -626,6 +626,11 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
 {
     plan_.normalize();
     for (const FaultEvent &ev : plan_.events) {
+        if (podScopeFault(ev.kind))
+            ADYNA_FATAL(faultKindName(ev.kind),
+                        " is a pod-scope fault, which a single chip "
+                        "cannot replay: put it into "
+                        "PodConfig::faultPlan");
         timeline_.push_back({ev, ev.at, false});
         if (ev.duration > 0 && ev.at <= kForever - ev.duration)
             timeline_.push_back({ev, ev.at + ev.duration, true});
@@ -707,41 +712,10 @@ FaultInjector::apply(const TimedEvent &te, arch::Chip &chip,
             ++stats_.storeFitWindows;
         break;
       case FaultKind::ChipFail:
-        // Pod-scope fault replayed against a single chip: the whole
-        // chip resets dark on strike and reboots on heal. The pod
-        // runtime intercepts chip_fail events at the router tier
-        // before they ever reach a per-chip injector, so this path
-        // only runs when a chip_fail plan is handed straight to a
-        // single-chip runtime.
-        for (int t = 0; t < tiles; ++t) {
-            const auto tile = static_cast<TileId>(t);
-            if (te.recover)
-                chip.recoverTile(tile);
-            else
-                chip.failTile(tile);
-            changedTiles_.push_back(tile);
-        }
-        if (te.recover)
-            ++stats_.chipHeals;
-        else
-            ++stats_.chipFailEvents;
-        healthy_changed = true;
-        break;
       case FaultKind::ChipSlow:
-        // Pod-scope gray failures replayed against a single chip
-        // only count: there is no router / interconnect tier here to
-        // straggle, retransmit on, or checksum, so the simulation
-        // paths stay untouched (the single-chip byte-identity gate).
-        if (!te.recover)
-            ++stats_.chipSlowWindows;
-        break;
       case FaultKind::LinkFlaky:
-        if (!te.recover)
-            ++stats_.linkFlakyWindows;
-        break;
       case FaultKind::PayloadCorrupt:
-        if (!te.recover)
-            ++stats_.payloadCorruptWindows;
+        // Pod scope: the constructor rejects these.
         break;
     }
 }

@@ -39,12 +39,10 @@
  *   payload_corrupt: prob=<(0,1)> [heal=<cycles>]
  *
  * chip_fail is the pod-scope fail-stop fault: a whole chip goes dark.
- * The pod runtime (src/pod) intercepts it at the router tier —
+ * The pod runtime (src/pod) handles it at the router tier —
  * draining and re-routing the dark chip's traffic onto the surviving
  * chips — and heal= gives the ticks until the chip reboots (0 =
- * permanent, like duration). Replayed against a single arch::Chip
- * instead, it fails every tile on strike and recovers every tile on
- * heal.
+ * permanent, like duration).
  *
  * chip_slow, link_flaky and payload_corrupt are the pod-scope *gray*
  * failures (DESIGN.md §15): a straggler chip whose clock dilates by
@@ -52,9 +50,12 @@
  * probability prob= (detected, retransmitted, costed), and silent
  * bit-flips on chip-boundary payloads with probability prob= (caught
  * — and retried — only when end-to-end checksums are on). They all
- * spell their end tick `heal=` like chip_fail. Replayed against a
- * single arch::Chip they only count (there is no router tier to
- * react), so single-chip runs stay byte-identical.
+ * spell their end tick `heal=` like chip_fail.
+ *
+ * Only the pod replays the pod-scope kinds, from PodConfig::faultPlan
+ * at any chip count. A FaultInjector replays one chip's internals
+ * (for ServeRuntime, MTenantRuntime, System and each pod chip) and
+ * rejects them.
  *
  * Example: "tile_fail@5000000:tile=17;probe_drop@0:prob=0.3,duration=100000"
  */
@@ -89,8 +90,8 @@ const char *faultKindName(FaultKind kind);
 
 /** The kind targets the pod tier (chip_fail / chip_slow /
  * link_flaky / payload_corrupt) rather than a single chip's
- * internals. Pod plans may only hold pod-scope kinds; per-chip plans
- * must not. */
+ * internals. Pod plans may only hold pod-scope kinds; a
+ * FaultInjector (every single-chip plan) rejects them. */
 bool podScopeFault(FaultKind kind);
 
 /** One timed fault event. */
@@ -199,11 +200,6 @@ struct FaultStats
     std::uint64_t linkRecoveries = 0;
     std::uint64_t probeDropWindows = 0;
     std::uint64_t storeFitWindows = 0;
-    std::uint64_t chipFailEvents = 0;
-    std::uint64_t chipHeals = 0;
-    std::uint64_t chipSlowWindows = 0;
-    std::uint64_t linkFlakyWindows = 0;
-    std::uint64_t payloadCorruptWindows = 0;
 
     // Live state at snapshot time.
     int failedTiles = 0;
@@ -222,7 +218,9 @@ struct FaultStats
 class FaultInjector
 {
   public:
-    /** @param seed drives the probe-drop Bernoulli streams (derived
+    /** @param plan single-chip kinds only: a pod-scope kind is a
+     * fatal configuration error.
+     * @param seed drives the probe-drop Bernoulli streams (derived
      * per window so replays are exact). */
     FaultInjector(FaultPlan plan, std::uint64_t seed);
 

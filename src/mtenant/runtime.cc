@@ -78,7 +78,7 @@ struct Tenant
         : spec(&s),
           backend(*w.dg, w.traceCfg, hw, sched_cfg, policy, s.serve,
                   w.name, ctx, seed),
-          source(*w.dg, w.traceCfg, hw, s.serve, seed),
+          source({{w.dg, w.traceCfg, 1.0}}, hw, s.serve, seed),
           weightBytes(w.dg->graph().totalWeightBytes())
     {
     }

@@ -290,7 +290,7 @@ PodRuntime::PodRuntime(std::vector<PodWorkload> workloads,
             cfg_.chips >= static_cast<int>(workloads_.size()),
             "partitioned placement needs >= 1 chip per model (",
             workloads_.size(), " models on ", cfg_.chips, " chips)");
-    ADYNA_ASSERT(cfg_.chips == 1 || !cfg_.serve.admissionControl,
+    ADYNA_ASSERT(!cfg_.serve.admissionControl,
                  "per-chip admissionControl must be off in a pod: "
                  "the router's queueLimit is the pod's admission "
                  "backpressure");
@@ -314,12 +314,6 @@ PodRuntime::PodRuntime(std::vector<PodWorkload> workloads,
                  "chip (got ",
                  cfg_.chipFaultPlans.size(), " for ", cfg_.chips,
                  " chips)");
-    for (const fault::FaultPlan &plan : cfg_.chipFaultPlans)
-        for (const fault::FaultEvent &ev : plan.events)
-            ADYNA_ASSERT(!fault::podScopeFault(ev.kind),
-                         fault::faultKindName(ev.kind),
-                         " is pod scope: put it into "
-                         "PodConfig::faultPlan");
     ADYNA_ASSERT(!(cfg_.reliability.hedging &&
                    !cfg_.router.reRouteOnFailure),
                  "hedging needs the adaptive router "
@@ -358,62 +352,8 @@ PodRuntime::PodRuntime(std::vector<PodWorkload> workloads,
 }
 
 PodReport
-PodRuntime::runSingle()
-{
-    serve::ServeConfig serveCfg = cfg_.serve;
-    // A 1-chip pod's faults all land on chip 0: merge the pod-scope
-    // chip_fail events with the chip's own plan and let the
-    // single-chip injector replay both.
-    if (!cfg_.faultPlan.empty() || !cfg_.chipFaultPlans.empty()) {
-        fault::FaultPlan merged = cfg_.faultPlan;
-        if (!cfg_.chipFaultPlans.empty())
-            merged.events.insert(
-                merged.events.end(),
-                cfg_.chipFaultPlans[0].events.begin(),
-                cfg_.chipFaultPlans[0].events.end());
-        merged.normalize();
-        if (!merged.empty()) {
-            serveCfg.faultPlan = std::move(merged);
-            serveCfg.faultSeed = cfg_.faultSeed;
-        }
-    }
-    serve::ServeRuntime rt(*workloads_[0].dg, workloads_[0].traceCfg,
-                           hw_, schedCfg_, policy_, serveCfg,
-                           workloads_[0].name);
-    rt.setSharedMapper(sharedMapper_);
-    rt.setSharedStoreCache(sharedStoreCache_);
-
-    PodReport report;
-    report.policy = routePolicyName(cfg_.router.policy);
-    report.placement = placementName(cfg_.placement);
-    report.chipCount = 1;
-    ChipResult cr;
-    cr.id = 0;
-    cr.model = workloads_[0].name;
-    cr.serve = rt.run();
-    cr.routed = cr.serve.requests + cr.serve.shedRequests;
-    report.requests = cr.serve.requests;
-    report.offeredRps = cr.serve.offeredRps;
-    report.achievedRps = cr.serve.achievedRps;
-    report.p50Ms = cr.serve.p50Ms;
-    report.p95Ms = cr.serve.p95Ms;
-    report.p99Ms = cr.serve.p99Ms;
-    report.sloAttainment = cr.serve.sloAttainment;
-    report.goodputRps = cr.serve.goodputRps;
-    report.horizonTicks = cr.serve.horizonTicks;
-    report.chips.push_back(std::move(cr));
-    return report;
-}
-
-PodReport
 PodRuntime::run()
 {
-    // One chip serving one model needs no router and no
-    // interconnect: delegate to the single-chip runtime so the serve
-    // report is byte-identical to the single-chip path.
-    if (cfg_.chips == 1 && workloads_.size() == 1)
-        return runSingle();
-
     const int K = cfg_.chips;
     const auto kNever = serve::Batcher::kNever;
 
@@ -421,6 +361,14 @@ PodRuntime::run()
 
     Interconnect ic(cfg_.interconnect, K);
     Router router(cfg_.router, K);
+
+    /** Charge one chip-boundary payload on the interconnect; returns
+     * its delivery tick. A 1-chip pod has no fabric: nothing crosses
+     * a chip boundary, so every payload lands when it is sent. */
+    const auto hop = [&](int c, bool inbound, Tick when, Bytes bytes,
+                         PayloadClass cls) {
+        return K == 1 ? when : ic.transfer(c, inbound, when, bytes, cls);
+    };
 
     const std::uint64_t faultSeedBase =
         cfg_.faultSeed ? cfg_.faultSeed
@@ -526,10 +474,13 @@ PodRuntime::run()
     chips.reserve(static_cast<std::size_t>(K));
     for (int c = 0; c < K; ++c) {
         const int model = chipModel_[static_cast<std::size_t>(c)];
+        // A 1-chip pod's one back-end takes the serving seed itself,
+        // so its probe streams are ServeRuntime's (the K = 1 identity).
         const std::uint64_t chipSeed =
-            cfg_.serve.seed ^
-            (0x6a09e667f3bcc909ULL *
-             static_cast<std::uint64_t>(c + 1));
+            K == 1 ? cfg_.serve.seed
+                   : cfg_.serve.seed ^
+                         (0x6a09e667f3bcc909ULL *
+                          static_cast<std::uint64_t>(c + 1));
         chips.push_back(std::make_unique<ChipBackend>(
             c, model, workloads_[static_cast<std::size_t>(model)],
             chipSeed, hw_, schedCfg_, policy_, cfg_.serve, ctx));
@@ -553,37 +504,20 @@ PodRuntime::run()
         // The model's weight working set streams in over the chip's
         // ingress link before it can serve (all chips in parallel —
         // each has its own link).
-        b.backend.delayUntil(ic.transfer(b.id, true, 0, b.weightBytes,
-                                         PayloadClass::Weights));
+        b.backend.delayUntil(
+            hop(b.id, true, 0, b.weightBytes, PayloadClass::Weights));
     }
 
     // ---- pod front-end ---------------------------------------------
-    serve::ArrivalConfig arrivalCfg = cfg_.serve.arrival;
-    arrivalCfg.freqGhz = hw_.tech.freqGhz;
-    serve::ArrivalProcess arrivals(
-        arrivalCfg, cfg_.serve.seed ^ 0x9e3779b97f4a7c15ULL);
-    std::vector<double> fractions;
-    fractions.reserve(workloads_.size());
+    std::vector<serve::SourceModel> served;
     for (const PodWorkload &w : workloads_)
-        fractions.push_back(w.trafficFraction);
-    serve::TrafficSplitter splitter(
-        std::move(fractions),
-        cfg_.serve.seed ^ 0x94d049bb133111ebULL);
-    std::vector<trace::TraceGenerator> reqGens;
-    reqGens.reserve(workloads_.size());
-    for (std::size_t m = 0; m < workloads_.size(); ++m) {
-        trace::TraceConfig reqCfg = workloads_[m].traceCfg;
-        reqCfg.batchSize = 1;
-        reqGens.emplace_back(*workloads_[m].dg, reqCfg,
-                             cfg_.serve.seed ^
-                                 (0xbf58476d1ce4e5b9ULL *
-                                  static_cast<std::uint64_t>(m)));
-    }
+        served.push_back({w.dg, w.traceCfg, w.trafficFraction});
+    serve::OpenLoopSource source(served, hw_, cfg_.serve,
+                                 cfg_.serve.seed);
     serve::SloTracker podSlo(cfg_.serve.slo, hw_.tech.freqGhz);
 
     const auto total =
         static_cast<std::uint64_t>(cfg_.serve.numRequests);
-    std::uint64_t issued = 0;
     std::uint64_t completed = 0;
     std::uint64_t shedFront = 0;    ///< router shed (no chip / full)
     std::uint64_t darkChipSheds = 0;
@@ -591,9 +525,6 @@ PodRuntime::run()
     std::uint64_t drainedTotal = 0;
     std::uint64_t chipFailEvents = 0;
     std::uint64_t chipHeals = 0;
-    Tick nextArrival = arrivals.next();
-    const Tick firstArrival = nextArrival;
-    Tick lastArrival = nextArrival;
 
     // The pod arrival tick and model of every issued request, by id
     // (ids are dense). Re-routed requests keep their id, so their
@@ -706,8 +637,8 @@ PodRuntime::run()
                                bool is_reroute, bool is_hedge) {
         ChipBackend &b = *chips[static_cast<std::size_t>(c)];
         const Tick delivered =
-            ic.transfer(c, true, when, cfg_.interconnect.requestBytes,
-                        PayloadClass::Request);
+            hop(c, true, when, cfg_.interconnect.requestBytes,
+                PayloadClass::Request);
         const std::uint64_t id = r.id;
         r.arrival = delivered;
         b.inflight.push_back(std::move(r));
@@ -772,15 +703,10 @@ PodRuntime::run()
 
     /** Draw, route, and deliver (or shed) the next pod arrival. */
     const auto routeArrival = [&]() {
-        const Tick at = nextArrival;
-        const int model = splitter.next();
-        serve::Request r;
-        r.id = issued;
-        r.routing = reqGens[static_cast<std::size_t>(model)].next();
-        podArrivalOf[issued] = at;
-        modelOf[issued] = model;
-        lastArrival = at;
-        ++issued;
+        auto [r, model] = source.next();
+        const Tick at = r.arrival;
+        podArrivalOf[r.id] = at;
+        modelOf[r.id] = model;
         if (rel.hedging)
             routingOf[r.id] = r.routing;
         const double sig = static_cast<double>(trace::totalDynLoad(
@@ -806,7 +732,6 @@ PodRuntime::run()
             if (timeoutTicks > 0)
                 timers.push({at + timeoutTicks, id, 1});
         }
-        nextArrival = arrivals.next();
     };
 
     /** Apply every pod-scope chip_fail strike / heal due at or
@@ -877,9 +802,9 @@ PodRuntime::run()
             } else if (ev.recover && b.dark) {
                 b.dark = false;
                 ++chipHeals;
-                b.backend.delayUntil(
-                    ic.transfer(ev.chip, true, ev.at, b.weightBytes,
-                                PayloadClass::Weights));
+                b.backend.delayUntil(hop(ev.chip, true, ev.at,
+                                         b.weightBytes,
+                                         PayloadClass::Weights));
             }
             ++podFaultCursor;
             any = true;
@@ -931,12 +856,13 @@ PodRuntime::run()
         // arrival alone when the pod is idle — it defines the
         // clock), then re-pick.
         bool routedAny = false;
-        if (issued < total) {
+        if (source.pending()) {
             if (horizon == kNever) {
                 routeArrival();
                 routedAny = true;
             } else {
-                while (issued < total && nextArrival <= horizon) {
+                while (source.pending() &&
+                       source.nextArrival() <= horizon) {
                     routeArrival();
                     routedAny = true;
                 }
@@ -974,18 +900,15 @@ PodRuntime::run()
                     ++relStats.probeFailures;
                     continue;
                 }
-                const Tick in =
-                    ic.transfer(c, true, at, rel.probePayloadBytes,
-                                PayloadClass::Probe);
+                const Tick in = hop(c, true, at, rel.probePayloadBytes,
+                                    PayloadClass::Probe);
                 const double service =
                     static_cast<double>(rel.probeServiceCycles) *
                     slowFactorAt(
                         c, at + cfg_.interconnect.latencyCycles);
-                ic.transfer(c, false,
-                            in + static_cast<Tick>(
-                                     std::llround(service)),
-                            rel.probePayloadBytes,
-                            PayloadClass::Probe);
+                hop(c, false,
+                    in + static_cast<Tick>(std::llround(service)),
+                    rel.probePayloadBytes, PayloadClass::Probe);
                 feedSdc(c, at);
                 breakers[static_cast<std::size_t>(c)].recordPing(
                     at, service, true);
@@ -1123,10 +1046,10 @@ PodRuntime::run()
                 // The response serializes back over the chip's
                 // egress link; end-to-end latency is pod arrival to
                 // response delivery.
-                const Tick respTick = ic.transfer(
-                    bestIdx, false, d.result.batchEnds[bi],
-                    cfg_.interconnect.responseBytes,
-                    PayloadClass::Response);
+                const Tick respTick =
+                    hop(bestIdx, false, d.result.batchEnds[bi],
+                        cfg_.interconnect.responseBytes,
+                        PayloadClass::Response);
                 feedSdc(bestIdx, respTick);
                 podSlo.record(podArrivalOf[r.id], best, respTick);
                 if (rel.hedging) {
@@ -1178,11 +1101,7 @@ PodRuntime::run()
     relStats.icRetryBytes = ic.retryBytes();
     report.reliability = relStats;
     const double tickSec = 1.0 / (hw_.tech.freqGhz * 1e9);
-    if (issued > 1 && lastArrival > firstArrival)
-        report.offeredRps =
-            static_cast<double>(issued - 1) /
-            (static_cast<double>(lastArrival - firstArrival) *
-             tickSec);
+    report.offeredRps = source.offeredRps();
     report.horizonTicks = podSlo.lastEnd();
     if (report.horizonTicks > 0)
         report.achievedRps =

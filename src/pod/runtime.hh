@@ -11,12 +11,12 @@
  *
  * Placement is replicated (one model on every chip) or partitioned
  * (each model owns a contiguous chip group sized by its traffic
- * fraction; a TrafficSplitter draws each arrival's model). Routing
- * sees per-chip status snapshots — health, queue depth, projected
- * backlog, and the installed schedule's load signature — so the
- * schedule-affinity policy can steer requests toward chips whose
- * installed schedule already matches them, keeping drift monitors
- * quiet.
+ * fraction; the serve::OpenLoopSource that draws the pod's arrivals
+ * also draws each one's model). Routing sees per-chip status
+ * snapshots — health, queue depth, projected backlog, and the
+ * installed schedule's load signature — so the schedule-affinity
+ * policy can steer requests toward chips whose installed schedule
+ * already matches them, keeping drift monitors quiet.
  *
  * Pod-level fail-over composes with src/fault: the pod's fault plan
  * holds chip_fail events (whole chips going dark, optionally healing)
@@ -30,10 +30,14 @@
  * queueLimit) sheds at the front door instead of letting queues
  * collapse the survivors.
  *
- * A 1-chip, 1-model pod delegates to serve::ServeRuntime verbatim,
- * so its serve report (and JSON bytes) is identical to the
- * single-chip path — the equivalence gate that pins the pod layer as
- * a pure extension.
+ * Every chip count runs the same pod loop. A 1-chip pod differs
+ * only in two facts derived from the chip count: its one back-end
+ * takes serve.seed itself, and it has no fabric, so no payload
+ * crosses the interconnect. Its serve report (and JSON bytes) then
+ * equals serve::ServeRuntime's on the same config — the equivalence
+ * gate that pins the pod layer as a pure extension. Pod-scope
+ * faults, the router and the reliability layer act at K = 1 as at
+ * any K.
  */
 
 #ifndef ADYNA_POD_RUNTIME_HH
@@ -182,9 +186,9 @@ struct PodConfig
      * The per-chip serving template: arrival is the pod-aggregate
      * open-loop stream, numRequests the pod-wide total; batching /
      * slo / drift / re-scheduling knobs apply to every chip alike.
-     * admissionControl must stay off for K > 1 — the router's
-     * queueLimit is the pod's admission backpressure. faultPlan must
-     * stay empty: faults go into faultPlan / chipFaultPlans below.
+     * admissionControl must stay off — the router's queueLimit is
+     * the pod's admission backpressure. faultPlan must stay empty:
+     * faults go into faultPlan / chipFaultPlans below.
      */
     serve::ServeConfig serve;
 
@@ -194,8 +198,8 @@ struct PodConfig
     fault::FaultPlan faultPlan;
 
     /** Per-chip fault timelines (tile/link/probe/store-fit kinds;
-     * pod-scope kinds are rejected here). Empty, or one plan per
-     * chip. */
+     * the chip's FaultInjector rejects pod-scope kinds). Empty, or
+     * one plan per chip. */
     std::vector<fault::FaultPlan> chipFaultPlans;
 
     /** Seed for fault probe streams; 0 derives one from serve.seed. */
@@ -340,10 +344,6 @@ class PodRuntime : public serve::SharedCaches
     PodReport run();
 
   private:
-    /** 1-chip, 1-model delegation to serve::ServeRuntime
-     * (byte-identical serve report). */
-    PodReport runSingle();
-
     std::vector<PodWorkload> workloads_;
     arch::HwConfig hw_;
     core::SchedulerConfig schedCfg_;

@@ -110,43 +110,6 @@ ArrivalProcess::next()
         std::llround(nowSec_ * cfg_.freqGhz * 1e9));
 }
 
-TrafficSplitter::TrafficSplitter(std::vector<double> fractions,
-                                 std::uint64_t seed)
-    : rng_(seed)
-{
-    ADYNA_ASSERT(!fractions.empty(),
-                 "traffic split needs >= 1 model");
-    double sum = 0.0;
-    for (double f : fractions) {
-        ADYNA_ASSERT(f > 0.0, "traffic fractions must be > 0");
-        sum += f;
-    }
-    ADYNA_ASSERT(sum > 0.99 && sum < 1.01,
-                 "traffic fractions must sum to 1, got ", sum);
-    cdf_.reserve(fractions.size());
-    double acc = 0.0;
-    for (double f : fractions) {
-        acc += f / sum;
-        cdf_.push_back(acc);
-    }
-    cdf_.back() = 1.0; // exact, despite rounding
-    counts_.assign(fractions.size(), 0);
-}
-
-int
-TrafficSplitter::next()
-{
-    int pick = 0;
-    if (cdf_.size() > 1) {
-        const double u = rng_.uniform();
-        while (pick + 1 < static_cast<int>(cdf_.size()) &&
-               u >= cdf_[pick])
-            ++pick;
-    }
-    ++counts_[pick];
-    return pick;
-}
-
 std::vector<double>
 loadArrivalTrace(const std::string &path)
 {

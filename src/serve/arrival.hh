@@ -92,41 +92,6 @@ class ArrivalProcess
 };
 
 /**
- * Splits one pod-level arrival stream across M models: each arrival
- * draws a model index from a fixed categorical distribution, so a
- * single open-loop process feeds a pod serving a model mix (the
- * multi-model analogue of per-tenant arrival processes). Seeded and
- * deterministic; with one model it degenerates to the identity and
- * draws nothing, so single-model pods consume the same random
- * streams as a bare ArrivalProcess.
- */
-class TrafficSplitter
-{
-  public:
-    /** @param fractions per-model traffic shares; must be positive
-     * and sum to ~1 (re-normalized exactly). One entry disables the
-     * split. */
-    TrafficSplitter(std::vector<double> fractions,
-                    std::uint64_t seed);
-
-    /** Model index of the next arrival. */
-    int next();
-
-    int models() const { return static_cast<int>(cdf_.size()); }
-
-    /** Arrivals handed to each model so far. */
-    const std::vector<std::uint64_t> &counts() const
-    {
-        return counts_;
-    }
-
-  private:
-    std::vector<double> cdf_; ///< inclusive prefix sums, back() = 1
-    std::vector<std::uint64_t> counts_;
-    Rng rng_;
-};
-
-/**
  * Load an arrival-timestamp trace: one timestamp in seconds per
  * line, ascending, '#'-prefixed comments and blank lines ignored.
  * fatal() on unreadable files or non-monotone timestamps.

@@ -488,26 +488,61 @@ Backend::report(const arch::Chip &chip) const
     return r;
 }
 
-OpenLoopSource::OpenLoopSource(const graph::DynGraph &dg,
-                               const trace::TraceConfig &trace_cfg,
+OpenLoopSource::OpenLoopSource(const std::vector<SourceModel> &models,
                                const arch::HwConfig &hw,
                                const ServeConfig &cfg,
                                std::uint64_t seed)
     : cfg_(cfg), freqGhz_(hw.tech.freqGhz),
       deadlineTicks_(cfg.slo.deadlineMs * hw.tech.freqGhz * 1e6),
       arrivals_(arrivalConfig(cfg, hw), seed ^ 0x9e3779b97f4a7c15ULL),
-      reqGen_(dg, perRequest(trace_cfg), seed),
+      splitRng_(seed ^ 0x94d049bb133111ebULL),
       total_(static_cast<std::uint64_t>(cfg.numRequests)),
       nextArrival_(arrivals_.next()), firstArrival_(nextArrival_),
       lastArrival_(nextArrival_)
 {
+    ADYNA_ASSERT(!models.empty(), "an open-loop source needs a model");
+    double sum = 0.0;
+    for (const SourceModel &m : models)
+        sum += m.trafficFraction;
+    double acc = 0.0;
+    reqGens_.reserve(models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        acc += models[m].trafficFraction / sum;
+        splitCdf_.push_back(acc);
+        reqGens_.emplace_back(*models[m].dg,
+                              perRequest(models[m].traceCfg),
+                              seed ^ (0xbf58476d1ce4e5b9ULL *
+                                      static_cast<std::uint64_t>(m)));
+    }
+    splitCdf_.back() = 1.0; // exact, despite rounding
+}
+
+OpenLoopSource::Arrival
+OpenLoopSource::next()
+{
+    Arrival a;
+    if (splitCdf_.size() > 1) {
+        const double u = splitRng_.uniform();
+        while (a.model + 1 < static_cast<int>(splitCdf_.size()) &&
+               u >= splitCdf_[static_cast<std::size_t>(a.model)])
+            ++a.model;
+    }
+    a.request.id = issued_;
+    a.request.arrival = nextArrival_;
+    a.request.routing =
+        reqGens_[static_cast<std::size_t>(a.model)].next();
+    lastArrival_ = nextArrival_;
+    ++issued_;
+    nextArrival_ = arrivals_.next();
+    return a;
 }
 
 Tick
 OpenLoopSource::admit(Backend &be)
 {
     Batcher &batcher = be.batcher();
-    while (issued_ < total_ && nextArrival_ <= be.nextDispatch()) {
+    while (pending() && nextArrival_ <= be.nextDispatch()) {
+        bool shed = false;
         if (cfg_.admissionControl && be.haveService()) {
             const Tick engineFree = be.engineFree();
             const double backlog =
@@ -522,40 +557,36 @@ OpenLoopSource::admit(Backend &be)
             const double queuedAhead =
                 static_cast<double>(batcher.queued()) /
                 cfg_.batching.maxBatch;
-            if (backlog + (1.0 + queuedAhead) * be.serviceEwma() >
-                cfg_.shedLatencyFactor * deadlineTicks_) {
-                // Shed: draw (and discard) the routing so the dynamism
-                // stream stays aligned with a non-shedding run of the
-                // same seed.
-                (void)reqGen_.next();
-                lastArrival_ = nextArrival_;
-                ++issued_;
-                ++shed_;
-                nextArrival_ = arrivals_.next();
-                continue;
-            }
+            shed = backlog + (1.0 + queuedAhead) * be.serviceEwma() >
+                   cfg_.shedLatencyFactor * deadlineTicks_;
         }
-        Request r;
-        r.id = issued_;
-        r.arrival = nextArrival_;
-        r.routing = reqGen_.next();
-        lastArrival_ = nextArrival_;
-        batcher.enqueue(std::move(r));
-        ++issued_;
-        nextArrival_ = arrivals_.next();
+        // A shed request is still drawn (and discarded), so the
+        // dynamism stream stays aligned with a non-shedding run of
+        // the same seed.
+        Request r = next().request;
+        if (shed)
+            ++shed_;
+        else
+            batcher.enqueue(std::move(r));
     }
     return be.nextDispatch();
+}
+
+double
+OpenLoopSource::offeredRps() const
+{
+    if (issued_ < 2 || lastArrival_ <= firstArrival_)
+        return 0.0;
+    const double tickSec = 1.0 / (freqGhz_ * 1e9);
+    return static_cast<double>(issued_ - 1) /
+           (static_cast<double>(lastArrival_ - firstArrival_) *
+            tickSec);
 }
 
 void
 OpenLoopSource::fillReport(ServeReport &r) const
 {
-    const double tickSec = 1.0 / (freqGhz_ * 1e9);
-    if (issued_ > 1 && lastArrival_ > firstArrival_)
-        r.offeredRps = static_cast<double>(issued_ - 1) /
-                       (static_cast<double>(lastArrival_ -
-                                            firstArrival_) *
-                        tickSec);
+    r.offeredRps = offeredRps();
     r.shedRequests = shed_;
     ADYNA_ASSERT(r.requests + r.shedRequests == total_, "\"",
                  r.workload, "\": ", r.requests, " completed + ",

@@ -259,22 +259,52 @@ class Backend
     ServeReport stats_;
 };
 
+/** One model an open-loop stream serves: its graph, its dynamism
+ * model at the compiled batch size, and its share of the arrivals. */
+struct SourceModel
+{
+    const graph::DynGraph *dg = nullptr;
+    trace::TraceConfig traceCfg;
+    double trafficFraction = 1.0;
+};
+
 /**
- * One open-loop request stream admitted into a Backend: arrivals
- * drawn from an ArrivalProcess, each carrying its own single-sample
- * routing draw, under deadline-aware admission control. This is
- * ServeRuntime's arrival layer and each tenant's in the multi-tenant
- * runtime (the pod routes one pod-wide stream instead).
+ * One open-loop request stream: arrivals drawn from an
+ * ArrivalProcess, each assigned a model by its traffic fraction and
+ * carrying that model's own single-sample routing draw. ServeRuntime
+ * and each tenant of the multi-tenant runtime admit it into one
+ * Backend under deadline-aware admission control (admit()); the pod
+ * draws it one request at a time (next()) and routes each request
+ * to a chip.
  */
 class OpenLoopSource
 {
   public:
-    /** @param seed seeds the arrival (seed ^ const) and request
-     * (seed) streams. */
-    OpenLoopSource(const graph::DynGraph &dg,
-                   const trace::TraceConfig &trace_cfg,
+    /** One drawn request and the index of its model. */
+    struct Arrival
+    {
+        Request request;
+        int model = 0;
+    };
+
+    /** @param models the served models (fractions summing to 1).
+     * @param seed seeds the arrival (seed ^ const), model-split
+     * (seed ^ const, drawn only with two or more models) and
+     * per-model request (seed ^ const * m, so seed for model 0)
+     * streams. */
+    OpenLoopSource(const std::vector<SourceModel> &models,
                    const arch::HwConfig &hw, const ServeConfig &cfg,
                    std::uint64_t seed);
+
+    /** The stream has requests left to draw. */
+    bool pending() const { return issued_ < total_; }
+
+    /** Arrival tick of the next request. */
+    Tick nextArrival() const { return nextArrival_; }
+
+    /** Draw the next request: id (dense, from 0), arrival tick,
+     * routing, and its model. */
+    Arrival next();
 
     /**
      * Admit every arrival that lands no later than @p be's next
@@ -296,6 +326,10 @@ class OpenLoopSource
     /** SLO deadline, ticks. */
     double deadlineTicks() const { return deadlineTicks_; }
 
+    /** Mean offered load of the arrivals drawn so far, requests per
+     * second (0 before the second). */
+    double offeredRps() const;
+
     /** Fill offeredRps and shedRequests, and check that every request
      * was either completed or shed. */
     void fillReport(ServeReport &r) const;
@@ -305,7 +339,11 @@ class OpenLoopSource
     double freqGhz_;
     double deadlineTicks_;
     ArrivalProcess arrivals_;
-    trace::TraceGenerator reqGen_;
+    /** Model split: inclusive prefix sums of the traffic fractions,
+     * back() = 1. */
+    std::vector<double> splitCdf_;
+    Rng splitRng_;
+    std::vector<trace::TraceGenerator> reqGens_;
     std::uint64_t total_;
     std::uint64_t issued_ = 0;
     std::uint64_t shed_ = 0;

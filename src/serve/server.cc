@@ -148,7 +148,8 @@ ServeRuntime::run()
     be.bringUp();
 
     // ---- the serving loop ------------------------------------------
-    OpenLoopSource source(dg_, traceCfg_, hw_, cfg_, cfg_.seed);
+    OpenLoopSource source({{&dg_, traceCfg_, 1.0}}, hw_, cfg_,
+                          cfg_.seed);
     while (!source.finished(be)) {
         // Dispatch every batch formable at the dispatch moment in one
         // engine period: batches formed while the engine was busy

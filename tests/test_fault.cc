@@ -5,8 +5,9 @@
  * plans, chip healthy-tile bookkeeping, NoC link-down detours and
  * probe-drop retry accounting, injector timelines (strike + heal),
  * degraded scheduling onto survivors, degraded lockstep execution,
- * and the serve-side fail-over / watchdog / admission-control paths
- * — including the empty-plan byte-identity guarantee.
+ * the serve-side fail-over / watchdog / admission-control paths —
+ * including the empty-plan byte-identity guarantee — and the
+ * rejection of pod-scope kinds by every single-chip runtime.
  */
 
 #include <gtest/gtest.h>
@@ -723,6 +724,36 @@ TEST(ServeFault, EmptyPlanKeepsServeReportBytes)
     const std::string json = serve::toJson(plain);
     EXPECT_EQ(json.find("shed_requests"), std::string::npos);
     EXPECT_EQ(json.find("failovers"), std::string::npos);
+}
+
+// ------------------------------------------- pod-scope kinds rejected
+
+/** One plan per pod-scope kind: only PodConfig::faultPlan takes
+ * them. */
+const char *const kPodScopePlans[] = {
+    "chip_fail@1000:chip=0",
+    "chip_slow@1000:chip=0,factor=2",
+    "link_flaky@1000:chip=0,prob=0.5",
+    "payload_corrupt@1000:prob=0.5",
+};
+
+TEST(FaultInjectorDeathTest, ServeRuntimeRejectsPodScopeKinds)
+{
+    for (const char *text : kPodScopePlans) {
+        ServeParams p;
+        p.planText = text;
+        EXPECT_EXIT(faultServe(p), ::testing::ExitedWithCode(1),
+                    "PodConfig::faultPlan")
+            << text;
+    }
+}
+
+TEST(FaultInjectorDeathTest, SystemRejectsPodScopeKinds)
+{
+    for (const char *text : kPodScopePlans)
+        EXPECT_EXIT(faultedRun(baselines::Design::Adyna, text),
+                    ::testing::ExitedWithCode(1), "PodConfig::faultPlan")
+            << text;
 }
 
 } // namespace

@@ -5,10 +5,12 @@
  * accounting, backpressure divert-then-shed, adaptive vs static
  * fail-over eligibility), Interconnect serialization/latency/FIFO
  * math and per-class byte accounting, the K=1 byte-identity gate
- * against serve::ServeRuntime, multi-chip determinism, chip-loss
- * drain + re-route, heal-time weight re-streaming, partitioned
- * placement, hedge exactly-once under chip loss, per-request
- * timeouts, and the on-drift schedule search on every chip.
+ * against serve::ServeRuntime (fault-free and under a per-chip
+ * plan), chip_fail at K=1, configuration rejections, multi-chip
+ * determinism, chip-loss drain + re-route, heal-time weight
+ * re-streaming, partitioned placement, hedge exactly-once under chip
+ * loss, per-request timeouts, and the on-drift schedule search on
+ * every chip.
  */
 
 #include <gtest/gtest.h>
@@ -469,37 +471,98 @@ midRunStrike(unsigned requests, const char *extra = "", int chip = 1)
            ":chip=" + std::to_string(chip) + extra;
 }
 
-TEST(PodRuntime, SingleChipPodMatchesServeRuntimeByteForByte)
+/** Run a 1-chip pod and a ServeRuntime on the same serving config,
+ * with @p plan as the pod chip's fault plan and as
+ * ServeConfig.faultPlan, and expect byte-identical serve reports. */
+PodReport
+expectSingleChipPodMatchesServe(const TestWorkload &w,
+                                const serve::ServeConfig &sc,
+                                const fault::FaultPlan &plan)
 {
-    TestWorkload w("skipnet", 8);
     const arch::HwConfig hw;
     const auto schedCfg =
         baselines::schedulerConfig(baselines::Design::Adyna);
     const auto policy =
         baselines::execPolicy(baselines::Design::Adyna);
-    const serve::ServeConfig sc = smokeServeConfig(7, 200);
 
-    serve::ServeRuntime direct(w.dg, w.tc, hw, schedCfg, policy, sc,
-                               "skipnet");
+    serve::ServeConfig direct = sc;
+    direct.faultPlan = plan;
+    serve::ServeRuntime rt(w.dg, w.tc, hw, schedCfg, policy, direct,
+                           "skipnet");
     kernels::KernelStoreCache directStores;
-    direct.setSharedStoreCache(&directStores);
-    const std::string want = serve::toJson(direct.run());
+    rt.setSharedStoreCache(&directStores);
+    const std::string want = serve::toJson(rt.run());
 
     PodConfig pc;
     pc.chips = 1;
     pc.serve = sc;
-    PodRuntime rt({{&w.dg, w.tc, "skipnet", 1.0}}, hw, schedCfg,
-                  policy, pc);
+    if (!plan.empty())
+        pc.chipFaultPlans = {plan};
+    PodRuntime pod({{&w.dg, w.tc, "skipnet", 1.0}}, hw, schedCfg,
+                   policy, pc);
     kernels::KernelStoreCache podStores;
-    rt.setSharedStoreCache(&podStores);
-    const PodReport pr = rt.run();
+    pod.setSharedStoreCache(&podStores);
+    const PodReport pr = pod.run();
 
-    ASSERT_EQ(pr.chips.size(), 1u);
-    EXPECT_EQ(serve::toJson(pr.chips[0].serve), want);
     EXPECT_EQ(pr.chipCount, 1);
-    EXPECT_EQ(pr.requests, pr.chips[0].serve.requests);
-    EXPECT_EQ(pr.chips[0].model, "skipnet");
-    EXPECT_FALSE(pr.chips[0].dark);
+    EXPECT_EQ(pr.chips.size(), 1u);
+    if (pr.chips.size() == 1) {
+        EXPECT_EQ(serve::toJson(pr.chips[0].serve), want);
+        EXPECT_EQ(pr.requests, pr.chips[0].serve.requests);
+        EXPECT_EQ(pr.chips[0].model, "skipnet");
+        EXPECT_FALSE(pr.chips[0].dark);
+    }
+    // No fabric: nothing crossed a chip boundary.
+    EXPECT_EQ(pr.icTransfers, 0u);
+    return pr;
+}
+
+TEST(PodRuntime, SingleChipPodMatchesServeRuntimeByteForByte)
+{
+    TestWorkload w("skipnet", 8);
+    expectSingleChipPodMatchesServe(w, smokeServeConfig(7, 200), {});
+
+    // A pod chip's own fault plan replays exactly like a single-chip
+    // runtime's: one tile failure forces one fail-over, and the
+    // probe-drop window drops probes.
+    TestWorkload drifting("skipnet", 8, 0.9);
+    const PodReport pr = expectSingleChipPodMatchesServe(
+        drifting, smokeServeConfig(7, 400),
+        fault::parseFaultPlanOrDie(
+            "tile_fail@200000:tile=17;"
+            "probe_drop@100000:prob=0.3,duration=300000"));
+    ASSERT_EQ(pr.chips.size(), 1u);
+    EXPECT_EQ(pr.chips[0].serve.failovers, 1);
+    EXPECT_GT(pr.chips[0].serve.probeDrops, 0u);
+}
+
+TEST(PodRuntime, SingleChipPodGoesDarkOnChipFail)
+{
+    // chip_fail darkens a 1-chip pod exactly as it darkens one chip
+    // of a larger pod: every request not dispatched by the strike is
+    // lost, shed at the front door (adaptive: no live chip) or
+    // counted as a dark-chip shed (static pinning).
+    PodConfig pc;
+    pc.chips = 1;
+    pc.serve = smokeServeConfig(7, 300);
+    pc.faultPlan = fault::parseFaultPlanOrDie("chip_fail@200000:chip=0");
+    const PodReport adaptive = skipnetPod(pc);
+    pc.router.reRouteOnFailure = false;
+    const PodReport pinned = skipnetPod(pc);
+
+    for (const PodReport *r : {&adaptive, &pinned}) {
+        EXPECT_EQ(r->chipFailEvents, 1u);
+        ASSERT_EQ(r->chips.size(), 1u);
+        EXPECT_TRUE(r->chips[0].dark);
+        EXPECT_GT(r->requests, 0u);
+        EXPECT_LT(r->requests, 300u);
+        EXPECT_EQ(r->icTransfers, 0u);
+    }
+    EXPECT_EQ(adaptive.requests, pinned.requests);
+    EXPECT_EQ(adaptive.shedRequests, 300u - adaptive.requests);
+    EXPECT_EQ(adaptive.darkChipSheds, 0u);
+    EXPECT_EQ(pinned.darkChipSheds, 300u - pinned.requests);
+    EXPECT_EQ(pinned.shedRequests, 0u);
 }
 
 TEST(PodRuntimeDeathTest, ServeFaultPlanIsRejectedAtAnyChipCount)
@@ -515,6 +578,36 @@ TEST(PodRuntimeDeathTest, ServeFaultPlanIsRejectedAtAnyChipCount)
             fault::parseFaultPlanOrDie("tile_fail@200000:tile=17");
         EXPECT_EXIT(skipnetPod(pc), ::testing::ExitedWithCode(1),
                     "chipFaultPlans")
+            << chips << " chips";
+    }
+}
+
+TEST(PodRuntimeDeathTest, AdmissionControlIsRejectedAtAnyChipCount)
+{
+    // The router's queueLimit is the pod's admission backpressure.
+    for (const int chips : {1, 2}) {
+        PodConfig pc;
+        pc.chips = chips;
+        pc.serve = smokeServeConfig(7, 50);
+        pc.serve.admissionControl = true;
+        EXPECT_DEATH(skipnetPod(pc), "admissionControl")
+            << chips << " chips";
+    }
+}
+
+TEST(PodRuntimeDeathTest, ChipFaultPlanRejectsPodScopeKinds)
+{
+    // A chip's own plan replays on that chip's FaultInjector, which
+    // refuses the pod-scope kinds at every K.
+    for (const int chips : {1, 2}) {
+        PodConfig pc;
+        pc.chips = chips;
+        pc.serve = smokeServeConfig(7, 50);
+        pc.chipFaultPlans.assign(
+            static_cast<std::size_t>(chips),
+            fault::parseFaultPlanOrDie("chip_fail@1000:chip=0"));
+        EXPECT_EXIT(skipnetPod(pc), ::testing::ExitedWithCode(1),
+                    "PodConfig::faultPlan")
             << chips << " chips";
     }
 }
