@@ -156,6 +156,37 @@ computeCyclesPerRow(const LoopDims &per_tile, const TechParams &tech)
         std::min({plain, foldS, foldRS}));
 }
 
+Cycles
+kernelCycles(const graph::OpNode &op, const LoopDims &compiled,
+             const LoopDims &per_tile, std::int64_t exec_n, int tiles,
+             const TechParams &tech)
+{
+    // Fused epilogue ops ride along in the pipeline: no extra cycles
+    // charged (Section VI-B).
+    if (graph::isCompute(op.kind))
+        return static_cast<Cycles>(static_cast<double>(per_tile.n()) *
+                                   computeCyclesPerRow(per_tile, tech));
+    return vectorOpCycles(
+        exec_n * compiled.k() * compiled.p() * compiled.q(), tiles, tech);
+}
+
+Bytes
+residentWeightBytes(const graph::OpNode &op, int k_split)
+{
+    // weightBytes() is 0 for a vector op, so this is too.
+    return static_cast<Bytes>(
+        ceilDiv(static_cast<std::int64_t>(op.weightBytes()), k_split));
+}
+
+Bytes
+spadFootprint(const graph::OpNode &op, const LoopDims &block,
+              Bytes resident_weights)
+{
+    return resident_weights +
+           2 * (inputBlockBytes(block, op.stride, op.dtypeBytes) +
+                outputBlockBytes(block, op.dtypeBytes));
+}
+
 KernelCost
 evalKernel(const graph::OpNode &op, const Mapping &mapping,
            std::int64_t actual_n, bool fitting, const TechParams &tech)
@@ -186,17 +217,8 @@ evalKernel(const graph::OpNode &op, const Mapping &mapping,
     }
 
     const bool compute = graph::isCompute(op.kind);
-    if (compute) {
-        cost.cycles = static_cast<Cycles>(
-            static_cast<double>(perTile.n()) *
-            computeCyclesPerRow(perTile, tech));
-        // Fused epilogue ops ride along in the pipeline: no extra
-        // cycles charged (Section VI-B).
-    } else {
-        const std::int64_t elems =
-            execNTotal * compiled.k() * compiled.p() * compiled.q();
-        cost.cycles = vectorOpCycles(elems, mapping.tiles, tech);
-    }
+    cost.cycles = kernelCycles(op, compiled, perTile, execNTotal,
+                               mapping.tiles, tech);
 
     // --- MAC accounting ----------------------------------------------
     const std::int64_t restMacs = compiled.k() * compiled.c() *
@@ -279,18 +301,9 @@ evalKernel(const graph::OpNode &op, const Mapping &mapping,
     }
 
     // --- scratchpad footprint -----------------------------------------
-    const int fK = mapping.splitFactor(Dim::K);
-    const Bytes perTileWeights = compute
-                                     ? static_cast<Bytes>(ceilDiv(
-                                           static_cast<std::int64_t>(
-                                               op.weightBytes()),
-                                           fK))
-                                     : 0;
-    const Bytes blockIn =
-        inputBlockBytes(mapping.spadBlock, op.stride, op.dtypeBytes);
-    const Bytes blockOut =
-        outputBlockBytes(mapping.spadBlock, op.dtypeBytes);
-    cost.spadFootprint = perTileWeights + 2 * (blockIn + blockOut);
+    cost.spadFootprint = spadFootprint(
+        op, mapping.spadBlock,
+        residentWeightBytes(op, mapping.splitFactor(Dim::K)));
 
     // --- energy --------------------------------------------------------
     cost.computeEnergyPj =

@@ -106,6 +106,33 @@ Cycles vectorOpCycles(std::int64_t elements, int tiles,
 double computeCyclesPerRow(const graph::LoopDims &per_tile,
                            const TechParams &tech);
 
+/**
+ * Makespan cycles of one kernel execution: a compute op runs the
+ * @p per_tile rows through the PE array (computeCyclesPerRow); a
+ * vector op streams @p exec_n x K x P x Q elements of @p compiled
+ * over @p tiles tiles (vectorOpCycles). The one cycles formula of
+ * evalKernel and the mapper's search.
+ */
+Cycles kernelCycles(const graph::OpNode &op,
+                    const graph::LoopDims &compiled,
+                    const graph::LoopDims &per_tile, std::int64_t exec_n,
+                    int tiles, const TechParams &tech);
+
+/**
+ * Weight bytes each tile keeps resident when @p op's K dim is split
+ * @p k_split ways (0 for a vector op, which has no weights).
+ */
+Bytes residentWeightBytes(const graph::OpNode &op, int k_split);
+
+/**
+ * Per-tile scratchpad footprint: @p resident_weights plus the
+ * double-buffered input (with halo) and output blocks of extents
+ * @p block. The one footprint formula of evalKernel and the mapper's
+ * scratchpad blocking and feasibility test.
+ */
+Bytes spadFootprint(const graph::OpNode &op, const graph::LoopDims &block,
+                    Bytes resident_weights);
+
 } // namespace adyna::costmodel
 
 #endif // ADYNA_COSTMODEL_COST_HH

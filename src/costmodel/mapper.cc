@@ -1,7 +1,8 @@
 #include "costmodel/mapper.hh"
 
-#include <algorithm>
+#include <array>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -19,85 +20,88 @@ ceilDiv(std::int64_t a, std::int64_t b)
     return (a + b - 1) / b;
 }
 
-/** Factor pairs (a, b) with a * b == t, a <= b included both ways. */
-std::vector<std::pair<int, int>>
-factorPairs(int t)
+/** One candidate spatial split: up to two (dim, factor) pairs. */
+struct Split
 {
-    std::vector<std::pair<int, int>> out;
-    for (int a = 1; a * a <= t; ++a) {
-        if (t % a != 0)
-            continue;
-        const int b = t / a;
-        out.emplace_back(a, b);
-        if (a != b)
-            out.emplace_back(b, a);
-    }
-    return out;
-}
+    std::array<SpatialSplit, 2> part{};
+    std::size_t count = 0;
 
-/** Candidate spatial splits over {N, K, P} totalling exactly tiles. */
-std::vector<std::vector<SpatialSplit>>
-splitCandidates(const LoopDims &dims, int tiles)
+    std::span<const SpatialSplit> parts() const
+    {
+        return std::span(part).first(count);
+    }
+};
+
+/**
+ * Visit the candidate spatial splits over {N, K, P} totalling exactly
+ * @p tiles, in the search's tie-breaking order: no split for one
+ * tile; otherwise each 1-D split, then each ordered pair of distinct
+ * dims over each factor pair a x b == tiles with a, b >= 2 (a
+ * ascending, (b, a) right after (a, b)).
+ */
+template <class Visit>
+void
+forEachSplit(int tiles, Visit &&visit)
 {
-    const Dim spatialDims[3] = {Dim::N, Dim::K, Dim::P};
-    std::vector<std::vector<SpatialSplit>> out;
+    const Dim spatial[3] = {Dim::N, Dim::K, Dim::P};
+    Split split;
     if (tiles == 1) {
-        out.push_back({});
-        return out;
+        visit(split);
+        return;
     }
-    for (Dim d : spatialDims) {
-        (void)dims;
-        out.push_back({SpatialSplit{d, tiles}});
+    split.count = 1;
+    for (Dim d : spatial) {
+        split.part[0] = {d, tiles};
+        visit(split);
     }
-    for (Dim d1 : spatialDims) {
-        for (Dim d2 : spatialDims) {
+    split.count = 2;
+    for (Dim d1 : spatial) {
+        for (Dim d2 : spatial) {
             if (d1 == d2)
                 continue;
-            for (const auto &[a, b] : factorPairs(tiles)) {
-                if (a == 1 || b == 1)
-                    continue; // covered by the 1D cases
-                out.push_back(
-                    {SpatialSplit{d1, a}, SpatialSplit{d2, b}});
+            for (int a = 2; a * a <= tiles; ++a) {
+                if (tiles % a != 0)
+                    continue;
+                const int b = tiles / a;
+                split.part = {SpatialSplit{d1, a}, SpatialSplit{d2, b}};
+                visit(split);
+                if (a != b) {
+                    split.part = {SpatialSplit{d1, b}, SpatialSplit{d2, a}};
+                    visit(split);
+                }
             }
         }
     }
-    return out;
 }
 
 /**
- * Pick the largest scratchpad blocking that fits the buffer budget:
- * start from full per-tile extents and shrink N, then P, then K
- * until the double-buffered working set plus resident weights fit.
+ * Shrink @p block (the full per-tile extents on entry) to the largest
+ * scratchpad blocking that fits @p budget: halve N, then P, then K
+ * until the double-buffered working set plus @p weights fit. Returns
+ * the block's footprint, which exceeds @p budget only if none fits.
  */
-LoopDims
-chooseSpadBlock(const graph::OpNode &op, const LoopDims &per_tile,
-                int weight_split, Bytes budget)
+Bytes
+chooseSpadBlock(const graph::OpNode &op, LoopDims &block, Bytes weights,
+                Bytes budget)
 {
-    LoopDims block = per_tile;
-    const auto footprint = [&](const LoopDims &b) {
-        const std::int64_t ih = (b.p() - 1) * op.stride + b.r();
-        const std::int64_t iw = (b.q() - 1) * op.stride + b.s();
-        const Bytes in =
-            static_cast<Bytes>(b.n() * b.c() * ih * iw) * op.dtypeBytes;
-        const Bytes outb =
-            static_cast<Bytes>(b.n() * b.k() * b.p() * b.q()) *
-            op.dtypeBytes;
-        const Bytes weights =
-            graph::isCompute(op.kind)
-                ? static_cast<Bytes>(
-                      ceilDiv(static_cast<std::int64_t>(op.weightBytes()),
-                              weight_split))
-                : 0;
-        return weights + 2 * (in + outb);
-    };
-
-    const Dim shrinkOrder[3] = {Dim::N, Dim::P, Dim::K};
-    for (Dim d : shrinkOrder) {
-        while (footprint(block) > budget && block[d] > 1)
+    Bytes footprint = spadFootprint(op, block, weights);
+    for (Dim d : {Dim::N, Dim::P, Dim::K}) {
+        while (footprint > budget && block[d] > 1) {
             block[d] = ceilDiv(block[d], 2);
+            footprint = spadFootprint(op, block, weights);
+        }
     }
-    return block;
+    return footprint;
 }
+
+/** What pass 1 knows of a split: all that no loop order changes. */
+struct SplitRank
+{
+    Split split;
+    LoopDims block;
+    Cycles cycles = 0;
+    bool feasible = false;
+};
 
 } // namespace
 
@@ -106,7 +110,8 @@ Mapper::Mapper(TechParams tech) : tech_(tech) {}
 Mapping
 Mapper::search(const graph::OpNode &op, std::int64_t n, int tiles)
 {
-    Key key{op.dims.ext, op.stride, op.dtypeBytes, n, tiles};
+    Key key{op.dims.ext, op.stride, op.dtypeBytes, n, tiles,
+            graph::isCompute(op.kind)};
     // The N extent in the key is superseded by the compiled value.
     std::get<0>(key)[0] = 0;
     {
@@ -148,48 +153,85 @@ Mapper::searchUncached(const graph::OpNode &op, std::int64_t n,
         static_cast<double>(tech_.spadBytes) *
         (1.0 - tech_.kernelSpadFraction));
 
-    Mapping best;
-    bool haveBest = false;
-    bool bestFeasible = false;
+    // Pass 1: rank every split by (feasible, cycles) and keep the
+    // splits tied at the best pair, in enumeration order.
+    std::vector<SplitRank> ties;
+    forEachSplit(tiles, [&](const Split &split) {
+        SplitRank r;
+        r.split = split;
+        LoopDims perTile = dims;
+        int kSplit = 1;
+        for (const SpatialSplit &s : split.parts()) {
+            perTile[s.dim] = ceilDiv(perTile[s.dim], s.factor);
+            if (s.dim == Dim::K)
+                kSplit = s.factor;
+        }
+        r.block = perTile;
+        r.feasible = chooseSpadBlock(op, r.block,
+                                     residentWeightBytes(op, kSplit),
+                                     budget) <= budget;
+        r.cycles = kernelCycles(op, dims, perTile, n, tiles, tech_);
+        if (!ties.empty()) {
+            const SplitRank &best = ties.front();
+            if (r.feasible == best.feasible && r.cycles == best.cycles) {
+                ties.push_back(r);
+                return;
+            }
+            if (r.feasible != best.feasible ? !r.feasible
+                                            : r.cycles > best.cycles)
+                return;
+            ties.clear();
+        }
+        ties.push_back(r);
+    });
+    ADYNA_ASSERT(!ties.empty(), "mapping search found no candidate");
+
+    // Pass 2: cost the loop orders of the tied splits only; the first
+    // strict minimum of (spill, SRAM) wins, as in a full
+    // split x order loop, where every other split loses earlier.
+    Mapping m;
+    m.compiledDims = dims;
+    m.tiles = tiles;
+    std::size_t bestTie = 0;
+    LoopOrder bestOrder = LoopOrder::NOuter;
     KernelCost bestCost;
-
-    for (const auto &splits : splitCandidates(dims, tiles)) {
+    bool haveBest = false;
+    for (std::size_t t = 0; t < ties.size(); ++t) {
+        const SplitRank &r = ties[t];
+        const auto parts = r.split.parts();
+        m.splits.assign(parts.begin(), parts.end());
+        m.spadBlock = r.block;
         for (int o = 0; o < kNumLoopOrders; ++o) {
-            Mapping m;
-            m.compiledDims = dims;
-            m.tiles = tiles;
-            m.splits = splits;
             m.order = static_cast<LoopOrder>(o);
-
-            LoopDims perTile = m.perTileDims();
-            m.spadBlock = chooseSpadBlock(
-                op, perTile, m.splitFactor(Dim::K), budget);
-
             const KernelCost cost =
                 evalKernel(op, m, n, /*fitting=*/true, tech_);
-            const bool feasible = cost.spadFootprint <= budget;
-
-            const auto better = [&]() {
-                if (!haveBest)
-                    return true;
-                if (feasible != bestFeasible)
-                    return feasible;
-                if (cost.cycles != bestCost.cycles)
-                    return cost.cycles < bestCost.cycles;
-                if (cost.dramSpillBytes != bestCost.dramSpillBytes)
-                    return cost.dramSpillBytes < bestCost.dramSpillBytes;
-                return cost.sramBytes < bestCost.sramBytes;
-            };
-            if (better()) {
-                best = m;
+#ifdef ADYNA_SANITIZE
+            ADYNA_ASSERT(cost.cycles == r.cycles &&
+                             (cost.spadFootprint <= budget) == r.feasible,
+                         "pass 1 disagrees with evalKernel on ", m.str());
+#endif
+            const bool better =
+                !haveBest ||
+                (cost.dramSpillBytes != bestCost.dramSpillBytes
+                     ? cost.dramSpillBytes < bestCost.dramSpillBytes
+                     : cost.sramBytes < bestCost.sramBytes);
+            if (better) {
+                bestTie = t;
+                bestOrder = m.order;
                 bestCost = cost;
                 haveBest = true;
-                bestFeasible = feasible;
             }
         }
     }
-    ADYNA_ASSERT(haveBest, "mapping search found no candidate");
-    return best;
+    costed_.fetch_add(kNumLoopOrders * ties.size(),
+                      std::memory_order_relaxed);
+
+    const SplitRank &win = ties[bestTie];
+    const auto parts = win.split.parts();
+    m.splits.assign(parts.begin(), parts.end());
+    m.spadBlock = win.block;
+    m.order = bestOrder;
+    return m;
 }
 
 } // namespace adyna::costmodel

@@ -4,16 +4,33 @@
  * one dyn_dim value onto a tile group (Section II-B's "kernel
  * generation" level). The search space is the spatial split of up to
  * two dims across the tiles, the DRAM-level loop order, and the
- * scratchpad blocking; the objective is makespan cycles, then DRAM
- * spills, then SRAM traffic. Results are memoized: the scheduler
- * asks for the same (op, value, tiles) triple many times.
+ * scratchpad blocking. Candidates rank by feasibility (the working
+ * set fits the scratchpad), then makespan cycles, then DRAM spills,
+ * then SRAM traffic; on a full tie the first candidate in
+ * enumeration order (split-major, then order) wins.
+ *
+ * The search runs in two exact passes. Feasibility, cycles and the
+ * scratchpad block depend only on the split, so pass 1 ranks every
+ * split by (feasible, cycles) through the cost model's own
+ * kernelCycles and spadFootprint, costing no loop order. Pass 2 runs
+ * evalKernel on the three orders of only the splits tied at the best
+ * pair, in enumeration order, and ranks them by (spills, SRAM). Any
+ * other candidate already loses on the first two keys, so the result
+ * is exactly the mapping an exhaustive split x order loop returns.
+ *
+ * Results are memoized: the scheduler asks for the same (op, value,
+ * tiles) triple many times. The memo key is the op's loop extents
+ * with N zeroed (the searched value supersedes the batch extent),
+ * stride, dtype, the value, the tile count, and whether the op is a
+ * compute op (the weights and the cycles formula depend on it).
  *
  * The memo cache is thread-safe (reader/writer lock), so one Mapper
  * can be shared across the concurrent runs of a bench sweep and the
  * identical exact-kernel searches are performed once per sweep
  * instead of once per System. Search results are deterministic and
  * independent of cache state, so sharing never changes simulation
- * outputs; only the hit/miss counters depend on the interleaving.
+ * outputs; only the hit/miss/costed counters depend on the
+ * interleaving.
  */
 
 #ifndef ADYNA_COSTMODEL_MAPPER_HH
@@ -41,9 +58,10 @@ class Mapper
     /**
      * Best mapping for @p op executed at batch extent @p n on
      * @p tiles tiles. Feasible (scratchpad-fitting) mappings are
-     * preferred; if none fits (oversized weights), the smallest-
-     * footprint mapping is returned and the caller must stream
-     * weights.
+     * preferred; if none fits (oversized weights), the infeasible
+     * mapping with the fewest cycles, then the least DRAM spill,
+     * then the least SRAM traffic is returned (footprint is not
+     * compared) and the caller must stream weights.
      */
     Mapping search(const graph::OpNode &op, std::int64_t n, int tiles);
 
@@ -63,9 +81,17 @@ class Mapper
         return misses_.load(std::memory_order_relaxed);
     }
 
+    /** evalKernel calls made by searches (misses) so far. */
+    std::uint64_t costed() const
+    {
+        return costed_.load(std::memory_order_relaxed);
+    }
+
   private:
+    /** (extents with N zeroed, stride, dtype, value, tiles, compute
+     * op); the flag goes last, where it fits in the tuple's padding. */
     using Key = std::tuple<std::array<std::int64_t, graph::kNumDims>,
-                           int, int, std::int64_t, int>;
+                           int, int, std::int64_t, int, bool>;
 
     Mapping searchUncached(const graph::OpNode &op, std::int64_t n,
                            int tiles) const;
@@ -75,6 +101,7 @@ class Mapper
     std::map<Key, Mapping> cache_;
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
+    mutable std::atomic<std::uint64_t> costed_{0};
 };
 
 } // namespace adyna::costmodel

@@ -139,6 +139,7 @@ KernelStoreCache::makeKey(const graph::OpNode &op,
     key.ext[0] = 0;
     key.stride = op.stride;
     key.dtypeBytes = op.dtypeBytes;
+    key.compute = graph::isCompute(op.kind);
     key.tiles = tiles;
     key.tech = techHash(tech);
     key.values = values;

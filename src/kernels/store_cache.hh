@@ -12,9 +12,11 @@
  * The key captures everything a compiled store depends on: the
  * operator's loop-nest signature (extents with N zeroed -- the
  * sampled values supersede the batch extent, mirroring the Mapper
- * memo key), stride, dtype, the exact clamped value set, the tile
- * count, and a hash of the technology parameters (so one shared
- * cache can serve hardware-sweep benches with different chips).
+ * memo key), stride, dtype, whether it is a compute op (the mapping
+ * search costs a vector op differently), the exact clamped value
+ * set, the tile count, and a hash of the technology parameters (so
+ * one shared cache can serve hardware-sweep benches with different
+ * chips).
  * Store compilation is deterministic given the key, so sharing a
  * cache across runs or threads never changes simulation outputs;
  * only the hit/miss counters depend on the interleaving (the same
@@ -97,6 +99,7 @@ class KernelStoreCache
         std::array<std::int64_t, graph::kNumDims> ext{};
         int stride = 1;
         int dtypeBytes = 2;
+        bool compute = false;
         int tiles = 1;
         std::uint64_t tech = 0;
         std::vector<std::int64_t> values;

@@ -2,16 +2,24 @@
  * @file
  * Unit tests for the dataflow cost model: the blocked-reuse traffic
  * formulas against hand-computed GEMM cases, compute-cycle ceilings,
- * kernel fitting semantics, mapper search quality, and the Table IV
+ * kernel fitting semantics, mapper search quality (and the two-pass
+ * search against an exhaustive reference), and the Table IV
  * area/power budget.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "costmodel/area.hh"
 #include "costmodel/cost.hh"
 #include "costmodel/mapper.hh"
 #include "graph/op.hh"
+#include "graph/parser.hh"
+#include "models/models.hh"
 
 namespace {
 
@@ -293,6 +301,34 @@ TEST(Mapper, MemoKeyDistinguishesStrideAndDtype)
     (void)mapper.search(fp32, 64, 4);
     EXPECT_EQ(mapper.hits(), 0u);
     EXPECT_EQ(mapper.misses(), 4u);
+
+    // A vector op with a compute op's dims: no weights and a
+    // different cycles formula, so a different mapping (N x 2 for
+    // the Norm, K x 2 for the MatMul).
+    OpNode norm = matmulOp(1, 64, 64);
+    norm.kind = OpKind::Norm;
+    const Mapping mm = mapper.search(matmulOp(1, 64, 64), 1, 2);
+    const Mapping vec = mapper.search(norm, 1, 2);
+    EXPECT_EQ(mapper.hits(), 0u);
+    EXPECT_EQ(mapper.misses(), 6u);
+    EXPECT_EQ(mm.splitFactor(Dim::K), 2);
+    EXPECT_EQ(vec.splitFactor(Dim::N), 2);
+    Mapper fresh(tech());
+    EXPECT_EQ(vec, fresh.search(norm, 1, 2));
+}
+
+TEST(Mapper, CostedCountsSearchEvaluationsOnly)
+{
+    // One tile has one (empty) split: its three loop orders are
+    // costed once, and neither a hit nor searchWithCost's own
+    // evaluation counts.
+    Mapper mapper(tech());
+    const OpNode op = matmulOp(128, 256, 256);
+    (void)mapper.search(op, 64, 1);
+    EXPECT_EQ(mapper.costed(), 3u);
+    (void)mapper.searchWithCost(op, 64, 1);
+    EXPECT_EQ(mapper.costed(), 3u);
+    EXPECT_EQ(mapper.misses(), 1u);
 }
 
 TEST(Mapper, DifferentValuesAreDifferentKernels)
@@ -423,3 +459,175 @@ TEST(BlockedTraffic, KOuterWithPinnedWeightsHasNoSpill)
 }
 
 } // namespace
+
+// ------------------------------ two-pass search vs exhaustive search
+
+namespace {
+
+/** Reference search: every spatial split x every loop order through
+ * evalKernel, keeping the first strict minimum of (infeasible,
+ * cycles, spill, SRAM) -- the mapper's search before it ranked splits
+ * first. Also reports how many splits tie at the winner's (feasible,
+ * cycles) pair. */
+struct Reference
+{
+    Mapping mapping;
+    bool feasible = false;
+    int tiedSplits = 0;
+};
+
+std::vector<std::vector<SpatialSplit>>
+referenceSplits(int tiles)
+{
+    if (tiles == 1)
+        return {{}};
+    const Dim spatial[3] = {Dim::N, Dim::K, Dim::P};
+    std::vector<std::pair<int, int>> pairs;
+    for (int a = 1; a * a <= tiles; ++a) {
+        if (tiles % a != 0)
+            continue;
+        pairs.emplace_back(a, tiles / a);
+        if (a != tiles / a)
+            pairs.emplace_back(tiles / a, a);
+    }
+    std::vector<std::vector<SpatialSplit>> out;
+    for (Dim d : spatial)
+        out.push_back({SpatialSplit{d, tiles}});
+    for (Dim d1 : spatial)
+        for (Dim d2 : spatial) {
+            if (d1 == d2)
+                continue;
+            for (const auto &[a, b] : pairs)
+                if (a != 1 && b != 1)
+                    out.push_back(
+                        {SpatialSplit{d1, a}, SpatialSplit{d2, b}});
+        }
+    return out;
+}
+
+LoopDims
+referenceSpadBlock(const OpNode &op, const LoopDims &per_tile,
+                   int weight_split, Bytes budget)
+{
+    LoopDims block = per_tile;
+    const auto footprint = [&](const LoopDims &b) {
+        const std::int64_t ih = (b.p() - 1) * op.stride + b.r();
+        const std::int64_t iw = (b.q() - 1) * op.stride + b.s();
+        const Bytes in =
+            static_cast<Bytes>(b.n() * b.c() * ih * iw) * op.dtypeBytes;
+        const Bytes out =
+            static_cast<Bytes>(b.n() * b.k() * b.p() * b.q()) *
+            op.dtypeBytes;
+        const std::int64_t w = static_cast<std::int64_t>(op.weightBytes());
+        const Bytes weights =
+            isCompute(op.kind)
+                ? static_cast<Bytes>((w + weight_split - 1) / weight_split)
+                : 0;
+        return weights + 2 * (in + out);
+    };
+    for (Dim d : {Dim::N, Dim::P, Dim::K})
+        while (footprint(block) > budget && block[d] > 1)
+            block[d] = (block[d] + 1) / 2;
+    return block;
+}
+
+Reference
+exhaustiveSearch(const OpNode &op, std::int64_t n, int tiles,
+                 const TechParams &t)
+{
+    const LoopDims dims = op.dims.with(Dim::N, n);
+    const Bytes budget = static_cast<Bytes>(
+        static_cast<double>(t.spadBytes) * (1.0 - t.kernelSpadFraction));
+    Reference best;
+    KernelCost bestCost;
+    bool haveBest = false;
+    std::vector<std::pair<bool, Cycles>> splitPairs;
+    for (const auto &splits : referenceSplits(tiles)) {
+        for (int o = 0; o < kNumLoopOrders; ++o) {
+            Mapping m;
+            m.compiledDims = dims;
+            m.tiles = tiles;
+            m.splits = splits;
+            m.order = static_cast<LoopOrder>(o);
+            m.spadBlock = referenceSpadBlock(
+                op, m.perTileDims(), m.splitFactor(Dim::K), budget);
+            const KernelCost cost = evalKernel(op, m, n, true, t);
+            const bool feasible = cost.spadFootprint <= budget;
+            if (o == 0)
+                splitPairs.emplace_back(feasible, cost.cycles);
+            const auto key = [](bool f, const KernelCost &c) {
+                return std::make_tuple(!f, c.cycles, c.dramSpillBytes,
+                                       c.sramBytes);
+            };
+            if (!haveBest ||
+                key(feasible, cost) < key(best.feasible, bestCost)) {
+                best.mapping = m;
+                best.feasible = feasible;
+                bestCost = cost;
+                haveBest = true;
+            }
+        }
+    }
+    best.tiedSplits = static_cast<int>(std::count(
+        splitPairs.begin(), splitPairs.end(),
+        std::make_pair(best.feasible, bestCost.cycles)));
+    return best;
+}
+
+} // namespace
+
+TEST(Mapper, TwoPassMatchesExhaustiveSearch)
+{
+    // Every distinct stage-op signature (the mapper memo key minus
+    // value and tiles) of the five paper models.
+    using Signature =
+        std::tuple<std::array<std::int64_t, kNumDims>, int, int, bool>;
+    std::map<Signature, OpNode> ops;
+    for (const std::string &name : models::workloadNames()) {
+        const DynGraph dg = parseModel(models::buildByName(name, 8).graph);
+        for (OpId id : dg.topo()) {
+            const OpNode &op = dg.graph().node(id);
+            if (!isCompute(op.kind) && !isFusable(op.kind))
+                continue;
+            auto ext = op.dims.ext;
+            ext[0] = 0;
+            ops.emplace(Signature{ext, op.stride, op.dtypeBytes,
+                                  isCompute(op.kind)},
+                        op);
+        }
+    }
+
+    const TechParams t = tech();
+    const std::int64_t values[] = {1,  2,  3,  5,  7,  8,  13, 16,
+                                   17, 31, 32, 47, 64, 97, 127, 128};
+    std::vector<int> tileCounts;
+    for (int tiles = 1; tiles <= 16; ++tiles)
+        tileCounts.push_back(tiles);
+    for (int tiles : {18, 20, 24, 30, 36, 42, 48, 56, 60, 64})
+        tileCounts.push_back(tiles);
+
+    int computeCases = 0, vectorCases = 0;
+    int feasibleWins = 0, infeasibleWins = 0, splitTies = 0;
+    for (const auto &[sig, op] : ops) {
+        for (std::int64_t n : values) {
+            for (int tiles : tileCounts) {
+                Mapper mapper(t);
+                const Reference ref = exhaustiveSearch(op, n, tiles, t);
+                ASSERT_EQ(mapper.search(op, n, tiles), ref.mapping)
+                    << opKindName(op.kind) << ' ' << op.dims.str()
+                    << " stride " << op.stride << " n " << n
+                    << " tiles " << tiles;
+                ++(isCompute(op.kind) ? computeCases : vectorCases);
+                ++(ref.feasible ? feasibleWins : infeasibleWins);
+                splitTies += ref.tiedSplits > 1;
+            }
+        }
+    }
+    // The cases cover both op classes, both feasibility outcomes, and
+    // winners whose (feasible, cycles) pair several splits share.
+    EXPECT_GT(computeCases, 0);
+    EXPECT_GT(vectorCases, 0);
+    EXPECT_GT(feasibleWins, 0);
+    EXPECT_GT(infeasibleWins, 0);
+    EXPECT_GT(splitTies, 0);
+}

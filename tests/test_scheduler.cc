@@ -304,6 +304,23 @@ TEST(Scheduler, InitialKernelValuesUniformAndCapped)
     }
 }
 
+TEST(Scheduler, ColdBuildMapperWorkIsPinned)
+{
+    // The mapper's deterministic work counters for one cold build (a
+    // fresh mapper, no store cache): every (op, value, tile count)
+    // the build compiles is one miss, and each miss costs only the
+    // loop orders of its splits tied at the best (feasible, cycles)
+    // pair. A change to either count is a change in search work.
+    const auto bundle = models::buildSkipNet(128);
+    const DynGraph dg = parseModel(bundle.graph);
+    costmodel::Mapper mapper(hw().tech);
+    Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
+    (void)sched.build({}, sched.initialKernelValues(), nullptr);
+    EXPECT_EQ(mapper.misses(), 138u);
+    // An exhaustive split x order search costs 4662 here.
+    EXPECT_EQ(mapper.costed(), 1068u);
+}
+
 } // namespace
 
 // ---- delta re-scheduling -------------------------------------------

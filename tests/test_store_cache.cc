@@ -101,7 +101,8 @@ TEST(StoreCache, DistinctKeysDoNotCollide)
     (void)cache.getOrCompile(op, kValues, 6, mapper, tech);
 
     // Different tile count, different value set, different K extent,
-    // different stride, different dtype: all separate entries.
+    // different stride, different dtype, a vector op with the same
+    // dims: all separate entries.
     (void)cache.getOrCompile(op, kValues, 8, mapper, tech);
     (void)cache.getOrCompile(op, {16, 48}, 6, mapper, tech);
     (void)cache.getOrCompile(matmulOp(128, 768, 256), kValues, 6,
@@ -112,10 +113,17 @@ TEST(StoreCache, DistinctKeysDoNotCollide)
     OpNode fp32 = op;
     fp32.dtypeBytes = 4;
     (void)cache.getOrCompile(fp32, kValues, 6, mapper, tech);
+    OpNode norm = op;
+    norm.kind = OpKind::Norm;
+    const auto normStore =
+        cache.getOrCompile(norm, kValues, 6, mapper, tech);
 
     EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 6u);
-    EXPECT_EQ(cache.size(), 6u);
+    EXPECT_EQ(cache.misses(), 7u);
+    EXPECT_EQ(cache.size(), 7u);
+    Mapper fresh(tech);
+    EXPECT_TRUE(
+        sameStore(*normStore, compileStore(norm, kValues, 6, fresh, tech)));
 }
 
 TEST(StoreCache, TechHashSeparatesChips)
