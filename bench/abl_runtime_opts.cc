@@ -46,10 +46,9 @@ main(int argc, char **argv)
             auto sched = baselines::schedulerConfig(Design::Adyna);
             sched.tileSharing = sharing;
             sched.branchGrouping = grouping;
-            auto pol = baselines::execPolicy(Design::Adyna);
-            pol.tileSharing = sharing;
             core::System sys(
-                w.dg, cfg, hw, sched, pol,
+                w.dg, cfg, hw, sched,
+                baselines::execPolicy(Design::Adyna),
                 baselines::runOptions(Design::Adyna, p.batches,
                                       p.seed),
                 "Adyna");

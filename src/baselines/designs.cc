@@ -66,7 +66,6 @@ execPolicy(Design design)
         p.worstCaseExec = true;
         p.kernelFitting = false;
         p.pipelining = true;
-        p.tileSharing = false;
         break;
       case Design::MTenant:
         p.kernelFitting = true;
@@ -74,22 +73,18 @@ execPolicy(Design design)
         p.hostRouting = true; // switch/merge on the host CPU
         p.perBatchRepartition = true;
         p.exactKernels = true; // optimistic pre-compiled kernels
-        p.tileSharing = false;
         break;
       case Design::AdynaStatic:
         p.kernelFitting = true;
         p.pipelining = true;
-        p.tileSharing = false;
         break;
       case Design::Adyna:
         p.kernelFitting = true;
         p.pipelining = true;
-        p.tileSharing = true;
         break;
       case Design::FullKernel:
         p.kernelFitting = true;
         p.pipelining = true;
-        p.tileSharing = true;
         p.exactKernels = true; // every kernel available on-chip
         break;
     }

@@ -13,30 +13,6 @@ using costmodel::Mapping;
 using graph::OpKind;
 using graph::OpNode;
 
-namespace {
-
-/** Per-row output bytes of an op given its fused output dims. */
-Bytes
-perRowOutBytes(const OpNode &node, const graph::LoopDims &out_dims)
-{
-    return static_cast<Bytes>(out_dims.k() * out_dims.p() *
-                              out_dims.q()) *
-           node.dtypeBytes;
-}
-
-/** Single-tile cycles per batch row (allocation weight). */
-double
-perRowWork(const OpNode &node, const costmodel::TechParams &tech)
-{
-    if (graph::isCompute(node.kind))
-        return costmodel::computeCyclesPerRow(node.dims, tech);
-    return static_cast<double>(node.dims.k() * node.dims.p() *
-                               node.dims.q()) /
-           static_cast<double>(tech.macsPerCycle());
-}
-
-} // namespace
-
 Engine::ExecCost
 Engine::accumulate(ExecCost acc, const KernelCost &c)
 {
@@ -65,219 +41,15 @@ Engine::accumulateN(ExecCost acc, const KernelCost &c, std::int64_t n)
 Engine::Engine(const graph::DynGraph &dg, arch::HwConfig hw,
                costmodel::Mapper &mapper, ExecPolicy policy)
     : dg_(dg), hw_(std::move(hw)), mapper_(mapper), policy_(policy),
-      scratchVisited_(dg.graph().size(), 0),
-      snake_(arch::snakeTileOrder(hw_))
+      snake_(arch::snakeTileOrder(hw_)),
+      segOf_(dg.graph().size(), -1), stageOf_(dg.graph().size(), -1)
 {
     if (policy_.perBatchRepartition)
         ADYNA_ASSERT(policy_.exactKernels,
                      "per-batch repartition requires exact kernels");
-    buildProducerIndex();
-}
-
-void
-Engine::buildProducerIndex()
-{
-    const std::size_t n = dg_.graph().size();
-    pindex_.producers.resize(n);
-    pindex_.consumers.resize(n);
-    pindex_.feedsOutput.assign(n, 0);
-
-    std::vector<char> &visited = scratchVisited_;
-    for (OpId op = 0; op < n; ++op) {
-        std::fill(visited.begin(), visited.end(), 0);
-        resolveProducers(op, false, pindex_.producers[op], visited);
-        for (const auto &[pid, crossed] : pindex_.producers[op]) {
-            (void)crossed;
-            pindex_.consumers[pid].push_back(op);
-        }
-    }
-    for (OpId outId : dg_.graph().outputIds())
-        for (const auto &[pid, crossed] : pindex_.producers[outId]) {
-            (void)crossed;
-            pindex_.feedsOutput[pid] = 1;
-        }
-}
-
-void
-Engine::resolveProducers(OpId op, bool crossed,
-                         std::vector<std::pair<OpId, bool>> &out,
-                         std::vector<char> &visited) const
-{
-    const OpNode &node = dg_.graph().node(op);
-    for (OpId in : node.inputs) {
-        if (visited[in])
-            continue;
-        visited[in] = 1;
-        const OpNode &p = dg_.graph().node(in);
-        if (p.kind == OpKind::Switch || p.kind == OpKind::Merge) {
-            resolveProducers(in, /*crossed=*/true, out, visited);
-        } else if (p.kind == OpKind::Sink ||
-                   p.kind == OpKind::Output) {
-            // never a data producer
-        } else {
-            out.emplace_back(in, crossed);
-        }
-    }
-}
-
-std::vector<Engine::StagePlan>
-Engine::planSegmentLegacy(const Schedule &schedule,
-                          std::size_t seg_index) const
-{
-    const Segment &seg = *schedule.segments[seg_index];
-    std::vector<StagePlan> plans(seg.stages.size());
-
-    std::vector<char> &visited = scratchVisited_;
-    const auto resolve =
-        [&](OpId op, std::vector<std::pair<OpId, bool>> &out) {
-            std::fill(visited.begin(), visited.end(), 0);
-            resolveProducers(op, false, out, visited);
-        };
-
-    for (std::size_t si = 0; si < seg.stages.size(); ++si) {
-        const OpId op = seg.stages[si].op;
-        plans[si].perRowWork =
-            perRowWork(dg_.graph().node(op), hw_.tech);
-        std::vector<std::pair<OpId, bool>> producers;
-        resolve(op, producers);
-        for (const auto &[pid, crossed] : producers) {
-            Edge e;
-            e.producerOp = pid;
-            e.producerStage = seg.stageOf(pid);
-            e.crossesRouting = crossed;
-            const OpNode &pnode = dg_.graph().node(pid);
-            const graph::LoopDims outDims =
-                pnode.kind == OpKind::Input ? pnode.dims
-                                            : dg_.info(pid).outDims;
-            e.perRowBytes = perRowOutBytes(pnode, outDims);
-            plans[si].edges.push_back(e);
-        }
-    }
-
-    // A stage writes to DRAM if any consumer resolves to it from
-    // outside this segment (a later segment or a graph output), or
-    // unconditionally without pipelining.
-    for (std::size_t si = 0; si < seg.stages.size(); ++si) {
-        if (!policy_.pipelining) {
-            plans[si].writesOut = true;
-            continue;
-        }
-        const OpId op = seg.stages[si].op;
-        for (std::size_t s2 = 0; s2 < schedule.segments.size(); ++s2) {
-            if (plans[si].writesOut)
-                break;
-            if (s2 == seg_index)
-                continue;
-            for (const StageAssign &st : schedule.segments[s2]->stages) {
-                std::vector<std::pair<OpId, bool>> producers;
-                resolve(st.op, producers);
-                for (const auto &[pid, crossed] : producers) {
-                    (void)crossed;
-                    if (pid == op) {
-                        plans[si].writesOut = true;
-                        break;
-                    }
-                }
-                if (plans[si].writesOut)
-                    break;
-            }
-        }
-        for (OpId outId : dg_.graph().outputIds()) {
-            if (plans[si].writesOut)
-                break;
-            std::vector<std::pair<OpId, bool>> producers;
-            resolve(outId, producers);
-            for (const auto &[pid, crossed] : producers) {
-                (void)crossed;
-                if (pid == op)
-                    plans[si].writesOut = true;
-            }
-        }
-    }
-    return plans;
-}
-
-std::vector<Engine::StagePlan>
-Engine::planSegmentIndexed(const Schedule &schedule,
-                           std::size_t seg_index,
-                           const std::vector<int> &seg_of) const
-{
-    const Segment &seg = *schedule.segments[seg_index];
-    std::vector<StagePlan> plans(seg.stages.size());
-
-    for (std::size_t si = 0; si < seg.stages.size(); ++si) {
-        const OpId op = seg.stages[si].op;
-        plans[si].perRowWork =
-            perRowWork(dg_.graph().node(op), hw_.tech);
-        for (const auto &[pid, crossed] : pindex_.producers[op]) {
-            Edge e;
-            e.producerOp = pid;
-            e.producerStage = seg.stageOf(pid);
-            e.crossesRouting = crossed;
-            const OpNode &pnode = dg_.graph().node(pid);
-            const graph::LoopDims outDims =
-                pnode.kind == OpKind::Input ? pnode.dims
-                                            : dg_.info(pid).outDims;
-            e.perRowBytes = perRowOutBytes(pnode, outDims);
-            plans[si].edges.push_back(e);
-        }
-
-        // Write-out: any consumer scheduled in ANOTHER segment, or a
-        // graph output, resolves to this stage (one reverse-index
-        // walk replaces the legacy all-segments rescan).
-        if (!policy_.pipelining) {
-            plans[si].writesOut = true;
-            continue;
-        }
-        if (pindex_.feedsOutput[op]) {
-            plans[si].writesOut = true;
-            continue;
-        }
-        for (OpId consumer : pindex_.consumers[op]) {
-            const int s2 = seg_of[consumer];
-            if (s2 >= 0 && s2 != static_cast<int>(seg_index)) {
-                plans[si].writesOut = true;
-                break;
-            }
-        }
-    }
-    return plans;
-}
-
-const std::vector<std::vector<Engine::StagePlan>> &
-Engine::cachedPlans(const Schedule &schedule)
-{
-    // The lookup key is rebuilt into a member scratch buffer so a
-    // cache hit (the steady state) allocates nothing; insertion on a
-    // miss copies it.
-    PlanKey &key = scratchKey_;
-    key.resize(schedule.segments.size());
-    for (std::size_t s = 0; s < schedule.segments.size(); ++s) {
-        auto &ops = key[s];
-        ops.clear();
-        for (const StageAssign &st : schedule.segments[s]->stages)
-            ops.push_back(st.op);
-    }
-
-    const auto it = planCache_.find(key);
-    if (it != planCache_.end())
-        return it->second;
-
-    // A run sees at most one new schedule per reconfiguration; the
-    // bound only guards against a pathological caller.
-    if (planCache_.size() > 256)
-        planCache_.clear();
-
-    std::vector<int> segOf(dg_.graph().size(), -1);
-    for (std::size_t s = 0; s < key.size(); ++s)
-        for (OpId op : key[s])
-            segOf[op] = static_cast<int>(s);
-
-    std::vector<std::vector<StagePlan>> plans;
-    plans.reserve(schedule.segments.size());
-    for (std::size_t s = 0; s < schedule.segments.size(); ++s)
-        plans.push_back(planSegmentIndexed(schedule, s, segOf));
-    return planCache_.emplace(key, std::move(plans)).first->second;
+    perRowWork_.reserve(dg_.graph().size());
+    for (const OpNode &node : dg_.graph().nodes())
+        perRowWork_.push_back(costmodel::perRowWork(node, hw_.tech));
 }
 
 PeriodResult
@@ -329,8 +101,16 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
         }
     }
 
-    const std::vector<std::vector<StagePlan>> *allPlans =
-        policy_.planCache ? &cachedPlans(schedule) : nullptr;
+    // Where every stage op sits, for the producer-stage lookups and
+    // write-out flags below.
+    std::fill(segOf_.begin(), segOf_.end(), -1);
+    for (std::size_t s = 0; s < schedule.segments.size(); ++s) {
+        const Segment &seg = *schedule.segments[s];
+        for (std::size_t si = 0; si < seg.stages.size(); ++si) {
+            segOf_[seg.stages[si].op] = static_cast<int>(s);
+            stageOf_[seg.stages[si].op] = static_cast<int>(si);
+        }
+    }
 
     // The inter-segment reconfiguration barrier drains only the
     // tiles this schedule can touch. For a full-grid schedule that
@@ -361,11 +141,26 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
         const Segment &seg = *schedule.segments[s];
         if (seg.stages.empty())
             continue;
-        std::vector<StagePlan> legacyPlans;
-        if (!allPlans)
-            legacyPlans = planSegmentLegacy(schedule, s);
-        const std::vector<StagePlan> &plans =
-            allPlans ? (*allPlans)[s] : legacyPlans;
+        const int here = static_cast<int>(s);
+        // Stage index of @p op within this segment, or -1 for an
+        // external producer (earlier segment or graph input).
+        const auto stageIn = [&](OpId op) {
+            return segOf_[op] == here ? stageOf_[op] : -1;
+        };
+        const auto elsewhere = [&](OpId op) {
+            return segOf_[op] >= 0 && segOf_[op] != here;
+        };
+
+        // A stage writes to DRAM if a graph output or a stage of
+        // another segment consumes it, or unconditionally without
+        // pipelining.
+        writesOut_.resize(seg.stages.size());
+        for (std::size_t si = 0; si < seg.stages.size(); ++si) {
+            const OpId op = seg.stages[si].op;
+            writesOut_[si] =
+                !policy_.pipelining || dg_.feedsOutput(op) ||
+                std::ranges::any_of(dg_.consumers(op), elsewhere);
+        }
 
         // Load resident weights at segment activation.
         if (seg.residentWeightBytes > 0) {
@@ -402,33 +197,28 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
             };
 
             // Tile-sharing configuration per pair for this batch.
+            // A schedule built without sharing has no pairs.
             pairConfig_.assign(seg.pairs.size(), 0);
             std::vector<int> &pairConfig = pairConfig_;
-            if (policy_.tileSharing) {
-                for (std::size_t p = 0; p < seg.pairs.size(); ++p) {
-                    const SharePair &pair = seg.pairs[p];
-                    const std::size_t ia =
-                        static_cast<std::size_t>(pair.stageA);
-                    const std::size_t ib =
-                        static_cast<std::size_t>(pair.stageB);
-                    const double loadA =
-                        static_cast<double>(
-                            vExecOf(seg.stages[ia].op)) *
-                        plans[ia].perRowWork;
-                    const double loadB =
-                        static_cast<double>(
-                            vExecOf(seg.stages[ib].op)) *
-                        plans[ib].perRowWork;
-                    double best = -1.0;
-                    for (int c = 0; c < 3; ++c) {
-                        const auto [ta, tb] =
-                            pair.alloc[static_cast<std::size_t>(c)];
-                        const double makespan =
-                            std::max(loadA / ta, loadB / tb);
-                        if (best < 0.0 || makespan < best) {
-                            best = makespan;
-                            pairConfig[p] = c;
-                        }
+            for (std::size_t p = 0; p < seg.pairs.size(); ++p) {
+                const SharePair &pair = seg.pairs[p];
+                const OpId opA =
+                    seg.stages[static_cast<std::size_t>(pair.stageA)].op;
+                const OpId opB =
+                    seg.stages[static_cast<std::size_t>(pair.stageB)].op;
+                const double loadA =
+                    static_cast<double>(vExecOf(opA)) * perRowWork_[opA];
+                const double loadB =
+                    static_cast<double>(vExecOf(opB)) * perRowWork_[opB];
+                double best = -1.0;
+                for (int c = 0; c < 3; ++c) {
+                    const auto [ta, tb] =
+                        pair.alloc[static_cast<std::size_t>(c)];
+                    const double makespan =
+                        std::max(loadA / ta, loadB / tb);
+                    if (best < 0.0 || makespan < best) {
+                        best = makespan;
+                        pairConfig[p] = c;
                     }
                 }
             }
@@ -443,11 +233,11 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                 std::vector<double> &works = works_;
                 double total = 0.0;
                 for (std::size_t si = 0; si < seg.stages.size(); ++si) {
-                    works[si] =
-                        std::max<double>(
-                            1.0, static_cast<double>(vExecOf(
-                                     seg.stages[si].op))) *
-                        plans[si].perRowWork;
+                    const OpId op = seg.stages[si].op;
+                    works[si] = std::max<double>(
+                                    1.0, static_cast<double>(
+                                             vExecOf(op))) *
+                                perRowWork_[op];
                     total += works[si];
                 }
                 const int T = hw_.tiles();
@@ -510,7 +300,7 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                                 (repartBase + t) %
                                 hw_.tiles())]);
                     repartBase += count;
-                } else if (st.sharePair >= 0 && policy_.tileSharing) {
+                } else if (st.sharePair >= 0) {
                     const SharePair &pair =
                         seg.pairs[static_cast<std::size_t>(
                             st.sharePair)];
@@ -535,13 +325,15 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                 // Empty sub-batch with fitting: nothing to execute.
                 if (vExec == 0 && policy_.kernelFitting) {
                     Tick ready = segBarrier;
-                    for (const Edge &e : plans[si].edges)
-                        if (e.producerStage >= 0)
+                    for (const graph::Producer &p :
+                         dg_.producers(st.op)) {
+                        const int ps = stageIn(p.op);
+                        if (ps >= 0)
                             ready = std::max(
                                 ready,
-                                ends_[at(static_cast<std::size_t>(
-                                             e.producerStage),
+                                ends_[at(static_cast<std::size_t>(ps),
                                          b)]);
+                    }
                     starts_[at(si, b)] = ready;
                     ends_[at(si, b)] = ready;
                     segEnd = std::max(segEnd, ready);
@@ -611,25 +403,25 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                 // host edges remain store-and-forward.
                 Tick startLB = segBarrier;
                 Tick endLB = 0;
-                for (const Edge &e : plans[si].edges) {
+                for (const graph::Producer &p : dg_.producers(st.op)) {
                     const std::int64_t vProd =
-                        dg_.graph().node(e.producerOp).kind ==
-                                OpKind::Input
+                        dg_.graph().node(p.op).kind == OpKind::Input
                             ? vExec
-                            : vExecOf(e.producerOp);
+                            : vExecOf(p.op);
                     const Bytes bytes =
                         static_cast<Bytes>(
                             std::min(vProd, vExec)) *
-                        e.perRowBytes;
+                        dg_.outBytesPerRow(p.op);
                     if (bytes == 0)
                         continue;
 
-                    const bool internal = e.producerStage >= 0;
+                    const int producerStage = stageIn(p.op);
+                    const bool internal = producerStage >= 0;
                     const bool viaHost =
-                        policy_.hostRouting && e.crossesRouting;
+                        policy_.hostRouting && p.crossesRouting;
                     if (internal && policy_.pipelining && !viaHost) {
                         const std::size_t pi =
-                            static_cast<std::size_t>(e.producerStage);
+                            static_cast<std::size_t>(producerStage);
                         const auto &src = usedTiles_[pi];
                         const Tick sync = chip.noc().probeAck(
                             starts_[at(pi, b)], src.front(),
@@ -684,7 +476,7 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                         Tick t0 =
                             internal
                                 ? ends_[at(static_cast<std::size_t>(
-                                               e.producerStage),
+                                               producerStage),
                                            b)]
                                 : segBarrier;
                         if (viaHost) {
@@ -732,7 +524,7 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                     if (healthy == 0) {
                         execCycles = static_cast<Cycles>(
                             static_cast<double>(execCycles) *
-                            policy_.deadGroupPenalty);
+                            kDeadGroupPenalty);
                     } else if (dead > 0) {
                         execCycles *=
                             static_cast<Cycles>(1 + dead);
@@ -756,10 +548,10 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                 result.stageCycles[st.op].push_back(cost.cycles);
 
                 // --- output write-back --------------------------------
-                if (plans[si].writesOut) {
+                if (writesOut_[si]) {
                     const Bytes outBytes =
                         static_cast<Bytes>(vExec) *
-                        perRowOutBytes(node, dg_.info(st.op).outDims);
+                        dg_.outBytesPerRow(st.op);
                     if (outBytes > 0) {
                         const auto acc = chip.hbm().access(
                             res.end, tiles.front(), outBytes);

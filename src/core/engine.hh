@@ -54,30 +54,17 @@ struct ExecPolicy
      * dispatching from on-chip stores (full-kernel upper bound; also
      * the optimistic M-tenant pre-compilation assumption). */
     bool exactKernels = false;
-
-    /** Honor the schedule's tile-sharing pairs at runtime. */
-    bool tileSharing = true;
-
-    /**
-     * Memoize per-schedule segment plans (producer edges + write-out
-     * flags) so they are computed once per schedule instead of once
-     * per period, using a precomputed reverse producer index instead
-     * of the quadratic consumer scan. Behaviour-preserving; disable
-     * to force the legacy per-period planner (used by the
-     * equivalence tests).
-     */
-    bool planCache = true;
-
-    /**
-     * Cycle multiplier for a stage whose tile group is entirely dead
-     * (no survivor can re-execute the shards; the host steps in).
-     * Groups with survivors instead stretch by (1 + dead tiles):
-     * SIMD lockstep means each dead shard costs one extra full pass
-     * on a surviving member. Only consulted while the chip reports a
-     * failed tile, so fault-free runs never read it.
-     */
-    double deadGroupPenalty = 32.0;
 };
+
+/**
+ * Cycle multiplier for a stage whose tile group is entirely dead (no
+ * survivor can re-execute the shards; the host steps in). Groups with
+ * survivors instead stretch by (1 + dead tiles): SIMD lockstep means
+ * each dead shard costs one extra full pass on a surviving member.
+ * Only consulted while the chip reports a failed tile, so fault-free
+ * runs never read it.
+ */
+inline constexpr double kDeadGroupPenalty = 32.0;
 
 /**
  * Bytes of slice @p i when @p total bytes are split across @p parts
@@ -125,10 +112,11 @@ class Engine
 
     /**
      * Allocation-free variant: results land in @p out, whose vectors
-     * and map nodes are reused across calls. With the plan cache
-     * warm (same schedule) and the scratch buffers at their
-     * steady-state sizes, a call performs zero heap allocations —
-     * the invariant the allocation-guard test enforces.
+     * and map nodes are reused across calls. Once the scratch
+     * buffers have reached the sizes a schedule needs, a call
+     * performs zero heap allocations, whether or not the engine has
+     * run that schedule before — the invariant the allocation-guard
+     * tests enforce.
      */
     void runPeriod(arch::Chip &chip, const Schedule &schedule,
                    const std::vector<trace::BatchRouting> &batches,
@@ -142,33 +130,6 @@ class Engine
     std::uint64_t execMisses() const { return 0; }
 
   private:
-    struct Edge
-    {
-        /** Producer stage index within the segment, or -1 for an
-         * external producer (earlier segment / graph input). */
-        int producerStage = -1;
-
-        /** Resolved producer op (stage op or Input node). */
-        OpId producerOp = kInvalidOp;
-
-        /** Bytes per batch row of the producer's output. */
-        Bytes perRowBytes = 0;
-
-        /** The edge passes through switch/merge routing nodes. */
-        bool crossesRouting = false;
-    };
-
-    struct StagePlan
-    {
-        std::vector<Edge> edges;
-        bool writesOut = false;
-
-        /** Single-tile cycles per batch row of the stage op (the
-         * allocation weight); a per-schedule constant hoisted out of
-         * the per-batch tile-sharing / repartition loops. */
-        double perRowWork = 0.0;
-    };
-
     /** Aggregate cost of one stage execution (possibly multi-pass). */
     struct ExecCost
     {
@@ -178,51 +139,6 @@ class Engine
         Bytes spill = 0;
         Bytes sram = 0;
     };
-
-    /**
-     * Graph-structural producer/consumer relationships, independent
-     * of any schedule. Built once per engine; turns the legacy
-     * planner's repeated DFS walks into table lookups.
-     */
-    struct ProducerIndex
-    {
-        /** Resolved (producer, crossesRouting) pairs per op, in the
-         * legacy DFS discovery order. */
-        std::vector<std::vector<std::pair<OpId, bool>>> producers;
-
-        /** Ops that list the key op among their resolved producers
-         * (compute consumers only; the reverse of `producers`). */
-        std::vector<std::vector<OpId>> consumers;
-
-        /** The op is a resolved producer of some graph output. */
-        std::vector<char> feedsOutput;
-    };
-
-    /** Resolve the compute/input producers of @p op through routing
-     * nodes. */
-    void resolveProducers(OpId op, bool crossed,
-                          std::vector<std::pair<OpId, bool>> &out,
-                          std::vector<char> &visited) const;
-
-    void buildProducerIndex();
-
-    /** The seed per-period planner: per-stage DFS producer
-     * resolution plus an all-segments consumer scan. Kept as the
-     * reference path for ExecPolicy::planCache == false. */
-    std::vector<StagePlan> planSegmentLegacy(const Schedule &schedule,
-                                             std::size_t seg_index) const;
-
-    /** Index-based planner: identical output to planSegmentLegacy in
-     * one linear pass. @p seg_of maps op -> segment index (-1 when
-     * unscheduled). */
-    std::vector<StagePlan>
-    planSegmentIndexed(const Schedule &schedule, std::size_t seg_index,
-                       const std::vector<int> &seg_of) const;
-
-    /** All segments' plans for @p schedule, memoized by the
-     * schedule's segment/stage-op layout. */
-    const std::vector<std::vector<StagePlan>> &
-    cachedPlans(const Schedule &schedule);
 
     static ExecCost accumulate(ExecCost acc,
                                const costmodel::KernelCost &c);
@@ -239,17 +155,9 @@ class Engine
     costmodel::Mapper &mapper_;
     ExecPolicy policy_;
 
-    ProducerIndex pindex_;
-
-    /** Plan-relevant schedule identity: stage ops per segment, in
-     * order (edges depend on stage order, write-out flags on the
-     * op->segment partition; both are captured here). */
-    using PlanKey = std::vector<std::vector<OpId>>;
-    std::map<PlanKey, std::vector<std::vector<StagePlan>>> planCache_;
-
-    /** Scratch visited buffer for resolveProducers (reused across
-     * calls instead of reallocating per resolution). */
-    mutable std::vector<char> scratchVisited_;
+    /** Single-tile cycles per batch row of every op (the allocation
+     * weight tile sharing and repartition balance by). */
+    std::vector<double> perRowWork_;
 
     /** Last M-tenant partition (per-batch repartition hysteresis). */
     std::vector<int> repartCount_;
@@ -265,8 +173,14 @@ class Engine
     /** Host-CPU routing resource, reset at each period start. */
     des::GapBandwidthResource hostCpu_{1.0};
 
-    /** Reused plan-cache lookup key (insertion copies it). */
-    PlanKey scratchKey_;
+    /** Segment and stage index of every op the current period's
+     * schedule places (segOf_ is -1 for every other op; stageOf_ is
+     * read only where segOf_ matches). */
+    std::vector<int> segOf_;
+    std::vector<int> stageOf_;
+
+    /** Per-stage DRAM write-out flags of the current segment. */
+    std::vector<char> writesOut_;
 
     /** Flattened per-stage/per-batch start and end times,
      * indexed [stage * numBatches + batch]. */

@@ -1,12 +1,11 @@
 #include "core/report_io.hh"
 
+#include <cstdarg>
+#include <cstdio>
 #include <sstream>
 
 namespace adyna::core {
 
-namespace {
-
-/** Escape a string for JSON. */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -18,11 +17,38 @@ jsonEscape(const std::string &s)
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
-          default: out.push_back(c);
+          default: {
+            const auto u = static_cast<unsigned char>(c);
+            if (u < 0x20) {
+                static constexpr char kHex[] = "0123456789abcdef";
+                out += "\\u00";
+                out.push_back(kHex[u >> 4]);
+                out.push_back(kHex[u & 0xf]);
+            } else {
+                out.push_back(c);
+            }
+          }
         }
     }
     return out;
 }
+
+std::string
+formatString(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    va_list again;
+    va_copy(again, args);
+    const int len = std::vsnprintf(nullptr, 0, fmt, args);
+    va_end(args);
+    std::string out(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
+    std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+    va_end(again);
+    return out;
+}
+
+namespace {
 
 void
 emitCommon(std::ostringstream &os, const RunReport &r)

@@ -52,6 +52,17 @@ std::string faultStatsJson(const RunReport &report);
  */
 std::string searchStatsJson(const RunReport &report);
 
+/**
+ * Escape @p s for use inside a JSON string literal: the quote, the
+ * backslash and every control character. The report emitters pass
+ * every free-form name (workload, tenant, model) through it.
+ */
+std::string jsonEscape(const std::string &s);
+
+/** printf into a std::string sized to fit the whole result. */
+[[gnu::format(printf, 1, 2)]] std::string
+formatString(const char *fmt, ...);
+
 /** CSV header matching toCsvRow(). */
 std::string csvHeader();
 

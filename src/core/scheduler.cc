@@ -77,7 +77,7 @@ Scheduler::groupThreshold(OpId switch_op) const
         if (it != override_->groupScale.end())
             scale = it->second;
     }
-    return cfg_.groupActivityThreshold * scale;
+    return kGroupActivityThreshold * scale;
 }
 
 void
@@ -139,16 +139,7 @@ Scheduler::expectedWork(OpId op,
         if (it != expectations.end())
             rows = std::max(1.0, it->second);
     }
-    const auto &tech = hw_.tech;
-    double perRow;
-    if (graph::isCompute(node.kind)) {
-        perRow = costmodel::computeCyclesPerRow(node.dims, tech);
-    } else {
-        perRow = static_cast<double>(node.dims.k() * node.dims.p() *
-                                     node.dims.q()) /
-                 static_cast<double>(tech.macsPerCycle());
-    }
-    return rows * perRow;
+    return rows * costmodel::perRowWork(node, hw_.tech);
 }
 
 std::vector<std::vector<OpId>>
@@ -227,7 +218,7 @@ Scheduler::segmentOps() const
     const Bytes spadAvail =
         static_cast<Bytes>(activeTileCount()) * hw_.tech.spadBytes;
     const Bytes budget = static_cast<Bytes>(
-        static_cast<double>(spadAvail) * cfg_.spadFill);
+        static_cast<double>(spadAvail) * kSpadFill);
     const std::size_t maxStages =
         static_cast<std::size_t>(activeTileCount());
 

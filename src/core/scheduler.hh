@@ -20,20 +20,20 @@
 
 namespace adyna::core {
 
+/** Fraction of total scratchpad budgeted for resident weights when
+ * cutting segments. */
+inline constexpr double kSpadFill = 0.5;
+
+/** Branches active in fewer than this fraction of batches are grouped
+ * (Section V-B). */
+inline constexpr double kGroupActivityThreshold = 0.25;
+
 /** Scheduler policy knobs. */
 struct SchedulerConfig
 {
-    /** Fraction of total scratchpad budgeted for resident weights
-     * when cutting segments. */
-    double spadFill = 0.5;
-
     /** Sampled kernel values per operator (Section VII derives ~32
      * from the 25.6 kB budget and tile sharing's 6x factor). */
     int kernelBudgetPerOp = 32;
-
-    /** Branches active in fewer than this fraction of batches are
-     * grouped (Section V-B). */
-    double groupActivityThreshold = 0.25;
 
     bool tileSharing = true;
     bool branchGrouping = true;

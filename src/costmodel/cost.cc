@@ -156,6 +156,16 @@ computeCyclesPerRow(const LoopDims &per_tile, const TechParams &tech)
         std::min({plain, foldS, foldRS}));
 }
 
+double
+perRowWork(const graph::OpNode &op, const TechParams &tech)
+{
+    if (graph::isCompute(op.kind))
+        return computeCyclesPerRow(op.dims, tech);
+    return static_cast<double>(op.dims.k() * op.dims.p() *
+                               op.dims.q()) /
+           static_cast<double>(tech.macsPerCycle());
+}
+
 Cycles
 kernelCycles(const graph::OpNode &op, const LoopDims &compiled,
              const LoopDims &per_tile, std::int64_t exec_n, int tiles,

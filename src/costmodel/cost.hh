@@ -107,6 +107,14 @@ double computeCyclesPerRow(const graph::LoopDims &per_tile,
                            const TechParams &tech);
 
 /**
+ * Single-tile cycles per batch row of @p op: computeCyclesPerRow over
+ * its full dims for a compute op, one element per MAC lane for a
+ * vector op. The allocation weight the scheduler splits tiles by and
+ * the engine's tile sharing and per-batch repartition rebalance by.
+ */
+double perRowWork(const graph::OpNode &op, const TechParams &tech);
+
+/**
  * Makespan cycles of one kernel execution: a compute op runs the
  * @p per_tile rows through the PE array (computeCyclesPerRow); a
  * vector op streams @p exec_n x K x P x Q elements of @p compiled

@@ -1,10 +1,38 @@
 #include "graph/dyngraph.hh"
 
+#include <numeric>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace adyna::graph {
+
+namespace {
+
+/**
+ * Append the producers of @p op to @p out: a depth-first walk over
+ * its inputs that descends through Switch/Merge nodes (marking the
+ * producers found below them as crossing routing) and skips Sink and
+ * Output nodes. seen[v] == @p stamp marks nodes already visited for
+ * the current root, so each producer is listed once.
+ */
+void
+resolveProducers(const Graph &g, OpId op, bool crossed, OpId stamp,
+                 std::vector<OpId> &seen, std::vector<Producer> &out)
+{
+    for (OpId in : g.node(op).inputs) {
+        if (seen[in] == stamp)
+            continue;
+        seen[in] = stamp;
+        const OpKind kind = g.node(in).kind;
+        if (kind == OpKind::Switch || kind == OpKind::Merge)
+            resolveProducers(g, in, /*crossed=*/true, stamp, seen, out);
+        else if (kind != OpKind::Sink && kind != OpKind::Output)
+            out.push_back({in, crossed});
+    }
+}
+
+} // namespace
 
 DynGraph::DynGraph(Graph graph, std::vector<DynOpInfo> info,
                    std::vector<SwitchInfo> switches)
@@ -15,6 +43,54 @@ DynGraph::DynGraph(Graph graph, std::vector<DynOpInfo> info,
                  "DynOpInfo count mismatch: ", info_.size(), " vs ",
                  graph_.size());
     topo_ = graph_.topoOrder();
+    buildDataFlow();
+}
+
+void
+DynGraph::buildDataFlow()
+{
+    const std::size_t n = graph_.size();
+
+    // Producers: one resolution per op, stamped with the op's own id
+    // so the visited marks never need clearing.
+    std::vector<OpId> seen(n, kInvalidOp);
+    producerStart_.reserve(n + 1);
+    producerStart_.push_back(0);
+    for (OpId op = 0; op < n; ++op) {
+        resolveProducers(graph_, op, /*crossed=*/false, op, seen,
+                         producers_);
+        producerStart_.push_back(
+            static_cast<std::uint32_t>(producers_.size()));
+    }
+
+    // Consumers: the reverse lists, laid out by counting sort. After
+    // the prefix sum consumerStart_[p] is the end of p's range; the
+    // descending fill walks it back to the start, leaving each range
+    // in ascending consumer order.
+    consumerStart_.assign(n + 1, 0);
+    for (const Producer &p : producers_)
+        ++consumerStart_[p.op];
+    std::partial_sum(consumerStart_.begin(), consumerStart_.end(),
+                     consumerStart_.begin());
+    consumers_.resize(producers_.size());
+    for (OpId op = static_cast<OpId>(n); op-- > 0;)
+        for (const Producer &p : producers(op))
+            consumers_[--consumerStart_[p.op]] = op;
+
+    feedsOutput_.assign(n, 0);
+    for (OpId out : graph_.outputIds())
+        for (const Producer &p : producers(out))
+            feedsOutput_[p.op] = 1;
+
+    outBytesPerRow_.reserve(n);
+    for (const OpNode &node : graph_.nodes()) {
+        const LoopDims &dims = node.kind == OpKind::Input
+                                   ? node.dims
+                                   : info_[node.id].outDims;
+        outBytesPerRow_.push_back(
+            static_cast<Bytes>(dims.k() * dims.p() * dims.q()) *
+            node.dtypeBytes);
+    }
 }
 
 const DynOpInfo &

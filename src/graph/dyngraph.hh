@@ -10,6 +10,7 @@
 #ifndef ADYNA_GRAPH_DYNGRAPH_HH
 #define ADYNA_GRAPH_DYNGRAPH_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,11 +66,23 @@ struct SwitchInfo
     int numBranches() const { return static_cast<int>(branches.size()); }
 };
 
+/** One data producer of an operator, resolved through routing. */
+struct Producer
+{
+    /** The producing op: a compute, fusable or Input node. */
+    OpId op = kInvalidOp;
+
+    /** The edge passes through Switch/Merge routing nodes. */
+    bool crossesRouting = false;
+};
+
 /**
  * A parsed dynamic operator graph: the fused computation graph plus
- * per-op dynamism annotations and per-switch branch structure. The
- * structure is immutable after parsing; runtime frequency track
- * tables are kept by the profiler (adyna::arch) keyed by OpId.
+ * per-op dynamism annotations, per-switch branch structure and the
+ * data-flow view (which op produces which op's input, looking through
+ * the routing nodes). The structure is immutable after parsing;
+ * runtime frequency track tables are kept by the profiler
+ * (adyna::arch) keyed by OpId.
  */
 class DynGraph
 {
@@ -109,14 +122,56 @@ class DynGraph
     double expectedMacs(
         const std::vector<std::pair<OpId, double>> &expected) const;
 
+    // --- data-flow view (built once, in the constructor) -----------
+
+    /**
+     * The data producers of @p op: its inputs with Switch/Merge nodes
+     * looked through and Sink/Output nodes skipped, each producer
+     * once, in depth-first discovery order over the input lists. The
+     * order is load-bearing: the engine reserves NoC links and HBM
+     * channels edge by edge in this order, so another order changes
+     * simulated timings.
+     */
+    std::span<const Producer> producers(OpId op) const
+    {
+        return {producers_.data() + producerStart_[op],
+                producers_.data() + producerStart_[op + 1]};
+    }
+
+    /** Ops (any kind) listing @p op among their producers, in
+     * ascending id order. */
+    std::span<const OpId> consumers(OpId op) const
+    {
+        return {consumers_.data() + consumerStart_[op],
+                consumers_.data() + consumerStart_[op + 1]};
+    }
+
+    /** @p op is a producer of some graph Output node. */
+    bool feedsOutput(OpId op) const { return feedsOutput_[op] != 0; }
+
+    /** Bytes one batch row of @p op's output occupies: an Input's
+     * own dims, otherwise the fused output dims. */
+    Bytes outBytesPerRow(OpId op) const { return outBytesPerRow_[op]; }
+
     /** One line per op: kind, dims, dynamism annotation. */
     std::string summary() const;
 
   private:
+    void buildDataFlow();
+
     Graph graph_;
     std::vector<DynOpInfo> info_;
     std::vector<SwitchInfo> switches_;
     std::vector<OpId> topo_;
+
+    /** Producers of op i are producers_[producerStart_[i] ..
+     * producerStart_[i + 1]); consumers likewise. */
+    std::vector<Producer> producers_;
+    std::vector<std::uint32_t> producerStart_;
+    std::vector<OpId> consumers_;
+    std::vector<std::uint32_t> consumerStart_;
+    std::vector<char> feedsOutput_;
+    std::vector<Bytes> outBytesPerRow_;
 };
 
 } // namespace adyna::graph

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <optional>
 
 #include "arch/chip.hh"
 #include "common/logging.hh"
+#include "core/report_io.hh"
 #include "serve/backend.hh"
 #include "serve/validate.hh"
 
@@ -89,34 +89,30 @@ struct Tenant
 std::string
 toJson(const MTenantReport &r)
 {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
+    std::string out = core::formatString(
         "{\"mode\": \"%s\", \"tenant_count\": %d, "
         "\"repartitions\": %d, \"preemptions\": %d, "
         "\"failover_repairs\": %d, \"interference_links\": %d, "
         "\"tenant_switches\": %d, "
         "\"aggregate_goodput_rps\": %.2f, \"worst_p99_ms\": %.4f, "
         "\"horizon_ticks\": %llu, \"tenants\": [",
-        r.mode.c_str(), static_cast<int>(r.tenants.size()),
+        core::jsonEscape(r.mode).c_str(),
+        static_cast<int>(r.tenants.size()),
         r.repartitions, r.preemptions, r.failoverRepairs,
         r.interferenceLinks, r.tenantSwitches, r.aggregateGoodputRps,
         r.worstP99Ms,
         static_cast<unsigned long long>(r.horizonTicks));
-    std::string out = buf;
     for (std::size_t i = 0; i < r.tenants.size(); ++i) {
         const TenantResult &t = r.tenants[i];
         // The element is the tenant's serve JSON bytes with an
         // identity prefix spliced in — the 1-tenant equivalence gate
         // compares exactly the serve::toJson substring.
         std::string obj = serve::toJson(t.serve);
-        char pre[192];
-        std::snprintf(pre, sizeof(pre),
-                      "\"tenant\": \"%s\", \"slo_class\": \"%s\", "
-                      "\"tiles\": %d, ",
-                      t.id.c_str(), serve::sloClassName(t.cls),
-                      t.tiles);
-        obj.insert(1, pre);
+        obj.insert(1, core::formatString(
+                          "\"tenant\": \"%s\", \"slo_class\": \"%s\", "
+                          "\"tiles\": %d, ",
+                          core::jsonEscape(t.id).c_str(),
+                          serve::sloClassName(t.cls), t.tiles));
         if (i > 0)
             out += ", ";
         out += obj;

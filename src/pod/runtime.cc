@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -11,6 +10,7 @@
 
 #include "arch/chip.hh"
 #include "common/logging.hh"
+#include "core/report_io.hh"
 #include "serve/backend.hh"
 #include "serve/validate.hh"
 
@@ -119,9 +119,7 @@ std::string
 routerStatsJson(const PodReport &r)
 {
     const PodReliabilityStats &s = r.reliability;
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
+    return core::formatString(
         "{\"sheds\": %llu, \"diverted\": %llu, \"hedges\": %llu, "
         "\"hedge_wins\": %llu, \"hedge_cancelled\": %llu, "
         "\"wasted_completions\": %llu, \"brownout_sheds\": %llu, "
@@ -153,15 +151,12 @@ routerStatsJson(const PodReport &r)
         static_cast<unsigned long long>(s.corruptionsUndetected),
         static_cast<unsigned long long>(s.icProbeBytes),
         static_cast<unsigned long long>(s.icRetryBytes));
-    return buf;
 }
 
 std::string
 toJson(const PodReport &r)
 {
-    char buf[1280];
-    std::snprintf(
-        buf, sizeof(buf),
+    std::string out = core::formatString(
         "{\"policy\": \"%s\", \"placement\": \"%s\", "
         "\"chip_count\": %d, \"requests\": %llu, "
         "\"shed_requests\": %llu, \"dark_chip_sheds\": %llu, "
@@ -174,8 +169,9 @@ toJson(const PodReport &r)
         "\"achieved_rps\": %.2f, \"p50_ms\": %.4f, "
         "\"p95_ms\": %.4f, \"p99_ms\": %.4f, "
         "\"slo_attainment\": %.4f, \"goodput_rps\": %.2f, "
-        "\"horizon_ticks\": %llu, \"chips\": [",
-        r.policy.c_str(), r.placement.c_str(), r.chipCount,
+        "\"horizon_ticks\": %llu, ",
+        core::jsonEscape(r.policy).c_str(),
+        core::jsonEscape(r.placement).c_str(), r.chipCount,
         static_cast<unsigned long long>(r.requests),
         static_cast<unsigned long long>(r.shedRequests),
         static_cast<unsigned long long>(r.darkChipSheds),
@@ -193,16 +189,12 @@ toJson(const PodReport &r)
         r.offeredRps, r.achievedRps, r.p50Ms, r.p95Ms, r.p99Ms,
         r.sloAttainment, r.goodputRps,
         static_cast<unsigned long long>(r.horizonTicks));
-    std::string out = buf;
     // The reliability aggregate is spliced in only while the layer
     // was live, so default-configured pods keep the pre-reliability
     // JSON bytes (the byte-identity gate).
-    if (r.reliabilityActive) {
-        const std::string stats = routerStatsJson(r);
-        const std::string key = "\"router_stats\": " + stats + ", ";
-        const auto at = out.find("\"chips\": [");
-        out.insert(at, key);
-    }
+    if (r.reliabilityActive)
+        out += "\"router_stats\": " + routerStatsJson(r) + ", ";
+    out += "\"chips\": [";
     // The chips array is emitted in ascending chip-id order (the
     // vector is built that way), so BENCH_pod.json diffs stay
     // deterministic across --jobs values. Each element is the chip's
@@ -211,31 +203,21 @@ toJson(const PodReport &r)
     // substring.
     for (std::size_t i = 0; i < r.chips.size(); ++i) {
         const ChipResult &c = r.chips[i];
-        std::string obj = serve::toJson(c.serve);
-        char pre[288];
+        std::string pre = core::formatString(
+            "\"chip\": %d, \"model\": \"%s\", "
+            "\"dark\": %s, \"routed\": %llu, "
+            "\"rerouted\": %llu, \"drained\": %llu, ",
+            c.id, core::jsonEscape(c.model).c_str(),
+            c.dark ? "true" : "false",
+            static_cast<unsigned long long>(c.routed),
+            static_cast<unsigned long long>(c.rerouted),
+            static_cast<unsigned long long>(c.drained));
         if (r.reliabilityActive)
-            std::snprintf(
-                pre, sizeof(pre),
-                "\"chip\": %d, \"model\": \"%s\", "
-                "\"dark\": %s, \"routed\": %llu, "
-                "\"rerouted\": %llu, \"drained\": %llu, "
+            pre += core::formatString(
                 "\"hedged\": %llu, \"sdc\": %llu, ",
-                c.id, c.model.c_str(), c.dark ? "true" : "false",
-                static_cast<unsigned long long>(c.routed),
-                static_cast<unsigned long long>(c.rerouted),
-                static_cast<unsigned long long>(c.drained),
                 static_cast<unsigned long long>(c.hedged),
                 static_cast<unsigned long long>(c.sdc));
-        else
-            std::snprintf(
-                pre, sizeof(pre),
-                "\"chip\": %d, \"model\": \"%s\", "
-                "\"dark\": %s, \"routed\": %llu, "
-                "\"rerouted\": %llu, \"drained\": %llu, ",
-                c.id, c.model.c_str(), c.dark ? "true" : "false",
-                static_cast<unsigned long long>(c.routed),
-                static_cast<unsigned long long>(c.rerouted),
-                static_cast<unsigned long long>(c.drained));
+        std::string obj = serve::toJson(c.serve);
         obj.insert(1, pre);
         if (i > 0)
             out += ", ";

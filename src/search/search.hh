@@ -210,9 +210,8 @@ class ScheduleSearch
     SearchConfig cfg_;
     ThreadPool *pool_ = nullptr;
 
-    /** Private evaluation engine: its plan cache stays warm across
-     * candidates and its state never leaks into the caller's
-     * serving engine. */
+    /** Private evaluation engine: its scratch state never leaks
+     * into the caller's serving engine. */
     core::Engine engine_;
 };
 

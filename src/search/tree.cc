@@ -58,7 +58,7 @@ SearchContext::SearchContext(const core::Scheduler &scheduler,
     }
     atomStart_.push_back(static_cast<int>(ops_.size()));
 
-    // ---- per-op data flow (the engine's producer resolution) -------
+    // ---- per-op data flow (DynGraph's producer resolution) ---------
     // Expected per-batch activation bytes on every edge, so the
     // surrogate can price the DRAM round trips a partition induces:
     // the engine store-and-forwards every cross-segment edge through
@@ -74,80 +74,32 @@ SearchContext::SearchContext(const core::Scheduler &scheduler,
         }
         return rows;
     };
-    const auto perRowOut = [&](OpId op) {
-        const auto &node = dg.graph().node(op);
-        const graph::LoopDims dims =
-            node.kind == graph::OpKind::Input ? node.dims
-                                              : dg.info(op).outDims;
-        return static_cast<double>(dims.k() * dims.p() * dims.q()) *
-               static_cast<double>(node.dtypeBytes);
-    };
-    std::vector<char> visited(dg.graph().size(), 0);
-    const auto resolve = [&](OpId op, auto &&self,
-                             std::vector<std::pair<OpId, bool>> &out)
-        -> void {
-        for (OpId in : dg.graph().node(op).inputs) {
-            if (visited[in])
-                continue;
-            visited[in] = 1;
-            const auto &p = dg.graph().node(in);
-            if (p.kind == graph::OpKind::Switch ||
-                p.kind == graph::OpKind::Merge) {
-                self(in, self, out);
-            } else if (p.kind == graph::OpKind::Sink ||
-                       p.kind == graph::OpKind::Output) {
-                // never a data producer
-            } else {
-                out.emplace_back(in, true);
-            }
-        }
-    };
     inEdges_.resize(ops_.size());
     extInBytes_.assign(ops_.size(), 0.0);
     outBytes_.assign(ops_.size(), 0.0);
-    feedsOutput_.assign(ops_.size(), 0);
     consumers_.resize(ops_.size());
-    std::vector<std::pair<OpId, bool>> producers;
     rows_.reserve(ops_.size());
     for (std::size_t i = 0; i < ops_.size(); ++i) {
         const OpId op = ops_[i];
         const double rows = expectedRows(op);
         rows_.push_back(rows);
-        outBytes_[i] = rows * perRowOut(op);
-        producers.clear();
-        std::fill(visited.begin(), visited.end(), 0);
-        resolve(op, resolve, producers);
-        for (const auto &[pid, crossed] : producers) {
-            (void)crossed;
-            const auto &pnode = dg.graph().node(pid);
-            const double prows =
-                pnode.kind == graph::OpKind::Input
-                    ? rows
-                    : expectedRows(pid);
+        outBytes_[i] =
+            rows * static_cast<double>(dg.outBytesPerRow(op));
+        for (const graph::Producer &p : dg.producers(op)) {
+            const bool input =
+                dg.graph().node(p.op).kind == graph::OpKind::Input;
+            const double prows = input ? rows : expectedRows(p.op);
             const double bytes =
-                std::min(rows, prows) * perRowOut(pid);
-            const int pidx = pnode.kind == graph::OpKind::Input
-                                 ? -1
-                                 : opIndex(pid);
+                std::min(rows, prows) *
+                static_cast<double>(dg.outBytesPerRow(p.op));
+            const int pidx = input ? -1 : opIndex(p.op);
             if (pidx >= 0) {
-                inEdges_[i].push_back(
-                    EdgeCtx{pidx, bytes});
+                inEdges_[i].push_back(EdgeCtx{pidx, bytes});
                 consumers_[static_cast<std::size_t>(pidx)].push_back(
                     static_cast<int>(i));
             } else {
                 extInBytes_[i] += bytes;
             }
-        }
-    }
-    for (OpId outId : dg.graph().outputIds()) {
-        producers.clear();
-        std::fill(visited.begin(), visited.end(), 0);
-        resolve(outId, resolve, producers);
-        for (const auto &[pid, crossed] : producers) {
-            (void)crossed;
-            const int idx = opIndex(pid);
-            if (idx >= 0)
-                feedsOutput_[static_cast<std::size_t>(idx)] = 1;
         }
     }
 
@@ -156,7 +108,6 @@ SearchContext::SearchContext(const core::Scheduler &scheduler,
     hbmBpc_ = std::max(1.0, hw.hbmTotalBytesPerCycle);
     grouping_ =
         scheduler.config().branchGrouping && profiler != nullptr;
-    groupThreshold_ = scheduler.config().groupActivityThreshold;
 
     switchOfOp_.assign(ops_.size(), -1);
     for (const SwitchInfo &sw : dg.switches()) {
@@ -383,7 +334,7 @@ PlanTree::segmentCost(int atom_begin, int atom_end) const
                 st_.groupMode[static_cast<std::size_t>(
                     &sw - ctx_.switches().data())]);
             const double threshold =
-                ctx_.groupActivityThreshold() * groupModeScale(mode);
+                core::kGroupActivityThreshold * groupModeScale(mode);
             std::vector<std::size_t> low;
             for (std::size_t b = 0; b < sw.branches.size(); ++b) {
                 bool inSeg = false;

@@ -169,7 +169,6 @@ class SearchContext
     /** Branch grouping is live (config on and a profiler present). */
     bool groupingEnabled() const { return grouping_; }
 
-    double groupActivityThreshold() const { return groupThreshold_; }
     int tiles() const { return tiles_; }
     double spadBytes() const { return spadBytes_; }
     double hbmBytesPerCycle() const { return hbmBpc_; }
@@ -182,7 +181,7 @@ class SearchContext
     double weightBytes(int i) const { return weight_[i]; }
 
     /** One resolved data edge between two stage ops (routing nodes
-     * skipped, the engine's producer resolution). */
+     * looked through, as DynGraph::producers resolves them). */
     struct EdgeCtx
     {
         int producer = -1;  ///< producing stage-op index
@@ -211,7 +210,7 @@ class SearchContext
     /** @p i feeds a graph output (always written back to DRAM). */
     bool feedsOutput(int i) const
     {
-        return feedsOutput_[static_cast<std::size_t>(i)] != 0;
+        return dg_->feedsOutput(ops_[static_cast<std::size_t>(i)]);
     }
 
     /** Stage-op indices consuming @p i's output. */
@@ -264,7 +263,6 @@ class SearchContext
     std::vector<std::vector<EdgeCtx>> inEdges_;
     std::vector<double> extInBytes_;
     std::vector<double> outBytes_;
-    std::vector<char> feedsOutput_;
     std::vector<std::vector<int>> consumers_;
     std::vector<SwitchCtx> switches_;
 
@@ -272,7 +270,6 @@ class SearchContext
     std::vector<int> switchOfOp_;
 
     bool grouping_ = false;
-    double groupThreshold_ = 0.25;
     int tiles_ = 1;
     double spadBytes_ = 1.0;
     double hbmBpc_ = 1.0;

@@ -240,10 +240,10 @@ class Backend
     std::map<OpId, double> installedExp_;
     double installedLoadMean_ = 0.0;
 
-    // Online schedule search (searchOnDrift): owns its own engine so
-    // the serving engine's exec counters never see rejected
-    // candidates; the mapper/store lookups it makes are counted in
-    // stats_.search, not in the build counters.
+    // Online schedule search (searchOnDrift): evaluates candidates on
+    // its own engine and chip, so rejected candidates never touch the
+    // serving chip's reservations; the mapper/store lookups it makes
+    // are counted in stats_.search, not in the build counters.
     std::optional<search::ScheduleSearch> searcher_;
     core::PlanOverride installedOverride_;
     search::TreeState installedTree_;

@@ -1,10 +1,10 @@
 #include "serve/server.hh"
 
-#include <cstdio>
 #include <optional>
 
 #include "arch/chip.hh"
 #include "common/logging.hh"
+#include "core/report_io.hh"
 #include "serve/backend.hh"
 #include "serve/validate.hh"
 
@@ -13,9 +13,7 @@ namespace adyna::serve {
 std::string
 toJson(const ServeReport &r)
 {
-    char buf[2048];
-    std::snprintf(
-        buf, sizeof(buf),
+    std::string out = core::formatString(
         "{\"workload\": \"%s\", \"mode\": \"%s\", "
         "\"requests\": %llu, \"batches\": %llu, "
         "\"mean_batch\": %.3f, \"offered_rps\": %.2f, "
@@ -30,7 +28,8 @@ toJson(const ServeReport &r)
         "\"horizon_ticks\": %llu, "
         "\"mapper_hits\": %llu, \"mapper_misses\": %llu, "
         "\"store_hits\": %llu, \"store_misses\": %llu}",
-        r.workload.c_str(), r.mode.c_str(),
+        core::jsonEscape(r.workload).c_str(),
+        core::jsonEscape(r.mode).c_str(),
         static_cast<unsigned long long>(r.requests),
         static_cast<unsigned long long>(r.batches), r.meanBatchSize,
         r.offeredRps, r.achievedRps, r.p50Ms, r.p95Ms, r.p99Ms,
@@ -44,13 +43,11 @@ toJson(const ServeReport &r)
         static_cast<unsigned long long>(r.mapperMisses),
         static_cast<unsigned long long>(r.storeHits),
         static_cast<unsigned long long>(r.storeMisses));
-    std::string out = buf;
     if (r.faultActive) {
         // Appended only when fault machinery was active so
         // default-configured reports keep the pre-fault bytes.
-        char fbuf[1024];
-        std::snprintf(
-            fbuf, sizeof(fbuf),
+        out.pop_back(); // drop the closing brace
+        out += core::formatString(
             ", \"shed_requests\": %llu, \"failovers\": %d, "
             "\"watchdog_fallbacks\": %d, \"store_fit_failures\": %d, "
             "\"failed_tiles\": %d, \"down_links\": %d, "
@@ -65,15 +62,12 @@ toJson(const ServeReport &r)
             static_cast<unsigned long long>(r.probeGiveUps),
             static_cast<unsigned long long>(r.nocDetours),
             static_cast<unsigned long long>(r.unroutablePaths));
-        out.pop_back(); // drop the closing brace
-        out += fbuf;
     }
     if (r.searchActive) {
         // Appended only when the schedule search was enabled so
         // search-off reports keep the pre-search bytes.
-        char sbuf[1024];
-        std::snprintf(
-            sbuf, sizeof(sbuf),
+        out.pop_back(); // drop the closing brace
+        out += core::formatString(
             ", \"search_reschedules\": %d, "
             "\"max_reschedule_cycles\": %llu, "
             "\"search_tried\": %llu, \"search_accepted\": %llu, "
@@ -100,8 +94,6 @@ toJson(const ServeReport &r)
                 r.search.budgetSpentCycles),
             r.search.budgetExhausted ? "true" : "false",
             r.search.improved ? "true" : "false");
-        out.pop_back(); // drop the closing brace
-        out += sbuf;
     }
     return out;
 }

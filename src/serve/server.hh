@@ -6,13 +6,12 @@
  * ArrivalProcess, each carrying its own single-sample dynamism draw;
  * the Batcher merges them into engine batches under a max-batch /
  * max-wait policy; every dispatch streams the formed batches through
- * Engine::runPeriod on the shared chip clock (reusing the schedule
- * plan cache across dispatches); an SloTracker turns completions
- * into latency percentiles and goodput; and a DriftMonitor watches
- * the per-request dyn-value distributions, re-segmenting and
- * re-allocating through the Scheduler — and charging the paper's
- * reconfiguration cost — when the serving distribution drifts away
- * from the one the schedule was built for.
+ * Engine::runPeriod on the shared chip clock; an SloTracker turns
+ * completions into latency percentiles and goodput; and a
+ * DriftMonitor watches the per-request dyn-value distributions,
+ * re-segmenting and re-allocating through the Scheduler — and
+ * charging the paper's reconfiguration cost — when the serving
+ * distribution drifts away from the one the schedule was built for.
  *
  * Static operators always execute at the compiled batch size
  * (partial batches are padded, like a fixed-shape compiled engine),

@@ -1,8 +1,9 @@
 /**
  * @file
  * Zero-allocation guard for the serve hot path: a steady-state
- * Engine::runPeriod (warm plan cache, out-param result) must not
- * touch the heap.
+ * Engine::runPeriod (out-param result, scratch buffers sized) must
+ * not touch the heap, and neither may the first period on a segment
+ * partition the engine has never run.
  *
  * The guard counts calls to the replaceable global operator new. The
  * tests skip under sanitizer builds (ADYNA_SANITIZE): sanitizer
@@ -15,6 +16,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "arch/chip.hh"
 #include "core/engine.hh"
@@ -80,16 +83,35 @@ hw()
     return arch::HwConfig{};
 }
 
+/** A static chain of @p depth 512x512 matmuls. */
 DynGraph
-staticPipe(std::int64_t batch)
+staticPipe(std::int64_t batch, int depth = 3)
 {
     Graph g("pipe");
-    OpId in = g.addInput("in", LoopDims::matmul(batch, 512, 512));
-    OpId a = g.addMatMul("a", in, 512, 512);
-    OpId b = g.addMatMul("b", a, 512, 512);
-    OpId c = g.addMatMul("c", b, 512, 512);
-    g.addOutput("out", c);
+    OpId prev = g.addInput("in", LoopDims::matmul(batch, 512, 512));
+    for (int i = 0; i < depth; ++i)
+        prev = g.addMatMul("mm" + std::to_string(i), prev, 512, 512);
+    g.addOutput("out", prev);
     return parseModel(g);
+}
+
+/** Every split of @p ops into contiguous segments, in order. */
+std::vector<std::vector<std::vector<OpId>>>
+contiguousPartitions(const std::vector<OpId> &ops)
+{
+    std::vector<std::vector<std::vector<OpId>>> out;
+    const std::size_t cuts = ops.size() - 1;
+    for (std::size_t mask = 0; mask < (std::size_t{1} << cuts);
+         ++mask) {
+        std::vector<std::vector<OpId>> part(1);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            part.back().push_back(ops[i]);
+            if (i < cuts && (mask >> i & 1))
+                part.emplace_back();
+        }
+        out.push_back(std::move(part));
+    }
+    return out;
 }
 
 TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
@@ -103,8 +125,7 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
     Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
     const Schedule s = sched.build({}, {}, nullptr);
 
-    ExecPolicy policy; // planCache default on
-    Engine eng(dg, hw(), mapper, policy);
+    Engine eng(dg, hw(), mapper, ExecPolicy{});
     arch::Chip chip(hw());
 
     trace::TraceConfig tc;
@@ -115,11 +136,11 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
     for (int i = 0; i < 6; ++i)
         batches.push_back(gen.next());
 
-    // Warm-up periods size every scratch vector and plan-cache
-    // entry. Several are needed: the HBM gap-resource's interval
-    // vector oscillates over a multi-period trim/compaction cycle, so
-    // its capacity peaks only after a few periods. The barrier stays
-    // monotone like the serve loop's dispatch clock.
+    // Warm-up periods size every scratch vector. Several are needed:
+    // the HBM gap-resource's interval vector oscillates over a
+    // multi-period trim/compaction cycle, so its capacity peaks only
+    // after a few periods. The barrier stays monotone like the serve
+    // loop's dispatch clock.
     PeriodResult out;
     Tick barrier = 0;
     for (int i = 0; i < 6; ++i) {
@@ -135,6 +156,69 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
     EXPECT_EQ(after - before, 0u)
         << "steady-state runPeriod performed " << (after - before)
         << " heap allocations";
+    EXPECT_EQ(out.batchEnds.size(), batches.size());
+}
+
+/**
+ * The engine plans every period from the graph's data-flow view, so
+ * the first period on a segment partition it has never run needs no
+ * new state: once warm-up on the other partitions of the same graph
+ * (imposed through PlanOverride::partition) has sized the scratch
+ * buffers and the chip's HBM and NoC reservation lists, that period
+ * allocates nothing either.
+ */
+TEST(AllocGuard, FirstPeriodOnUnseenPartitionAllocatesNothing)
+{
+#ifdef ADYNA_SANITIZE
+    GTEST_SKIP() << "allocation counting is unreliable under "
+                    "sanitizer runtimes";
+#endif
+    const DynGraph dg = staticPipe(64, 4);
+    costmodel::Mapper mapper(hw().tech);
+    Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
+    std::vector<Schedule> schedules;
+    for (auto &part : contiguousPartitions(dg.computeOps())) {
+        PlanOverride plan;
+        plan.partition = std::move(part);
+        sched.setPlanOverride(&plan);
+        schedules.push_back(sched.build({}, {}, nullptr));
+        sched.setPlanOverride(nullptr);
+    }
+    // Partition 6, {mm0 mm1} {mm2} {mm3}, is held out of the
+    // warm-up.
+    const Schedule unseen = schedules[6];
+    schedules.erase(schedules.begin() + 6);
+    ASSERT_EQ(unseen.segments.size(), 3u);
+
+    Engine eng(dg, hw(), mapper, ExecPolicy{});
+    arch::Chip chip(hw());
+    trace::TraceConfig tc;
+    tc.batchSize = 64;
+    tc.driftStrength = 0.0;
+    trace::TraceGenerator gen(dg, tc, 1);
+    std::vector<trace::BatchRouting> batches;
+    for (int i = 0; i < 6; ++i)
+        batches.push_back(gen.next());
+
+    // Five warm-up rounds over the seven other partitions: the HBM
+    // and NoC reservation lists grow through the third round, and
+    // the fourth and fifth allocate nothing.
+    PeriodResult out;
+    Tick barrier = 0;
+    for (int round = 0; round < 5; ++round)
+        for (const Schedule &s : schedules) {
+            eng.runPeriod(chip, s, batches, nullptr, barrier, out);
+            barrier = out.endTime;
+        }
+
+    const std::uint64_t before =
+        g_allocs.load(std::memory_order_relaxed);
+    eng.runPeriod(chip, unseen, batches, nullptr, barrier, out);
+    const std::uint64_t after =
+        g_allocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "first runPeriod on an unseen partition performed "
+        << (after - before) << " heap allocations";
     EXPECT_EQ(out.batchEnds.size(), batches.size());
 }
 

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "arch/chip.hh"
 #include "baselines/designs.hh"
 #include "common/rng.hh"
@@ -174,7 +178,6 @@ TEST(Engine, WorstCaseExecIssuesMoreMacs)
     ExecPolicy wcPol;
     wcPol.worstCaseExec = true;
     wcPol.kernelFitting = false;
-    wcPol.tileSharing = false;
     Engine wcEng(dg, hw(), mapper, wcPol);
     Engine dynEng(dg, hw(), mapper, ExecPolicy{});
 
@@ -213,6 +216,49 @@ TEST(Engine, NoPipeliningMovesTensorsThroughDram)
               chipB.hbm().bytesServed() * 3 / 2);
     EXPECT_LT(chipA.noc().byteHopsServed(),
               chipB.noc().byteHopsServed());
+}
+
+/**
+ * Two independent chains, a -> b and c -> d. Cutting between the
+ * chains, {a b} {c d}, keeps both edges inside a segment; cutting
+ * across them, {a c} {b d}, gives every op the same tile count but
+ * sends both edges through DRAM: the producer writes its output back
+ * and the consumer reads it. So HBM serves exactly four more tensors
+ * per batch, and nothing else moves.
+ */
+TEST(Engine, CrossSegmentEdgesRoundTripThroughDram)
+{
+    Graph g("chains");
+    const OpId in = g.addInput("in", LoopDims::matmul(64, 512, 512));
+    const OpId a = g.addMatMul("a", in, 512, 512);
+    const OpId c = g.addMatMul("c", in, 512, 512);
+    g.addOutput("outB", g.addMatMul("b", a, 512, 512));
+    g.addOutput("outD", g.addMatMul("d", c, 512, 512));
+    const DynGraph dg = parseModel(g);
+    std::map<std::string, OpId> id;
+    for (const OpNode &node : dg.graph().nodes())
+        id[node.name] = node.id;
+
+    costmodel::Mapper mapper(hw().tech);
+    Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
+    const auto rts = routings(dg, 64, 6);
+    const auto hbmBytes = [&](std::vector<std::vector<OpId>> cut) {
+        PlanOverride plan;
+        plan.partition = std::move(cut);
+        sched.setPlanOverride(&plan);
+        const Schedule s = sched.build({}, {}, nullptr);
+        sched.setPlanOverride(nullptr);
+        Engine eng(dg, hw(), mapper, ExecPolicy{});
+        arch::Chip chip(hw());
+        (void)eng.runPeriod(chip, s, rts, nullptr, 0);
+        return chip.hbm().bytesServed();
+    };
+    const Bytes within =
+        hbmBytes({{id["a"], id["b"]}, {id["c"], id["d"]}});
+    const Bytes across =
+        hbmBytes({{id["a"], id["c"]}, {id["b"], id["d"]}});
+    const Bytes tensor = 64 * dg.outBytesPerRow(id["a"]);
+    EXPECT_EQ(across - within, 4 * tensor * rts.size());
 }
 
 TEST(Engine, ProfilerReceivesDynValuesAndBranchLoads)

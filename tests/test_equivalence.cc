@@ -1,14 +1,13 @@
 /**
  * @file
- * Behaviour-preservation tests for the perf optimizations: the
- * schedule-plan cache (with the precomputed producer index), the
+ * Behaviour-preservation tests for the cache layers: the
  * sweep-shared mapper and the kernel-store cache, alone, together
  * and shared by concurrent runs, must all produce byte-identical run
- * reports to the seed path (legacy per-period planner, private
- * per-run mapper and store cache, one run at a time) on every
- * workload and on the non-default execution policies (worst-case
- * execution, pipelining off). Cold, warm and cache-less schedule
- * builds must agree down to the encoded kernel images.
+ * reports to the seed path (private per-run mapper and store cache,
+ * one run at a time) on every workload and on the non-default
+ * execution policies (worst-case execution, pipelining off). Cold,
+ * warm and cache-less schedule builds must agree down to the encoded
+ * kernel images.
  */
 
 #include <map>
@@ -34,20 +33,13 @@ namespace {
 using namespace adyna;
 using baselines::Design;
 
-/** Which cache layers a run enables. The default is the seed path:
- * everything off, so each test states exactly what it turns on. */
-struct RunCfg
-{
-    bool planCache = false;
-};
-
 /** Serialized report (with per-batch series) for one run. The cache
  * counters are not serialized, so this captures exactly the
  * simulation-visible outputs. @p shared / @p stores, when non-null,
  * share mapper-memo / compiled-store state across runs. */
 std::string
 runReport(const std::string &workload, Design design, int batches,
-          const RunCfg &cfg, costmodel::Mapper *shared = nullptr,
+          costmodel::Mapper *shared = nullptr,
           kernels::KernelStoreCache *stores = nullptr)
 {
     const arch::HwConfig hw;
@@ -55,10 +47,8 @@ runReport(const std::string &workload, Design design, int batches,
     const auto dg = graph::parseModel(bundle.graph);
     trace::TraceConfig tc = bundle.traceConfig;
     tc.batchSize = 64;
-    const auto scfg = baselines::schedulerConfig(design);
-    auto pol = baselines::execPolicy(design);
-    pol.planCache = cfg.planCache;
-    core::System sys(dg, tc, hw, scfg, pol,
+    core::System sys(dg, tc, hw, baselines::schedulerConfig(design),
+                     baselines::execPolicy(design),
                      baselines::runOptions(design, batches, 1),
                      baselines::designName(design));
     if (shared)
@@ -70,20 +60,6 @@ runReport(const std::string &workload, Design design, int batches,
 
 } // namespace
 
-/** Plan cache alone: identical reports on all five workloads, with
- * enough batches to cross a reconfiguration boundary (the cache must
- * key on schedule content, not just the period index). */
-TEST(Equivalence, PlanCacheMatchesLegacyPlannerAllWorkloads)
-{
-    for (const auto &name : models::workloadNames()) {
-        const auto legacy =
-            runReport(name, Design::Adyna, 45, RunCfg{});
-        const auto cached = runReport(name, Design::Adyna, 45,
-                                      RunCfg{.planCache = true});
-        EXPECT_EQ(legacy, cached) << "workload " << name;
-    }
-}
-
 /** Shared mapper alone: the memo only caches deterministic search
  * results, so sharing across runs must not change any report. */
 TEST(Equivalence, SharedMapperMatchesPrivateMapper)
@@ -91,10 +67,8 @@ TEST(Equivalence, SharedMapperMatchesPrivateMapper)
     const arch::HwConfig hw;
     costmodel::Mapper shared(hw.tech);
     for (const auto &name : models::workloadNames()) {
-        const auto priv =
-            runReport(name, Design::Adyna, 20, RunCfg{});
-        const auto shr = runReport(name, Design::Adyna, 20, RunCfg{},
-                                   &shared);
+        const auto priv = runReport(name, Design::Adyna, 20);
+        const auto shr = runReport(name, Design::Adyna, 20, &shared);
         EXPECT_EQ(priv, shr) << "workload " << name;
     }
     // The second run of each workload hits the warm memo.
@@ -151,19 +125,17 @@ TEST(Equivalence, CachedSweepMatchesSeedPath)
     const arch::HwConfig hw;
     costmodel::Mapper shared(hw.tech);
     kernels::KernelStoreCache stores;
-    const RunCfg all{.planCache = true};
     for (const auto &name : models::workloadNames()) {
-        const auto seed = runReport(name, Design::Adyna, 45,
-                                    RunCfg{});
-        const auto fast = runReport(name, Design::Adyna, 45, all,
-                                    &shared, &stores);
+        const auto seed = runReport(name, Design::Adyna, 45);
+        const auto fast =
+            runReport(name, Design::Adyna, 45, &shared, &stores);
         EXPECT_EQ(seed, fast) << "workload " << name;
     }
 }
 
 /** The --jobs sweep: every workload x design, run concurrently on a
- * 4-worker pool whose runs all share one mapper and one store cache
- * (plus the plan cache), must reproduce the serial private-cache
+ * 4-worker pool whose runs all share one mapper and one store cache,
+ * must reproduce the serial private-cache
  * reports byte for byte. 45 batches cross the 40-batch
  * reconfiguration, so re-schedules race on the shared caches too. */
 TEST(Equivalence, ConcurrentSharedCacheSweepMatchesSerial)
@@ -180,7 +152,7 @@ TEST(Equivalence, ConcurrentSharedCacheSweepMatchesSerial)
 
     std::vector<std::string> serial;
     for (const Cell &c : cells)
-        serial.push_back(runReport(c.workload, c.design, 45, RunCfg{}));
+        serial.push_back(runReport(c.workload, c.design, 45));
 
     const arch::HwConfig hw;
     costmodel::Mapper shared(hw.tech);
@@ -189,8 +161,7 @@ TEST(Equivalence, ConcurrentSharedCacheSweepMatchesSerial)
     const std::vector<std::string> concurrent =
         pool.parallelMap(cells.size(), [&](std::size_t i) {
             return runReport(cells[i].workload, cells[i].design, 45,
-                             RunCfg{.planCache = true}, &shared,
-                             &stores);
+                             &shared, &stores);
         });
     ASSERT_EQ(concurrent.size(), serial.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -202,19 +173,18 @@ TEST(Equivalence, ConcurrentSharedCacheSweepMatchesSerial)
 }
 
 /** Non-default policies: MTile runs worst-case shapes, MTenant turns
- * pipelining off -- both exercise planSegment branches the Adyna
- * config does not. */
+ * pipelining off -- both exercise engine branches the Adyna config
+ * does not. */
 TEST(Equivalence, BaselineDesignPoliciesMatch)
 {
     const arch::HwConfig hw;
     costmodel::Mapper shared(hw.tech);
     kernels::KernelStoreCache stores;
-    const RunCfg all{.planCache = true};
     for (Design d : {Design::MTile, Design::MTenant,
                      Design::FullKernel}) {
-        const auto seed = runReport("skipnet", d, 45, RunCfg{});
-        const auto fast = runReport("skipnet", d, 45, all, &shared,
-                                    &stores);
+        const auto seed = runReport("skipnet", d, 45);
+        const auto fast =
+            runReport("skipnet", d, 45, &shared, &stores);
         EXPECT_EQ(seed, fast)
             << "design " << baselines::designName(d);
     }

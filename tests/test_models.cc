@@ -3,13 +3,19 @@
  * Tests for the DynNN model zoo: every workload parses into a valid
  * dynamic operator graph, exposes the expected dynamism category,
  * yields sane routing traces, and has compute demands in the right
- * ballpark for its published backbone.
+ * ballpark for its published backbone. The parsed graphs' data-flow
+ * view (producers through routing nodes) is checked against a
+ * reference resolution on the zoo and on random DynNNs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/parser.hh"
 #include "models/models.hh"
+#include "models/random.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -78,6 +84,95 @@ INSTANTIATE_TEST_SUITE_P(ModelZoo, AllWorkloads,
                                      c = '_';
                              return n;
                          });
+
+/**
+ * Reference producer resolution, written from the definition: a
+ * depth-first walk over each input list that looks through Switch
+ * and Merge nodes, skips Sink and Output nodes and lists each
+ * producer once, in discovery order.
+ */
+void
+referenceProducers(const Graph &g, OpId op, bool crossed,
+                   std::vector<char> &seen, std::vector<Producer> &out)
+{
+    for (OpId in : g.node(op).inputs) {
+        if (seen[in])
+            continue;
+        seen[in] = 1;
+        const OpKind kind = g.node(in).kind;
+        if (kind == OpKind::Switch || kind == OpKind::Merge)
+            referenceProducers(g, in, true, seen, out);
+        else if (kind != OpKind::Sink && kind != OpKind::Output)
+            out.push_back({in, crossed});
+    }
+}
+
+/** Check every accessor of @p dg's data-flow view against the
+ * reference; returns the number of routing-crossing edges seen. */
+int
+expectDataFlowMatchesReference(const DynGraph &dg)
+{
+    const Graph &g = dg.graph();
+    const std::size_t n = g.size();
+    std::vector<std::vector<Producer>> want(n);
+    for (OpId op = 0; op < n; ++op) {
+        std::vector<char> seen(n, 0);
+        referenceProducers(g, op, false, seen, want[op]);
+    }
+    std::vector<std::vector<OpId>> consumers(n);
+    std::vector<char> feedsOutput(n, 0);
+    int crossing = 0;
+    for (OpId op = 0; op < n; ++op) {
+        for (const Producer &p : want[op]) {
+            consumers[p.op].push_back(op);
+            if (g.node(op).kind == OpKind::Output)
+                feedsOutput[p.op] = 1;
+            crossing += p.crossesRouting ? 1 : 0;
+        }
+    }
+    for (OpId op = 0; op < n; ++op) {
+        const auto got = dg.producers(op);
+        EXPECT_EQ(got.size(), want[op].size()) << dg.name() << " #" << op;
+        for (std::size_t i = 0; i < std::min(got.size(), want[op].size());
+             ++i) {
+            EXPECT_EQ(got[i].op, want[op][i].op)
+                << dg.name() << " #" << op << " edge " << i;
+            EXPECT_EQ(got[i].crossesRouting, want[op][i].crossesRouting)
+                << dg.name() << " #" << op << " edge " << i;
+        }
+        const auto cons = dg.consumers(op);
+        EXPECT_EQ(std::vector<OpId>(cons.begin(), cons.end()),
+                  consumers[op])
+            << dg.name() << " #" << op;
+        EXPECT_EQ(dg.feedsOutput(op), feedsOutput[op] != 0)
+            << dg.name() << " #" << op;
+        const OpNode &node = g.node(op);
+        const LoopDims &dims =
+            node.kind == OpKind::Input ? node.dims : dg.info(op).outDims;
+        EXPECT_EQ(dg.outBytesPerRow(op),
+                  static_cast<Bytes>(dims.k() * dims.p() * dims.q() *
+                                     node.dtypeBytes))
+            << dg.name() << " #" << op;
+    }
+    return crossing;
+}
+
+/** DynGraph resolves producers once, at parse time; the engine and
+ * the search surrogate read only that view, so it must equal the
+ * definition on every paper model and on random DynNNs. */
+TEST(DynGraph, DataFlowMatchesReference)
+{
+    int crossing = 0;
+    for (const std::string &name : workloadNames())
+        for (std::int64_t batch : {64, 128})
+            crossing += expectDataFlowMatchesReference(
+                parseModel(buildByName(name, batch).graph));
+    EXPECT_GT(crossing, 0) << "no edge crosses a routing node";
+    RandomModelParams params;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed)
+        expectDataFlowMatchesReference(
+            parseModel(buildRandomDynNN(params, seed).graph));
+}
 
 TEST(ModelZoo, WorkloadNamesAreTheFivePaperModels)
 {

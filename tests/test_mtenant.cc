@@ -14,12 +14,14 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/noc.hh"
 #include "baselines/designs.hh"
 #include "fault/fault.hh"
 #include "graph/parser.hh"
+#include "json_check.hh"
 #include "kernels/store_cache.hh"
 #include "models/models.hh"
 #include "mtenant/partition.hh"
@@ -435,6 +437,38 @@ TEST(MTenantRuntime, SearchOnDriftSearchesTenantReschedules)
     }
     ASSERT_GT(reschedules, 0) << "drift must trigger";
     EXPECT_NE(toJson(r).find("search_tried"), std::string::npos);
+}
+
+/** Tenant ids are validated only for being non-empty and unique, so
+ * the emitter must escape them and size its output to fit: a quote,
+ * a backslash and a 4000-character id each leave a report that
+ * parses, with the tenant's class and tiles intact. */
+TEST(MTenantJson, EscapesTenantIdsAndKeepsEveryField)
+{
+    MTenantReport r;
+    r.mode = "isolation";
+    const std::string longId(4000, 't');
+    const std::pair<std::string, std::string> ids[] = {
+        {"team \"a\"", "team \\\"a\\\""},
+        {"ns\\b", "ns\\\\b"},
+        {longId, longId}};
+    for (const auto &[id, escaped] : ids) {
+        TenantResult t;
+        t.id = id;
+        t.cls = serve::SloClass::BestEffort;
+        t.tiles = 7;
+        t.serve.workload = "skipnet";
+        r.tenants.push_back(t);
+    }
+    const std::string json = toJson(r);
+    EXPECT_TRUE(test::isValidJson(json)) << json.substr(0, 80);
+    for (const auto &[id, escaped] : ids)
+        EXPECT_NE(json.find("{\"tenant\": \"" + escaped +
+                            "\", \"slo_class\": \"best-effort\", "
+                            "\"tiles\": 7, \"workload\": \"skipnet\""),
+                  std::string::npos)
+            << id.substr(0, 16);
+    EXPECT_TRUE(json.ends_with("}]}"));
 }
 
 } // namespace

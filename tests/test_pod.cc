@@ -17,11 +17,13 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/designs.hh"
 #include "fault/fault.hh"
 #include "graph/parser.hh"
+#include "json_check.hh"
 #include "kernels/store_cache.hh"
 #include "models/models.hh"
 #include "pod/breaker.hh"
@@ -959,6 +961,49 @@ TEST(PodRuntime, RoundRobinSpreadsArrivalsEvenly)
     }
     EXPECT_LE(hi - lo, 1u);
     EXPECT_EQ(r.requests, 240u);
+}
+
+/** Model names are escaped and the output is sized to fit, with and
+ * without the reliability block: a quote, a backslash and a
+ * 4000-character model name each leave a report that parses, with
+ * every per-chip field intact. */
+TEST(PodJson, EscapesModelNamesAndKeepsEveryField)
+{
+    const std::string longName(4000, 'm');
+    const std::pair<std::string, std::string> names[] = {
+        {"my \"model\" v2", "my \\\"model\\\" v2"},
+        {"dir\\model", "dir\\\\model"},
+        {longName, longName}};
+    for (const bool reliability : {false, true}) {
+        PodReport r;
+        r.policy = "least_loaded";
+        r.placement = "replicated";
+        r.reliabilityActive = reliability;
+        for (const auto &[name, escaped] : names) {
+            ChipResult c;
+            c.id = static_cast<int>(r.chips.size());
+            c.model = name;
+            c.serve.workload = name;
+            r.chips.push_back(c);
+        }
+        r.chipCount = static_cast<int>(r.chips.size());
+        const std::string json = toJson(r);
+        EXPECT_TRUE(test::isValidJson(json)) << json.substr(0, 80);
+        for (const auto &[name, escaped] : names) {
+            const std::string tail =
+                reliability ? "\"hedged\": 0, \"sdc\": 0, " : "";
+            EXPECT_NE(json.find("\"model\": \"" + escaped +
+                                "\", \"dark\": false, \"routed\": 0, "
+                                "\"rerouted\": 0, \"drained\": 0, " +
+                                tail + "\"workload\": \"" + escaped +
+                                "\""),
+                      std::string::npos)
+                << name.substr(0, 16);
+        }
+        EXPECT_EQ(json.find("\"router_stats\"") != std::string::npos,
+                  reliability);
+        EXPECT_TRUE(json.ends_with("}]}"));
+    }
 }
 
 } // namespace

@@ -116,31 +116,6 @@ TEST(TileSharing, AbsorbsAntiCorrelatedSwings)
     EXPECT_LT(a.endTime, b.endTime);
 }
 
-TEST(TileSharing, DisablingAtRuntimeFallsBackToBase)
-{
-    const DynGraph dg = swingMoE(128);
-    costmodel::Mapper mapper(hw().tech);
-    arch::Profiler prof;
-    const OpId sw = dg.switches()[0].switchOp;
-    for (const auto &r : swingRoutings(dg, 128, 32))
-        prof.recordBranchLoads(sw, r.outcomes.at(sw).branchCounts);
-    SchedulerConfig cfg;
-    cfg.tileSharing = true;
-    Scheduler sched(dg, hw(), mapper, cfg);
-    const Schedule s = sched.build({}, {}, &prof);
-    ASSERT_FALSE(s.segments[0]->pairs.empty());
-
-    // The engine honors policy.tileSharing = false even on a shared
-    // schedule (base allocation only).
-    ExecPolicy off;
-    off.tileSharing = false;
-    Engine eng(dg, hw(), mapper, off);
-    arch::Chip chip(hw());
-    const auto res =
-        eng.runPeriod(chip, s, swingRoutings(dg, 128, 8), nullptr, 0);
-    EXPECT_GT(res.endTime, 0u);
-}
-
 TEST(HostRouting, SerializesSwitchEdgesOnHostCpu)
 {
     const auto bundle = models::buildSkipNet(64);

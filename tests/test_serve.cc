@@ -14,10 +14,13 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/designs.hh"
 #include "graph/parser.hh"
+#include "json_check.hh"
 #include "kernels/store_cache.hh"
 #include "models/models.hh"
 #include "serve/arrival.hh"
@@ -992,4 +995,31 @@ TEST(Validate, RejectsPerTenantFaultPlan)
     EXPECT_EXIT(validateTenantSpecs(tenants),
                 ::testing::ExitedWithCode(1),
                 "per-tenant fault plans");
+}
+
+/** Free-form names are escaped and no field is lost to a fixed
+ * buffer: a quote, a backslash and a 4000-character workload name
+ * all leave a report that parses, with every optional block. */
+TEST(ServeJson, EscapesNamesAndKeepsEveryField)
+{
+    serve::ServeReport r;
+    r.mode = "adaptive";
+    r.faultActive = true;
+    r.searchActive = true;
+    const std::string longName(4000, 'w');
+    const std::pair<std::string, std::string> names[] = {
+        {"my \"model\" v2", "my \\\"model\\\" v2"},
+        {"dir\\model", "dir\\\\model"},
+        {longName, longName}};
+    for (const auto &[name, escaped] : names) {
+        r.workload = name;
+        const std::string json = serve::toJson(r);
+        EXPECT_TRUE(test::isValidJson(json)) << json.substr(0, 80);
+        EXPECT_NE(json.find("{\"workload\": \"" + escaped +
+                            "\", \"mode\": \"adaptive\""),
+                  std::string::npos);
+        EXPECT_NE(json.find("\"unroutable_paths\": 0, "),
+                  std::string::npos);
+        EXPECT_TRUE(json.ends_with("\"search_improved_last\": false}"));
+    }
 }
