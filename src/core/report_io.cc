@@ -144,30 +144,6 @@ faultStatsJson(const RunReport &r)
 }
 
 std::string
-searchStatsJson(const RunReport &r)
-{
-    const SearchStats &s = r.search;
-    std::ostringstream os;
-    os << "{\"candidates_tried\":" << s.candidatesTried << ","
-       << "\"candidates_accepted\":" << s.candidatesAccepted << ","
-       << "\"materialized\":" << s.materialized << ","
-       << "\"segments_rebuilt\":" << s.segmentsRebuilt << ","
-       << "\"segments_spliced\":" << s.segmentsSpliced << ","
-       << "\"full_rebuilds\":" << s.fullRebuilds << ","
-       << "\"budget_spent_cycles\":" << s.budgetSpentCycles << ","
-       << "\"budget_exhausted\":" << s.budgetExhausted << ","
-       << "\"chains\":" << s.chains << ","
-       << "\"heuristic_cost\":" << s.heuristicCost << ","
-       << "\"searched_cost\":" << s.searchedCost << ","
-       << "\"improved\":" << (s.improved ? "true" : "false") << ","
-       << "\"store_hits\":" << s.storeHits << ","
-       << "\"store_misses\":" << s.storeMisses << ","
-       << "\"mapper_hits\":" << s.mapperHits << ","
-       << "\"mapper_misses\":" << s.mapperMisses << "}";
-    return os.str();
-}
-
-std::string
 csvHeader()
 {
     return "workload,design,cycles,time_ms,batches_per_second,"

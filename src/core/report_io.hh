@@ -45,14 +45,6 @@ std::string cacheStatsJson(const RunReport &report);
 std::string faultStatsJson(const RunReport &report);
 
 /**
- * Serialize the run's schedule-search counters as one JSON object.
- * Kept out of toJson() for the same reason as the cache counters: a
- * search-off run's machine-readable reports must stay byte-identical
- * to the pre-search code.
- */
-std::string searchStatsJson(const RunReport &report);
-
-/**
  * Escape @p s for use inside a JSON string literal: the quote, the
  * backslash and every control character. The report emitters pass
  * every free-form name (workload, tenant, model) through it.

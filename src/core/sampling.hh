@@ -77,6 +77,12 @@ void refreshScheduleInputs(
     std::map<OpId, double> &expectations,
     std::map<OpId, std::vector<std::int64_t>> &kernel_values);
 
+/** Fixed reconfiguration overhead charged per re-schedule on top of
+ * the natural pipeline drain (the kernel/metadata reload), cycles:
+ * System's periodic and fail-over rebuilds and every serving
+ * back-end's rebuild. */
+inline constexpr Cycles kReconfigOverheadCycles = 10000;
+
 } // namespace adyna::core
 
 #endif // ADYNA_CORE_SAMPLING_HH

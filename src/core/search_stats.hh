@@ -1,9 +1,8 @@
 /**
  * @file
  * Observability of one schedule-search run (src/search). Lives in
- * core so RunReport and the serving runtime can carry the counters
- * without depending on the search library (search depends on core,
- * never the reverse).
+ * core so reports can carry the counters without depending on the
+ * search library (search depends on core, never the reverse).
  */
 
 #ifndef ADYNA_CORE_SEARCH_STATS_HH

@@ -142,26 +142,29 @@ System::run()
     if (!faultPlan_.empty())
         injector.emplace(faultPlan_,
                          faultSeed_ ? faultSeed_
-                                    : options_.seed ^
-                                          0xda3e39cb94b95bdbULL);
+                                    : options_.seed ^ fault::kSeedSalt);
     Tick barrier = 0;
     int done = 0;
     while (done < options_.numBatches) {
         // Fault events due by the current clock strike before the
         // period runs; a healthy-tile change triggers a degraded
-        // re-schedule onto the survivors (the static worst-case
+        // re-schedule onto the survivors. The static worst-case
         // baseline keeps its schedule and eats the lockstep
-        // degradation instead).
+        // degradation instead, and so does every design once no tile
+        // survives (an empty tile list would mean the full grid).
         if (injector && injector->advanceTo(barrier, chip) &&
             !schedCfg_.worstCase) {
-            scheduler.setHealthyTiles(chip.healthyTiles());
-            schedule = scheduler.build(expectations, kernelValues,
-                                       &profiler);
-            checkSchedule(schedule);
-            report.storedKernels = std::max(report.storedKernels,
-                                            schedule.totalKernels());
-            barrier += options_.reconfigOverheadCycles;
-            ++report.failovers;
+            std::vector<TileId> alive = chip.healthyTiles();
+            if (!alive.empty()) {
+                scheduler.setHealthyTiles(std::move(alive));
+                schedule = scheduler.build(expectations, kernelValues,
+                                           &profiler);
+                checkSchedule(schedule);
+                report.storedKernels = std::max(
+                    report.storedKernels, schedule.totalKernels());
+                barrier += kReconfigOverheadCycles;
+                ++report.failovers;
+            }
         }
         const int count =
             std::min(period, options_.numBatches - done);
@@ -205,7 +208,7 @@ System::run()
                                         schedule.totalKernels());
         // Reconfiguration: the period boundary already drained the
         // pipeline; add the fixed kernel/metadata reload cost.
-        barrier += options_.reconfigOverheadCycles;
+        barrier += kReconfigOverheadCycles;
         ++report.reconfigurations;
     }
 

@@ -18,7 +18,6 @@
 #include "arch/profiler.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
-#include "core/search_stats.hh"
 #include "fault/fault.hh"
 #include "graph/dyngraph.hh"
 #include "trace/trace.hh"
@@ -40,10 +39,6 @@ struct RunOptions
      * adjustment entirely (the Adyna-static setting).
      */
     int reconfigPeriod = 40;
-
-    /** Fixed reconfiguration overhead added on top of the natural
-     * pipeline drain, cycles. */
-    Cycles reconfigOverheadCycles = 10000;
 
     /** Offline profiling batches before the first schedule. */
     int profileBatches = 40;
@@ -102,13 +97,6 @@ struct RunReport
      * also excluded from the exporters). */
     int failovers = 0;
 
-    /** Schedule-search counters (all zero unless a ScheduleSearch
-     * filled them in; src/search). Excluded from the CSV/JSON
-     * exporters like the cache and fault counters so search-off
-     * reports stay byte-identical; exported separately via
-     * searchStatsJson(). */
-    SearchStats search;
-
     /** Per-batch completion times. */
     std::vector<Tick> batchEnds;
 
@@ -160,10 +148,11 @@ class System
      * Inject @p plan during the run: events fire on the chip clock at
      * period boundaries, and a healthy-tile change triggers a
      * degraded re-schedule onto the survivors (unless the design is
-     * the worst-case static baseline, which keeps its schedule and
-     * eats the degraded execution cost). @p seed drives the
-     * probe-drop streams; 0 derives one from RunOptions::seed. An
-     * empty plan leaves every simulation path untouched.
+     * the worst-case static baseline, or no tile survives: either
+     * keeps its schedule and eats the degraded execution cost).
+     * @p seed drives the probe-drop streams; 0 derives one from
+     * RunOptions::seed. An empty plan leaves every simulation path
+     * untouched.
      */
     void setFaultPlan(fault::FaultPlan plan, std::uint64_t seed = 0);
 

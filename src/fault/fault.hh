@@ -214,6 +214,11 @@ struct FaultStats
     std::uint64_t unroutablePaths = 0;
 };
 
+/** Salt of a run's fault streams: every runtime (System, ServeRuntime,
+ * MTenantRuntime, PodRuntime) seeds its injector, and the pod its
+ * interconnect and chips, from its run seed ^ kSeedSalt. */
+inline constexpr std::uint64_t kSeedSalt = 0xda3e39cb94b95bdbULL;
+
 /** Replays a FaultPlan against a chip on the simulated clock. */
 class FaultInjector
 {

@@ -55,6 +55,11 @@ KernelStore compileStore(const graph::OpNode &op,
                          int tiles, costmodel::Mapper &mapper,
                          const costmodel::TechParams &tech);
 
+/** Modeled cycles to compile one kernel store: the per-store term
+ * of a serving rebuild's cost (what the watchdog budgets) and of a
+ * schedule search's materializations. */
+inline constexpr Cycles kStoreCompileCycles = 2000;
+
 /** Memoizing cache of compiled kernel stores. */
 class KernelStoreCache
 {

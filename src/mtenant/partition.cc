@@ -37,7 +37,6 @@ TilePartitioner::TilePartitioner(const arch::HwConfig &hw,
                                  PartitionPolicy policy)
     : hw_(hw), policy_(policy)
 {
-    assert(policy_.minTilesPerTenant >= 1);
     assert(policy_.interferenceAlpha >= 0.0);
 }
 
@@ -64,7 +63,7 @@ TilePartitioner::partition(const std::vector<double> &shares) const
     }
 
     // Relax the per-tenant floor evenly when the grid cannot fit it.
-    int minTiles = std::max(policy_.minTilesPerTenant, 1);
+    int minTiles = kMinTilesPerTenant;
     if (static_cast<long>(n) * minTiles > hw_.tiles())
         minTiles =
             std::max(1, hw_.tiles() / static_cast<int>(n));

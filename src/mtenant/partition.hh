@@ -51,13 +51,14 @@ enum class PartitionKind {
 /** Canonical lower-case mode name ("isolation-aware", ...). */
 const char *partitionKindName(PartitionKind kind);
 
+/** Smallest region any tenant may receive, in tiles (relaxed evenly
+ * when the grid is too small for every tenant's floor). */
+inline constexpr int kMinTilesPerTenant = 4;
+
 /** Partitioning policy knobs. */
 struct PartitionPolicy
 {
     PartitionKind kind = PartitionKind::IsolationAware;
-
-    /** Smallest region any tenant may receive, in tiles. */
-    int minTilesPerTenant = 4;
 
     /**
      * Strength of cross-tenant NoC interference on partition-boundary
@@ -124,9 +125,9 @@ class TilePartitioner
      * Partition the grid for @p shares (one non-negative entry per
      * tenant, input order preserved). Regions are pairwise disjoint
      * and cover the whole grid; each holds at least
-     * policy.minTilesPerTenant tiles (the policy is relaxed evenly
-     * when the grid is too small for every tenant's floor). Under
-     * SharedGrid every tenant receives the full-grid rectangle.
+     * kMinTilesPerTenant tiles (relaxed evenly when the grid is too
+     * small for every tenant's floor). Under SharedGrid every tenant
+     * receives the full-grid rectangle.
      * Deterministic: equal inputs give equal outputs.
      */
     std::vector<TileRegion>

@@ -15,6 +15,36 @@ namespace adyna::mtenant {
 
 namespace {
 
+// ---- elastic repartition controller --------------------------------
+
+/** Cycles between controller checks. */
+constexpr Cycles kCheckIntervalCycles = 2'000'000;
+
+/** Largest |desired - current| tile-share deviation (per tenant)
+ * tolerated before a check counts as hot. */
+constexpr double kDeviationThreshold = 0.25;
+
+/** Consecutive hot checks required to repartition. */
+constexpr int kHysteresisChecks = 2;
+
+/** Checks after a repartition during which no new one fires. */
+constexpr int kCooldownChecks = 2;
+
+/** EWMA weight of the newest per-tenant rate measurement. */
+constexpr double kLoadEwmaAlpha = 0.3;
+
+// ---- priority preemption of latency-critical tenants ---------------
+
+/** Trigger when a latency-critical tenant's latency EWMA exceeds
+ * this multiple of its deadline. */
+constexpr double kPreemptLatencyFactor = 1.0;
+
+/** Share multiplier granted to the struggling tenant. */
+constexpr double kPreemptBoost = 2.0;
+
+/** Controller checks the boost persists for. */
+constexpr int kPreemptHoldChecks = 4;
+
 /** Ascending intersection of two ascending tile lists. */
 std::vector<TileId>
 intersectTiles(const std::vector<TileId> &a,
@@ -176,10 +206,7 @@ MTenantRuntime::run()
     std::optional<fault::FaultInjector> injector;
     if (!cfg_.faultPlan.empty())
         injector.emplace(cfg_.faultPlan,
-                         cfg_.faultSeed
-                             ? cfg_.faultSeed
-                             : cfg_.tenants[0].serve.seed ^
-                                   0xda3e39cb94b95bdbULL);
+                         cfg_.tenants[0].serve.seed ^ fault::kSeedSalt);
 
     // ---- per-tenant bring-up (profiling, drift reference, first
     // schedule), each restricted to its own region -------------------
@@ -222,9 +249,8 @@ MTenantRuntime::run()
     const bool elastic =
         cfg_.repartition.elastic &&
         cfg_.partition.kind == PartitionKind::IsolationAware &&
-        cfg_.repartition.checkIntervalCycles > 0 &&
         !schedCfg_.worstCase;
-    Tick nextControl = cfg_.repartition.checkIntervalCycles;
+    Tick nextControl = kCheckIntervalCycles;
 
     for (;;) {
         // Pick the tenant with the earliest dispatch moment; picked
@@ -257,7 +283,6 @@ MTenantRuntime::run()
         // ---- elastic repartition / preemption controller -----------
         if (elastic && now >= nextControl) {
             bool force = false;
-            const double alpha = cfg_.repartition.loadEwmaAlpha;
             for (auto &up : tens) {
                 Tenant &u = *up;
                 const std::uint64_t issued = u.source.issued();
@@ -265,6 +290,7 @@ MTenantRuntime::run()
                     static_cast<double>(issued - u.issuedAtCheck);
                 u.issuedAtCheck = issued;
                 if (u.haveRateObs) {
+                    constexpr double alpha = kLoadEwmaAlpha;
                     u.shortRateEwma = (1.0 - alpha) * u.shortRateEwma +
                                       alpha * arrived;
                     // The long EWMA moves 4x slower: it is the
@@ -281,18 +307,18 @@ MTenantRuntime::run()
                 if (u.boostChecksLeft > 0 &&
                     --u.boostChecksLeft == 0)
                     u.boost = 1.0;
-                if (cfg_.preemption.enabled && !u.done &&
+                if (!u.done &&
                     u.spec->cls ==
                         serve::SloClass::LatencyCritical &&
                     u.haveLatency && u.boost == 1.0 &&
                     u.latencyEwmaTicks >
-                        cfg_.preemption.latencyFactor *
+                        kPreemptLatencyFactor *
                             u.source.deadlineTicks()) {
                     // The latency-critical tenant is drowning: boost
                     // its share and repartition now, hysteresis be
                     // damned — that is what priority means.
-                    u.boost = cfg_.preemption.boost;
-                    u.boostChecksLeft = cfg_.preemption.holdChecks;
+                    u.boost = kPreemptBoost;
+                    u.boostChecksLeft = kPreemptHoldChecks;
                     ++preemptions;
                     force = true;
                 }
@@ -327,14 +353,10 @@ MTenantRuntime::run()
 
             if (cooldown > 0)
                 --cooldown;
-            hotStreak =
-                deviation > cfg_.repartition.deviationThreshold
-                    ? hotStreak + 1
-                    : 0;
+            hotStreak = deviation > kDeviationThreshold ? hotStreak + 1 : 0;
             bool repartitioned = false;
             if (cooldown == 0 &&
-                (force ||
-                 hotStreak >= cfg_.repartition.hysteresisChecks)) {
+                (force || hotStreak >= kHysteresisChecks)) {
                 const std::vector<TileRegion> newRegions =
                     partitioner.partition(desired);
                 for (const InterferenceDegrade &d : applied)
@@ -370,10 +392,10 @@ MTenantRuntime::run()
                 if (repartitioned)
                     ++repartitions;
                 hotStreak = 0;
-                cooldown = cfg_.repartition.cooldownChecks;
+                cooldown = kCooldownChecks;
             }
             while (nextControl <= now)
-                nextControl += cfg_.repartition.checkIntervalCycles;
+                nextControl += kCheckIntervalCycles;
             if (repartitioned)
                 continue; // dispatch moments moved: re-pick
         }
@@ -393,12 +415,12 @@ MTenantRuntime::run()
                 if (!affected)
                     continue; // the fault struck someone else's
                               // region
-                std::vector<TileId> alive = intersectTiles(
-                    u.region, chip.healthyTiles());
-                if (alive.empty())
-                    continue; // whole region dead: degraded
-                              // lockstep execution serves on
-                u.backend.failover(std::move(alive), now);
+                // A whole dead region keeps its schedule: degraded
+                // lockstep execution serves on.
+                if (!u.backend.failover(
+                        intersectTiles(u.region, chip.healthyTiles()),
+                        now))
+                    continue;
                 ++failoverRepairs;
                 repaired = true;
             }

@@ -67,45 +67,14 @@ struct TenantWorkload
     std::string name;
 };
 
-/** Elastic repartition controller policy. */
+/** Elastic repartition controller policy (its cadence, trigger and
+ * preemption constants live in mtenant/runtime.cc). */
 struct RepartitionPolicy
 {
     /** Re-carve the grid as measured load shifts; false freezes the
      * initial partition (EvenSplit and SharedGrid are always
      * frozen — only IsolationAware repartitions). */
     bool elastic = true;
-
-    /** Cycles between controller checks. */
-    Cycles checkIntervalCycles = 2'000'000;
-
-    /** Largest |desired - current| tile-share deviation (per tenant)
-     * tolerated before a check counts as hot. */
-    double deviationThreshold = 0.25;
-
-    /** Consecutive hot checks required to repartition. */
-    int hysteresisChecks = 2;
-
-    /** Checks after a repartition during which no new one fires. */
-    int cooldownChecks = 2;
-
-    /** EWMA weight of the newest per-tenant rate measurement. */
-    double loadEwmaAlpha = 0.3;
-};
-
-/** Priority preemption policy for latency-critical tenants. */
-struct PreemptionPolicy
-{
-    bool enabled = true;
-
-    /** Trigger when a latency-critical tenant's latency EWMA exceeds
-     * this multiple of its deadline. */
-    double latencyFactor = 1.0;
-
-    /** Share multiplier granted to the struggling tenant. */
-    double boost = 2.0;
-
-    /** Controller checks the boost persists for. */
-    int holdChecks = 4;
 };
 
 /** Chip-level multi-tenant configuration. */
@@ -117,14 +86,10 @@ struct MTenantConfig
 
     PartitionPolicy partition;
     RepartitionPolicy repartition;
-    PreemptionPolicy preemption;
 
-    /** Chip-level fault timeline (per-tenant plans are rejected). */
+    /** Chip-level fault timeline (per-tenant plans are rejected); its
+     * probe-drop streams derive from the first tenant's seed. */
     fault::FaultPlan faultPlan;
-
-    /** Seed for the fault probe-drop streams; 0 derives one from the
-     * first tenant's seed. */
-    std::uint64_t faultSeed = 0;
 
     /** Repair struck tenants' schedules when tiles fail/recover. */
     bool failover = true;

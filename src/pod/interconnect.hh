@@ -50,14 +50,6 @@ struct InterconnectConfig
 
     /** Propagation latency charged on every transfer, cycles. */
     Cycles latencyCycles = 2000;
-
-    /** Payload of one routed request (input activations plus
-     * metadata), bytes. */
-    Bytes requestBytes = 4096;
-
-    /** Payload of one response (output logits plus metadata),
-     * bytes. */
-    Bytes responseBytes = 2048;
 };
 
 /** What a transfer carries (per-class byte accounting). */

@@ -18,6 +18,28 @@ namespace adyna::pod {
 
 namespace {
 
+/** Payload of one routed request (input activations plus metadata),
+ * bytes. */
+constexpr Bytes kRequestBytes = 4096;
+
+/** Payload of one response (output logits plus metadata), bytes. */
+constexpr Bytes kResponseBytes = 2048;
+
+/** Hedge when a request's age exceeds this quantile of recent
+ * completed pod latencies. */
+constexpr double kHedgeQuantile = 0.95;
+
+/** Completed-latency window the hedge trigger quantile reads. */
+constexpr std::size_t kHedgeWindow = 128;
+
+/** Health-probe ping payload serialized each way on the chip's
+ * links, bytes. */
+constexpr Bytes kProbePayloadBytes = 64;
+
+/** Modeled chip-side ping service, cycles; a chip_slow straggler
+ * dilates it, which is what the breaker's latency trip sees. */
+constexpr Cycles kProbeServiceCycles = 500;
+
 /** One chip: its serving back-end plus the pod driver's own state
  * (the physical chip and its tile-scope faults, interconnect
  * deliveries, dark/heal state, and routing counters). */
@@ -352,9 +374,7 @@ PodRuntime::run()
         return K == 1 ? when : ic.transfer(c, inbound, when, bytes, cls);
     };
 
-    const std::uint64_t faultSeedBase =
-        cfg_.faultSeed ? cfg_.faultSeed
-                       : cfg_.serve.seed ^ 0xda3e39cb94b95bdbULL;
+    const std::uint64_t faultSeedBase = cfg_.serve.seed ^ fault::kSeedSalt;
 
     // ---- reliability layer setup (DESIGN.md §15) -------------------
     // Gray-failure kinds replay as stateless [start, end) spans — a
@@ -556,7 +576,7 @@ PodRuntime::run()
     Tick nextProbe = rel.probeIntervalCycles;
 
     /** The hedge trigger delay for a request arriving now: the
-     * hedgeQuantile of recent completed latencies, clamped into
+     * kHedgeQuantile of recent completed latencies, clamped into
      * [min, max] fractions of the SLO deadline. */
     const auto hedgeDelayTicks = [&]() -> Tick {
         const double lo =
@@ -566,10 +586,8 @@ PodRuntime::run()
         double d = hi;
         if (!latWin.empty()) {
             std::vector<double> tmp(latWin.begin(), latWin.end());
-            const double q =
-                std::clamp(rel.hedgeQuantile, 0.0, 1.0);
             const auto k = static_cast<std::size_t>(
-                q * static_cast<double>(tmp.size() - 1));
+                kHedgeQuantile * static_cast<double>(tmp.size() - 1));
             std::nth_element(tmp.begin(),
                              tmp.begin() +
                                  static_cast<std::ptrdiff_t>(k),
@@ -619,8 +637,7 @@ PodRuntime::run()
                                bool is_reroute, bool is_hedge) {
         ChipBackend &b = *chips[static_cast<std::size_t>(c)];
         const Tick delivered =
-            hop(c, true, when, cfg_.interconnect.requestBytes,
-                PayloadClass::Request);
+            hop(c, true, when, kRequestBytes, PayloadClass::Request);
         const std::uint64_t id = r.id;
         r.arrival = delivered;
         b.inflight.push_back(std::move(r));
@@ -882,15 +899,15 @@ PodRuntime::run()
                     ++relStats.probeFailures;
                     continue;
                 }
-                const Tick in = hop(c, true, at, rel.probePayloadBytes,
+                const Tick in = hop(c, true, at, kProbePayloadBytes,
                                     PayloadClass::Probe);
                 const double service =
-                    static_cast<double>(rel.probeServiceCycles) *
+                    static_cast<double>(kProbeServiceCycles) *
                     slowFactorAt(
                         c, at + cfg_.interconnect.latencyCycles);
                 hop(c, false,
                     in + static_cast<Tick>(std::llround(service)),
-                    rel.probePayloadBytes, PayloadClass::Probe);
+                    kProbePayloadBytes, PayloadClass::Probe);
                 feedSdc(c, at);
                 breakers[static_cast<std::size_t>(c)].recordPing(
                     at, service, true);
@@ -947,27 +964,23 @@ PodRuntime::run()
             }
             if (target < 0)
                 continue; // nowhere to hedge onto
-            if (rel.brownout) {
-                // Graceful brownout: a hedge whose projected
-                // completion already misses the deadline is wasted
-                // interconnect + compute — account and skip it.
-                const serve::Backend &tb =
-                    chips[static_cast<std::size_t>(target)]->backend;
-                const double perReq =
-                    tb.haveService()
-                        ? tb.serviceEwma() /
-                              cfg_.serve.batching.maxBatch
-                        : 0.0;
-                const double projected =
-                    static_cast<double>(at) +
-                    st[static_cast<std::size_t>(target)].load +
-                    perReq;
-                if (projected > static_cast<double>(
-                                    podArrivalOf[id]) +
-                                    deadlineTicks) {
-                    ++relStats.brownoutSheds;
-                    continue;
-                }
+            // Graceful brownout: a hedge whose projected completion
+            // (queue + interconnect + service estimate) already misses
+            // the deadline is wasted interconnect + compute — account
+            // and skip it.
+            const serve::Backend &tb =
+                chips[static_cast<std::size_t>(target)]->backend;
+            const double perReq =
+                tb.haveService()
+                    ? tb.serviceEwma() / cfg_.serve.batching.maxBatch
+                    : 0.0;
+            const double projected =
+                static_cast<double>(at) +
+                st[static_cast<std::size_t>(target)].load + perReq;
+            if (projected >
+                static_cast<double>(podArrivalOf[id]) + deadlineTicks) {
+                ++relStats.brownoutSheds;
+                continue;
             }
             serve::Request copy;
             copy.id = id;
@@ -993,13 +1006,9 @@ PodRuntime::run()
         // Per-chip (tile-scope) faults replay on the chip's own
         // clock with the single-chip fail-over path.
         if (b.injector && b.injector->advanceTo(best, b.chip) &&
-            cfg_.serve.failover && !schedCfg_.worstCase) {
-            std::vector<TileId> alive = b.chip.healthyTiles();
-            if (!alive.empty()) {
-                b.backend.failover(std::move(alive), best);
-                continue; // re-pick against the new engine-free time
-            }
-        }
+            cfg_.serve.failover && !schedCfg_.worstCase &&
+            b.backend.failover(b.chip.healthyTiles(), best))
+            continue; // re-pick against the new engine-free time
 
         // ---- dispatch the chosen chip ------------------------------
         // A chip_slow span dilates the chip's clock (see
@@ -1030,16 +1039,13 @@ PodRuntime::run()
                 // response delivery.
                 const Tick respTick =
                     hop(bestIdx, false, d.result.batchEnds[bi],
-                        cfg_.interconnect.responseBytes,
-                        PayloadClass::Response);
+                        kResponseBytes, PayloadClass::Response);
                 feedSdc(bestIdx, respTick);
                 podSlo.record(podArrivalOf[r.id], best, respTick);
                 if (rel.hedging) {
                     latWin.push_back(static_cast<double>(
                         respTick - podArrivalOf[r.id]));
-                    while (latWin.size() >
-                           static_cast<std::size_t>(
-                               rel.hedgeWindow))
+                    while (latWin.size() > kHedgeWindow)
                         latWin.pop_front();
                 }
                 ++completed;

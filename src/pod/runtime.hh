@@ -100,26 +100,16 @@ struct ReliabilityConfig
     /** Hedge a still-incomplete request onto the next-best chip once
      * its age crosses the latency-percentile trigger. First
      * completion wins; the loser is cancelled (queued / in-flight)
-     * or its duplicate completion discarded (already executing). */
+     * or its duplicate completion discarded (already executing). A
+     * hedge whose projected completion would miss the deadline anyway
+     * is suppressed and counted instead (graceful brownout). */
     bool hedging = false;
-
-    /** Hedge when a request's age exceeds this quantile of recent
-     * completed pod latencies. */
-    double hedgeQuantile = 0.95;
 
     /** Trigger clamps as fractions of the SLO deadline: the floor
      * keeps cold-start hedges off the fast path, the cap guarantees
      * the hedge fires while the deadline is still reachable. */
     double hedgeMinDeadlineFraction = 0.25;
     double hedgeMaxDeadlineFraction = 0.75;
-
-    /** Completed-latency window the trigger quantile reads. */
-    int hedgeWindow = 128;
-
-    /** Graceful brownout: a hedge whose projected completion (queue
-     * + interconnect + service estimate) would miss the deadline
-     * anyway is suppressed and counted instead of issued. */
-    bool brownout = true;
 
     /** Abandon a request outstanding past this many SLO deadlines —
      * shed-with-accounting, every copy cancelled. 0 = no timeouts. */
@@ -133,14 +123,6 @@ struct ReliabilityConfig
 
     /** Health-probe ping cadence, cycles. */
     Cycles probeIntervalCycles = 400'000;
-
-    /** Ping payload serialized each way on the chip's links,
-     * bytes. */
-    Bytes probePayloadBytes = 64;
-
-    /** Modeled chip-side ping service, cycles; a chip_slow straggler
-     * dilates it, which is what the breaker's latency trip sees. */
-    Cycles probeServiceCycles = 500;
 
     /** End-to-end checksums on every interconnect transfer:
      * detect-and-retry of corrupted payloads plus the per-chip SDC
@@ -201,9 +183,6 @@ struct PodConfig
      * the chip's FaultInjector rejects pod-scope kinds). Empty, or
      * one plan per chip. */
     std::vector<fault::FaultPlan> chipFaultPlans;
-
-    /** Seed for fault probe streams; 0 derives one from serve.seed. */
-    std::uint64_t faultSeed = 0;
 
     /** Hedging / breaker / checksum layer (all off by default). */
     ReliabilityConfig reliability;

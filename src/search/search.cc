@@ -17,6 +17,17 @@ namespace adyna::search {
 
 namespace {
 
+/** Tail fraction of each chain's proposals spent on greedy
+ * hill-climbing from the chain's best state. */
+constexpr double kRefineFraction = 0.25;
+
+/** Initial SA temperature, relative to the starting surrogate cost
+ * (accepting a +8% move at probability 1/e). */
+constexpr double kInitTemp = 0.08;
+
+/** Final relative temperature (geometric decay endpoint). */
+constexpr double kTempDecayTo = 1e-3;
+
 /** Insert @p c into the (surrogate, fp)-sorted top list, keeping at
  * most @p width entries and dropping fingerprint duplicates. */
 void
@@ -119,7 +130,7 @@ ScheduleSearch::runChain(const SearchContext &ctx,
         static_cast<std::size_t>(cfg_.materializeTop);
 
     const int refineIters = static_cast<int>(
-        static_cast<double>(proposals) * cfg_.refineFraction);
+        static_cast<double>(proposals) * kRefineFraction);
     const int saIters = proposals - refineIters;
 
     Candidate best{tree.cost(), tree.fingerprint(), tree.state()};
@@ -138,8 +149,7 @@ ScheduleSearch::runChain(const SearchContext &ctx,
                               static_cast<double>(saIters - 1)
                         : 1.0;
         const double temp =
-            cfg_.initTemp *
-            std::pow(cfg_.tempDecayTo / cfg_.initTemp, frac);
+            kInitTemp * std::pow(kTempDecayTo / kInitTemp, frac);
         const bool accept =
             dc <= 0.0 ||
             rng.uniform() < std::exp(-(dc / baseScale) / temp);
@@ -205,8 +215,6 @@ ScheduleSearch::run(core::Scheduler &scheduler,
 
     const SearchContext ctx = [&] {
         SearchContext c(scheduler, dg_, hw_, expectations, profiler);
-        c.setSurrogateBatches(cfg_.surrogateBatches);
-        c.setSegmentFixedCost(cfg_.segmentFixedCycles);
         c.buildCostCurves(mapper_, policy_.kernelFitting);
         return c;
     }();
@@ -218,8 +226,7 @@ ScheduleSearch::run(core::Scheduler &scheduler,
 
     // A budget below even one probe evaluation buys nothing: hand
     // the heuristic fallback back without spending a cycle.
-    if (cfg_.cycleBudget > 0 &&
-        cfg_.cycleBudget < cfg_.materializeCycles) {
+    if (cfg_.cycleBudget > 0 && cfg_.cycleBudget < kMaterializeCycles) {
         Result res;
         res.schedule = base;
         res.tree = baseState;
@@ -236,18 +243,11 @@ ScheduleSearch::run(core::Scheduler &scheduler,
     int proposals = cfg_.mutationBudget;
     bool exhausted = false;
     if (cfg_.cycleBudget > 0) {
-        const Cycles avail =
-            cfg_.cycleBudget > cfg_.materializeCycles
-                ? cfg_.cycleBudget - cfg_.materializeCycles
-                : 0;
-        const std::int64_t cap =
-            cfg_.mutateCycles > 0
-                ? static_cast<std::int64_t>(avail /
-                                            cfg_.mutateCycles)
-                : cfg_.mutationBudget;
-        if (cap < proposals) {
-            proposals = static_cast<int>(std::max<std::int64_t>(
-                0, cap));
+        // The early return above leaves cycleBudget >= one evaluation.
+        const Cycles cap =
+            (cfg_.cycleBudget - kMaterializeCycles) / kMutateCycles;
+        if (cap < static_cast<Cycles>(proposals)) {
+            proposals = static_cast<int>(cap);
             exhausted = true;
         }
     }
@@ -303,7 +303,7 @@ ScheduleSearch::run(core::Scheduler &scheduler,
                 merged.push_back(cand);
         }
     }
-    spent += static_cast<Cycles>(tried) * cfg_.mutateCycles;
+    spent += static_cast<Cycles>(tried) * kMutateCycles;
 
     Result res;
     res.tree = baseState;
@@ -316,7 +316,7 @@ ScheduleSearch::run(core::Scheduler &scheduler,
         arch::Chip chip(hw_);
         res.heuristicCost =
             engine_.runPeriod(chip, base, probe, nullptr, 0).endTime;
-        spent += cfg_.materializeCycles;
+        spent += kMaterializeCycles;
     }
     res.searchedCost = res.heuristicCost;
 #ifdef ADYNA_SEARCH_DEBUG
@@ -377,9 +377,8 @@ ScheduleSearch::run(core::Scheduler &scheduler,
                     static_cast<std::int64_t>(segOps.size());
         }
         const Cycles bound =
-            cfg_.materializeCycles +
-            static_cast<Cycles>(4 * rebuiltOps) *
-                cfg_.storeCompileCycles;
+            kMaterializeCycles + static_cast<Cycles>(4 * rebuiltOps) *
+                                     kernels::kStoreCompileCycles;
         if (cfg_.cycleBudget > 0 &&
             spent + bound > cfg_.cycleBudget) {
             exhausted = true;
@@ -406,9 +405,8 @@ ScheduleSearch::run(core::Scheduler &scheduler,
             store_cache ? static_cast<std::int64_t>(
                               store_cache->size() - stores0)
                         : rebuiltOps;
-        spent += cfg_.materializeCycles +
-                 static_cast<Cycles>(compiled) *
-                     cfg_.storeCompileCycles;
+        spent += kMaterializeCycles + static_cast<Cycles>(compiled) *
+                                          kernels::kStoreCompileCycles;
         ++materialized;
         segsRebuilt += ds.segmentsRebuilt;
         segsSpliced += ds.segmentsTotal - ds.segmentsRebuilt;

@@ -36,6 +36,17 @@
 
 namespace adyna::search {
 
+// ---- modeled self-cost (the budget currency) ----------------------
+// A materialization also pays kernels::kStoreCompileCycles per kernel
+// store it compiles.
+
+/** Modeled cycles per mutation proposal. */
+inline constexpr Cycles kMutateCycles = 40;
+
+/** Modeled cycles per candidate materialization + evaluation (delta
+ * build, validation, probe replay). */
+inline constexpr Cycles kMaterializeCycles = 6000;
+
 /** Search policy knobs. */
 struct SearchConfig
 {
@@ -48,36 +59,12 @@ struct SearchConfig
      * the anytime knob). */
     int mutationBudget = 4000;
 
-    /** Tail fraction of each chain's proposals spent on greedy
-     * hill-climbing from the chain's best state. */
-    double refineFraction = 0.25;
-
     /** Candidates materialized and evaluated on the real engine
      * after merging the chains (the beam width). */
     int materializeTop = 4;
 
-    /** Initial SA temperature, relative to the starting surrogate
-     * cost (accepting a +8% move at probability 1/e). */
-    double initTemp = 0.08;
-
-    /** Final relative temperature (geometric decay endpoint). */
-    double tempDecayTo = 1e-3;
-
     /** RNG seed; chain i derives an independent stream from it. */
     std::uint64_t seed = 1;
-
-    // ---- modeled self-cost (the budget curency) -------------------
-
-    /** Modeled cycles per mutation proposal. */
-    Cycles mutateCycles = 40;
-
-    /** Modeled cycles per candidate materialization + evaluation
-     * (delta build, validation, probe replay). */
-    Cycles materializeCycles = 6000;
-
-    /** Modeled cycles per kernel store compiled during a
-     * materialization (matches ServeConfig::storeCompileCycles). */
-    Cycles storeCompileCycles = 2000;
 
     /**
      * Total modeled cycles the search may spend; 0 = unbounded (the
@@ -86,14 +73,6 @@ struct SearchConfig
      * materialization, so the spend NEVER exceeds this cap.
      */
     Cycles cycleBudget = 0;
-
-    // ---- surrogate calibration ------------------------------------
-
-    /** Batches the surrogate prices a segment pipeline over. */
-    int surrogateBatches = 8;
-
-    /** Fixed surrogate cost per segment (activation/drain). */
-    double segmentFixedCycles = 2000.0;
 };
 
 /** Driver for one or more searches over a fixed design point. */

@@ -13,6 +13,16 @@ namespace adyna::search {
 
 using graph::SwitchInfo;
 
+namespace {
+
+/** Batches the surrogate prices a segment pipeline over. */
+constexpr int kSurrogateBatches = 8;
+
+/** Fixed surrogate cost per segment (activation/drain), cycles. */
+constexpr double kSegmentFixedCycles = 2000.0;
+
+} // namespace
+
 double
 groupModeScale(GroupMode mode)
 {
@@ -441,7 +451,7 @@ PlanTree::segmentCost(int atom_begin, int atom_end) const
     }
 
     // ---- price the pipeline ----------------------------------------
-    // A segment streams surrogateBatches() batches. Stages pipeline
+    // A segment streams kSurrogateBatches batches. Stages pipeline
     // both across batches and within one (a consumer starts once the
     // producer's first blocks arrive), so the steady state pays the
     // slower of the bottleneck stage and the segment's HBM traffic
@@ -530,10 +540,10 @@ PlanTree::segmentCost(int atom_begin, int atom_end) const
     }
 #endif
 
-    return (static_cast<double>(ctx_.surrogateBatches()) + 1.0) *
+    return (static_cast<double>(kSurrogateBatches) + 1.0) *
                std::max(bottleneck, perBatchDram) +
            residentBytes / ctx_.hbmBytesPerCycle() +
-           ctx_.segmentFixedCost();
+           kSegmentFixedCycles;
 }
 
 bool

@@ -236,17 +236,6 @@ class SearchContext
      * work(i)/tiles when curves were not built). */
     double opCycles(int i, int tiles) const;
 
-    /** Batches the surrogate prices a segment pipeline over. */
-    int surrogateBatches() const { return surrogateBatches_; }
-    void setSurrogateBatches(int batches)
-    {
-        surrogateBatches_ = batches;
-    }
-
-    /** Fixed surrogate cost per segment (activation/drain). */
-    double segmentFixedCost() const { return segmentFixed_; }
-    void setSegmentFixedCost(double cost) { segmentFixed_ = cost; }
-
   private:
     std::vector<std::vector<OpId>> atoms_;
     std::vector<OpId> ops_;
@@ -273,8 +262,6 @@ class SearchContext
     int tiles_ = 1;
     double spadBytes_ = 1.0;
     double hbmBpc_ = 1.0;
-    int surrogateBatches_ = 8;
-    double segmentFixed_ = 2000.0;
 
     friend class PlanTree;
 };

@@ -10,10 +10,11 @@
 
 namespace adyna::serve {
 
-ArrivalProcess::ArrivalProcess(ArrivalConfig cfg, std::uint64_t seed)
-    : cfg_(std::move(cfg)), rng_(seed)
+ArrivalProcess::ArrivalProcess(ArrivalConfig cfg, double freq_ghz,
+                               std::uint64_t seed)
+    : cfg_(std::move(cfg)), freqGhz_(freq_ghz), rng_(seed)
 {
-    ADYNA_ASSERT(cfg_.freqGhz > 0.0, "bad clock frequency");
+    ADYNA_ASSERT(freqGhz_ > 0.0, "bad clock frequency");
     switch (cfg_.kind) {
       case ArrivalKind::Poisson:
         ADYNA_ASSERT(cfg_.ratePerSec > 0.0,
@@ -107,7 +108,7 @@ ArrivalProcess::next()
     }
     ++generated_;
     return static_cast<Tick>(
-        std::llround(nowSec_ * cfg_.freqGhz * 1e9));
+        std::llround(nowSec_ * freqGhz_ * 1e9));
 }
 
 std::vector<double>

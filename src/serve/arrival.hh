@@ -52,16 +52,16 @@ struct ArrivalConfig
      * timestamp in seconds per line; '#' comments allowed). The
      * trace wraps around, shifted by its span, when exhausted. */
     std::string traceFile;
-
-    /** Clock used to convert seconds to ticks. */
-    double freqGhz = 1.0;
 };
 
 /** One timestamped arrival stream. */
 class ArrivalProcess
 {
   public:
-    ArrivalProcess(ArrivalConfig cfg, std::uint64_t seed);
+    /** @param freq_ghz the chip clock that converts seconds to
+     * ticks. */
+    ArrivalProcess(ArrivalConfig cfg, double freq_ghz,
+                   std::uint64_t seed);
 
     /** Tick of the next arrival; non-decreasing across calls. */
     Tick next();
@@ -76,6 +76,7 @@ class ArrivalProcess
     double expDraw(double rate_per_sec);
 
     ArrivalConfig cfg_;
+    double freqGhz_;
     Rng rng_;
     std::uint64_t generated_ = 0;
     double nowSec_ = 0.0;

@@ -24,6 +24,23 @@ constexpr OpId kLoadSeriesOp = 0xFFFFFFFFu;
 /** Salt of the offline-profiling and drift-reference probe streams. */
 constexpr std::uint64_t kProbeSalt = 0x517cc1b727220a95ULL;
 
+/**
+ * Relative expectation shift below which an op counts as unchanged
+ * for delta segment selection. Kernel-value re-sampling alone never
+ * marks an op changed: the samples follow the same histograms that
+ * drive the expectations, so a sub-tolerance expectation shift means
+ * the installed store's value set is still representative.
+ */
+constexpr double kDeltaExpectationTol = 0.05;
+
+/** Most recent dispatched batches retained as the search's scoring
+ * probe (drift-fires before any dispatch skip the search). */
+constexpr std::size_t kSearchProbeBatches = 8;
+
+/** Admission control sheds an arrival when its projected latency
+ * exceeds this multiple of the SLO deadline. */
+constexpr double kShedLatencyFactor = 1.5;
+
 /** Record one request's dyn-value draws into a drift profiler. */
 void
 recordRequest(arch::Profiler &prof, const graph::DynGraph &dg,
@@ -54,14 +71,6 @@ loadMean(const graph::DynGraph &dg,
             sum += it->second;
     }
     return sum / static_cast<double>(batch_size);
-}
-
-ArrivalConfig
-arrivalConfig(const ServeConfig &cfg, const arch::HwConfig &hw)
-{
-    ArrivalConfig a = cfg.arrival;
-    a.freqGhz = hw.tech.freqGhz;
-    return a;
 }
 
 trace::TraceConfig
@@ -99,11 +108,8 @@ Backend::Backend(const graph::DynGraph &dg,
       batcher_(cfg.batching), slo_(cfg.slo, hw.tech.freqGhz)
 {
     scheduler_.setStoreCache(&ctx.storeCache());
-    if (cfg_.searchOnDrift) {
-        search::SearchConfig scfg = cfg_.search;
-        scfg.storeCompileCycles = cfg_.storeCompileCycles;
-        searcher_.emplace(dg_, hw_, ctx.mapper(), policy_, scfg);
-    }
+    if (cfg_.searchOnDrift)
+        searcher_.emplace(dg_, hw_, ctx.mapper(), policy_, cfg_.search);
 }
 
 void
@@ -135,9 +141,7 @@ Backend::bringUp()
             for (OpId op : dg_.dynamicOps())
                 engineProf_.recordValue(op, routing.dynValue(dg_, op));
         }
-        core::refreshScheduleInputs(engineProf_,
-                                    cfg_.resampleKernels &&
-                                        !policy_.exactKernels,
+        core::refreshScheduleInputs(engineProf_, !policy_.exactKernels,
                                     expectations_, kernelValues_);
         engineProf_.resetTables();
     }
@@ -188,8 +192,7 @@ Backend::dispatch(arch::Chip &chip, Tick at, double slow_factor)
         // Ring of the most recent dispatched batches: the search's
         // scoring probe.
         for (const trace::BatchRouting &r : routings) {
-            if (static_cast<int>(probeRing_.size()) >=
-                cfg_.searchProbeBatches)
+            if (probeRing_.size() >= kSearchProbeBatches)
                 probeRing_.erase(probeRing_.begin());
             probeRing_.push_back(r);
         }
@@ -260,7 +263,7 @@ Backend::changedOps() const
         if (!moved && haveNew) {
             const double ref = std::max(std::abs(oe->second), 1.0);
             moved = std::abs(ne->second - oe->second) >
-                    cfg_.deltaExpectationTol * ref;
+                    kDeltaExpectationTol * ref;
         }
         if (moved)
             changed.push_back(op);
@@ -316,8 +319,8 @@ Backend::rebuild(Tick now, const std::vector<OpId> *delta)
     const std::uint64_t compiled = bypassStores
                                        ? rb.schedule.segments.size()
                                        : stats_.storeMisses - misses0;
-    rb.cost = cfg_.reconfigOverheadCycles +
-              static_cast<Cycles>(compiled) * cfg_.storeCompileCycles;
+    rb.cost = core::kReconfigOverheadCycles +
+              static_cast<Cycles>(compiled) * kernels::kStoreCompileCycles;
     return rb;
 }
 
@@ -357,12 +360,15 @@ Backend::reinstall(Tick now)
     engineFree_ = std::max(engineFree_, now) + rb.cost;
 }
 
-void
+bool
 Backend::failover(std::vector<TileId> alive, Tick now)
 {
+    if (alive.empty())
+        return false;
     setTiles(std::move(alive));
     reinstall(now);
     ++stats_.failovers;
+    return true;
 }
 
 void
@@ -374,9 +380,7 @@ Backend::closeWindow()
         // The new schedule targets the drifted window: its
         // per-request snapshot becomes the new reference.
         auto reference = driftProf_.tablesSnapshot();
-        core::refreshScheduleInputs(engineProf_,
-                                    cfg_.resampleKernels &&
-                                        !policy_.exactKernels,
+        core::refreshScheduleInputs(engineProf_, !policy_.exactKernels,
                                     expectations_, kernelValues_);
         engineProf_.resetTables();
         const std::vector<OpId> changed = changedOps();
@@ -438,7 +442,7 @@ Backend::closeWindow()
                     rb.delta ? &changed : nullptr);
             // The dispatch barrier already drained the pipeline;
             // charge the kernel/metadata reload on top.
-            engineFree_ += cfg_.reconfigOverheadCycles;
+            engineFree_ += core::kReconfigOverheadCycles;
             ++stats_.reschedules;
         }
     }
@@ -494,7 +498,8 @@ OpenLoopSource::OpenLoopSource(const std::vector<SourceModel> &models,
                                std::uint64_t seed)
     : cfg_(cfg), freqGhz_(hw.tech.freqGhz),
       deadlineTicks_(cfg.slo.deadlineMs * hw.tech.freqGhz * 1e6),
-      arrivals_(arrivalConfig(cfg, hw), seed ^ 0x9e3779b97f4a7c15ULL),
+      arrivals_(cfg.arrival, hw.tech.freqGhz,
+                seed ^ 0x9e3779b97f4a7c15ULL),
       splitRng_(seed ^ 0x94d049bb133111ebULL),
       total_(static_cast<std::uint64_t>(cfg.numRequests)),
       nextArrival_(arrivals_.next()), firstArrival_(nextArrival_),
@@ -558,7 +563,7 @@ OpenLoopSource::admit(Backend &be)
                 static_cast<double>(batcher.queued()) /
                 cfg_.batching.maxBatch;
             shed = backlog + (1.0 + queuedAhead) * be.serviceEwma() >
-                   cfg_.shedLatencyFactor * deadlineTicks_;
+                   kShedLatencyFactor * deadlineTicks_;
         }
         // A shed request is still drawn (and discarded), so the
         // dynamism stream stays aligned with a non-shedding run of

@@ -156,8 +156,11 @@ class Backend
      * max(engine-free, @p now). Drops any searched plan override. */
     void reinstall(Tick now);
 
-    /** Fail over onto @p alive: setTiles + reinstall, counted. */
-    void failover(std::vector<TileId> alive, Tick now);
+    /** Fail over onto @p alive: setTiles + reinstall, counted.
+     * With no survivors it changes nothing and returns false (an
+     * empty tile list would mean the full grid): the installed
+     * schedule keeps serving in degraded lockstep. */
+    bool failover(std::vector<TileId> alive, Tick now);
 
     /** The engine cannot start before @p t (weights streaming in). */
     void delayUntil(Tick t) { engineFree_ = std::max(engineFree_, t); }

@@ -7,6 +7,13 @@
 
 namespace adyna::serve {
 
+namespace {
+
+/** Equal-width buckets for the L1 distance on wide domains. */
+constexpr int kL1Buckets = 8;
+
+} // namespace
+
 DriftMonitor::DriftMonitor(DriftConfig cfg) : cfg_(cfg)
 {
     ADYNA_ASSERT(cfg_.windowRequests >= 1, "window must be >= 1");
@@ -44,7 +51,7 @@ DriftMonitor::effectiveThreshold() const
 double
 DriftMonitor::distanceTo(const arch::Profiler &profiler) const
 {
-    const double shape = profiler.driftL1(reference_, cfg_.l1Buckets);
+    const double shape = profiler.driftL1(reference_, kL1Buckets);
     // Total expected load across the comparable ops. Summing before
     // dividing keeps the ratio out of the hands of rare ops whose
     // tiny expectations are pure sampling noise.

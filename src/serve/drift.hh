@@ -43,9 +43,6 @@ struct DriftConfig
     /** Windows after a trigger during which no new trigger fires
      * (the pipeline-drain + re-sampling cost must amortize). */
     int cooldownWindows = 2;
-
-    /** Equal-width buckets for the L1 distance on wide domains. */
-    int l1Buckets = 8;
 };
 
 /** Windowed L1 drift detector with hysteresis and cooldown. */

@@ -131,10 +131,7 @@ ServeRuntime::run()
     // runtime.
     std::optional<fault::FaultInjector> injector;
     if (!cfg_.faultPlan.empty()) {
-        injector.emplace(cfg_.faultPlan,
-                         cfg_.faultSeed
-                             ? cfg_.faultSeed
-                             : cfg_.seed ^ 0xda3e39cb94b95bdbULL);
+        injector.emplace(cfg_.faultPlan, cfg_.seed ^ fault::kSeedSalt);
         be.setFaultInjector(&*injector);
     }
     be.bringUp();
@@ -157,12 +154,11 @@ ServeRuntime::run()
         // tiles and keeping it is strictly worse than any rebuild
         // cost. The static setting (failover off) keeps serving on
         // the stale schedule and eats the degraded lockstep
-        // execution instead.
+        // execution instead, as does a chip with no tile left.
         if (injector && injector->advanceTo(dispatchAt, chip) &&
-            cfg_.failover && !schedCfg_.worstCase) {
-            be.failover(chip.healthyTiles(), dispatchAt);
+            cfg_.failover && !schedCfg_.worstCase &&
+            be.failover(chip.healthyTiles(), dispatchAt))
             continue; // re-admit against the new engine-free time
-        }
         const Backend::Dispatch d = be.dispatch(chip, dispatchAt);
         for (std::size_t b = 0; b < d.formed.size(); ++b)
             for (const Request &r : d.formed[b].requests)

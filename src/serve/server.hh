@@ -65,34 +65,17 @@ struct ServeConfig
      * the first schedule. */
     int profileBatches = 40;
 
-    /** Fixed reconfiguration overhead charged per re-schedule on top
-     * of the natural pipeline drain, cycles. */
-    Cycles reconfigOverheadCycles = 10000;
-
-    /** Run Algorithm 1 kernel re-sampling at each re-schedule. */
-    bool resampleKernels = true;
-
     /**
      * Drift re-schedules rebuild only the segments whose ops'
-     * allocation expectations moved beyond deltaExpectationTol,
-     * splicing every other segment — with its compiled kernel
-     * stores — from the installed schedule
+     * allocation expectations moved beyond kDeltaExpectationTol
+     * (serve/backend.cc), splicing every other segment — with its
+     * compiled kernel stores — from the installed schedule
      * (Scheduler::buildDelta). false forces the full rebuild path
      * on every drift trigger. Fail-over and store-fit-failure
      * rebuilds always rebuild in full: their premise is that the
      * installed schedule's tiles or stores are no longer usable.
      */
     bool deltaReschedule = true;
-
-    /**
-     * Relative expectation shift below which an op counts as
-     * unchanged for delta segment selection. Kernel-value
-     * re-sampling alone never marks an op changed: the samples
-     * follow the same histograms that drive the expectations, so a
-     * sub-tolerance expectation shift means the installed store's
-     * value set is still representative.
-     */
-    double deltaExpectationTol = 0.05;
 
     // ---- fault tolerance / overload protection ---------------------
     // All defaults leave every simulation path untouched, so a
@@ -103,26 +86,19 @@ struct ServeConfig
      * for the plan grammar); empty injects nothing. */
     fault::FaultPlan faultPlan;
 
-    /** Seed for the probe-drop streams; 0 derives one from `seed`. */
-    std::uint64_t faultSeed = 0;
-
     /** Re-schedule onto the surviving tiles when the healthy-tile
      * set changes (fail-over); false keeps the installed schedule and
      * eats the degraded lockstep execution instead. */
     bool failover = true;
 
     /** Watchdog budget for a drift-triggered re-schedule, cycles: a
-     * rebuild whose modeled cost (reconfigOverheadCycles +
-     * compiled stores x storeCompileCycles) exceeds the budget is
-     * abandoned and the last-known-good schedule keeps serving.
-     * 0 disables the watchdog. Fail-over rebuilds are exempt — the
-     * old schedule targets dead tiles, so falling back to it is
-     * strictly worse than any rebuild cost. */
+     * rebuild whose modeled cost (core::kReconfigOverheadCycles +
+     * compiled stores x kernels::kStoreCompileCycles) exceeds the
+     * budget is abandoned and the last-known-good schedule keeps
+     * serving. 0 disables the watchdog. Fail-over rebuilds are
+     * exempt — the old schedule targets dead tiles, so falling back
+     * to it is strictly worse than any rebuild cost. */
     Cycles rescheduleBudgetCycles = 0;
-
-    /** Modeled cycles to compile one kernel store (the watchdog's
-     * per-store cost term). */
-    Cycles storeCompileCycles = 2000;
 
     /**
      * Run the anytime schedule search (search/search.hh) after each
@@ -138,22 +114,15 @@ struct ServeConfig
     bool searchOnDrift = false;
 
     /** Search policy when searchOnDrift is set. cycleBudget and
-     * storeCompileCycles are overridden per re-schedule from the
-     * watchdog state; the rest apply as configured. */
+     * seed are overridden per re-schedule from the watchdog state
+     * and the re-schedule count; the rest apply as configured. */
     search::SearchConfig search;
-
-    /** Most recent dispatched batches retained as the search's
-     * scoring probe (drift-fires before any dispatch skip the
-     * search). */
-    int searchProbeBatches = 8;
 
     /** Deadline-aware admission control: shed arrivals whose
      * projected completion would overshoot the SLO deadline by
-     * shedLatencyFactor, bounding queue growth under overload. */
+     * kShedLatencyFactor (serve/backend.cc), bounding queue growth
+     * under overload. */
     bool admissionControl = false;
-
-    /** Shed when projected latency > factor x deadline. */
-    double shedLatencyFactor = 1.5;
 };
 
 /** Everything one serving run reports. */

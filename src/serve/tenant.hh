@@ -65,8 +65,8 @@ struct TenantSpec
 /**
  * Validate a multi-tenant tenant list: at least one tenant, every
  * nested ServeConfig valid, non-empty unique ids, non-negative load
- * weights, positive per-tenant rates, and no per-tenant fault plans
- * (chip-level faults are configured once for the whole chip).
+ * weights, and no per-tenant fault plans (chip-level faults are
+ * configured once for the whole chip).
  * ADYNA_FATAL with the offending tenant id / field on violation.
  */
 void validateTenantSpecs(const std::vector<TenantSpec> &tenants);

@@ -42,9 +42,6 @@ validateArrivalConfig(const ArrivalConfig &cfg)
         ADYNA_FATAL("ArrivalConfig.ratePerSec must be > 0 "
                     "requests/sec (got ",
                     cfg.ratePerSec, ")");
-    if (cfg.freqGhz <= 0.0)
-        ADYNA_FATAL("ArrivalConfig.freqGhz must be > 0 (got ",
-                    cfg.freqGhz, ")");
     if (cfg.kind == ArrivalKind::Bursty) {
         if (cfg.burstRateMultiplier < 1.0)
             ADYNA_FATAL("ArrivalConfig.burstRateMultiplier must be "
@@ -100,9 +97,6 @@ validateDriftConfig(const DriftConfig &cfg)
     if (cfg.cooldownWindows < 0)
         ADYNA_FATAL("DriftConfig.cooldownWindows must be >= 0 (got ",
                     cfg.cooldownWindows, ")");
-    if (cfg.l1Buckets < 1)
-        ADYNA_FATAL("DriftConfig.l1Buckets must be >= 1 (got ",
-                    cfg.l1Buckets, ")");
 }
 
 void
@@ -118,19 +112,7 @@ validateServeConfig(const ServeConfig &cfg)
     if (cfg.profileBatches < 0)
         ADYNA_FATAL("ServeConfig.profileBatches must be >= 0 (got ",
                     cfg.profileBatches, ")");
-    if (cfg.shedLatencyFactor <= 0.0)
-        ADYNA_FATAL("ServeConfig.shedLatencyFactor must be > 0 "
-                    "(got ",
-                    cfg.shedLatencyFactor, ")");
-    if (cfg.deltaExpectationTol < 0.0)
-        ADYNA_FATAL("ServeConfig.deltaExpectationTol must be >= 0 "
-                    "(got ",
-                    cfg.deltaExpectationTol, ")");
     if (cfg.searchOnDrift) {
-        if (cfg.searchProbeBatches < 1)
-            ADYNA_FATAL("ServeConfig.searchProbeBatches must be "
-                        ">= 1 (got ",
-                        cfg.searchProbeBatches, ")");
         if (cfg.search.chains < 1)
             ADYNA_FATAL("SearchConfig.chains must be >= 1 (got ",
                         cfg.search.chains, ")");
@@ -142,18 +124,6 @@ validateServeConfig(const ServeConfig &cfg)
             ADYNA_FATAL("SearchConfig.materializeTop must be >= 1 "
                         "(got ",
                         cfg.search.materializeTop, ")");
-        if (cfg.search.refineFraction < 0.0 ||
-            cfg.search.refineFraction > 1.0)
-            ADYNA_FATAL("SearchConfig.refineFraction must be in "
-                        "[0, 1] (got ",
-                        cfg.search.refineFraction, ")");
-        if (cfg.search.initTemp <= 0.0 ||
-            cfg.search.tempDecayTo <= 0.0 ||
-            cfg.search.tempDecayTo > cfg.search.initTemp)
-            ADYNA_FATAL("SearchConfig temperatures must satisfy "
-                        "0 < tempDecayTo <= initTemp (got initTemp ",
-                        cfg.search.initTemp, ", tempDecayTo ",
-                        cfg.search.tempDecayTo, ")");
     }
 }
 
@@ -172,13 +142,6 @@ validateTenantSpecs(const std::vector<TenantSpec> &tenants)
             ADYNA_FATAL("duplicate tenant id \"", t.id,
                         "\" — TenantSpec.id must be unique per run");
         validateServeConfig(t.serve);
-        // validateServeConfig already rejects rate <= 0; restate the
-        // per-tenant framing so a bad mix points at the tenant.
-        if (t.serve.arrival.ratePerSec <= 0.0)
-            ADYNA_FATAL("tenant \"", t.id,
-                        "\": arrival.ratePerSec must be > 0 "
-                        "requests/sec (got ",
-                        t.serve.arrival.ratePerSec, ")");
         if (t.loadWeight < 0.0)
             ADYNA_FATAL("tenant \"", t.id,
                         "\": loadWeight must be >= 0 (0 derives it "

@@ -25,13 +25,13 @@ void validateBatchPolicy(const BatchPolicy &policy);
 /** Fatal on a non-positive deadline. */
 void validateSloConfig(const SloConfig &cfg);
 
-/** Fatal on non-positive windows / buckets or negative thresholds,
- * hysteresis, or cooldown. */
+/** Fatal on a non-positive window, a negative threshold or noise
+ * multiplier, hysteresis below 1, or a negative cooldown. */
 void validateDriftConfig(const DriftConfig &cfg);
 
 /** Validate every nested config plus the serve-level knobs
- * (numRequests, profileBatches, shedLatencyFactor, fault plan
- * targets). */
+ * (numRequests, profileBatches, and the search's chains, mutation
+ * budget and beam width when searchOnDrift is set). */
 void validateServeConfig(const ServeConfig &cfg);
 
 } // namespace adyna::serve

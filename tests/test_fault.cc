@@ -24,6 +24,7 @@
 #include "kernels/store_cache.hh"
 #include "models/models.hh"
 #include "serve/server.hh"
+#include "serve_fixtures.hh"
 
 namespace {
 
@@ -555,6 +556,18 @@ TEST(SystemFault, AdaptiveFailsOverAndRecoups)
     // lockstep penalty of serving dead tiles forever).
     const auto clean = faultedRun(baselines::Design::Adyna, "");
     EXPECT_LT(faulted.cycles, clean.cycles * 2);
+}
+
+TEST(SystemFault, NoSurvivorKeepsTheInstalledSchedule)
+{
+    // Tile 100 fails over; the later strike on every tile leaves no
+    // survivor, so the run keeps its schedule rather than rebuilding
+    // onto "the full grid" (what an empty tile list means).
+    const auto faulted = faultedRun(
+        baselines::Design::Adyna,
+        test::everyTileDeadPlan(arch::HwConfig{}).str());
+    EXPECT_EQ(faulted.failovers, 1);
+    EXPECT_EQ(faulted.fault.failedTiles, arch::HwConfig{}.tiles());
 }
 
 TEST(SystemFault, EmptyPlanIsByteIdentical)

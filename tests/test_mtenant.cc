@@ -27,6 +27,7 @@
 #include "mtenant/partition.hh"
 #include "mtenant/runtime.hh"
 #include "serve/server.hh"
+#include "serve_fixtures.hh"
 
 namespace {
 
@@ -54,8 +55,7 @@ expectDisjointCover(const arch::HwConfig &hw,
 TEST(Partitioner, DisjointCoverAndFloorsAcrossShareMixes)
 {
     const arch::HwConfig hw;
-    PartitionPolicy pp;
-    TilePartitioner part(hw, pp);
+    TilePartitioner part(hw, {});
     const std::vector<std::vector<double>> mixes = {
         {1.0},
         {1.0, 1.0},
@@ -69,7 +69,7 @@ TEST(Partitioner, DisjointCoverAndFloorsAcrossShareMixes)
         ASSERT_EQ(regions.size(), shares.size());
         expectDisjointCover(hw, regions);
         for (const TileRegion &r : regions)
-            EXPECT_GE(r.tileCount(), pp.minTilesPerTenant);
+            EXPECT_GE(r.tileCount(), kMinTilesPerTenant);
     }
 }
 
@@ -195,38 +195,8 @@ TEST(Partitioner, InterferenceDegradesBoundedAndGatedByAlpha)
 
 // ------------------------------------------------------ MTenantRuntime
 
-struct TestWorkload
-{
-    models::ModelBundle bundle;
-    graph::DynGraph dg;
-    trace::TraceConfig tc;
-
-    explicit TestWorkload(const char *name, int maxBatch,
-                          double drift_strength = 0.0)
-        : bundle(models::buildByName(name, maxBatch)),
-          dg(graph::parseModel(bundle.graph)), tc(bundle.traceConfig)
-    {
-        tc.batchSize = maxBatch;
-        tc.driftStrength = drift_strength;
-        if (drift_strength > 0.0)
-            tc.driftPeriod = 40;
-    }
-};
-
-serve::ServeConfig
-smokeServeConfig(std::uint64_t seed, unsigned requests)
-{
-    serve::ServeConfig sc;
-    sc.arrival.ratePerSec = 5e5;
-    sc.batching.maxBatch = 8;
-    sc.batching.maxWaitCycles = 20000;
-    sc.slo.deadlineMs = 1.0;
-    sc.drift.windowRequests = 64;
-    sc.numRequests = requests;
-    sc.profileBatches = 8;
-    sc.seed = seed;
-    return sc;
-}
+using test::smokeServeConfig;
+using test::TestWorkload;
 
 MTenantReport
 singleTenantRun(baselines::Design design, MTenantConfig mc,
@@ -236,12 +206,46 @@ singleTenantRun(baselines::Design design, MTenantConfig mc,
     ts.id = "solo";
     ts.serve = sc;
     mc.tenants.push_back(ts);
-    MTenantRuntime rt({{&w.dg, w.tc, "skipnet"}}, arch::HwConfig{},
+    MTenantRuntime rt({{&w.dg, w.tc, w.name}}, arch::HwConfig{},
                       baselines::schedulerConfig(design),
                       baselines::execPolicy(design), mc);
     kernels::KernelStoreCache stores;
     rt.setSharedStoreCache(&stores);
     return rt.run();
+}
+
+/** Run one tenant and a ServeRuntime on the same serving config,
+ * with @p plan as the chip's fault plan, and expect byte-identical
+ * serve reports; returns the tenant's report. */
+serve::ServeReport
+expectSingleTenantMatchesServe(baselines::Design design,
+                               const TestWorkload &w,
+                               const serve::ServeConfig &sc,
+                               const fault::FaultPlan &plan)
+{
+    const arch::HwConfig hw;
+    serve::ServeConfig direct = sc;
+    direct.faultPlan = plan;
+    serve::ServeRuntime rt(w.dg, w.tc, hw,
+                           baselines::schedulerConfig(design),
+                           baselines::execPolicy(design), direct,
+                           w.name);
+    kernels::KernelStoreCache directStores;
+    rt.setSharedStoreCache(&directStores);
+    const std::string want = serve::toJson(rt.run());
+
+    MTenantConfig mc;
+    mc.faultPlan = plan;
+    const MTenantReport mr = singleTenantRun(design, mc, sc, w);
+    const char *name = baselines::designName(design);
+    EXPECT_EQ(mr.tenants.size(), 1u) << name;
+    if (mr.tenants.size() != 1)
+        return {};
+    EXPECT_EQ(serve::toJson(mr.tenants[0].serve), want) << name;
+    EXPECT_EQ(mr.tenants[0].tiles, hw.tiles()) << name;
+    EXPECT_EQ(mr.repartitions, 0) << name;
+    EXPECT_EQ(mr.tenantSwitches, 0) << name;
+    return mr.tenants[0].serve;
 }
 
 TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeByteForByte)
@@ -250,27 +254,34 @@ TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeByteForByte)
     // exact kernels make the engine ask the mapper, so its cache
     // counters must be scoped the same way as ServeRuntime's too.
     TestWorkload w("skipnet", 8);
-    const arch::HwConfig hw;
-    const serve::ServeConfig sc = smokeServeConfig(7, 200);
     for (const baselines::Design design :
-         {baselines::Design::Adyna, baselines::Design::MTenant}) {
-        serve::ServeRuntime direct(w.dg, w.tc, hw,
-                                   baselines::schedulerConfig(design),
-                                   baselines::execPolicy(design), sc,
-                                   "skipnet");
-        kernels::KernelStoreCache directStores;
-        direct.setSharedStoreCache(&directStores);
-        const std::string want = serve::toJson(direct.run());
+         {baselines::Design::Adyna, baselines::Design::MTenant})
+        expectSingleTenantMatchesServe(design, w,
+                                       smokeServeConfig(7, 200), {});
 
-        const MTenantReport mr =
-            singleTenantRun(design, MTenantConfig{}, sc, w);
-        const char *name = baselines::designName(design);
-        ASSERT_EQ(mr.tenants.size(), 1u) << name;
-        EXPECT_EQ(serve::toJson(mr.tenants[0].serve), want) << name;
-        EXPECT_EQ(mr.tenants[0].tiles, hw.tiles()) << name;
-        EXPECT_EQ(mr.repartitions, 0) << name;
-        EXPECT_EQ(mr.tenantSwitches, 0) << name;
-    }
+    // Tile 100 fails over, then every tile dies: with no survivor
+    // both runtimes keep the installed schedule (one fail-over).
+    serve::ServeConfig slow = smokeServeConfig(5, 200);
+    slow.arrival.ratePerSec = 2e5;
+    const serve::ServeReport dead = expectSingleTenantMatchesServe(
+        baselines::Design::Adyna, w, slow,
+        test::everyTileDeadPlan(arch::HwConfig{}));
+    EXPECT_EQ(dead.failovers, 1);
+
+    // The on-drift search and the watchdog: a generous budget (two
+    // re-schedules, one of them searched) and one tight enough to
+    // abandon a rebuild.
+    TestWorkload pabee("pabee", 8);
+    pabee.tc = test::searchDriftTrace(pabee.tc);
+    const serve::ServeReport searched = expectSingleTenantMatchesServe(
+        baselines::Design::Adyna, pabee,
+        test::searchServeConfig(true, 40'000'000, 11), {});
+    EXPECT_EQ(searched.reschedules, 2);
+    EXPECT_EQ(searched.searchReschedules, 1);
+    const serve::ServeReport abandoned = expectSingleTenantMatchesServe(
+        baselines::Design::Adyna, pabee,
+        test::searchServeConfig(true, 15000, 11), {});
+    EXPECT_EQ(abandoned.watchdogFallbacks, 1);
 }
 
 TEST(MTenantRuntime, SingleTenantHonoursFailoverOff)

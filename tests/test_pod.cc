@@ -31,6 +31,7 @@
 #include "pod/router.hh"
 #include "pod/runtime.hh"
 #include "serve/server.hh"
+#include "serve_fixtures.hh"
 
 namespace {
 
@@ -406,38 +407,8 @@ TEST(Interconnect, FlakyWindowRetransmitsInsideWindowOnly)
 
 // ----------------------------------------------------- PodRuntime
 
-struct TestWorkload
-{
-    models::ModelBundle bundle;
-    graph::DynGraph dg;
-    trace::TraceConfig tc;
-
-    explicit TestWorkload(const char *name, int maxBatch,
-                          double drift_strength = 0.0)
-        : bundle(models::buildByName(name, maxBatch)),
-          dg(graph::parseModel(bundle.graph)), tc(bundle.traceConfig)
-    {
-        tc.batchSize = maxBatch;
-        tc.driftStrength = drift_strength;
-        if (drift_strength > 0.0)
-            tc.driftPeriod = 40;
-    }
-};
-
-serve::ServeConfig
-smokeServeConfig(std::uint64_t seed, unsigned requests)
-{
-    serve::ServeConfig sc;
-    sc.arrival.ratePerSec = 5e5;
-    sc.batching.maxBatch = 8;
-    sc.batching.maxWaitCycles = 20000;
-    sc.slo.deadlineMs = 1.0;
-    sc.drift.windowRequests = 64;
-    sc.numRequests = requests;
-    sc.profileBatches = 8;
-    sc.seed = seed;
-    return sc;
-}
+using test::smokeServeConfig;
+using test::TestWorkload;
 
 PodReport
 runPod(PodConfig pc, std::vector<PodWorkload> wls)
@@ -490,7 +461,7 @@ expectSingleChipPodMatchesServe(const TestWorkload &w,
     serve::ServeConfig direct = sc;
     direct.faultPlan = plan;
     serve::ServeRuntime rt(w.dg, w.tc, hw, schedCfg, policy, direct,
-                           "skipnet");
+                           w.name);
     kernels::KernelStoreCache directStores;
     rt.setSharedStoreCache(&directStores);
     const std::string want = serve::toJson(rt.run());
@@ -500,8 +471,8 @@ expectSingleChipPodMatchesServe(const TestWorkload &w,
     pc.serve = sc;
     if (!plan.empty())
         pc.chipFaultPlans = {plan};
-    PodRuntime pod({{&w.dg, w.tc, "skipnet", 1.0}}, hw, schedCfg,
-                   policy, pc);
+    PodRuntime pod({{&w.dg, w.tc, w.name, 1.0}}, hw, schedCfg, policy,
+                   pc);
     kernels::KernelStoreCache podStores;
     pod.setSharedStoreCache(&podStores);
     const PodReport pr = pod.run();
@@ -511,7 +482,7 @@ expectSingleChipPodMatchesServe(const TestWorkload &w,
     if (pr.chips.size() == 1) {
         EXPECT_EQ(serve::toJson(pr.chips[0].serve), want);
         EXPECT_EQ(pr.requests, pr.chips[0].serve.requests);
-        EXPECT_EQ(pr.chips[0].model, "skipnet");
+        EXPECT_EQ(pr.chips[0].model, w.name);
         EXPECT_FALSE(pr.chips[0].dark);
     }
     // No fabric: nothing crossed a chip boundary.
@@ -536,6 +507,32 @@ TEST(PodRuntime, SingleChipPodMatchesServeRuntimeByteForByte)
     ASSERT_EQ(pr.chips.size(), 1u);
     EXPECT_EQ(pr.chips[0].serve.failovers, 1);
     EXPECT_GT(pr.chips[0].serve.probeDrops, 0u);
+
+    // Tile 100 fails over, then every tile dies: with no survivor
+    // both runtimes keep the installed schedule (one fail-over).
+    serve::ServeConfig slow = smokeServeConfig(5, 200);
+    slow.arrival.ratePerSec = 2e5;
+    const arch::HwConfig hw;
+    const PodReport dead = expectSingleChipPodMatchesServe(
+        w, slow, test::everyTileDeadPlan(hw));
+    ASSERT_EQ(dead.chips.size(), 1u);
+    EXPECT_EQ(dead.chips[0].serve.failovers, 1);
+    EXPECT_EQ(dead.chips[0].serve.failedTiles, hw.tiles());
+
+    // The on-drift search and the watchdog: a generous budget (two
+    // re-schedules, one of them searched) and one tight enough to
+    // abandon a rebuild.
+    TestWorkload pabee("pabee", 8);
+    pabee.tc = test::searchDriftTrace(pabee.tc);
+    const PodReport searched = expectSingleChipPodMatchesServe(
+        pabee, test::searchServeConfig(true, 40'000'000, 11), {});
+    ASSERT_EQ(searched.chips.size(), 1u);
+    EXPECT_EQ(searched.chips[0].serve.reschedules, 2);
+    EXPECT_EQ(searched.chips[0].serve.searchReschedules, 1);
+    const PodReport abandoned = expectSingleChipPodMatchesServe(
+        pabee, test::searchServeConfig(true, 15000, 11), {});
+    ASSERT_EQ(abandoned.chips.size(), 1u);
+    EXPECT_EQ(abandoned.chips[0].serve.watchdogFallbacks, 1);
 }
 
 TEST(PodRuntime, SingleChipPodGoesDarkOnChipFail)

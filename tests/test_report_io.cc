@@ -70,38 +70,6 @@ TEST(ReportJson, ArrayOfReports)
     EXPECT_NE(j.find("},{"), std::string::npos);
 }
 
-TEST(ReportJson, SearchStatsSeparateAndByteStableWhenOff)
-{
-    // searchStatsJson is kept out of toJson() so search-off reports
-    // stay byte-identical to the pre-search code.
-    const RunReport off = sample();
-    EXPECT_EQ(toJson(off).find("candidates_tried"),
-              std::string::npos);
-
-    RunReport on = sample();
-    on.search.candidatesTried = 400;
-    on.search.candidatesAccepted = 37;
-    on.search.materialized = 4;
-    on.search.segmentsRebuilt = 9;
-    on.search.segmentsSpliced = 11;
-    on.search.budgetSpentCycles = 123456;
-    on.search.improved = true;
-    EXPECT_EQ(toJson(on), toJson(off));
-
-    const std::string s = searchStatsJson(on);
-    EXPECT_NE(s.find("\"candidates_tried\":400"),
-              std::string::npos);
-    EXPECT_NE(s.find("\"candidates_accepted\":37"),
-              std::string::npos);
-    EXPECT_NE(s.find("\"materialized\":4"), std::string::npos);
-    EXPECT_NE(s.find("\"segments_rebuilt\":9"), std::string::npos);
-    EXPECT_NE(s.find("\"segments_spliced\":11"),
-              std::string::npos);
-    EXPECT_NE(s.find("\"budget_spent_cycles\":123456"),
-              std::string::npos);
-    EXPECT_NE(s.find("\"improved\":true"), std::string::npos);
-}
-
 TEST(ReportCsv, HeaderAndRowsAlign)
 {
     const std::string csv = toCsv({sample(), sample()});

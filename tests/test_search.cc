@@ -276,8 +276,8 @@ TEST(ScheduleSearch, RespectsCycleBudget)
     SearchConfig scfg = smallConfig();
     // Enough for the mutations and the base evaluation but at most
     // a couple of materializations.
-    scfg.cycleBudget = scfg.mutationBudget * scfg.mutateCycles +
-                       4 * scfg.materializeCycles;
+    scfg.cycleBudget = scfg.mutationBudget * kMutateCycles +
+                       4 * kMaterializeCycles;
     ScheduleSearch searcher(
         f.dg, hw(), f.mapper,
         baselines::execPolicy(baselines::Design::Adyna), scfg);
