@@ -24,6 +24,36 @@ rotl(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+/** In-order sum of categorical weights, each checked non-negative. */
+double
+weightSum(const std::vector<double> &weights)
+{
+    double total = 0.0;
+    for (double w : weights) {
+        ADYNA_ASSERT(w >= 0.0, "negative categorical weight ", w);
+        total += w;
+    }
+    return total;
+}
+
+/**
+ * Categorical's pick: one uniform() scaled by @p total, the weights'
+ * in-order sum, then a sequential scan that falls back to the last
+ * index when rounding leaves the draw unspent.
+ */
+std::size_t
+scanPick(Rng &rng, const std::vector<double> &weights, double total)
+{
+    ADYNA_ASSERT(total > 0.0, "categorical weights sum to zero");
+    double draw = rng.uniform() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        draw -= weights[i];
+        if (draw < 0.0)
+            return i;
+    }
+    return weights.size() - 1;
+}
+
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -148,33 +178,7 @@ Rng::beta(double a, double b)
 std::size_t
 Rng::categorical(const std::vector<double> &weights)
 {
-    double total = 0.0;
-    for (double w : weights) {
-        ADYNA_ASSERT(w >= 0.0, "negative categorical weight ", w);
-        total += w;
-    }
-    ADYNA_ASSERT(total > 0.0, "categorical weights sum to zero");
-    double draw = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        draw -= weights[i];
-        if (draw < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
-std::vector<std::size_t>
-Rng::weightedSampleWithoutReplacement(std::vector<double> weights,
-                                      std::size_t k)
-{
-    std::vector<std::size_t> chosen;
-    chosen.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t idx = categorical(weights);
-        chosen.push_back(idx);
-        weights[idx] = 0.0;
-    }
-    return chosen;
+    return scanPick(*this, weights, weightSum(weights));
 }
 
 std::uint32_t
@@ -206,6 +210,38 @@ Rng
 Rng::fork()
 {
     return Rng(next());
+}
+
+void
+TopKSampler::reset(const std::vector<double> &weights, std::size_t k)
+{
+    weights_ = weights;
+    live_ = weights;
+    total_ = weightSum(weights_);
+    // Zeroing a weight in place keeps each sum the very additions
+    // categorical makes once that weight is picked.
+    totalWithout_.resize(weights_.size());
+    for (std::size_t p = 0; p < weights_.size(); ++p) {
+        live_[p] = 0.0;
+        totalWithout_[p] = weightSum(live_);
+        live_[p] = weights_[p];
+    }
+    picks_.resize(k);
+}
+
+const std::vector<std::size_t> &
+TopKSampler::draw(Rng &rng)
+{
+    for (std::size_t j = 0; j < picks_.size(); ++j) {
+        const double total = j == 0   ? total_
+                             : j == 1 ? totalWithout_[picks_[0]]
+                                      : weightSum(live_);
+        picks_[j] = scanPick(rng, live_, total);
+        live_[picks_[j]] = 0.0;
+    }
+    for (std::size_t p : picks_)
+        live_[p] = weights_[p];
+    return picks_;
 }
 
 } // namespace adyna

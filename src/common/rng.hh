@@ -67,15 +67,6 @@ class Rng
     std::size_t categorical(const std::vector<double> &weights);
 
     /**
-     * Draw @p k distinct indices from an unnormalized weight vector,
-     * without replacement. k must not exceed the number of positive
-     * weights.
-     */
-    std::vector<std::size_t>
-    weightedSampleWithoutReplacement(std::vector<double> weights,
-                                     std::size_t k);
-
-    /**
      * Binomial draw: number of successes in n Bernoulli(p) trials.
      * Exact (n draws) for small n, normal approximation for large n.
      */
@@ -88,6 +79,43 @@ class Rng
     std::array<std::uint64_t, 4> state_;
     bool hasSpareNormal_ = false;
     double spareNormal_ = 0.0;
+};
+
+/**
+ * Draws k indices without replacement from one fixed unnormalized
+ * weight vector, over and over: each draw() picks exactly what k
+ * sequential Rng::categorical calls pick when each pick's weight is
+ * zeroed before the next, bit for bit and uniform() for uniform().
+ * Because the weights are fixed, reset() sums them once: the first
+ * pick's total is their in-order sum and the second's is one of n
+ * in-order sums, each taken with one weight zeroed. Later picks
+ * (k >= 3) re-sum the unpicked weights in order. Every pick draws one
+ * uniform() and runs categorical's sequential scan over the weights
+ * with the earlier picks zeroed.
+ */
+class TopKSampler
+{
+  public:
+    /**
+     * Fix the weights and k of the following draws.
+     * @param weights non-negative weights (categorical's check).
+     * @param k picks per draw; a draw that needs more picks than
+     *          there are positive weights panics as categorical does.
+     */
+    void reset(const std::vector<double> &weights, std::size_t k);
+
+    /** The next k picks, in pick order; valid until the next call. */
+    const std::vector<std::size_t> &draw(Rng &rng);
+
+  private:
+    std::vector<double> weights_;
+    /** weights_ with the current draw's picks zeroed. */
+    std::vector<double> live_;
+    /** In-order sum of weights_. */
+    double total_ = 0.0;
+    /** In-order sum of weights_ with index p zeroed, per p. */
+    std::vector<double> totalWithout_;
+    std::vector<std::size_t> picks_;
 };
 
 } // namespace adyna

@@ -136,8 +136,6 @@ class Interconnect
     /** Extra bytes serialized by retransmitted attempts. */
     Bytes retryBytes() const { return retryBytes_; }
 
-    const InterconnectConfig &config() const { return cfg_; }
-
   private:
     std::size_t linkIndex(int chip, bool to_chip) const;
     static double windowProb(

@@ -124,8 +124,6 @@ class Router
     std::uint64_t diverted() const { return diverted_; }
     std::uint64_t shed() const { return shed_; }
 
-    const RouterConfig &config() const { return cfg_; }
-
   private:
     bool eligible(const ChipStatus &s) const;
     bool hasRoom(const ChipStatus &s) const;

@@ -92,8 +92,6 @@ class ScheduleSearch
      * identical either way. */
     void setThreadPool(ThreadPool *pool) { pool_ = pool; }
 
-    const SearchConfig &config() const { return cfg_; }
-
     /** Re-cap the next run()'s modeled spend (the serve loop sets
      * this to whatever the watchdog budget leaves after each
      * heuristic rebuild). 0 = unbounded. */

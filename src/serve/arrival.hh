@@ -69,8 +69,6 @@ class ArrivalProcess
     /** Arrivals drawn so far. */
     std::uint64_t generated() const { return generated_; }
 
-    const ArrivalConfig &config() const { return cfg_; }
-
   private:
     /** Exponential inter-arrival draw at @p rate_per_sec. */
     double expDraw(double rate_per_sec);

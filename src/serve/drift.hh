@@ -94,7 +94,6 @@ class DriftMonitor
     /** Windows observed since construction. */
     int windowsObserved() const { return windows_; }
 
-    const DriftConfig &config() const { return cfg_; }
     const std::map<OpId, FreqHistogram> &reference() const
     {
         return reference_;

@@ -60,8 +60,6 @@ class SloTracker
     /** Completion tick of the latest recorded request. */
     Tick lastEnd() const { return lastEnd_; }
 
-    const SloConfig &config() const { return cfg_; }
-
   private:
     SloConfig cfg_;
     double freqGhz_;

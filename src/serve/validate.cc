@@ -84,11 +84,14 @@ validateDriftConfig(const DriftConfig &cfg)
     if (cfg.windowRequests <= 0)
         ADYNA_FATAL("DriftConfig.windowRequests must be > 0 (got ",
                     cfg.windowRequests, ")");
-    if (cfg.threshold < 0.0)
-        ADYNA_FATAL("DriftConfig.threshold must be >= 0 (got ",
+    // The bounds DriftMonitor asserts: an L1 distance between two
+    // distributions lies in [0, 2], and a multiplier below 1 puts the
+    // trigger inside the calibrated noise floor.
+    if (!(cfg.threshold >= 0.0 && cfg.threshold <= 2.0))
+        ADYNA_FATAL("DriftConfig.threshold must be in [0, 2] (got ",
                     cfg.threshold, ")");
-    if (cfg.noiseMultiplier < 0.0)
-        ADYNA_FATAL("DriftConfig.noiseMultiplier must be >= 0 (got ",
+    if (!(cfg.noiseMultiplier >= 1.0))
+        ADYNA_FATAL("DriftConfig.noiseMultiplier must be >= 1 (got ",
                     cfg.noiseMultiplier, ")");
     if (cfg.hysteresisWindows < 1)
         ADYNA_FATAL("DriftConfig.hysteresisWindows must be >= 1 "

@@ -25,8 +25,9 @@ void validateBatchPolicy(const BatchPolicy &policy);
 /** Fatal on a non-positive deadline. */
 void validateSloConfig(const SloConfig &cfg);
 
-/** Fatal on a non-positive window, a negative threshold or noise
- * multiplier, hysteresis below 1, or a negative cooldown. */
+/** Fatal on a non-positive window, a threshold outside [0, 2], a
+ * noise multiplier below 1, hysteresis below 1, or a negative
+ * cooldown: the bounds DriftMonitor's constructor asserts. */
 void validateDriftConfig(const DriftConfig &cfg);
 
 /** Validate every nested config plus the serve-level knobs

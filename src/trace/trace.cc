@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -106,36 +105,18 @@ TraceGenerator::next()
     maybeAdvancePhase();
     ++batches_;
 
-    std::vector<Sample> samples(
-        static_cast<std::size_t>(cfg_.batchSize));
-    for (Sample &s : samples)
+    samples_.assign(static_cast<std::size_t>(cfg_.batchSize), Sample{});
+    for (Sample &s : samples_)
         s.difficulty = drawDifficulty();
 
     BatchRouting out;
     for (const SwitchInfo &sw : dg_.switches())
-        routeSwitch(sw, samples, out);
+        routeSwitch(sw, out);
     return out;
 }
 
-namespace {
-
-/** Indices of currently active samples. */
-std::vector<std::size_t>
-activeIndices(const std::vector<TraceGenerator::Sample> &samples)
-{
-    std::vector<std::size_t> idx;
-    for (std::size_t i = 0; i < samples.size(); ++i)
-        if (samples[i].active)
-            idx.push_back(i);
-    return idx;
-}
-
-} // namespace
-
 void
-TraceGenerator::routeSwitch(const SwitchInfo &sw,
-                            std::vector<Sample> &samples,
-                            BatchRouting &out)
+TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
 {
     const graph::OpNode &node = dg_.graph().node(sw.switchOp);
     const RoutingPolicy &policy = node.policy;
@@ -150,23 +131,21 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
     // Rows one sample contributes at this gate (its patch-select
     // multiplicity times the gate's token fold).
     const auto effRows = [&](std::size_t i) {
-        return samples[i].rows * units;
+        return samples_[i].rows * units;
     };
-
-    std::vector<std::size_t> active = activeIndices(samples);
-    for (std::size_t i : active)
-        oc.activeBefore += effRows(i);
 
     // Sort the active samples easiest-first with per-gate jitter, so
     // rank-based decisions correlate across gates through the shared
     // latent difficulty while retaining batch-to-batch variety.
-    std::vector<std::pair<double, std::size_t>> ranked;
-    ranked.reserve(active.size());
-    for (std::size_t i : active) {
+    ranked_.clear();
+    for (std::size_t i = 0; i < samples_.size(); ++i) {
+        if (!samples_[i].active)
+            continue;
+        oc.activeBefore += effRows(i);
         const double jitter = rng_.normal(0.0, cfg_.gateNoise);
-        ranked.emplace_back(samples[i].difficulty + jitter, i);
+        ranked_.emplace_back(samples_[i].difficulty + jitter, i);
     }
-    std::sort(ranked.begin(), ranked.end());
+    std::sort(ranked_.begin(), ranked_.end());
 
     switch (policy.kind) {
       case RoutingPolicy::Kind::EarlyExit: {
@@ -175,12 +154,12 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
         std::int64_t target = rng_.binomial(
             static_cast<std::uint32_t>(cfg_.batchSize), f);
         target = std::min<std::int64_t>(
-            target, static_cast<std::int64_t>(ranked.size()));
+            target, static_cast<std::int64_t>(ranked_.size()));
         for (std::int64_t i = 0; i < target; ++i) {
             const std::size_t idx =
-                ranked[static_cast<std::size_t>(i)].second;
+                ranked_[static_cast<std::size_t>(i)].second;
             oc.branchCounts[0] += effRows(idx); // exit via the sink
-            samples[idx].active = false;
+            samples_[idx].active = false;
         }
         oc.branchCounts[1] = oc.activeBefore - oc.branchCounts[0];
         oc.activeAfter = oc.branchCounts[1];
@@ -190,10 +169,10 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
         // param = skip fraction of the samples reaching this gate.
         const double f = phaseFraction(policy.param);
         std::int64_t target = rng_.binomial(
-            static_cast<std::uint32_t>(ranked.size()), f);
+            static_cast<std::uint32_t>(ranked_.size()), f);
         for (std::int64_t i = 0; i < target; ++i)
             oc.branchCounts[0] += // easiest samples skip
-                effRows(ranked[static_cast<std::size_t>(i)].second);
+                effRows(ranked_[static_cast<std::size_t>(i)].second);
         oc.branchCounts[1] = oc.activeBefore - oc.branchCounts[0];
         oc.activeAfter = oc.activeBefore; // merge restores the batch
         break;
@@ -207,8 +186,9 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
             for (double &t : phaseExpertTilt_)
                 t = std::exp(cfg_.driftStrength * rng_.normal());
         }
-        std::vector<double> weights(
-            static_cast<std::size_t>(policy.numBranches), 1.0);
+        std::vector<double> &weights = expertWeights_;
+        weights.assign(static_cast<std::size_t>(policy.numBranches),
+                       1.0);
         for (std::size_t e = 0; e < weights.size(); ++e) {
             if (e < policy.branchBias.size())
                 weights[e] = policy.branchBias[e];
@@ -221,14 +201,10 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
         // restores the no-expert-exceeds-the-population invariant.
         const std::int64_t totalUnits = oc.activeBefore;
         if (totalUnits <= 2048) {
-            for (std::int64_t u = 0; u < totalUnits; ++u) {
-                const auto experts =
-                    rng_.weightedSampleWithoutReplacement(
-                        weights,
-                        static_cast<std::size_t>(policy.topK));
-                for (std::size_t e : experts)
+            topK_.reset(weights, static_cast<std::size_t>(policy.topK));
+            for (std::int64_t u = 0; u < totalUnits; ++u)
+                for (std::size_t e : topK_.draw(rng_))
                     ++oc.branchCounts[e];
-            }
         } else {
             for (int choice = 0; choice < policy.topK; ++choice) {
                 double wsum = 0.0;
@@ -286,7 +262,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
         // branches that motivate branch grouping (Section V-B).
         const double keep = phaseFraction(policy.param);
         const double swapProb = cfg_.channelSwapProb;
-        for (const auto &[difficulty, idx] : ranked) {
+        for (const auto &[difficulty, idx] : ranked_) {
             // Harder samples keep more channel blocks.
             const double frac = std::clamp(
                 keep + (difficulty - 0.5) * 0.5 +
@@ -323,8 +299,8 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
                             std::max<std::int64_t>(cfg_.batchSize, 1);
         ADYNA_ASSERT(fold >= 1, "patch-select switch on unfolded batch");
         const double keep = phaseFraction(policy.param);
-        for (const auto &[difficulty, idx] : ranked) {
-            ADYNA_ASSERT(samples[idx].rows == 1,
+        for (const auto &[difficulty, idx] : ranked_) {
+            ADYNA_ASSERT(samples_[idx].rows == 1,
                          "nested patch selection is not supported");
             // Harder images need more patches.
             const double frac = std::clamp(
@@ -333,11 +309,11 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
                 0.0, 1.0);
             std::int64_t k = std::llround(frac * fold);
             k = std::clamp<std::int64_t>(k, 1, fold);
-            samples[idx].rows = k;
+            samples_[idx].rows = k;
             oc.branchCounts[0] += k;
         }
         const std::int64_t totalRows =
-            static_cast<std::int64_t>(ranked.size()) * fold;
+            static_cast<std::int64_t>(ranked_.size()) * fold;
         oc.branchCounts[1] = totalRows - oc.branchCounts[0];
         oc.activeBefore = totalRows;
         oc.activeAfter = oc.branchCounts[0];

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -120,13 +121,12 @@ class TraceGenerator
     TraceGenerator(const graph::DynGraph &dg, TraceConfig cfg,
                    std::uint64_t seed);
 
-    /** Produce the routing for the next batch. */
+    /**
+     * Produce the routing for the next batch. Once the member buffers
+     * are sized, it allocates only its result: one map node and one
+     * branch-count vector per switch.
+     */
     BatchRouting next();
-
-    /** Number of batches generated so far. */
-    std::uint64_t batchesGenerated() const { return batches_; }
-
-    const TraceConfig &config() const { return cfg_; }
 
     /**
      * Convenience: generate @p batches batches on an independent
@@ -136,6 +136,7 @@ class TraceGenerator
      */
     std::map<OpId, double> profileExpectations(int batches) const;
 
+  private:
     /** Latent per-sample state during one batch's routing. */
     struct Sample
     {
@@ -146,7 +147,6 @@ class TraceGenerator
         std::int64_t rows = 1;
     };
 
-  private:
     /** Difficulty draw under the current drift phase. */
     double drawDifficulty();
 
@@ -156,8 +156,7 @@ class TraceGenerator
     /** Gate marginal under the current drift phase. */
     double phaseFraction(double base) const;
 
-    void routeSwitch(const graph::SwitchInfo &sw,
-                     std::vector<Sample> &samples, BatchRouting &out);
+    void routeSwitch(const graph::SwitchInfo &sw, BatchRouting &out);
 
     const graph::DynGraph &dg_;
     TraceConfig cfg_;
@@ -168,6 +167,15 @@ class TraceGenerator
     // Drift phase state.
     double phaseScale_ = 1.0;
     std::vector<double> phaseExpertTilt_;
+
+    // Per-batch buffers, kept so that next() does not allocate them.
+    std::vector<Sample> samples_;
+    /** Active samples at the current gate as (jittered difficulty,
+     * sample index), easiest first. */
+    std::vector<std::pair<double, std::size_t>> ranked_;
+    /** Expert weights of the current TopKExperts gate. */
+    std::vector<double> expertWeights_;
+    TopKSampler topK_;
 };
 
 } // namespace adyna::trace

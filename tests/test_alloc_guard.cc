@@ -3,7 +3,8 @@
  * Zero-allocation guard for the serve hot path: a steady-state
  * Engine::runPeriod (out-param result, scratch buffers sized) must
  * not touch the heap, and neither may the first period on a segment
- * partition the engine has never run.
+ * partition the engine has never run. A warm TraceGenerator::next
+ * allocates only the routing it returns.
  *
  * The guard counts calls to the replaceable global operator new. The
  * tests skip under sanitizer builds (ADYNA_SANITIZE): sanitizer
@@ -23,6 +24,7 @@
 #include "core/engine.hh"
 #include "core/scheduler.hh"
 #include "graph/parser.hh"
+#include "models/models.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -220,6 +222,42 @@ TEST(AllocGuard, FirstPeriodOnUnseenPartitionAllocatesNothing)
         << "first runPeriod on an unseen partition performed "
         << (after - before) << " heap allocations";
     EXPECT_EQ(out.batchEnds.size(), batches.size());
+}
+
+/**
+ * TraceGenerator::next keeps its samples, ranking, gate weights and
+ * top-k sampler in member buffers, so once they are sized a call
+ * allocates only the routing it returns: one map node and one
+ * branch-count vector per switch. Inputs are the serving runtimes'
+ * per-request traces (batch 1) under drift.
+ */
+TEST(AllocGuard, TraceNextAllocatesOnlyItsOutput)
+{
+#ifdef ADYNA_SANITIZE
+    GTEST_SKIP() << "allocation counting is unreliable under "
+                    "sanitizer runtimes";
+#endif
+    for (const char *name : {"tutel-moe", "skipnet", "pabee"}) {
+        const models::ModelBundle m = models::buildByName(name, 32);
+        const DynGraph dg = parseModel(m.graph);
+        trace::TraceConfig tc = m.traceConfig;
+        tc.batchSize = 1;
+        tc.driftStrength = 0.9;
+        tc.driftPeriod = 700;
+        trace::TraceGenerator gen(dg, tc, 7);
+        for (int i = 0; i < 50; ++i)
+            (void)gen.next();
+
+        constexpr int kCalls = 2000;
+        const std::uint64_t before =
+            g_allocs.load(std::memory_order_relaxed);
+        for (int i = 0; i < kCalls; ++i)
+            (void)gen.next();
+        const std::uint64_t after =
+            g_allocs.load(std::memory_order_relaxed);
+        EXPECT_EQ(after - before, 2u * dg.switches().size() * kCalls)
+            << name << ": " << dg.switches().size() << " switches";
+    }
 }
 
 } // namespace

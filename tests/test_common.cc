@@ -109,6 +109,81 @@ TEST(Rng, CategoricalSkipsZeroWeight)
         EXPECT_EQ(rng.categorical(weights), 1u);
 }
 
+/** The per-token routine TopKSampler replaced: k sequential
+ * categorical draws, each pick's weight zeroed before the next. */
+std::vector<std::size_t>
+sequentialTopK(Rng &rng, std::vector<double> weights, std::size_t k)
+{
+    std::vector<std::size_t> chosen;
+    for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t idx = rng.categorical(weights);
+        chosen.push_back(idx);
+        weights[idx] = 0.0;
+    }
+    return chosen;
+}
+
+TEST(Rng, TopKSamplerMatchesSequentialCategorical)
+{
+    // Random weights over 1..16 indices, a quarter of them zero,
+    // plus Tutel-MoE's expert bias under drift tilts exp(0.9 z).
+    Rng gen(37);
+    std::vector<std::vector<double>> cases;
+    for (std::size_t n = 1; n <= 16; ++n)
+        for (int rep = 0; rep < 4; ++rep) {
+            std::vector<double> w(n);
+            for (double &x : w)
+                x = gen.bernoulli(0.25) ? 0.0 : gen.uniform(0.01, 5.0);
+            w[static_cast<std::size_t>(gen.uniformInt(
+                0, static_cast<std::int64_t>(n) - 1))] = 1.0;
+            cases.push_back(std::move(w));
+        }
+    const std::vector<double> bias{4.0, 2.5, 2.0, 1.5,
+                                   1.0, 0.8, 0.6, 0.4};
+    for (int tilt = 0; tilt < 16; ++tilt) {
+        std::vector<double> w = bias;
+        for (double &x : w)
+            x *= std::exp(0.9 * gen.normal());
+        cases.push_back(std::move(w));
+    }
+
+    Rng a(41), b(41);
+    TopKSampler sampler;
+    std::size_t draws = 0;
+    for (const std::vector<double> &w : cases) {
+        std::size_t positive = 0;
+        for (double x : w)
+            positive += x > 0.0;
+        for (std::size_t k = 1; k <= positive; ++k) {
+            sampler.reset(w, k);
+            for (int d = 0; d < 300; ++d, ++draws)
+                ASSERT_EQ(sampler.draw(b), sequentialTopK(a, w, k))
+                    << "n=" << w.size() << " k=" << k << " draw " << d;
+            ASSERT_EQ(a.next(), b.next())
+                << "streams diverged at n=" << w.size() << " k=" << k;
+        }
+    }
+    EXPECT_GE(draws, 100000u);
+}
+
+TEST(TopKSamplerDeathTest, NegativeOrNanWeightPanics)
+{
+    TopKSampler sampler;
+    EXPECT_DEATH(sampler.reset({1.0, -0.5, 2.0}, 1),
+                 "negative categorical weight");
+    EXPECT_DEATH(sampler.reset({1.0, std::nan("")}, 1),
+                 "negative categorical weight");
+}
+
+TEST(TopKSamplerDeathTest, MorePicksThanPositiveWeightsPanics)
+{
+    Rng rng(43);
+    TopKSampler sampler;
+    sampler.reset({1.0, 0.0, 2.0}, 3);
+    EXPECT_DEATH((void)sampler.draw(rng),
+                 "categorical weights sum to zero");
+}
+
 TEST(Rng, BinomialSmallNExact)
 {
     Rng rng(19);

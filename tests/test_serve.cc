@@ -645,6 +645,22 @@ TEST(Validate, RejectsNegativeNoiseMultiplier)
                 ::testing::ExitedWithCode(1), "noiseMultiplier");
 }
 
+TEST(Validate, RejectsNoiseMultiplierBelowOne)
+{
+    DriftConfig cfg;
+    cfg.noiseMultiplier = 0.5;
+    EXPECT_EXIT(validateDriftConfig(cfg),
+                ::testing::ExitedWithCode(1), "noiseMultiplier");
+}
+
+TEST(Validate, RejectsDriftThresholdAboveTwo)
+{
+    DriftConfig cfg;
+    cfg.threshold = 2.5;
+    EXPECT_EXIT(validateDriftConfig(cfg),
+                ::testing::ExitedWithCode(1), "threshold");
+}
+
 TEST(Validate, RejectsZeroHysteresisWindows)
 {
     DriftConfig cfg;

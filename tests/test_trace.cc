@@ -11,6 +11,7 @@
 
 #include "graph/parser.hh"
 #include "graph/transforms.hh"
+#include "models/models.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -334,6 +335,70 @@ TEST(Trace, ProfileExpectationsMatchLongRunMean)
             EXPECT_NEAR(exp.at(n.id), 0.65 * 128.0, 4.0);
         }
     }
+}
+
+/** FNV-1a over the bytes of every branch count of @p calls batches. */
+std::uint64_t
+streamDigest(const DynGraph &dg, const TraceConfig &cfg,
+             std::uint64_t seed, int calls)
+{
+    TraceGenerator gen(dg, cfg, seed);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < calls; ++i) {
+        const BatchRouting r = gen.next();
+        for (const auto &[sw, oc] : r.outcomes)
+            for (std::int64_t c : oc.branchCounts)
+                for (int byte = 0; byte < 8; ++byte) {
+                    h ^= static_cast<std::uint64_t>(c) >> (8 * byte) &
+                         0xff;
+                    h *= 0x100000001b3ULL;
+                }
+    }
+    return h;
+}
+
+/**
+ * Every draw the trace makes is part of every simulated digest, so
+ * the streams are pinned to constants: serve-drift's per-request
+ * traces (batch 1, drift 0.9 over 700-request phases, seed 7), a
+ * Tutel-MoE batch of 6272 tokens per gate (the binomial-chain path),
+ * and top-1 and top-3 gates of eight experts.
+ */
+TEST(Trace, StreamsMatchParentDigests)
+{
+    const auto drifting = [](const models::ModelBundle &m,
+                             std::int64_t batch) {
+        TraceConfig tc = m.traceConfig;
+        tc.batchSize = batch;
+        tc.driftStrength = 0.9;
+        tc.driftPeriod = 700;
+        return tc;
+    };
+    struct Pin
+    {
+        const char *model;
+        std::int64_t batch;
+        std::uint64_t digest;
+    };
+    for (const Pin &pin : {Pin{"tutel-moe", 1, 0x7e3176c8df1447f9ULL},
+                           Pin{"skipnet", 1, 0xf3dd1d923b487605ULL},
+                           Pin{"pabee", 1, 0xd01d754345377c25ULL},
+                           Pin{"tutel-moe", 32, 0xe42b5fec7c5e89f7ULL}}) {
+        const models::ModelBundle m = models::buildByName(pin.model, 32);
+        EXPECT_EQ(streamDigest(parseModel(m.graph),
+                               drifting(m, pin.batch), 7, 2000),
+                  pin.digest)
+            << pin.model << " at batch " << pin.batch;
+    }
+
+    TraceConfig moe;
+    moe.batchSize = 8;
+    EXPECT_EQ(streamDigest(moeModel(8, 8, 1), moe, 7, 2000),
+              0x21386a1681425363ULL)
+        << "top-1";
+    EXPECT_EQ(streamDigest(moeModel(8, 8, 3), moe, 7, 2000),
+              0x1d2d3776ddf01eebULL)
+        << "top-3";
 }
 
 } // namespace
