@@ -12,7 +12,7 @@ Chip::Chip(const HwConfig &cfg)
 {
 }
 
-des::Reservation
+Reservation
 Chip::occupyTiles(Tick earliest, const std::vector<TileId> &tiles,
                   Tick duration)
 {

@@ -13,7 +13,7 @@
 #include "arch/hbm.hh"
 #include "arch/hwconfig.hh"
 #include "arch/noc.hh"
-#include "des/resource.hh"
+#include "arch/resource.hh"
 
 namespace adyna::arch {
 
@@ -45,7 +45,7 @@ class Chip
      * than @p earliest; all tiles start together (SIMD tile group).
      * @return the [start, end) reservation.
      */
-    des::Reservation occupyTiles(Tick earliest,
+    Reservation occupyTiles(Tick earliest,
                                  const std::vector<TileId> &tiles,
                                  Tick duration);
 
@@ -119,7 +119,7 @@ class Chip
     HwConfig cfg_;
     Noc noc_;
     Hbm hbm_;
-    std::vector<des::SerialResource> tileCompute_;
+    std::vector<SerialResource> tileCompute_;
 
     EnergyBreakdown energy_;
     MacCount issuedMacs_ = 0;

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "arch/hwconfig.hh"
-#include "des/resource.hh"
+#include "arch/resource.hh"
 
 namespace adyna::arch {
 
@@ -60,7 +60,7 @@ class Hbm
 
   private:
     const HwConfig cfg_;
-    std::vector<des::GapBandwidthResource> channels_;
+    std::vector<GapBandwidthResource> channels_;
 };
 
 } // namespace adyna::arch

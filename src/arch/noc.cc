@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <deque>
 
 #include "common/logging.hh"
@@ -10,31 +11,32 @@ namespace adyna::arch {
 
 namespace {
 
-/** Signed shortest torus step direction from a to b over size n:
- * +1 = increasing index, -1 = decreasing, 0 = equal. */
-int
-torusDir(int a, int b, int n)
+/** Signed shortest step counts around a ring of @p n nodes: entry
+ * a * n + b counts the steps from a to b, positive toward increasing
+ * index. At half the ring both ways are equally short; the tie goes
+ * to +1. */
+std::vector<int>
+ringSteps(int n)
 {
-    if (a == b)
-        return 0;
-    const int fwd = (b - a + n) % n;  // steps in + direction
-    const int back = (a - b + n) % n; // steps in - direction
-    return fwd <= back ? +1 : -1;
-}
-
-int
-torusDist(int a, int b, int n)
-{
-    const int fwd = (b - a + n) % n;
-    const int back = (a - b + n) % n;
-    return std::min(fwd, back);
+    std::vector<int> steps;
+    steps.reserve(static_cast<std::size_t>(n) * n);
+    for (int a = 0; a < n; ++a) {
+        for (int b = 0; b < n; ++b) {
+            const int fwd = (b - a + n) % n;
+            steps.push_back(fwd <= n - fwd ? fwd : fwd - n);
+        }
+    }
+    return steps;
 }
 
 } // namespace
 
-Noc::Noc(const HwConfig &cfg) : cfg_(cfg)
+Noc::Noc(const HwConfig &cfg)
+    : cfg_(cfg), colSteps_(ringSteps(cfg.gridCols)),
+      rowSteps_(ringSteps(cfg.gridRows))
 {
-    const auto n = static_cast<std::size_t>(cfg_.tiles()) * 4;
+    const auto tiles = static_cast<TileId>(cfg_.tiles());
+    const auto n = static_cast<std::size_t>(tiles) * 4;
     links_.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         links_.emplace_back(cfg_.nocLinkBytesPerCycle);
@@ -42,6 +44,13 @@ Noc::Noc(const HwConfig &cfg) : cfg_(cfg)
     linkFactor_.assign(n, 1.0);
     southExtent_.assign(static_cast<std::size_t>(cfg_.gridCols), 0);
     northExtent_.assign(static_cast<std::size_t>(cfg_.gridCols), 0);
+    tilePos_.reserve(tiles);
+    linkTargets_.reserve(n);
+    for (TileId tile = 0; tile < tiles; ++tile) {
+        tilePos_.push_back({cfg_.tileRow(tile), cfg_.tileCol(tile)});
+        for (int dir = 0; dir < 4; ++dir)
+            linkTargets_.push_back(torusNeighbor(cfg_, tile, dir));
+    }
 }
 
 std::size_t
@@ -73,76 +82,66 @@ torusNeighbor(const HwConfig &cfg, TileId tile, int dir)
     return static_cast<TileId>(row * cfg.gridCols + col);
 }
 
-TileId
-Noc::linkTarget(std::size_t link) const
+Noc::Steps
+Noc::steps(TileId src, TileId dst) const
 {
-    return torusNeighbor(cfg_, static_cast<TileId>(link / 4),
-                         static_cast<int>(link % 4));
+    const TilePos from = tilePos_[src];
+    const TilePos to = tilePos_[dst];
+    return {colSteps_[static_cast<std::size_t>(from.col * cfg_.gridCols +
+                                               to.col)],
+            rowSteps_[static_cast<std::size_t>(from.row * cfg_.gridRows +
+                                               to.row)]};
+}
+
+template <typename Visit>
+TileId
+Noc::straight(TileId at, int dir, int n, Visit &visit) const
+{
+    for (; n > 0; --n) {
+        const std::size_t link = linkIndex(at, dir);
+        visit(link);
+        at = linkTargets_[link];
+    }
+    return at;
+}
+
+template <typename Visit>
+void
+Noc::walk(TileId src, TileId dst, DimOrder order, Visit &&visit) const
+{
+    // X-Y (columns first) is deadlock-free on the torus with the usual
+    // dateline virtual channels abstracted away; Y-X is the fallback
+    // order around a dead link.
+    const Steps s = steps(src, dst);
+    const int xDir = s.x > 0 ? kLinkEast : kLinkWest;
+    const int yDir = s.y > 0 ? kLinkSouth : kLinkNorth;
+    TileId at = src;
+    if (order == DimOrder::XY) {
+        at = straight(at, xDir, std::abs(s.x), visit);
+        at = straight(at, yDir, std::abs(s.y), visit);
+    } else {
+        at = straight(at, yDir, std::abs(s.y), visit);
+        at = straight(at, xDir, std::abs(s.x), visit);
+    }
+#ifdef ADYNA_SANITIZE
+    ADYNA_ASSERT(at == dst, "walk from ", src, " ends at ", at,
+                 " instead of ", dst);
+#endif
+}
+
+std::vector<std::size_t>
+Noc::path(TileId src, TileId dst, DimOrder order) const
+{
+    std::vector<std::size_t> out;
+    walk(src, dst, order, [&](std::size_t link) { out.push_back(link); });
+    return out;
 }
 
 int
 Noc::hops(TileId src, TileId dst) const
 {
-    return torusDist(cfg_.tileCol(src), cfg_.tileCol(dst),
-                     cfg_.gridCols) +
-           torusDist(cfg_.tileRow(src), cfg_.tileRow(dst),
-                     cfg_.gridRows);
-}
-
-std::vector<std::size_t>
-Noc::path(TileId src, TileId dst) const
-{
-    std::vector<std::size_t> out;
-    int row = cfg_.tileRow(src);
-    int col = cfg_.tileCol(src);
-    const int dstRow = cfg_.tileRow(dst);
-    const int dstCol = cfg_.tileCol(dst);
-
-    // X first (columns), then Y (rows): deadlock-free on the torus
-    // with the usual dateline virtual channels abstracted away.
-    while (col != dstCol) {
-        const int dir = torusDir(col, dstCol, cfg_.gridCols);
-        const TileId here =
-            static_cast<TileId>(row * cfg_.gridCols + col);
-        out.push_back(linkIndex(here, dir > 0 ? kLinkEast : kLinkWest));
-        col = (col + dir + cfg_.gridCols) % cfg_.gridCols;
-    }
-    while (row != dstRow) {
-        const int dir = torusDir(row, dstRow, cfg_.gridRows);
-        const TileId here =
-            static_cast<TileId>(row * cfg_.gridCols + col);
-        out.push_back(
-            linkIndex(here, dir > 0 ? kLinkSouth : kLinkNorth));
-        row = (row + dir + cfg_.gridRows) % cfg_.gridRows;
-    }
-    return out;
-}
-
-std::vector<std::size_t>
-Noc::pathYX(TileId src, TileId dst) const
-{
-    std::vector<std::size_t> out;
-    int row = cfg_.tileRow(src);
-    int col = cfg_.tileCol(src);
-    const int dstRow = cfg_.tileRow(dst);
-    const int dstCol = cfg_.tileCol(dst);
-
-    while (row != dstRow) {
-        const int dir = torusDir(row, dstRow, cfg_.gridRows);
-        const TileId here =
-            static_cast<TileId>(row * cfg_.gridCols + col);
-        out.push_back(
-            linkIndex(here, dir > 0 ? kLinkSouth : kLinkNorth));
-        row = (row + dir + cfg_.gridRows) % cfg_.gridRows;
-    }
-    while (col != dstCol) {
-        const int dir = torusDir(col, dstCol, cfg_.gridCols);
-        const TileId here =
-            static_cast<TileId>(row * cfg_.gridCols + col);
-        out.push_back(linkIndex(here, dir > 0 ? kLinkEast : kLinkWest));
-        col = (col + dir + cfg_.gridCols) % cfg_.gridCols;
-    }
-    return out;
+    const Steps s = steps(src, dst);
+    return std::abs(s.x) + std::abs(s.y);
 }
 
 bool
@@ -172,7 +171,7 @@ Noc::bfsPath(TileId src, TileId dst) const
             const std::size_t link = linkIndex(here, dir);
             if (linkDown_[link])
                 continue;
-            const TileId next = linkTarget(link);
+            const TileId next = linkTargets_[link];
             if (seen[next])
                 continue;
             seen[next] = 1;
@@ -195,12 +194,12 @@ Noc::bfsPath(TileId src, TileId dst) const
 std::vector<std::size_t>
 Noc::route(TileId src, TileId dst) const
 {
-    std::vector<std::size_t> xy = path(src, dst);
+    std::vector<std::size_t> xy = path(src, dst, DimOrder::XY);
     if (downLinks_ == 0 || routeHealthy(xy))
         return xy;
     // Y-X fallback: the cheap dimension-order alternative most
     // single-link faults are routed around with.
-    std::vector<std::size_t> yx = pathYX(src, dst);
+    std::vector<std::size_t> yx = path(src, dst, DimOrder::YX);
     if (routeHealthy(yx)) {
         ++detourRoutes_;
         return yx;
@@ -217,7 +216,7 @@ Noc::route(TileId src, TileId dst) const
     return xy;
 }
 
-des::Reservation
+Reservation
 Noc::acquireLink(std::size_t link, Tick earliest, Bytes bytes)
 {
     Bytes effective = bytes;
@@ -235,72 +234,29 @@ Noc::transfer(Tick earliest, TileId src, TileId dst, Bytes bytes)
 {
     NocTransfer t;
     t.start = earliest;
-    if (src == dst || bytes == 0) {
-        t.end = earliest;
+    t.end = earliest;
+    if (src == dst || bytes == 0)
         return t;
-    }
+    Tick latest = earliest;
+    const auto reserve = [&](std::size_t link) {
+        latest = std::max(latest, acquireLink(link, earliest, bytes).end);
+        ++t.hops;
+    };
     if (anyLinkFault_) {
         const auto rt = route(src, dst);
-        t.hops = static_cast<int>(rt.size());
-        Tick latest = earliest;
-        for (std::size_t link : rt) {
-            const auto res = acquireLink(link, earliest, bytes);
-            latest = std::max(latest, res.end);
-        }
-        t.end =
-            latest + static_cast<Tick>(t.hops) * cfg_.nocHopLatency;
-        t.byteHops = bytes * static_cast<Bytes>(t.hops);
-        byteHops_ += t.byteHops;
 #ifdef ADYNA_SANITIZE
         validateRoute(rt, src, dst);
-        ADYNA_ASSERT(t.hops >= 0, "negative hop count");
-        ADYNA_ASSERT(t.byteHops ==
-                         bytes * static_cast<Bytes>(t.hops),
-                     "byteHops inconsistent with the route");
 #endif
-        return t;
+        for (std::size_t link : rt)
+            reserve(link);
+    } else {
+        // Fault-free fast path: reserve each link as the walker visits
+        // it, in path()'s order, with no route vector materialized.
+        walk(src, dst, DimOrder::XY, reserve);
     }
-
-    // Fault-free fast path: walk the X-Y route inline, reserving each
-    // link as it is visited, instead of materializing the path in a
-    // heap-allocated vector. Link visit order matches path() exactly,
-    // so reports stay byte-identical.
-    int row = cfg_.tileRow(src);
-    int col = cfg_.tileCol(src);
-    const int dstRow = cfg_.tileRow(dst);
-    const int dstCol = cfg_.tileCol(dst);
-    Tick latest = earliest;
-    int hopCount = 0;
-    while (col != dstCol) {
-        const int dir = torusDir(col, dstCol, cfg_.gridCols);
-        const TileId here =
-            static_cast<TileId>(row * cfg_.gridCols + col);
-        const auto link =
-            linkIndex(here, dir > 0 ? kLinkEast : kLinkWest);
-        latest = std::max(latest,
-                          acquireLink(link, earliest, bytes).end);
-        col = (col + dir + cfg_.gridCols) % cfg_.gridCols;
-        ++hopCount;
-    }
-    while (row != dstRow) {
-        const int dir = torusDir(row, dstRow, cfg_.gridRows);
-        const TileId here =
-            static_cast<TileId>(row * cfg_.gridCols + col);
-        const auto link =
-            linkIndex(here, dir > 0 ? kLinkSouth : kLinkNorth);
-        latest = std::max(latest,
-                          acquireLink(link, earliest, bytes).end);
-        row = (row + dir + cfg_.gridRows) % cfg_.gridRows;
-        ++hopCount;
-    }
-    t.hops = hopCount;
-    t.end = latest + static_cast<Tick>(hopCount) * cfg_.nocHopLatency;
-    t.byteHops = bytes * static_cast<Bytes>(hopCount);
+    t.end = latest + static_cast<Tick>(t.hops) * cfg_.nocHopLatency;
+    t.byteHops = bytes * static_cast<Bytes>(t.hops);
     byteHops_ += t.byteHops;
-#ifdef ADYNA_SANITIZE
-    ADYNA_ASSERT(hopCount == hops(src, dst),
-                 "inline walk hop count diverged from hops()");
-#endif
     return t;
 }
 
@@ -350,47 +306,41 @@ Noc::multicast(Tick earliest, TileId src,
         // of the source row (the farthest destination column each
         // way) plus, per column, the first south/north links from the
         // source row (the farthest destination row each way). One
-        // pass over dsts finds the extents; torusDir breaks the n/2
-        // tie toward +1 exactly as path() does.
-        const int rows = cfg_.gridRows;
+        // pass over dsts reads the extents off the source's rows of
+        // the step tables, so the tie goes the way the walker goes.
         const int cols = cfg_.gridCols;
-        const int srcRow = cfg_.tileRow(src);
-        const int srcCol = cfg_.tileCol(src);
+        const TilePos from = tilePos_[src];
+        const int *colSteps =
+            &colSteps_[static_cast<std::size_t>(from.col * cols)];
+        const int *rowSteps =
+            &rowSteps_[static_cast<std::size_t>(from.row * cfg_.gridRows)];
         int east = 0;
         int west = 0;
         for (TileId dst : dsts) {
-            const int row = cfg_.tileRow(dst);
-            const int col = cfg_.tileCol(dst);
-            const int dx = torusDist(srcCol, col, cols);
-            const int dy = torusDist(srcRow, row, rows);
-            int &xExtent = torusDir(srcCol, col, cols) > 0 ? east : west;
-            auto &colExtents = torusDir(srcRow, row, rows) > 0
-                                   ? southExtent_
-                                   : northExtent_;
-            int &yExtent = colExtents[static_cast<std::size_t>(col)];
-            xExtent = std::max(xExtent, dx);
-            yExtent = std::max(yExtent, dy);
-            maxHops = std::max(maxHops, dx + dy);
+            const TilePos to = tilePos_[dst];
+            const int dx = colSteps[to.col];
+            const int dy = rowSteps[to.row];
+            int &xExtent = dx > 0 ? east : west;
+            int &yExtent = (dy > 0 ? southExtent_ : northExtent_)
+                [static_cast<std::size_t>(to.col)];
+            xExtent = std::max(xExtent, std::abs(dx));
+            yExtent = std::max(yExtent, std::abs(dy));
+            maxHops = std::max(maxHops, std::abs(dx) + std::abs(dy));
         }
 
-        const auto reserve = [&](int row, int col, int dir) {
-            const auto here = static_cast<TileId>(row * cols + col);
-            latest = std::max(
-                latest,
-                acquireLink(linkIndex(here, dir), earliest, bytes).end);
+        const auto reserve = [&](std::size_t link) {
+            latest = std::max(latest, acquireLink(link, earliest, bytes).end);
             ++unionLinks;
         };
-        for (int k = 0; k < east; ++k)
-            reserve(srcRow, (srcCol + k) % cols, kLinkEast);
-        for (int k = 0; k < west; ++k)
-            reserve(srcRow, (srcCol - k + cols) % cols, kLinkWest);
+        straight(src, kLinkEast, east, reserve);
+        straight(src, kLinkWest, west, reserve);
+        const TileId rowStart = src - static_cast<TileId>(from.col);
         for (int col = 0; col < cols; ++col) {
+            const TileId branch = rowStart + static_cast<TileId>(col);
             int &south = southExtent_[static_cast<std::size_t>(col)];
             int &north = northExtent_[static_cast<std::size_t>(col)];
-            for (int k = 0; k < south; ++k)
-                reserve((srcRow + k) % rows, col, kLinkSouth);
-            for (int k = 0; k < north; ++k)
-                reserve((srcRow - k + rows) % rows, col, kLinkNorth);
+            straight(branch, kLinkSouth, south, reserve);
+            straight(branch, kLinkNorth, north, reserve);
             south = 0;
             north = 0;
         }
@@ -400,12 +350,6 @@ Noc::multicast(Tick earliest, TileId src,
     t.byteHops = bytes * static_cast<Bytes>(unionLinks);
     byteHops_ += t.byteHops;
     return t;
-}
-
-Tick
-Noc::probeAckLatency(TileId src, TileId dst) const
-{
-    return 2 * static_cast<Tick>(hops(src, dst)) * cfg_.nocHopLatency;
 }
 
 Tick
@@ -509,7 +453,7 @@ Noc::validateRoute(const std::vector<std::size_t> &route, TileId src,
                      link);
         ADYNA_ASSERT(static_cast<TileId>(link / 4) == at,
                      "route link ", link, " does not leave tile ", at);
-        at = linkTarget(link);
+        at = linkTargets_[link];
     }
     ADYNA_ASSERT(at == dst, "route from ", src, " ends at ", at,
                  " instead of ", dst);

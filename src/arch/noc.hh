@@ -8,6 +8,18 @@
  * Section VI-C is a small round trip charged before a data transfer
  * may begin.
  *
+ * Routing: every route is fixed by its tile pair, so the constructor
+ * tabulates the torus once. Three tables hold each tile's (row, col),
+ * the signed shortest step count from any column to any column and
+ * from any row to any row (the tie at half the ring goes to the
+ * increasing index), and each directed link's target tile (filled by
+ * torusNeighbor(), the one copy of the wrap rule). A single
+ * dimension-order walker reads them: it turns (src, dst) into a step
+ * count per axis and follows link targets, X then Y (or Y then X for
+ * the fault fallback). Unicast routes, hop counts, the probe/ack
+ * round trip and the multicast tree's extents all come from these
+ * tables, so the shortest-direction rule lives in one place.
+ *
  * Fault model: individual directed links can be marked down (routing
  * falls back to Y-X order, then to a deterministic BFS detour over
  * the surviving links) or bandwidth-degraded (reservations stretch by
@@ -26,8 +38,8 @@
 #include <vector>
 
 #include "arch/hwconfig.hh"
+#include "arch/resource.hh"
 #include "common/rng.hh"
-#include "des/resource.hh"
 
 namespace adyna::arch {
 
@@ -41,8 +53,8 @@ enum LinkDir : int {
 
 /** The tile reached by leaving @p tile along @p dir (a LinkDir),
  * with torus wrap-around — the target of directed link (tile, dir).
- * Shared by the NoC router and the multi-tenant partition-boundary
- * analysis. */
+ * The one copy of the wrap rule: it fills the NoC's link-target
+ * table and serves the multi-tenant partition-boundary analysis. */
 TileId torusNeighbor(const HwConfig &cfg, TileId tile, int dir);
 
 /** Completed NoC transfer summary. */
@@ -83,17 +95,12 @@ class Noc
                           const std::vector<TileId> &dsts, Bytes bytes);
 
     /**
-     * Probe/ack round trip latency between two tiles (no bandwidth
-     * reservation; probes are single-flit packets).
-     */
-    Tick probeAckLatency(TileId src, TileId dst) const;
-
-    /**
-     * Probe/ack round trip at @p now, charging retransmission
-     * timeouts when a probe-drop fault window is active: each dropped
-     * round trip costs the current timeout and doubles it, and an
-     * exhausted retry budget escalates to the host-sync penalty.
-     * Identical to probeAckLatency() outside a drop window.
+     * Probe/ack round trip at @p now: two single-flit traversals of
+     * the route (no bandwidth reservation), 2 x hops x hop latency.
+     * Inside an active probe-drop fault window it also charges
+     * retransmission timeouts: each dropped round trip costs the
+     * current timeout and doubles it, and an exhausted retry budget
+     * escalates to the host-sync penalty.
      */
     Tick probeAck(Tick now, TileId src, TileId dst);
 
@@ -157,14 +164,45 @@ class Noc
     void reset();
 
   private:
+    /** A tile's grid position. */
+    struct TilePos
+    {
+        int row;
+        int col;
+    };
+
+    /** Signed shortest step counts of a route: x along the row
+     * (positive = east), y along the column (positive = south). */
+    struct Steps
+    {
+        int x;
+        int y;
+    };
+
+    /** Dimension order of a walk. */
+    enum class DimOrder { XY, YX };
+
     /** Directed link index: 4 links (E, W, S, N) per tile. */
     std::size_t linkIndex(TileId tile, int dir) const;
 
-    /** Torus X-Y path as a sequence of directed link indices. */
-    std::vector<std::size_t> path(TileId src, TileId dst) const;
+    /** Step counts from @p src to @p dst, read off the step tables. */
+    Steps steps(TileId src, TileId dst) const;
 
-    /** Y-X (rows first) variant of path(). */
-    std::vector<std::size_t> pathYX(TileId src, TileId dst) const;
+    /** Visit the @p n links leaving @p at along @p dir in a straight
+     * line, in order; returns the tile reached. */
+    template <typename Visit>
+    TileId straight(TileId at, int dir, int n, Visit &visit) const;
+
+    /** The walker: visit, in order, the links of the dimension-order
+     * route from @p src to @p dst. Allocates nothing. */
+    template <typename Visit>
+    void walk(TileId src, TileId dst, DimOrder order,
+              Visit &&visit) const;
+
+    /** The dimension-order route as a sequence of directed link
+     * indices (X-Y is the nominal route, Y-X the first fallback). */
+    std::vector<std::size_t> path(TileId src, TileId dst,
+                                  DimOrder order) const;
 
     /** Shortest path over healthy links only; empty when @p src and
      * @p dst are disconnected. Deterministic BFS in link-index order. */
@@ -172,9 +210,6 @@ class Noc
 
     /** Every link on @p route is up. */
     bool routeHealthy(const std::vector<std::size_t> &route) const;
-
-    /** The tile a link leads to. */
-    TileId linkTarget(std::size_t link) const;
 
 #ifdef ADYNA_SANITIZE
     /** Walk @p route and panic unless it is a valid src->dst chain
@@ -185,8 +220,8 @@ class Noc
 
     /** Reserve @p bytes on @p link no earlier than @p earliest,
      * honouring the link's degradation factor. */
-    des::Reservation acquireLink(std::size_t link, Tick earliest,
-                                 Bytes bytes);
+    Reservation acquireLink(std::size_t link, Tick earliest,
+                            Bytes bytes);
 
     /**
      * Directed links as gap-filling bandwidth reservations (the
@@ -199,8 +234,16 @@ class Noc
      * alone.
      */
     const HwConfig cfg_;
-    std::vector<des::GapBandwidthResource> links_;
+    std::vector<GapBandwidthResource> links_;
     Bytes byteHops_ = 0;
+
+    // Routing tables, built once by the constructor (see the file
+    // comment). colSteps_[a * gridCols + b] is the signed shortest
+    // step count from column a to column b; rowSteps_ likewise.
+    std::vector<TilePos> tilePos_;
+    std::vector<int> colSteps_;
+    std::vector<int> rowSteps_;
+    std::vector<TileId> linkTargets_; ///< by linkIndex()
 
     /** Reused link-union buffer of the fault-aware multicast path
      * (capacity persists). */

@@ -1,11 +1,11 @@
-#include "des/resource.hh"
+#include "arch/resource.hh"
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
 
-namespace adyna::des {
+namespace adyna::arch {
 
 GapBandwidthResource::GapBandwidthResource(double bytes_per_tick)
     : rate_(bytes_per_tick)
@@ -117,4 +117,4 @@ SerialResource::reset()
     busyTicks_ = 0;
 }
 
-} // namespace adyna::des
+} // namespace adyna::arch

@@ -11,23 +11,21 @@
  * busy-until server used for tile compute occupancy.
  */
 
-#ifndef ADYNA_DES_RESOURCE_HH
-#define ADYNA_DES_RESOURCE_HH
+#ifndef ADYNA_ARCH_RESOURCE_HH
+#define ADYNA_ARCH_RESOURCE_HH
 
 #include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
 
-namespace adyna::des {
+namespace adyna::arch {
 
 /** Time interval [start, end) of a granted reservation. */
 struct Reservation
 {
     Tick start = 0;
     Tick end = 0;
-
-    Tick duration() const { return end - start; }
 };
 
 /**
@@ -114,6 +112,6 @@ class SerialResource
     Tick busyTicks_ = 0;
 };
 
-} // namespace adyna::des
+} // namespace adyna::arch
 
-#endif // ADYNA_DES_RESOURCE_HH
+#endif // ADYNA_ARCH_RESOURCE_HH

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arch/resource.hh"
 #include "common/logging.hh"
-#include "des/resource.hh"
 
 namespace adyna::core {
 
@@ -89,7 +89,7 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
     // that executes routing tasks in time order (gap-filling, one
     // cycle-unit per tick). Member state so its interval buffer is
     // reused; reset restores the fresh-per-period semantics.
-    des::GapBandwidthResource &hostCpu = hostCpu_;
+    arch::GapBandwidthResource &hostCpu = hostCpu_;
     hostCpu.reset();
 
     // Record per-switch branch loads once per batch.

@@ -16,9 +16,9 @@
 
 #include "arch/chip.hh"
 #include "arch/profiler.hh"
+#include "arch/resource.hh"
 #include "core/schedule.hh"
 #include "costmodel/mapper.hh"
-#include "des/resource.hh"
 #include "graph/dyngraph.hh"
 #include "trace/trace.hh"
 
@@ -171,7 +171,7 @@ class Engine
     std::vector<TileId> snake_;
 
     /** Host-CPU routing resource, reset at each period start. */
-    des::GapBandwidthResource hostCpu_{1.0};
+    arch::GapBandwidthResource hostCpu_{1.0};
 
     /** Segment and stage index of every op the current period's
      * schedule places (segOf_ is -1 for every other op; stageOf_ is

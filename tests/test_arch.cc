@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -109,8 +110,7 @@ TEST(Noc, ProbeAckIsRoundTrip)
 {
     const HwConfig hw = cfg();
     Noc noc(hw);
-    EXPECT_EQ(noc.probeAckLatency(0, 6),
-              Tick{2} * 6 * hw.nocHopLatency);
+    EXPECT_EQ(noc.probeAck(0, 0, 6), Tick{2} * 6 * hw.nocHopLatency);
 }
 
 // ----------------------------------------------------------------- Hbm
@@ -329,6 +329,29 @@ TEST(NocMulticast, SelfAndEmptyDestinations)
     EXPECT_EQ(noc.byteHopsServed(), 0u);
 }
 
+/** The grids the NoC route tests sweep. */
+struct TestGrid
+{
+    int rows;
+    int cols;
+};
+constexpr TestGrid kTestGrids[] = {
+    {12, 12}, // Table III grid
+    {5, 7},   // odd: no n/2 tie
+    {4, 6},   // ties at n/2 go +1
+    {1, 8},   // one row
+    {8, 1},   // one column
+};
+
+HwConfig
+gridCfg(const TestGrid &g)
+{
+    HwConfig hw = cfg();
+    hw.gridRows = g.rows;
+    hw.gridCols = g.cols;
+    return hw;
+}
+
 /**
  * Drive the same random multicast stream through a fault-free Noc
  * (X-Y tree extents) and one with an inert probe-drop window, which
@@ -337,11 +360,10 @@ TEST(NocMulticast, SelfAndEmptyDestinations)
  * accounting must agree.
  */
 void
-expectMulticastMatchesRoutedUnion(int rows, int cols, std::uint64_t seed)
+expectMulticastMatchesRoutedUnion(const TestGrid &g, std::uint64_t seed)
 {
-    HwConfig hw = cfg();
-    hw.gridRows = rows;
-    hw.gridCols = cols;
+    SCOPED_TRACE(testing::Message() << g.rows << "x" << g.cols);
+    const HwConfig hw = gridCfg(g);
     Noc tree(hw), routed(hw);
     routed.setProbeDropWindow(0.5, 0, seed);
     Rng rng(seed);
@@ -362,11 +384,10 @@ expectMulticastMatchesRoutedUnion(int rows, int cols, std::uint64_t seed)
         const auto bytes = static_cast<Bytes>(rng.uniformInt(1, 8192));
         const auto a = tree.multicast(earliest, src, dsts, bytes);
         const auto b = routed.multicast(earliest, src, dsts, bytes);
-        ASSERT_EQ(a.start, b.start) << rows << "x" << cols << " #" << call;
-        ASSERT_EQ(a.end, b.end) << rows << "x" << cols << " #" << call;
-        ASSERT_EQ(a.hops, b.hops) << rows << "x" << cols << " #" << call;
-        ASSERT_EQ(a.byteHops, b.byteHops)
-            << rows << "x" << cols << " #" << call;
+        ASSERT_EQ(a.start, b.start) << "#" << call;
+        ASSERT_EQ(a.end, b.end) << "#" << call;
+        ASSERT_EQ(a.hops, b.hops) << "#" << call;
+        ASSERT_EQ(a.byteHops, b.byteHops) << "#" << call;
     }
     EXPECT_EQ(tree.byteHopsServed(), routed.byteHopsServed());
     EXPECT_EQ(tree.linkBusyTicks(), routed.linkBusyTicks());
@@ -374,11 +395,132 @@ expectMulticastMatchesRoutedUnion(int rows, int cols, std::uint64_t seed)
 
 TEST(NocMulticast, TreeExtentsMatchRoutedUnion)
 {
-    expectMulticastMatchesRoutedUnion(12, 12, 1); // Table III grid
-    expectMulticastMatchesRoutedUnion(5, 7, 2);   // odd: no n/2 tie
-    expectMulticastMatchesRoutedUnion(4, 6, 3);   // ties at n/2 go +1
-    expectMulticastMatchesRoutedUnion(1, 8, 4);   // one row
-    expectMulticastMatchesRoutedUnion(8, 1, 5);   // one column
+    std::uint64_t seed = 1;
+    for (const TestGrid &g : kTestGrids)
+        expectMulticastMatchesRoutedUnion(g, seed++);
+}
+
+/** Signed shortest torus step direction from a to b over size n, as
+ * the NoC's per-hop loops computed it before it tabulated routes:
+ * +1 = increasing index, -1 = decreasing, 0 = equal. */
+int
+refTorusDir(int a, int b, int n)
+{
+    if (a == b)
+        return 0;
+    const int fwd = (b - a + n) % n;  // steps in + direction
+    const int back = (a - b + n) % n; // steps in - direction
+    return fwd <= back ? +1 : -1;
+}
+
+/** Reference dimension-order route: per hop, the shortest direction
+ * by modular distance and a modular wrap, columns first unless
+ * @p rowsFirst. Link index = tile x 4 + direction. */
+std::vector<std::size_t>
+refPath(const HwConfig &hw, TileId src, TileId dst, bool rowsFirst)
+{
+    std::vector<std::size_t> out;
+    int row = hw.tileRow(src);
+    int col = hw.tileCol(src);
+    const int dstRow = hw.tileRow(dst);
+    const int dstCol = hw.tileCol(dst);
+    const auto take = [&](int dir) {
+        out.push_back(
+            static_cast<std::size_t>(row * hw.gridCols + col) * 4 +
+            static_cast<std::size_t>(dir));
+    };
+    const auto walkCols = [&] {
+        while (col != dstCol) {
+            const int dir = refTorusDir(col, dstCol, hw.gridCols);
+            take(dir > 0 ? kLinkEast : kLinkWest);
+            col = (col + dir + hw.gridCols) % hw.gridCols;
+        }
+    };
+    const auto walkRows = [&] {
+        while (row != dstRow) {
+            const int dir = refTorusDir(row, dstRow, hw.gridRows);
+            take(dir > 0 ? kLinkSouth : kLinkNorth);
+            row = (row + dir + hw.gridRows) % hw.gridRows;
+        }
+    };
+    if (rowsFirst) {
+        walkRows();
+        walkCols();
+    } else {
+        walkCols();
+        walkRows();
+    }
+    return out;
+}
+
+TEST(Noc, RoutesMatchReferenceWalk)
+{
+    for (const TestGrid &g : kTestGrids) {
+        SCOPED_TRACE(testing::Message() << g.rows << "x" << g.cols);
+        const HwConfig hw = gridCfg(g);
+        Noc noc(hw);
+        const auto tiles = static_cast<TileId>(hw.tiles());
+        for (TileId src = 0; src < tiles; ++src) {
+            for (TileId dst = 0; dst < tiles; ++dst) {
+                const auto xy = refPath(hw, src, dst, false);
+                ASSERT_EQ(noc.route(src, dst), xy) << src << "->" << dst;
+                ASSERT_EQ(noc.hops(src, dst), static_cast<int>(xy.size()))
+                    << src << "->" << dst;
+                if (xy.empty())
+                    continue;
+                // With the X-Y route's first link dead, the Y-X route
+                // is the detour whenever it avoids that link.
+                const auto dead = xy.front();
+                const auto yx = refPath(hw, src, dst, true);
+                if (std::find(yx.begin(), yx.end(), dead) != yx.end())
+                    continue;
+                noc.setLinkDown(static_cast<TileId>(dead / 4),
+                                static_cast<int>(dead % 4), true);
+                ASSERT_EQ(noc.route(src, dst), yx) << src << "->" << dst;
+                noc.setLinkDown(static_cast<TileId>(dead / 4),
+                                static_cast<int>(dead % 4), false);
+            }
+        }
+    }
+}
+
+/**
+ * Drive the same random unicast stream through a fault-free Noc (the
+ * walker reserves as it goes) and one with an inert probe-drop
+ * window, which sends every transfer through route() without changing
+ * any route or grant. Every transfer and the final link accounting
+ * must agree.
+ */
+void
+expectTransferMatchesRoutedPath(const TestGrid &g, std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << g.rows << "x" << g.cols);
+    const HwConfig hw = gridCfg(g);
+    Noc walked(hw), routed(hw);
+    routed.setProbeDropWindow(0.5, 0, seed);
+    Rng rng(seed);
+    const std::int64_t tiles = hw.tiles();
+    for (int call = 0; call < 400; ++call) {
+        const auto src = static_cast<TileId>(rng.uniformInt(0, tiles - 1));
+        const auto dst = static_cast<TileId>(rng.uniformInt(0, tiles - 1));
+        const auto earliest = static_cast<Tick>(rng.uniformInt(0, 20000));
+        const auto bytes = static_cast<Bytes>(rng.uniformInt(1, 8192));
+        const auto a = walked.transfer(earliest, src, dst, bytes);
+        const auto b = routed.transfer(earliest, src, dst, bytes);
+        ASSERT_EQ(a.start, b.start) << "#" << call;
+        ASSERT_EQ(a.end, b.end) << "#" << call;
+        ASSERT_EQ(a.hops, b.hops) << "#" << call;
+        ASSERT_EQ(a.byteHops, b.byteHops) << "#" << call;
+    }
+    EXPECT_EQ(walked.byteHopsServed(), routed.byteHopsServed());
+    EXPECT_EQ(walked.linkBusyTicks(), routed.linkBusyTicks());
+}
+
+TEST(Noc, TransferMatchesRoutedPath)
+{
+    std::uint64_t seed = 1;
+    for (const TestGrid &g : kTestGrids)
+        expectTransferMatchesRoutedPath(g, seed++);
 }
 
 TEST(NocMulticast, MatchesUnicastForSingleDestination)

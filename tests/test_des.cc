@@ -12,13 +12,13 @@
 #include <utility>
 #include <vector>
 
+#include "arch/resource.hh"
 #include "common/rng.hh"
-#include "des/resource.hh"
 
 namespace {
 
 using namespace adyna;
-using namespace adyna::des;
+using namespace adyna::arch;
 
 TEST(GapBandwidthResource, ServiceTimeCeils)
 {

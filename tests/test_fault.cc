@@ -390,7 +390,7 @@ TEST(NocFault, DegradedLinkStretchesTransfers)
 TEST(NocFault, ProbeDropsRetryDeterministicallyAndGiveUp)
 {
     const arch::HwConfig hw;
-    const Tick base = arch::Noc(hw).probeAckLatency(0, 5);
+    const Tick base = arch::Noc(hw).probeAck(0, 0, 5);
 
     // Certain drops: every round trip fails, the retry budget runs
     // out, and the give-up penalty lands on top of the charged
