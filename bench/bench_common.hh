@@ -10,6 +10,7 @@
 #define ADYNA_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -17,7 +18,9 @@
 
 #include "baselines/designs.hh"
 #include "baselines/gpu.hh"
+#include "common/buildinfo.hh"
 #include "common/cli.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/stats.hh"
@@ -214,6 +217,35 @@ calibrate(Sweep &sweep, const std::vector<Workload> &workloads,
         c.batchIntervalMs = 1e3 / r.batchesPerSecond;
         return c;
     });
+}
+
+/**
+ * Write a BENCH_*.json file: the bench name, the build stamp on one
+ * line, the fields @p header(w) writes, and the array @p runs_key of
+ * @p count objects whose fields @p run(w, i) writes. No jobs or
+ * wall-clock field, so the file is the same at any --jobs value.
+ */
+template <typename Header, typename Run>
+void
+writeBenchJson(const std::string &path, const char *bench,
+               Header &&header, const char *runs_key, std::size_t count,
+               Run &&run)
+{
+    JsonWriter w;
+    w.beginObject(JsonLayout::Indented)
+        .field("bench", bench)
+        .field("git_sha", gitSha()).sameLine()
+        .field("build_type", buildType()).sameLine()
+        .field("sanitize", sanitizerMode());
+    header(w);
+    w.key(runs_key).beginArray(JsonLayout::Indented);
+    for (std::size_t i = 0; i < count; ++i) {
+        run(w.beginObject(), i);
+        w.endObject();
+    }
+    w.endArray().endObject();
+    std::ofstream out(path);
+    out << w.take() << '\n';
 }
 
 } // namespace adyna::bench

@@ -20,10 +20,8 @@
  */
 
 #include <cstdio>
-#include <fstream>
 
 #include "bench_common.hh"
-#include "common/buildinfo.hh"
 #include "fault/fault.hh"
 #include "serve/server.hh"
 
@@ -326,33 +324,23 @@ main(int argc, char **argv)
     // ---- BENCH_fault.json ------------------------------------------
     const std::string jsonPath =
         args.getString("json", "BENCH_fault.json");
-    {
-        std::ofstream out(jsonPath);
-        out << "{\n  \"bench\": \"fault_sweep\",\n  "
-            << buildStampJson() << ",\n  \"max_batch\": " << maxBatch
-            << ",\n  \"requests_per_cell\": " << requests
-            << ",\n  \"rate_frac\": " << rateFrac
-            << ",\n  \"tile_fails\": " << tileFails
-            << ",\n  \"runs\": [\n";
-        for (std::size_t i = 0; i < specs.size(); ++i) {
+    writeBenchJson(
+        jsonPath, "fault_sweep",
+        [&](JsonWriter &w) {
+            w.field("max_batch", maxBatch)
+                .field("requests_per_cell", requests)
+                .field("rate_frac", rateFrac)
+                .field("tile_fails", tileFails);
+        },
+        "runs", specs.size(),
+        [&](JsonWriter &w, std::size_t i) {
             const RunSpec &s = specs[i];
-            // Splice the spec fields into the report object.
-            std::string obj = serve::toJson(reports[i]);
-            char extra[160];
-            std::snprintf(extra, sizeof(extra),
-                          "\"scenario\": \"%s\", \"failover\": %s, "
-                          "\"fail_tile\": %d, ",
-                          scenarioName(s.scenario),
-                          s.adaptive ? "true" : "false",
-                          s.scenario == Scenario::TileFail
-                              ? failTile[s.wi]
-                              : -1);
-            obj.insert(1, extra);
-            out << "    " << obj
-                << (i + 1 < specs.size() ? "," : "") << "\n";
-        }
-        out << "  ]\n}\n";
-    }
+            const bool tileFail = s.scenario == Scenario::TileFail;
+            w.field("scenario", scenarioName(s.scenario))
+                .field("failover", s.adaptive)
+                .field("fail_tile", tileFail ? failTile[s.wi] : -1);
+            serve::writeFields(w, reports[i]);
+        });
     std::printf("\nWrote %s\n", jsonPath.c_str());
 
     if (!pass) {

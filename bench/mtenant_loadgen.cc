@@ -19,10 +19,8 @@
  */
 
 #include <cstdio>
-#include <fstream>
 
 #include "bench_common.hh"
-#include "common/buildinfo.hh"
 #include "mtenant/runtime.hh"
 #include "serve/server.hh"
 
@@ -361,26 +359,19 @@ main(int argc, char **argv)
     // ---- BENCH_mtenant.json ----------------------------------------
     const std::string jsonPath =
         args.getString("json", "BENCH_mtenant.json");
-    {
-        std::ofstream out(jsonPath);
-        out << "{\n  \"bench\": \"mtenant_loadgen\",\n  "
-            << buildStampJson() << ",\n  \"max_batch\": " << maxBatch
-            << ",\n  \"requests_per_tenant\": " << requests
-            << ",\n  \"cell_wins\": " << cellWins
-            << ",\n  \"identity_pass\": "
-            << (identityPass ? "true" : "false")
-            << ",\n  \"runs\": [\n";
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            std::string obj = mtenant::toJson(reports[i]);
-            char extra[64];
-            std::snprintf(extra, sizeof(extra), "\"cell\": \"%s\", ",
-                          cells[specs[i].cell].name);
-            obj.insert(1, extra);
-            out << "    " << obj
-                << (i + 1 < specs.size() ? "," : "") << "\n";
-        }
-        out << "  ]\n}\n";
-    }
+    writeBenchJson(
+        jsonPath, "mtenant_loadgen",
+        [&](JsonWriter &w) {
+            w.field("max_batch", maxBatch)
+                .field("requests_per_tenant", requests)
+                .field("cell_wins", cellWins)
+                .field("identity_pass", identityPass);
+        },
+        "runs", specs.size(),
+        [&](JsonWriter &w, std::size_t i) {
+            w.field("cell", cells[specs[i].cell].name);
+            mtenant::writeFields(w, reports[i]);
+        });
     std::printf("\nWrote %s\n", jsonPath.c_str());
 
     if (!matrixPass || !identityPass) {

@@ -37,10 +37,8 @@
  */
 
 #include <cstdio>
-#include <fstream>
 
 #include "bench_common.hh"
-#include "common/buildinfo.hh"
 #include "pod/runtime.hh"
 #include "serve/server.hh"
 
@@ -473,36 +471,25 @@ main(int argc, char **argv)
     // ---- BENCH_pod.json --------------------------------------------
     const std::string jsonPath =
         args.getString("json", "BENCH_pod.json");
-    {
-        std::ofstream out(jsonPath);
-        out << "{\n  \"bench\": \"pod_loadgen\",\n  "
-            << buildStampJson() << ",\n  \"max_batch\": " << maxBatch
-            << ",\n  \"requests_per_chip\": " << requestsPerChip;
-        if (baseCells)
-            out << ",\n  \"scaleup_k8\": " << scaleup
-                << ",\n  \"scaling_pass\": "
-                << (scalingPass ? "true" : "false")
-                << ",\n  \"failover_pass\": "
-                << (failoverPass ? "true" : "false")
-                << ",\n  \"identity_pass\": "
-                << (identityPass ? "true" : "false");
-        out << ",\n  \"hedged_goodput_ratio\": "
-            << hedgedGoodputRatio << ",\n  \"straggler_pass\": "
-            << (stragglerPass ? "true" : "false")
-            << ",\n  \"integrity_pass\": "
-            << (integrityPass ? "true" : "false")
-            << ",\n  \"runs\": [\n";
-        for (std::size_t i = 0; i < cellRuns.size(); ++i) {
-            std::string obj = pod::toJson(cellRuns[i].report);
-            char extra[64];
-            std::snprintf(extra, sizeof(extra), "\"cell\": \"%s\", ",
-                          cellRuns[i].cell.c_str());
-            obj.insert(1, extra);
-            out << "    " << obj
-                << (i + 1 < cellRuns.size() ? "," : "") << "\n";
-        }
-        out << "  ]\n}\n";
-    }
+    writeBenchJson(
+        jsonPath, "pod_loadgen",
+        [&](JsonWriter &w) {
+            w.field("max_batch", maxBatch)
+                .field("requests_per_chip", requestsPerChip);
+            if (baseCells)
+                w.field("scaleup_k8", scaleup)
+                    .field("scaling_pass", scalingPass)
+                    .field("failover_pass", failoverPass)
+                    .field("identity_pass", identityPass);
+            w.field("hedged_goodput_ratio", hedgedGoodputRatio)
+                .field("straggler_pass", stragglerPass)
+                .field("integrity_pass", integrityPass);
+        },
+        "runs", cellRuns.size(),
+        [&](JsonWriter &w, std::size_t i) {
+            w.field("cell", cellRuns[i].cell);
+            pod::writeFields(w, cellRuns[i].report);
+        });
     std::printf("Wrote %s\n", jsonPath.c_str());
 
     if (!scalingPass || !failoverPass || !identityPass ||

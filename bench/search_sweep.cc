@@ -22,11 +22,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "bench_common.hh"
-#include "common/buildinfo.hh"
 #include "core/sampling.hh"
 #include "core/search_stats.hh"
 #include "kernels/store_cache.hh"
@@ -226,47 +223,36 @@ main(int argc, char **argv)
                 improvedCount, cells.size(), minImproved);
 
     // ---- BENCH_search.json -----------------------------------------
-    // Deliberately no jobs/wall-clock fields: the file must be
-    // byte-identical across --jobs values.
     const std::string jsonPath =
         args.getString("json", "BENCH_search.json");
-    {
-        std::ostringstream os;
-        os << "{\n  \"bench\": \"search_sweep\",\n  "
-           << buildStampJson()
-           << ",\n  \"batch_size\": " << p.batchSize
-           << ",\n  \"seed\": " << p.seed
-           << ",\n  \"chains\": " << scfg.chains
-           << ",\n  \"mutation_budget\": " << scfg.mutationBudget
-           << ",\n  \"materialize_top\": " << scfg.materializeTop
-           << ",\n  \"probe_batches\": " << probeBatches
-           << ",\n  \"improved_count\": " << improvedCount
-           << ",\n  \"min_improved\": " << minImproved
-           << ",\n  \"workloads\": [\n";
-        for (std::size_t i = 0; i < cells.size(); ++i) {
+    writeBenchJson(
+        jsonPath, "search_sweep",
+        [&](JsonWriter &w) {
+            w.field("batch_size", p.batchSize)
+                .field("seed", p.seed)
+                .field("chains", scfg.chains)
+                .field("mutation_budget", scfg.mutationBudget)
+                .field("materialize_top", scfg.materializeTop)
+                .field("probe_batches", probeBatches)
+                .field("improved_count", improvedCount)
+                .field("min_improved", minImproved);
+        },
+        "workloads", cells.size(),
+        [&](JsonWriter &w, std::size_t i) {
             const Cell &c = cells[i];
-            os << "    {\"workload\": \"" << c.workload
-               << "\", \"heuristic_cost\": " << c.heuristicCost
-               << ", \"searched_cost\": " << c.searchedCost
-               << ", \"improved\": "
-               << (c.improved ? "true" : "false")
-               << ", \"winner_fp\": " << c.winnerFp
-               << ", \"tried\": " << c.stats.candidatesTried
-               << ", \"accepted\": " << c.stats.candidatesAccepted
-               << ", \"materialized\": " << c.stats.materialized
-               << ", \"segments_spliced\": "
-               << c.stats.segmentsSpliced
-               << ", \"segments_rebuilt\": "
-               << c.stats.segmentsRebuilt
-               << ", \"full_rebuilds\": " << c.stats.fullRebuilds
-               << ", \"budget_spent\": "
-               << c.stats.budgetSpentCycles << "}"
-               << (i + 1 < cells.size() ? "," : "") << "\n";
-        }
-        os << "  ]\n}\n";
-        std::ofstream out(jsonPath);
-        out << os.str();
-    }
+            w.field("workload", c.workload)
+                .field("heuristic_cost", c.heuristicCost)
+                .field("searched_cost", c.searchedCost)
+                .field("improved", c.improved)
+                .field("winner_fp", c.winnerFp)
+                .field("tried", c.stats.candidatesTried)
+                .field("accepted", c.stats.candidatesAccepted)
+                .field("materialized", c.stats.materialized)
+                .field("segments_spliced", c.stats.segmentsSpliced)
+                .field("segments_rebuilt", c.stats.segmentsRebuilt)
+                .field("full_rebuilds", c.stats.fullRebuilds)
+                .field("budget_spent", c.stats.budgetSpentCycles);
+        });
     std::printf("Wrote %s\n", jsonPath.c_str());
 
     if (improvedCount < minImproved) {

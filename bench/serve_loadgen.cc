@@ -18,10 +18,8 @@
  */
 
 #include <cstdio>
-#include <fstream>
 
 #include "bench_common.hh"
-#include "common/buildinfo.hh"
 #include "serve/server.hh"
 
 using namespace adyna;
@@ -211,28 +209,20 @@ main(int argc, char **argv)
     // ---- BENCH_serve.json ------------------------------------------
     const std::string jsonPath =
         args.getString("json", "BENCH_serve.json");
-    {
-        std::ofstream out(jsonPath);
-        out << "{\n  \"bench\": \"serve_loadgen\",\n  "
-            << buildStampJson() << ",\n  \"max_batch\": " << maxBatch
-            << ",\n  \"requests_per_cell\": " << requests
-            << ",\n  \"runs\": [\n";
-        for (std::size_t i = 0; i < specs.size(); ++i) {
+    writeBenchJson(
+        jsonPath, "serve_loadgen",
+        [&](JsonWriter &w) {
+            w.field("max_batch", maxBatch)
+                .field("requests_per_cell", requests);
+        },
+        "runs", specs.size(),
+        [&](JsonWriter &w, std::size_t i) {
             const RunSpec &s = specs[i];
-            // Splice the spec fields into the report object.
-            std::string obj = serve::toJson(reports[i]);
-            char extra[160];
-            std::snprintf(extra, sizeof(extra),
-                          "\"arrival\": \"%s\", \"rate_frac\": %.2f, "
-                          "\"trace\": \"%s\", ",
-                          arrivalName(s.arrival), s.rateFrac,
-                          s.drifting ? "drifting" : "stationary");
-            obj.insert(1, extra);
-            out << "    " << obj
-                << (i + 1 < specs.size() ? "," : "") << "\n";
-        }
-        out << "  ]\n}\n";
-    }
+            w.field("arrival", arrivalName(s.arrival))
+                .fixed("rate_frac", s.rateFrac, 2)
+                .field("trace", s.drifting ? "drifting" : "stationary");
+            serve::writeFields(w, reports[i]);
+        });
     std::printf("\nWrote %s\n", jsonPath.c_str());
 
     if (!pass) {

@@ -192,28 +192,38 @@ Noc::bfsPath(TileId src, TileId dst) const
 }
 
 std::vector<std::size_t>
-Noc::route(TileId src, TileId dst) const
+Noc::route(TileId src, TileId dst, RouteKind *kind) const
 {
+    RouteKind unused;
+    RouteKind &found = kind ? *kind : unused;
+    found = RouteKind::XY;
     std::vector<std::size_t> xy = path(src, dst, DimOrder::XY);
     if (downLinks_ == 0 || routeHealthy(xy))
         return xy;
     // Y-X fallback: the cheap dimension-order alternative most
     // single-link faults are routed around with.
+    found = RouteKind::Detour;
     std::vector<std::size_t> yx = path(src, dst, DimOrder::YX);
-    if (routeHealthy(yx)) {
-        ++detourRoutes_;
+    if (routeHealthy(yx))
         return yx;
-    }
     std::vector<std::size_t> detour = bfsPath(src, dst);
-    if (!detour.empty()) {
-        ++detourRoutes_;
+    if (!detour.empty())
         return detour;
-    }
     // The fault set disconnects the pair; the caller still makes
     // forward progress on the nominal path (a real chip would have
     // been taken offline before this point).
-    ++unroutablePaths_;
+    found = RouteKind::Unroutable;
     return xy;
+}
+
+std::vector<std::size_t>
+Noc::routeMessage(TileId src, TileId dst)
+{
+    RouteKind kind;
+    std::vector<std::size_t> rt = route(src, dst, &kind);
+    detourRoutes_ += kind == RouteKind::Detour ? 1 : 0;
+    unroutablePaths_ += kind == RouteKind::Unroutable ? 1 : 0;
+    return rt;
 }
 
 Reservation
@@ -243,7 +253,7 @@ Noc::transfer(Tick earliest, TileId src, TileId dst, Bytes bytes)
         ++t.hops;
     };
     if (anyLinkFault_) {
-        const auto rt = route(src, dst);
+        const auto rt = routeMessage(src, dst);
 #ifdef ADYNA_SANITIZE
         validateRoute(rt, src, dst);
 #endif
@@ -278,15 +288,19 @@ Noc::multicast(Tick earliest, TileId src,
     int maxHops = 0;
     std::size_t unionLinks = 0;
     if (anyLinkFault_) {
-        // Detours are not tree-shaped: collect the fault-aware routes
-        // and deduplicate them. The buffer is a member so its capacity
-        // persists across calls.
+        // Detours are not tree-shaped: union the fault-aware routes of
+        // the distinct destinations. The link buffer is a member so its
+        // capacity persists across calls.
+        std::vector<TileId> targets(dsts);
+        std::sort(targets.begin(), targets.end());
+        targets.erase(std::unique(targets.begin(), targets.end()),
+                      targets.end());
         auto &links = scratchLinks_;
         links.clear();
-        for (TileId dst : dsts) {
+        for (TileId dst : targets) {
             if (dst == src)
                 continue;
-            const auto rt = route(src, dst);
+            const auto rt = routeMessage(src, dst);
 #ifdef ADYNA_SANITIZE
             validateRoute(rt, src, dst);
 #endif

@@ -126,15 +126,21 @@ class Noc
     int downLinks() const { return downLinks_; }
     int degradedLinks() const { return degradedLinks_; }
 
+    /** How route() found a route. */
+    enum class RouteKind { XY, Detour, Unroutable };
+
     /**
      * The directed-link route a transfer from @p src to @p dst takes
      * under the current fault state: the X-Y path when it is healthy,
      * else the Y-X path, else a deterministic shortest detour over
      * the surviving links. An unroutable pair (the fault set
-     * partitions the torus) falls back to the X-Y path and counts in
-     * unroutablePaths().
+     * partitions the torus) falls back to the X-Y path. A pure query
+     * that sets *@p kind when given; detourRoutes() and
+     * unroutablePaths() count messages, one per transfer() and per
+     * distinct multicast() destination.
      */
-    std::vector<std::size_t> route(TileId src, TileId dst) const;
+    std::vector<std::size_t> route(TileId src, TileId dst,
+                                   RouteKind *kind = nullptr) const;
 
     // --- fault metrics ---------------------------------------------
 
@@ -211,6 +217,10 @@ class Noc
     /** Every link on @p route is up. */
     bool routeHealthy(const std::vector<std::size_t> &route) const;
 
+    /** route(), counting a detour or an unroutable pair as one more
+     * message sent along it. */
+    std::vector<std::size_t> routeMessage(TileId src, TileId dst);
+
 #ifdef ADYNA_SANITIZE
     /** Walk @p route and panic unless it is a valid src->dst chain
      * of directed links. */
@@ -267,9 +277,8 @@ class Noc
     Tick probeDropUntil_ = 0;
     Rng probeRng_{0};
 
-    // Metrics are mutable so const route computations can count.
-    mutable std::uint64_t detourRoutes_ = 0;
-    mutable std::uint64_t unroutablePaths_ = 0;
+    std::uint64_t detourRoutes_ = 0;
+    std::uint64_t unroutablePaths_ = 0;
     std::uint64_t probeDrops_ = 0;
     std::uint64_t probeRetries_ = 0;
     std::uint64_t probeGiveUps_ = 0;

@@ -33,18 +33,4 @@ sanitizerMode()
     return ADYNA_SANITIZE_MODE;
 }
 
-std::string
-buildStampJson()
-{
-    std::string out;
-    out += "\"git_sha\": \"";
-    out += gitSha();
-    out += "\", \"build_type\": \"";
-    out += buildType();
-    out += "\", \"sanitize\": \"";
-    out += sanitizerMode();
-    out += "\"";
-    return out;
-}
-
 } // namespace adyna

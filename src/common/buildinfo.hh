@@ -10,8 +10,6 @@
 #ifndef ADYNA_COMMON_BUILDINFO_HH
 #define ADYNA_COMMON_BUILDINFO_HH
 
-#include <string>
-
 namespace adyna {
 
 /** Abbreviated git SHA of the checkout at configure time, with a
@@ -25,10 +23,6 @@ const char *buildType();
 /** Active ADYNA_SANITIZE mode ("thread", "address", "undefined"),
  * empty when built without a sanitizer. */
 const char *sanitizerMode();
-
-/** The standard provenance fields as a JSON fragment (no braces):
- * `"git_sha": "...", "build_type": "...", "sanitize": "..."`. */
-std::string buildStampJson();
 
 } // namespace adyna
 

@@ -71,11 +71,6 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
     const std::size_t numBatches = batches.size();
     result.endTime = 0;
     result.batchEnds.assign(numBatches, barrier);
-    // Reuse the map nodes and vector capacity of the previous
-    // period; ops that end up recording nothing are dropped at the
-    // end so the content matches a freshly built result exactly.
-    for (auto &[op, cycles] : result.stageCycles)
-        cycles.clear();
 
     // Every HBM access and NoC transfer this period uses
     // earliest >= barrier, and the barrier is monotone across
@@ -545,7 +540,6 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                 chip.chargeSramEnergy(
                     hw_.tech.eSramPerBytePj *
                     static_cast<double>(cost.sram));
-                result.stageCycles[st.op].push_back(cost.cycles);
 
                 // --- output write-back --------------------------------
                 if (writesOut_[si]) {
@@ -574,15 +568,6 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                                   ? chip.allTilesFreeAt()
                                   : chip.tilesFreeAt(periodTiles_));
         result.endTime = segBarrier;
-    }
-
-    // Drop ops that recorded nothing this period so the map's key
-    // set matches a freshly built result (erase frees only nodes,
-    // never allocates).
-    for (auto it = result.stageCycles.begin();
-         it != result.stageCycles.end();) {
-        it = it->second.empty() ? result.stageCycles.erase(it)
-                                : std::next(it);
     }
 }
 

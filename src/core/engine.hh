@@ -11,7 +11,6 @@
 #define ADYNA_CORE_ENGINE_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "arch/chip.hh"
@@ -87,10 +86,6 @@ struct PeriodResult
 
     /** Per-batch completion times (last segment). */
     std::vector<Tick> batchEnds;
-
-    /** Per-batch, per-stage-op makespan cycles of the final segment
-     * run (used by the Figure 6 trace bench). */
-    std::map<OpId, std::vector<Cycles>> stageCycles;
 };
 
 /** Batch-streaming simulator over a fixed schedule. */
@@ -111,8 +106,8 @@ class Engine
                            arch::Profiler *profiler, Tick barrier);
 
     /**
-     * Allocation-free variant: results land in @p out, whose vectors
-     * and map nodes are reused across calls. Once the scratch
+     * Allocation-free variant: results land in @p out, whose vector
+     * is reused across calls. Once the scratch
      * buffers have reached the sizes a schedule needs, a call
      * performs zero heap allocations, whether or not the engine has
      * run that schedule before — the invariant the allocation-guard

@@ -59,9 +59,9 @@ struct SearchStats
 
     /**
      * Cache traffic attributed to candidate evaluation (store cache,
-     * mapper memo). Scoped here so run-level cacheStatsJson / serve
-     * cache counters reflect the installed schedule, not the
-     * rejected candidates.
+     * mapper memo). Scoped here so the run-level and serve cache
+     * counters reflect the installed schedule, not the rejected
+     * candidates.
      */
     std::uint64_t storeHits = 0;
     std::uint64_t storeMisses = 0;

@@ -181,10 +181,6 @@ System::run()
         report.batchEnds.insert(report.batchEnds.end(),
                                 res.batchEnds.begin(),
                                 res.batchEnds.end());
-        for (const auto &[op, cycles] : res.stageCycles) {
-            auto &dst = report.stageCycles[op];
-            dst.insert(dst.end(), cycles.begin(), cycles.end());
-        }
         done += count;
 
         const bool adjust = options_.reconfigPeriod > 0 &&

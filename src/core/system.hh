@@ -10,7 +10,6 @@
 #ifndef ADYNA_CORE_SYSTEM_HH
 #define ADYNA_CORE_SYSTEM_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -88,8 +87,7 @@ struct RunReport
 
     /** Fault-injection counters (all zero without a fault plan).
      * Excluded from the CSV/JSON exporters like the cache counters so
-     * fault-free reports stay byte-identical to the pre-fault code;
-     * exported separately via faultStatsJson(). */
+     * fault-free reports stay byte-identical to the pre-fault code. */
     fault::FaultStats fault;
 
     /** Degraded re-schedules triggered by a healthy-tile change (a
@@ -99,9 +97,6 @@ struct RunReport
 
     /** Per-batch completion times. */
     std::vector<Tick> batchEnds;
-
-    /** Per-op per-batch stage makespans (Figure 6 trace bench). */
-    std::map<OpId, std::vector<Cycles>> stageCycles;
 };
 
 /** One design point = scheduler config + engine policy + options. */

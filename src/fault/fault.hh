@@ -212,6 +212,8 @@ struct FaultStats
     std::uint64_t probeGiveUps = 0;
     std::uint64_t detourRoutes = 0;
     std::uint64_t unroutablePaths = 0;
+
+    bool operator==(const FaultStats &) const = default;
 };
 
 /** Salt of a run's fault streams: every runtime (System, ServeRuntime,

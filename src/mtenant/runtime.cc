@@ -6,8 +6,8 @@
 #include <optional>
 
 #include "arch/chip.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "core/report_io.hh"
 #include "serve/backend.hh"
 #include "serve/validate.hh"
 
@@ -116,39 +116,36 @@ struct Tenant
 
 } // namespace
 
+void
+writeFields(JsonWriter &w, const MTenantReport &r)
+{
+    w.field("mode", r.mode);
+    w.field("tenant_count", static_cast<int>(r.tenants.size()));
+    w.field("repartitions", r.repartitions);
+    w.field("preemptions", r.preemptions);
+    w.field("failover_repairs", r.failoverRepairs);
+    w.field("interference_links", r.interferenceLinks);
+    w.field("tenant_switches", r.tenantSwitches);
+    w.fixed("aggregate_goodput_rps", r.aggregateGoodputRps, 2);
+    w.fixed("worst_p99_ms", r.worstP99Ms, 4);
+    w.field("horizon_ticks", r.horizonTicks);
+    w.key("tenants").beginArray();
+    for (const TenantResult &t : r.tenants) {
+        w.beginObject().field("tenant", t.id);
+        w.field("slo_class", serve::sloClassName(t.cls));
+        w.field("tiles", t.tiles);
+        serve::writeFields(w, t.serve);
+        w.endObject();
+    }
+    w.endArray();
+}
+
 std::string
 toJson(const MTenantReport &r)
 {
-    std::string out = core::formatString(
-        "{\"mode\": \"%s\", \"tenant_count\": %d, "
-        "\"repartitions\": %d, \"preemptions\": %d, "
-        "\"failover_repairs\": %d, \"interference_links\": %d, "
-        "\"tenant_switches\": %d, "
-        "\"aggregate_goodput_rps\": %.2f, \"worst_p99_ms\": %.4f, "
-        "\"horizon_ticks\": %llu, \"tenants\": [",
-        core::jsonEscape(r.mode).c_str(),
-        static_cast<int>(r.tenants.size()),
-        r.repartitions, r.preemptions, r.failoverRepairs,
-        r.interferenceLinks, r.tenantSwitches, r.aggregateGoodputRps,
-        r.worstP99Ms,
-        static_cast<unsigned long long>(r.horizonTicks));
-    for (std::size_t i = 0; i < r.tenants.size(); ++i) {
-        const TenantResult &t = r.tenants[i];
-        // The element is the tenant's serve JSON bytes with an
-        // identity prefix spliced in — the 1-tenant equivalence gate
-        // compares exactly the serve::toJson substring.
-        std::string obj = serve::toJson(t.serve);
-        obj.insert(1, core::formatString(
-                          "\"tenant\": \"%s\", \"slo_class\": \"%s\", "
-                          "\"tiles\": %d, ",
-                          core::jsonEscape(t.id).c_str(),
-                          serve::sloClassName(t.cls), t.tiles));
-        if (i > 0)
-            out += ", ";
-        out += obj;
-    }
-    out += "]}";
-    return out;
+    JsonWriter w;
+    writeFields(w.beginObject(), r);
+    return w.endObject().take();
 }
 
 MTenantRuntime::MTenantRuntime(std::vector<TenantWorkload> workloads,

@@ -144,9 +144,12 @@ struct MTenantReport
     Tick horizonTicks = 0;
 };
 
-/** The run as a JSON object: chip-level counters plus a "tenants"
- * array whose elements are each tenant's serve JSON (serve::toJson
- * bytes) prefixed with its id / class / tile count. */
+/** Write the report's fields into @p w's open object: chip counters,
+ * then a "tenants" array whose elements hold each tenant's id, class
+ * and tiles and its serve report's fields. */
+void writeFields(JsonWriter &w, const MTenantReport &report);
+
+/** The run as a JSON object (writeFields in braces). */
 std::string toJson(const MTenantReport &report);
 
 /** Multi-tenant serving simulation over one shared chip. */

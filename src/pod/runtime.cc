@@ -9,8 +9,8 @@
 #include <tuple>
 
 #include "arch/chip.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "core/report_io.hh"
 #include "serve/backend.hh"
 #include "serve/validate.hh"
 
@@ -137,116 +137,79 @@ placementName(Placement placement)
     }
 }
 
-std::string
-routerStatsJson(const PodReport &r)
+void
+writeFields(JsonWriter &w, const PodReport &r)
 {
-    const PodReliabilityStats &s = r.reliability;
-    return core::formatString(
-        "{\"sheds\": %llu, \"diverted\": %llu, \"hedges\": %llu, "
-        "\"hedge_wins\": %llu, \"hedge_cancelled\": %llu, "
-        "\"wasted_completions\": %llu, \"brownout_sheds\": %llu, "
-        "\"timeouts\": %llu, \"probes\": %llu, "
-        "\"probe_failures\": %llu, \"breaker_trips\": %llu, "
-        "\"breaker_reopens\": %llu, \"breaker_closes\": %llu, "
-        "\"link_retries\": %llu, \"integrity_retries\": %llu, "
-        "\"corruptions_injected\": %llu, "
-        "\"corruptions_detected\": %llu, "
-        "\"corruptions_undetected\": %llu, "
-        "\"ic_probe_bytes\": %llu, \"ic_retry_bytes\": %llu}",
-        static_cast<unsigned long long>(r.shedRequests),
-        static_cast<unsigned long long>(r.diverted),
-        static_cast<unsigned long long>(s.hedges),
-        static_cast<unsigned long long>(s.hedgeWins),
-        static_cast<unsigned long long>(s.hedgeCancelled),
-        static_cast<unsigned long long>(s.wastedCompletions),
-        static_cast<unsigned long long>(s.brownoutSheds),
-        static_cast<unsigned long long>(s.timeouts),
-        static_cast<unsigned long long>(s.probes),
-        static_cast<unsigned long long>(s.probeFailures),
-        static_cast<unsigned long long>(s.breakerTrips),
-        static_cast<unsigned long long>(s.breakerReopens),
-        static_cast<unsigned long long>(s.breakerCloses),
-        static_cast<unsigned long long>(s.linkRetries),
-        static_cast<unsigned long long>(s.integrityRetries),
-        static_cast<unsigned long long>(s.corruptionsInjected),
-        static_cast<unsigned long long>(s.corruptionsDetected),
-        static_cast<unsigned long long>(s.corruptionsUndetected),
-        static_cast<unsigned long long>(s.icProbeBytes),
-        static_cast<unsigned long long>(s.icRetryBytes));
+    w.field("policy", r.policy).field("placement", r.placement);
+    w.field("chip_count", r.chipCount);
+    w.field("requests", r.requests);
+    w.field("shed_requests", r.shedRequests);
+    w.field("dark_chip_sheds", r.darkChipSheds);
+    w.field("rerouted", r.rerouted);
+    w.field("drained", r.drained);
+    w.field("diverted", r.diverted);
+    w.field("affinity_hits", r.affinityHits);
+    w.field("affinity_misses", r.affinityMisses);
+    w.field("chip_fail_events", r.chipFailEvents);
+    w.field("chip_heals", r.chipHeals);
+    w.field("ic_transfers", r.icTransfers);
+    w.field("ic_request_bytes", r.icRequestBytes);
+    w.field("ic_response_bytes", r.icResponseBytes);
+    w.field("ic_weight_bytes", r.icWeightBytes);
+    w.fixed("offered_rps", r.offeredRps, 2);
+    w.fixed("achieved_rps", r.achievedRps, 2);
+    w.fixed("p50_ms", r.p50Ms, 4);
+    w.fixed("p95_ms", r.p95Ms, 4);
+    w.fixed("p99_ms", r.p99Ms, 4);
+    w.fixed("slo_attainment", r.sloAttainment, 4);
+    w.fixed("goodput_rps", r.goodputRps, 2);
+    w.field("horizon_ticks", r.horizonTicks);
+    if (r.reliabilityActive) {
+        const PodReliabilityStats &s = r.reliability;
+        w.key("router_stats").beginObject();
+        w.field("sheds", r.shedRequests);
+        w.field("diverted", r.diverted);
+        w.field("hedges", s.hedges);
+        w.field("hedge_wins", s.hedgeWins);
+        w.field("hedge_cancelled", s.hedgeCancelled);
+        w.field("wasted_completions", s.wastedCompletions);
+        w.field("brownout_sheds", s.brownoutSheds);
+        w.field("timeouts", s.timeouts);
+        w.field("probes", s.probes);
+        w.field("probe_failures", s.probeFailures);
+        w.field("breaker_trips", s.breakerTrips);
+        w.field("breaker_reopens", s.breakerReopens);
+        w.field("breaker_closes", s.breakerCloses);
+        w.field("link_retries", s.linkRetries);
+        w.field("integrity_retries", s.integrityRetries);
+        w.field("corruptions_injected", s.corruptionsInjected);
+        w.field("corruptions_detected", s.corruptionsDetected);
+        w.field("corruptions_undetected", s.corruptionsUndetected);
+        w.field("ic_probe_bytes", s.icProbeBytes);
+        w.field("ic_retry_bytes", s.icRetryBytes);
+        w.endObject();
+    }
+    w.key("chips").beginArray();
+    for (const ChipResult &c : r.chips) {
+        w.beginObject().field("chip", c.id).field("model", c.model);
+        w.field("dark", c.dark);
+        w.field("routed", c.routed);
+        w.field("rerouted", c.rerouted);
+        w.field("drained", c.drained);
+        if (r.reliabilityActive)
+            w.field("hedged", c.hedged).field("sdc", c.sdc);
+        serve::writeFields(w, c.serve);
+        w.endObject();
+    }
+    w.endArray();
 }
 
 std::string
 toJson(const PodReport &r)
 {
-    std::string out = core::formatString(
-        "{\"policy\": \"%s\", \"placement\": \"%s\", "
-        "\"chip_count\": %d, \"requests\": %llu, "
-        "\"shed_requests\": %llu, \"dark_chip_sheds\": %llu, "
-        "\"rerouted\": %llu, \"drained\": %llu, "
-        "\"diverted\": %llu, \"affinity_hits\": %llu, "
-        "\"affinity_misses\": %llu, \"chip_fail_events\": %llu, "
-        "\"chip_heals\": %llu, \"ic_transfers\": %llu, "
-        "\"ic_request_bytes\": %llu, \"ic_response_bytes\": %llu, "
-        "\"ic_weight_bytes\": %llu, \"offered_rps\": %.2f, "
-        "\"achieved_rps\": %.2f, \"p50_ms\": %.4f, "
-        "\"p95_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"slo_attainment\": %.4f, \"goodput_rps\": %.2f, "
-        "\"horizon_ticks\": %llu, ",
-        core::jsonEscape(r.policy).c_str(),
-        core::jsonEscape(r.placement).c_str(), r.chipCount,
-        static_cast<unsigned long long>(r.requests),
-        static_cast<unsigned long long>(r.shedRequests),
-        static_cast<unsigned long long>(r.darkChipSheds),
-        static_cast<unsigned long long>(r.rerouted),
-        static_cast<unsigned long long>(r.drained),
-        static_cast<unsigned long long>(r.diverted),
-        static_cast<unsigned long long>(r.affinityHits),
-        static_cast<unsigned long long>(r.affinityMisses),
-        static_cast<unsigned long long>(r.chipFailEvents),
-        static_cast<unsigned long long>(r.chipHeals),
-        static_cast<unsigned long long>(r.icTransfers),
-        static_cast<unsigned long long>(r.icRequestBytes),
-        static_cast<unsigned long long>(r.icResponseBytes),
-        static_cast<unsigned long long>(r.icWeightBytes),
-        r.offeredRps, r.achievedRps, r.p50Ms, r.p95Ms, r.p99Ms,
-        r.sloAttainment, r.goodputRps,
-        static_cast<unsigned long long>(r.horizonTicks));
-    // The reliability aggregate is spliced in only while the layer
-    // was live, so default-configured pods keep the pre-reliability
-    // JSON bytes (the byte-identity gate).
-    if (r.reliabilityActive)
-        out += "\"router_stats\": " + routerStatsJson(r) + ", ";
-    out += "\"chips\": [";
-    // The chips array is emitted in ascending chip-id order (the
-    // vector is built that way), so BENCH_pod.json diffs stay
-    // deterministic across --jobs values. Each element is the chip's
-    // serve JSON bytes with an identity prefix spliced in — the
-    // 1-chip equivalence gate compares exactly the serve::toJson
-    // substring.
-    for (std::size_t i = 0; i < r.chips.size(); ++i) {
-        const ChipResult &c = r.chips[i];
-        std::string pre = core::formatString(
-            "\"chip\": %d, \"model\": \"%s\", "
-            "\"dark\": %s, \"routed\": %llu, "
-            "\"rerouted\": %llu, \"drained\": %llu, ",
-            c.id, core::jsonEscape(c.model).c_str(),
-            c.dark ? "true" : "false",
-            static_cast<unsigned long long>(c.routed),
-            static_cast<unsigned long long>(c.rerouted),
-            static_cast<unsigned long long>(c.drained));
-        if (r.reliabilityActive)
-            pre += core::formatString(
-                "\"hedged\": %llu, \"sdc\": %llu, ",
-                static_cast<unsigned long long>(c.hedged),
-                static_cast<unsigned long long>(c.sdc));
-        std::string obj = serve::toJson(c.serve);
-        obj.insert(1, pre);
-        if (i > 0)
-            out += ", ";
-        out += obj;
-    }
-    out += "]}";
-    return out;
+    JsonWriter w;
+    writeFields(w.beginObject(), r);
+    return w.endObject().take();
 }
 
 PodRuntime::PodRuntime(std::vector<PodWorkload> workloads,

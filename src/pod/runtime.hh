@@ -297,17 +297,13 @@ struct PodReport
     std::vector<ChipResult> chips;
 };
 
-/** The run as a JSON object: pod-level counters plus a "chips" array
- * (ordered by chip id) whose elements are each chip's serve JSON
- * (serve::toJson bytes) prefixed with its id / model / routing
- * counters. */
-std::string toJson(const PodReport &report);
+/** Write the report's fields into @p w's open object: pod counters,
+ * "router_stats" while reliabilityActive, then a "chips" array whose
+ * elements hold each chip's counters and serve report's fields. */
+void writeFields(JsonWriter &w, const PodReport &report);
 
-/** The pod-level router/reliability aggregate as one JSON object
- * (fixed key order, byte-stable): front-door sheds and diverts plus
- * every PodReliabilityStats counter. Embedded in toJson as
- * "router_stats" while reliabilityActive. */
-std::string routerStatsJson(const PodReport &report);
+/** The run as a JSON object (writeFields in braces). */
+std::string toJson(const PodReport &report);
 
 /** Multi-chip pod serving simulation. */
 class PodRuntime : public serve::SharedCaches

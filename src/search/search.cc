@@ -1,9 +1,5 @@
 #include "search/search.hh"
 
-#ifdef ADYNA_SEARCH_DEBUG
-#include <cstdio>
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <set>
@@ -202,10 +198,9 @@ ScheduleSearch::run(core::Scheduler &scheduler,
     ADYNA_ASSERT(!probe.empty(),
                  "search needs a non-empty probe trace");
 
-    // Counter scoping (the cacheStatsJson fix): every cache counter
-    // this run moves is attributed to the search via snapshot
-    // deltas, so the caller can keep its installed-schedule stats
-    // clean of rejected candidates.
+    // Counter scoping: every cache counter this run moves is
+    // attributed to the search via snapshot deltas, so the caller can
+    // keep its installed-schedule stats clean of rejected candidates.
     const std::uint64_t storeHits0 =
         store_cache ? store_cache->hits() : 0;
     const std::uint64_t storeMisses0 =
@@ -319,19 +314,6 @@ ScheduleSearch::run(core::Scheduler &scheduler,
         spent += kMaterializeCycles;
     }
     res.searchedCost = res.heuristicCost;
-#ifdef ADYNA_SEARCH_DEBUG
-    {
-        PlanTree dbg(ctx);
-        dbg.setState(baseState);
-        std::fprintf(stderr,
-                     "[search dbg] base fp=%llx surr=%.0f real=%llu "
-                     "atoms=%d segs=%zu cands=%zu\n",
-                     (unsigned long long)baseFp, dbg.cost(),
-                     (unsigned long long)res.heuristicCost,
-                     ctx.numAtoms(), dbg.numSegments(),
-                     merged.size());
-    }
-#endif
 
     // Base partition op lists + changed-op sets price the
     // materialization bound exactly like buildDelta will splice.
@@ -387,10 +369,9 @@ ScheduleSearch::run(core::Scheduler &scheduler,
 
         scratchOverride = std::move(ov);
         scheduler.setPlanOverride(&scratchOverride);
-        // Charge by unique insertions, not the miss counter:
-        // buildDelta's workers may race-compile one key, so the
-        // miss count depends on thread interleaving while the
-        // cache-size delta does not.
+        // Charge by the stores this build inserts: buildDelta compiles
+        // serially, so unless another thread fills the same cache, the
+        // cache-size delta equals the build's miss count.
         const std::uint64_t stores0 =
             store_cache ? store_cache->size() : 0;
         core::DeltaStats ds;
@@ -416,15 +397,6 @@ ScheduleSearch::run(core::Scheduler &scheduler,
         arch::Chip chip(hw_);
         const Tick cost =
             engine_.runPeriod(chip, sch, probe, nullptr, 0).endTime;
-#ifdef ADYNA_SEARCH_DEBUG
-        std::fprintf(stderr,
-                     "[search dbg] cand fp=%llx surr=%.0f real=%llu "
-                     "(heur %llu) segs=%zu rebuilt=%zu\n",
-                     (unsigned long long)cand.fp, cand.surrogate,
-                     (unsigned long long)cost,
-                     (unsigned long long)res.heuristicCost,
-                     ds.segmentsTotal, ds.segmentsRebuilt);
-#endif
         const bool better =
             cost < res.searchedCost ||
             (res.improved && cost == res.searchedCost &&

@@ -1,9 +1,5 @@
 #include "search/tree.hh"
 
-#ifdef ADYNA_SEARCH_DEBUG
-#include <cstdio>
-#endif
-
 #include <algorithm>
 #include <cmath>
 
@@ -514,31 +510,6 @@ PlanTree::segmentCost(int atom_begin, int atom_end) const
     }
     const double perBatchDram =
         (dramBytes + streamBytes) / ctx_.hbmBytesPerCycle();
-
-#ifdef ADYNA_SEARCH_DEBUG
-    {
-        static int dumps = 0;
-        if (dumps < 4) {
-            ++dumps;
-            std::fprintf(stderr,
-                         "[seg dbg] atoms [%d,%d) units=%zu T=%d "
-                         "bottleneck=%.0f dram/b=%.0f "
-                         "resident=%.0f stream=%.0f\n",
-                         atom_begin, atom_end, units.size(), T,
-                         bottleneck, perBatchDram, residentBytes,
-                         streamBytes);
-            for (const Unit &u : units) {
-                double t = 0.0;
-                for (int o : u.opsIdx)
-                    t += ctx_.opCycles(o, u.tiles);
-                std::fprintf(stderr,
-                             "  unit tiles=%d ops=%zu t=%.0f "
-                             "weight=%.0f\n",
-                             u.tiles, u.opsIdx.size(), t, u.weight);
-            }
-        }
-    }
-#endif
 
     return (static_cast<double>(kSurrogateBatches) + 1.0) *
                std::max(bottleneck, perBatchDram) +

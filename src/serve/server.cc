@@ -3,99 +3,77 @@
 #include <optional>
 
 #include "arch/chip.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "core/report_io.hh"
 #include "serve/backend.hh"
 #include "serve/validate.hh"
 
 namespace adyna::serve {
 
+void
+writeFields(JsonWriter &w, const ServeReport &r)
+{
+    w.field("workload", r.workload).field("mode", r.mode);
+    w.field("requests", r.requests);
+    w.field("batches", r.batches);
+    w.fixed("mean_batch", r.meanBatchSize, 3);
+    w.fixed("offered_rps", r.offeredRps, 2);
+    w.fixed("achieved_rps", r.achievedRps, 2);
+    w.fixed("p50_ms", r.p50Ms, 4);
+    w.fixed("p95_ms", r.p95Ms, 4);
+    w.fixed("p99_ms", r.p99Ms, 4);
+    w.fixed("mean_ms", r.meanMs, 4);
+    w.fixed("max_ms", r.maxMs, 4);
+    w.fixed("mean_queue_ms", r.meanQueueMs, 4);
+    w.fixed("slo_attainment", r.sloAttainment, 4);
+    w.fixed("goodput_rps", r.goodputRps, 2);
+    w.field("reschedules", r.reschedules);
+    w.field("delta_reschedules", r.deltaReschedules);
+    w.field("segments_rebuilt", r.segmentsRebuilt);
+    w.field("segments_spliced", r.segmentsSpliced);
+    w.field("drift_windows", r.driftWindows);
+    w.fixed("last_drift_l1", r.lastDriftDistance, 4);
+    w.fixed("drift_threshold", r.driftThreshold, 4);
+    w.field("horizon_ticks", r.horizonTicks);
+    w.field("mapper_hits", r.mapperHits);
+    w.field("mapper_misses", r.mapperMisses);
+    w.field("store_hits", r.storeHits);
+    w.field("store_misses", r.storeMisses);
+    if (r.faultActive) {
+        w.field("shed_requests", r.shedRequests);
+        w.field("failovers", r.failovers);
+        w.field("watchdog_fallbacks", r.watchdogFallbacks);
+        w.field("store_fit_failures", r.storeFitFailures);
+        w.field("failed_tiles", r.failedTiles);
+        w.field("down_links", r.downLinks);
+        w.field("degraded_links", r.degradedLinks);
+        w.field("probe_drops", r.probeDrops);
+        w.field("probe_retries", r.probeRetries);
+        w.field("probe_give_ups", r.probeGiveUps);
+        w.field("noc_detours", r.nocDetours);
+        w.field("unroutable_paths", r.unroutablePaths);
+    }
+    if (r.searchActive) {
+        w.field("search_reschedules", r.searchReschedules);
+        w.field("max_reschedule_cycles", r.maxRescheduleCycles);
+        w.field("search_tried", r.search.candidatesTried);
+        w.field("search_accepted", r.search.candidatesAccepted);
+        w.field("search_materialized", r.search.materialized);
+        w.field("search_segments_rebuilt", r.search.segmentsRebuilt);
+        w.field("search_segments_spliced", r.search.segmentsSpliced);
+        w.field("search_full_rebuilds", r.search.fullRebuilds);
+        w.field("search_budget_spent", r.search.budgetSpentCycles);
+        w.field("search_budget_exhausted", r.search.budgetExhausted != 0);
+        w.field("search_improved_last", r.search.improved);
+    }
+}
+
 std::string
 toJson(const ServeReport &r)
 {
-    std::string out = core::formatString(
-        "{\"workload\": \"%s\", \"mode\": \"%s\", "
-        "\"requests\": %llu, \"batches\": %llu, "
-        "\"mean_batch\": %.3f, \"offered_rps\": %.2f, "
-        "\"achieved_rps\": %.2f, \"p50_ms\": %.4f, "
-        "\"p95_ms\": %.4f, \"p99_ms\": %.4f, \"mean_ms\": %.4f, "
-        "\"max_ms\": %.4f, \"mean_queue_ms\": %.4f, "
-        "\"slo_attainment\": %.4f, \"goodput_rps\": %.2f, "
-        "\"reschedules\": %d, \"delta_reschedules\": %d, "
-        "\"segments_rebuilt\": %llu, \"segments_spliced\": %llu, "
-        "\"drift_windows\": %d, "
-        "\"last_drift_l1\": %.4f, \"drift_threshold\": %.4f, "
-        "\"horizon_ticks\": %llu, "
-        "\"mapper_hits\": %llu, \"mapper_misses\": %llu, "
-        "\"store_hits\": %llu, \"store_misses\": %llu}",
-        core::jsonEscape(r.workload).c_str(),
-        core::jsonEscape(r.mode).c_str(),
-        static_cast<unsigned long long>(r.requests),
-        static_cast<unsigned long long>(r.batches), r.meanBatchSize,
-        r.offeredRps, r.achievedRps, r.p50Ms, r.p95Ms, r.p99Ms,
-        r.meanMs, r.maxMs, r.meanQueueMs, r.sloAttainment,
-        r.goodputRps, r.reschedules, r.deltaReschedules,
-        static_cast<unsigned long long>(r.segmentsRebuilt),
-        static_cast<unsigned long long>(r.segmentsSpliced),
-        r.driftWindows, r.lastDriftDistance, r.driftThreshold,
-        static_cast<unsigned long long>(r.horizonTicks),
-        static_cast<unsigned long long>(r.mapperHits),
-        static_cast<unsigned long long>(r.mapperMisses),
-        static_cast<unsigned long long>(r.storeHits),
-        static_cast<unsigned long long>(r.storeMisses));
-    if (r.faultActive) {
-        // Appended only when fault machinery was active so
-        // default-configured reports keep the pre-fault bytes.
-        out.pop_back(); // drop the closing brace
-        out += core::formatString(
-            ", \"shed_requests\": %llu, \"failovers\": %d, "
-            "\"watchdog_fallbacks\": %d, \"store_fit_failures\": %d, "
-            "\"failed_tiles\": %d, \"down_links\": %d, "
-            "\"degraded_links\": %d, \"probe_drops\": %llu, "
-            "\"probe_retries\": %llu, \"probe_give_ups\": %llu, "
-            "\"noc_detours\": %llu, \"unroutable_paths\": %llu}",
-            static_cast<unsigned long long>(r.shedRequests),
-            r.failovers, r.watchdogFallbacks, r.storeFitFailures,
-            r.failedTiles, r.downLinks, r.degradedLinks,
-            static_cast<unsigned long long>(r.probeDrops),
-            static_cast<unsigned long long>(r.probeRetries),
-            static_cast<unsigned long long>(r.probeGiveUps),
-            static_cast<unsigned long long>(r.nocDetours),
-            static_cast<unsigned long long>(r.unroutablePaths));
-    }
-    if (r.searchActive) {
-        // Appended only when the schedule search was enabled so
-        // search-off reports keep the pre-search bytes.
-        out.pop_back(); // drop the closing brace
-        out += core::formatString(
-            ", \"search_reschedules\": %d, "
-            "\"max_reschedule_cycles\": %llu, "
-            "\"search_tried\": %llu, \"search_accepted\": %llu, "
-            "\"search_materialized\": %llu, "
-            "\"search_segments_rebuilt\": %llu, "
-            "\"search_segments_spliced\": %llu, "
-            "\"search_full_rebuilds\": %llu, "
-            "\"search_budget_spent\": %llu, "
-            "\"search_budget_exhausted\": %s, "
-            "\"search_improved_last\": %s}",
-            r.searchReschedules,
-            static_cast<unsigned long long>(r.maxRescheduleCycles),
-            static_cast<unsigned long long>(
-                r.search.candidatesTried),
-            static_cast<unsigned long long>(
-                r.search.candidatesAccepted),
-            static_cast<unsigned long long>(r.search.materialized),
-            static_cast<unsigned long long>(
-                r.search.segmentsRebuilt),
-            static_cast<unsigned long long>(
-                r.search.segmentsSpliced),
-            static_cast<unsigned long long>(r.search.fullRebuilds),
-            static_cast<unsigned long long>(
-                r.search.budgetSpentCycles),
-            r.search.budgetExhausted ? "true" : "false",
-            r.search.improved ? "true" : "false");
-    }
-    return out;
+    JsonWriter w;
+    writeFields(w.beginObject(), r);
+    return w.endObject().take();
 }
 
 ServeRuntime::ServeRuntime(const graph::DynGraph &dg,

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "arch/hwconfig.hh"
+#include "common/json.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
 #include "core/search_stats.hh"
@@ -242,6 +243,11 @@ struct ServeReport
     /** ServeConfig::searchOnDrift was set. */
     bool searchActive = false;
 };
+
+/** Write the report's fields into @p w's open object, with the fault
+ * and search blocks only while active. A caller that embeds a serving
+ * report (a tenant, a pod chip, a loadgen run) writes its own first. */
+void writeFields(JsonWriter &w, const ServeReport &report);
 
 /** One serving run as a JSON object (for BENCH_serve.json). */
 std::string toJson(const ServeReport &report);

@@ -255,7 +255,7 @@ TEST_P(FaultFuzz, EmptyPlanReportsAreByteIdentical)
 
     EXPECT_EQ(core::toJson(plain, /*include_batches=*/true),
               core::toJson(empty, /*include_batches=*/true));
-    EXPECT_EQ(core::toCsvRow(plain), core::toCsvRow(empty));
+    EXPECT_EQ(core::toCsv({plain}), core::toCsv({empty}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultFuzz,
