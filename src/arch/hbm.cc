@@ -78,6 +78,24 @@ Hbm::reservationCount() const
     return total;
 }
 
+std::uint64_t
+Hbm::acquires() const
+{
+    std::uint64_t total = 0;
+    for (const auto &c : channels_)
+        total += c.acquires();
+    return total;
+}
+
+std::uint64_t
+Hbm::repeatGrants() const
+{
+    std::uint64_t total = 0;
+    for (const auto &c : channels_)
+        total += c.repeatGrants();
+    return total;
+}
+
 void
 Hbm::reset()
 {

@@ -8,6 +8,7 @@
 #ifndef ADYNA_ARCH_HBM_HH
 #define ADYNA_ARCH_HBM_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "arch/hwconfig.hh"
@@ -55,6 +56,11 @@ class Hbm
 
     /** Live reservations across all channels (bookkeeping bound). */
     std::size_t reservationCount() const;
+
+    /** Channel reservations made, and those granted by the channels'
+     * repeat rule (GapBandwidthResource::repeatGrants()). */
+    std::uint64_t acquires() const;
+    std::uint64_t repeatGrants() const;
 
     void reset();
 

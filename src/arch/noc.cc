@@ -226,17 +226,23 @@ Noc::routeMessage(TileId src, TileId dst)
     return rt;
 }
 
-Reservation
-Noc::acquireLink(std::size_t link, Tick earliest, Bytes bytes)
+Tick
+Noc::serviceTime(Bytes bytes) const
 {
-    Bytes effective = bytes;
+    return links_.front().serviceTime(bytes); // one rate for all links
+}
+
+Reservation
+Noc::acquireLink(std::size_t link, Tick earliest, Bytes bytes, Tick dur)
+{
     if (anyLinkFault_ && linkFactor_[link] < 1.0) {
         // A degraded link moves the same payload at factor x the
         // bandwidth: stretch the reservation by 1/factor.
-        effective = static_cast<Bytes>(std::ceil(
+        const auto effective = static_cast<Bytes>(std::ceil(
             static_cast<double>(bytes) / linkFactor_[link]));
+        return links_[link].acquire(earliest, effective);
     }
-    return links_[link].acquire(earliest, effective);
+    return links_[link].acquire(earliest, bytes, dur);
 }
 
 NocTransfer
@@ -248,8 +254,10 @@ Noc::transfer(Tick earliest, TileId src, TileId dst, Bytes bytes)
     if (src == dst || bytes == 0)
         return t;
     Tick latest = earliest;
+    const Tick dur = serviceTime(bytes);
     const auto reserve = [&](std::size_t link) {
-        latest = std::max(latest, acquireLink(link, earliest, bytes).end);
+        latest =
+            std::max(latest, acquireLink(link, earliest, bytes, dur).end);
         ++t.hops;
     };
     if (anyLinkFault_) {
@@ -287,6 +295,7 @@ Noc::multicast(Tick earliest, TileId src,
     Tick latest = earliest;
     int maxHops = 0;
     std::size_t unionLinks = 0;
+    const Tick dur = serviceTime(bytes);
     if (anyLinkFault_) {
         // Detours are not tree-shaped: union the fault-aware routes of
         // the distinct destinations. The link buffer is a member so its
@@ -310,8 +319,8 @@ Noc::multicast(Tick earliest, TileId src,
         std::sort(links.begin(), links.end());
         links.erase(std::unique(links.begin(), links.end()), links.end());
         for (std::size_t link : links)
-            latest =
-                std::max(latest, acquireLink(link, earliest, bytes).end);
+            latest = std::max(latest,
+                              acquireLink(link, earliest, bytes, dur).end);
         unionLinks = links.size();
     } else {
         // X-Y routing from one source is a tree: every path runs along
@@ -343,7 +352,8 @@ Noc::multicast(Tick earliest, TileId src,
         }
 
         const auto reserve = [&](std::size_t link) {
-            latest = std::max(latest, acquireLink(link, earliest, bytes).end);
+            latest = std::max(latest,
+                              acquireLink(link, earliest, bytes, dur).end);
             ++unionLinks;
         };
         straight(src, kLinkEast, east, reserve);
@@ -480,6 +490,24 @@ Noc::linkBusyTicks() const
     Tick total = 0;
     for (const auto &link : links_)
         total += link.busyTicks();
+    return total;
+}
+
+std::uint64_t
+Noc::linkAcquires() const
+{
+    std::uint64_t total = 0;
+    for (const auto &link : links_)
+        total += link.acquires();
+    return total;
+}
+
+std::uint64_t
+Noc::linkRepeatGrants() const
+{
+    std::uint64_t total = 0;
+    for (const auto &link : links_)
+        total += link.repeatGrants();
     return total;
 }
 

@@ -4,9 +4,13 @@
  *
  * Links are modelled as gap-filling bandwidth resources; a message
  * reserves every link on its X-Y path and finishes after the slowest
- * link plus per-hop router latency. The probe/ack synchronization of
- * Section VI-C is a small round trip charged before a data transfer
- * may begin.
+ * link plus per-hop router latency. Every link runs at one rate, so a
+ * message computes its service time once and reserves it on each
+ * link (a degraded link stretches its own). An edge's source slices
+ * leave together with equal service times, so a link mostly sees its
+ * previous request again, which GapBandwidthResource grants in O(1).
+ * The probe/ack synchronization of Section VI-C is a small round trip
+ * charged before a data transfer may begin.
  *
  * Routing: every route is fixed by its tile pair, so the constructor
  * tabulates the torus once. Three tables hold each tile's (row, col),
@@ -156,6 +160,11 @@ class Noc
     /** Aggregate busy ticks over all links. */
     Tick linkBusyTicks() const;
 
+    /** Link reservations made, and those granted by the links' repeat
+     * rule (GapBandwidthResource::repeatGrants()), over all links. */
+    std::uint64_t linkAcquires() const;
+    std::uint64_t linkRepeatGrants() const;
+
     /**
      * Drop link reservations ending at or before @p before. Same
      * contract as Hbm::trim: every later acquire must pass
@@ -228,10 +237,13 @@ class Noc
                        TileId src, TileId dst) const;
 #endif
 
-    /** Reserve @p bytes on @p link no earlier than @p earliest,
-     * honouring the link's degradation factor. */
-    Reservation acquireLink(std::size_t link, Tick earliest,
-                            Bytes bytes);
+    /** Ticks @p bytes occupy a link at the configured rate. */
+    Tick serviceTime(Bytes bytes) const;
+
+    /** Reserve @p bytes, whose service time is @p dur, on @p link no
+     * earlier than @p earliest; a degraded link stretches its own. */
+    Reservation acquireLink(std::size_t link, Tick earliest, Bytes bytes,
+                            Tick dur);
 
     /**
      * Directed links as gap-filling bandwidth reservations (the

@@ -23,11 +23,29 @@ GapBandwidthResource::serviceTime(Bytes bytes) const
 }
 
 Reservation
-GapBandwidthResource::acquire(Tick earliest, Bytes bytes)
+GapBandwidthResource::acquire(Tick earliest, Bytes bytes, Tick dur)
 {
-    const Tick dur = serviceTime(bytes);
+#ifdef ADYNA_SANITIZE
+    ADYNA_ASSERT(dur == serviceTime(bytes), "service time ", dur,
+                 " given for ", bytes, " bytes");
+#endif
     bytesServed_ += bytes;
     busyTicks_ += dur;
+    ++acquires_;
+
+    // The previous request again: grant it at the end of the interval
+    // holding the previous grant when it ends strictly before the
+    // next interval starts (see the class comment).
+    if (dur != 0 && dur == lastDur_ && earliest == lastEarliest_) {
+        Reservation &held = busy_[lastAt_];
+        const std::size_t next = lastAt_ + 1;
+        if (next == busy_.size() || held.end + dur < busy_[next].start) {
+            const Reservation granted{held.end, held.end + dur};
+            held.end = granted.end;
+            ++repeatGrants_;
+            return granted;
+        }
+    }
 
     // First idle gap of length >= dur starting at or after earliest.
     // The intervals are sorted and disjoint, so their ends are sorted
@@ -75,12 +93,16 @@ GapBandwidthResource::acquire(Tick earliest, Bytes bytes)
                          static_cast<std::ptrdiff_t>(insertAt),
                      granted);
     }
+    lastEarliest_ = earliest;
+    lastDur_ = dur;
+    lastAt_ = touchPrev ? insertAt - 1 : insertAt;
     return granted;
 }
 
 void
 GapBandwidthResource::trim(Tick before)
 {
+    lastDur_ = 0; // compaction below moves the remembered index
     while (head_ < busy_.size() && busy_[head_].end <= before)
         ++head_;
     // Compact once the expired prefix dominates, so the vector stays
@@ -99,6 +121,9 @@ GapBandwidthResource::reset()
     head_ = 0;
     busyTicks_ = 0;
     bytesServed_ = 0;
+    lastDur_ = 0;
+    acquires_ = 0;
+    repeatGrants_ = 0;
 }
 
 Reservation

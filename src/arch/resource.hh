@@ -44,6 +44,20 @@ struct Reservation
  * intervals it must skip past, not O(n) in the live interval count.
  * Live lists grow long when a period spans many batches (the engine
  * trims only at period barriers).
+ *
+ * Repeated requests cost O(1). The engine sends an edge as one
+ * message per source slice, all leaving at one time with one service
+ * time, so a link sees bursts of identical requests. The channel
+ * remembers its previous grant [c, c + D) for (earliest E, D > 0) and
+ * the busy interval r that now holds it. Nothing has changed since,
+ * so no start in [E, c) fits D and [c, r.end) is busy: the first fit
+ * of the same (E, D) is r.end whenever r.end + D < next.start, and
+ * the grant extends r in place. The compare is strict: a grant that
+ * touches the next interval takes the search path, which merges both
+ * neighbours, so the interval list stays what the search builds.
+ * Every acquire() overwrites the memory, a zero-length grant (which
+ * leaves its own start feasible) clears it, and so do trim() and
+ * reset().
  */
 class GapBandwidthResource
 {
@@ -52,12 +66,25 @@ class GapBandwidthResource
 
     /** Reserve the channel for @p bytes at the earliest idle gap
      * starting no earlier than @p earliest. */
-    Reservation acquire(Tick earliest, Bytes bytes);
+    Reservation acquire(Tick earliest, Bytes bytes)
+    {
+        return acquire(earliest, bytes, serviceTime(bytes));
+    }
+
+    /** acquire() with the service time known: @p dur must equal
+     * serviceTime(@p bytes). A message crossing many channels of one
+     * rate computes it once. */
+    Reservation acquire(Tick earliest, Bytes bytes, Tick dur);
 
     Tick serviceTime(Bytes bytes) const;
 
     Bytes bytesServed() const { return bytesServed_; }
     Tick busyTicks() const { return busyTicks_; }
+
+    /** acquire() calls, and those granted by the repeat rule (see the
+     * class comment) without a search. */
+    std::uint64_t acquires() const { return acquires_; }
+    std::uint64_t repeatGrants() const { return repeatGrants_; }
 
     /**
      * Drop reservations that end at or before @p before. Caller
@@ -88,6 +115,13 @@ class GapBandwidthResource
     std::size_t head_ = 0;
     Tick busyTicks_ = 0;
     Bytes bytesServed_ = 0;
+    /** The previous grant's request and the index in busy_ of the
+     * interval holding it; lastDur_ == 0 means no memory. */
+    Tick lastEarliest_ = 0;
+    Tick lastDur_ = 0;
+    std::size_t lastAt_ = 0;
+    std::uint64_t acquires_ = 0;
+    std::uint64_t repeatGrants_ = 0;
 };
 
 /**

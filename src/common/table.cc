@@ -1,8 +1,9 @@
 #include "common/table.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace adyna {
 
@@ -84,9 +85,12 @@ TextTable::str() const
 std::string
 TextTable::num(double value, int precision)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-    return buf;
+    // Sized like JsonWriter::fixed: a double has at most 309 integer
+    // digits, so no value is cut short.
+    std::string out;
+    appendChars(out, 312 + static_cast<std::size_t>(precision), value,
+                std::chars_format::fixed, precision);
+    return out;
 }
 
 std::string

@@ -382,6 +382,11 @@ TEST(TextTable, Formatters)
     EXPECT_EQ(TextTable::num(1.234, 2), "1.23");
     EXPECT_EQ(TextTable::mult(1.7, 2), "1.70x");
     EXPECT_EQ(TextTable::pct(0.873, 1), "87.3%");
+    // 71 integer digits, the point and 2 decimals: nothing is cut.
+    const std::string huge = TextTable::num(1e70, 2);
+    EXPECT_EQ(huge.size(), 74u);
+    EXPECT_EQ(huge.substr(0, 8), "10000000");
+    EXPECT_EQ(huge.substr(71), ".00");
 }
 
 // ------------------------------------------------------------ CliArgs

@@ -196,19 +196,7 @@ class FirstFitModel
         bytesServed_ += bytes;
         busyTicks_ += dur;
 
-        std::vector<Reservation> sorted = grants_;
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const Reservation &a, const Reservation &b) {
-                      return a.start != b.start ? a.start < b.start
-                                                : a.end < b.end;
-                  });
-        std::vector<Reservation> runs;
-        for (const Reservation &r : sorted) {
-            if (!runs.empty() && r.start <= runs.back().end)
-                runs.back().end = std::max(runs.back().end, r.end);
-            else
-                runs.push_back(r);
-        }
+        const std::vector<Reservation> runs = mergedRuns();
         const auto fits = [&](Tick t) {
             for (const Reservation &run : runs)
                 if (!(t + dur <= run.start || t >= run.end))
@@ -227,7 +215,32 @@ class FirstFitModel
     Bytes bytesServed() const { return bytesServed_; }
     Tick busyTicks() const { return busyTicks_; }
 
+    /** Busy runs so far (a channel that merges every touching pair
+     * of intervals holds exactly these). */
+    std::size_t runCount() const { return mergedRuns().size(); }
+
   private:
+    /** The grants, sorted, with touching or overlapping ones merged
+     * into one run. */
+    std::vector<Reservation>
+    mergedRuns() const
+    {
+        std::vector<Reservation> sorted = grants_;
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const Reservation &a, const Reservation &b) {
+                      return a.start != b.start ? a.start < b.start
+                                                : a.end < b.end;
+                  });
+        std::vector<Reservation> runs;
+        for (const Reservation &r : sorted) {
+            if (!runs.empty() && r.start <= runs.back().end)
+                runs.back().end = std::max(runs.back().end, r.end);
+            else
+                runs.push_back(r);
+        }
+        return runs;
+    }
+
     Tick rate_;
     std::vector<Reservation> grants_;
     Bytes bytesServed_ = 0;
@@ -349,4 +362,176 @@ TEST(GapBandwidthResource, MatchesFirstFitModelAcrossTrimBarriers)
     }
     EXPECT_EQ(ch.bytesServed(), model.bytesServed());
     EXPECT_EQ(ch.busyTicks(), model.busyTicks());
+}
+
+TEST(GapBandwidthResource, MatchesFirstFitModelOnRepeatedRequests)
+{
+    // An edge's source slices leave together with equal service
+    // times, so a link sees bursts of identical requests, and the
+    // channel grants a repeat from its memory of the previous grant.
+    // Each case is a fresh channel at 2 bytes per tick fed alongside
+    // the model; grants and accounting must agree, and so must the
+    // live interval count while every grant is positive and nothing
+    // is trimmed (a channel that left two touching intervals unmerged
+    // would still grant the same starts).
+    struct Case
+    {
+        GapBandwidthResource ch{2.0};
+        FirstFitModel model{2};
+        bool countRuns = true;
+        std::uint64_t requests = 0;
+
+        void
+        burst(Tick earliest, Bytes bytes, int n)
+        {
+            for (int i = 0; i < n; ++i) {
+                ++requests;
+                acquireBoth(ch, model, earliest, bytes);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+                if (countRuns) {
+                    ASSERT_EQ(ch.reservationCount(), model.runCount())
+                        << "earliest " << earliest << " bytes " << bytes;
+                }
+            }
+        }
+
+        void
+        checkTotals() const
+        {
+            EXPECT_EQ(ch.bytesServed(), model.bytesServed());
+            EXPECT_EQ(ch.busyTicks(), model.busyTicks());
+        }
+    };
+
+    {
+        // A burst that fills the gap [10, 30) exactly: its second
+        // grant touches both neighbours, the strict boundary.
+        Case c;
+        c.burst(0, 20, 1);  // [0, 10)
+        c.burst(30, 20, 1); // [30, 40)
+        c.burst(0, 20, 3);  // [10, 20), [20, 30), [40, 50)
+        ASSERT_FALSE(HasFatalFailure());
+        EXPECT_EQ(c.ch.reservationCount(), 1u);
+        c.checkTotals();
+    }
+    {
+        // A burst that overflows the gap [10, 35), continues past
+        // [35, 45) and [60, 70) (the gaps left are too small), and
+        // runs on; then a short request fills the gap [30, 35).
+        Case c;
+        c.burst(0, 20, 1);  // [0, 10)
+        c.burst(35, 20, 1); // [35, 45)
+        c.burst(60, 20, 1); // [60, 70)
+        c.burst(0, 20, 7);  // [10, 30), [45, 55), [70, 110)
+        c.burst(0, 10, 1);  // [30, 35)
+        ASSERT_FALSE(HasFatalFailure());
+        EXPECT_EQ(c.ch.reservationCount(), 2u); // [0, 55), [60, 110)
+        c.checkTotals();
+    }
+    {
+        // A mid-burst change of earliest with the same service time:
+        // later, where a gap is free, and earlier, into a gap the
+        // burst had passed over.
+        Case c;
+        c.burst(0, 20, 1);   // [0, 10)
+        c.burst(16, 20, 1);  // [16, 26)
+        c.burst(0, 20, 3);   // [26, 36) ...
+        c.burst(200, 20, 3); // [200, 210) ...
+        c.burst(8, 12, 2);   // [10, 16), then after the first burst
+        c.burst(200, 20, 2);
+        ASSERT_FALSE(HasFatalFailure());
+        c.checkTotals();
+    }
+    {
+        // A change of bytes: one that keeps the service time (19 and
+        // 20 bytes both take 10 ticks) and one that shortens it
+        // enough to fit the gap [10, 15) the burst skipped.
+        Case c;
+        c.burst(0, 20, 1);  // [0, 10)
+        c.burst(15, 50, 1); // [15, 40)
+        c.burst(0, 20, 2);  // [40, 50), [50, 60)
+        c.burst(0, 19, 2);  // [60, 70), [70, 80)
+        c.burst(0, 20, 1);
+        c.burst(0, 10, 2);  // [10, 15), then after the burst
+        ASSERT_FALSE(HasFatalFailure());
+        c.checkTotals();
+    }
+    {
+        // Zero-byte requests inside a burst: one at the burst's own
+        // earliest, and one at an earlier free time, whose new
+        // zero-length interval shifts every later index by one.
+        Case c;
+        c.countRuns = false;
+        c.burst(300, 20, 1); // [300, 310)
+        c.burst(100, 20, 3); // [100, 130)
+        c.burst(100, 0, 1);
+        c.burst(100, 20, 2);
+        c.burst(50, 0, 1);
+        c.burst(100, 20, 3);
+        c.burst(100, 4, 1);
+        ASSERT_FALSE(HasFatalFailure());
+        c.checkTotals();
+    }
+    {
+        // A burst split by a trim that compacts the expired prefix:
+        // twenty intervals end before the barrier, so the live ones
+        // move to the front of the list.
+        Case c;
+        c.countRuns = false;
+        for (Tick t = 0; t < 200; t += 10)
+            c.burst(t, 2, 1);
+        c.burst(1000, 20, 1); // [1000, 1010)
+        c.burst(300, 10, 3);  // [300, 315)
+        ASSERT_FALSE(HasFatalFailure());
+        c.ch.trim(300);
+        EXPECT_EQ(c.ch.reservationCount(), 2u);
+        c.burst(300, 10, 3);
+        c.burst(300, 6, 1);
+        c.burst(300, 10, 2);
+        ASSERT_FALSE(HasFatalFailure());
+        c.checkTotals();
+    }
+    {
+        // Random bursts of 1-12 identical requests mixed with single
+        // random requests.
+        Case c;
+        Rng rng(4242);
+        for (int i = 0; i < 150; ++i) {
+            const Tick t = static_cast<Tick>(rng.uniformInt(0, 3000));
+            const Bytes b = static_cast<Bytes>(rng.uniformInt(1, 40));
+            const bool single = rng.bernoulli(0.4);
+            c.burst(t, b,
+                    single ? 1 : static_cast<int>(rng.uniformInt(1, 12)));
+            ASSERT_FALSE(HasFatalFailure());
+        }
+        c.checkTotals();
+        EXPECT_EQ(c.ch.acquires(), c.requests);
+        EXPECT_GT(c.ch.repeatGrants(), 0u);
+    }
+    {
+        // The same mix with zero-byte requests, across monotone trim
+        // barriers.
+        Case c;
+        c.countRuns = false;
+        Rng rng(909);
+        Tick barrier = 0;
+        for (int period = 0; period < 30; ++period) {
+            Tick periodEnd = barrier;
+            for (int i = 0; i < 12; ++i) {
+                const Tick t =
+                    barrier + static_cast<Tick>(rng.uniformInt(0, 200));
+                const Bytes b = rng.bernoulli(0.15)
+                                    ? 0
+                                    : static_cast<Bytes>(
+                                          rng.uniformInt(1, 30));
+                c.burst(t, b, static_cast<int>(rng.uniformInt(1, 12)));
+                ASSERT_FALSE(HasFatalFailure()) << "period " << period;
+                periodEnd = std::max(periodEnd, t);
+            }
+            barrier = periodEnd;
+            c.ch.trim(barrier);
+        }
+        c.checkTotals();
+    }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -282,6 +283,48 @@ TEST(Engine, ProfilerReceivesDynValuesAndBranchLoads)
     }
     for (const SwitchInfo &sw : dg.switches())
         EXPECT_EQ(prof.branchHistory(sw.switchOp).size(), 5u);
+}
+
+TEST(Engine, NocReservationWorkIsPinned)
+{
+    // Each pipelined edge goes out as one message per source slice,
+    // all leaving at one time with one service time, so most link
+    // reservations repeat the link's previous request and are granted
+    // without a search. Pins the NoC's reservation work for a fixed
+    // SkipNet schedule over three periods; a change that moves it
+    // updates the pin.
+    const auto bundle = models::buildSkipNet(32);
+    const DynGraph dg = parseModel(bundle.graph);
+    costmodel::Mapper mapper(hw().tech);
+    Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
+    const Schedule s = sched.build({}, {}, nullptr);
+    const auto rts = routings(dg, 32, 24, 7);
+    struct Work
+    {
+        std::uint64_t nocAcquires, nocRepeats, hbmAcquires, hbmRepeats;
+        bool operator==(const Work &) const = default;
+    };
+    const auto run = [&] {
+        Engine eng(dg, hw(), mapper, ExecPolicy{});
+        arch::Chip chip(hw());
+        Tick barrier = 0;
+        for (std::size_t first = 0; first < rts.size(); first += 8) {
+            const std::vector<trace::BatchRouting> period(
+                rts.begin() + static_cast<std::ptrdiff_t>(first),
+                rts.begin() + static_cast<std::ptrdiff_t>(first + 8));
+            barrier =
+                eng.runPeriod(chip, s, period, nullptr, barrier).endTime;
+        }
+        return Work{chip.noc().linkAcquires(),
+                    chip.noc().linkRepeatGrants(),
+                    chip.hbm().acquires(), chip.hbm().repeatGrants()};
+    };
+    const Work a = run();
+    EXPECT_EQ(a.nocAcquires, 80068u);
+    EXPECT_EQ(a.nocRepeats, 47194u);
+    EXPECT_GT(a.nocRepeats, 0u);
+    EXPECT_LE(a.hbmRepeats, a.hbmAcquires);
+    EXPECT_EQ(run(), a);
 }
 
 // ------------------------------------------------------------- System
