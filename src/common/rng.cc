@@ -36,22 +36,96 @@ weightSum(const std::vector<double> &weights)
     return total;
 }
 
+/** The 53 random bits behind one uniform() draw. */
+std::uint64_t
+next53(Rng &rng)
+{
+    return rng.next() >> 11;
+}
+
+/** The double in [0, 1) that uniform() makes of 53 bits @p u. */
+double
+unitOf(std::uint64_t u)
+{
+    return static_cast<double>(u) * 0x1.0p-53;
+}
+
 /**
- * Categorical's pick: one uniform() scaled by @p total, the weights'
- * in-order sum, then a sequential scan that falls back to the last
- * index when rounding leaves the draw unspent.
+ * Categorical's pick at the 53 bits @p u: unitOf(u) scaled by
+ * @p total, the weights' in-order sum, then a sequential scan that
+ * falls back to the last index when rounding leaves the draw unspent.
+ * Non-decreasing in u: the scaling and every subtraction round
+ * monotonically, so a larger u can only stop the scan later.
  */
 std::size_t
-scanPick(Rng &rng, const std::vector<double> &weights, double total)
+scanAt(std::uint64_t u, const std::vector<double> &weights, double total)
 {
-    ADYNA_ASSERT(total > 0.0, "categorical weights sum to zero");
-    double draw = rng.uniform() * total;
+    double draw = unitOf(u) * total;
     for (std::size_t i = 0; i < weights.size(); ++i) {
         draw -= weights[i];
         if (draw < 0.0)
             return i;
     }
     return weights.size() - 1;
+}
+
+/** Categorical's pick at the next uniform() draw. */
+std::size_t
+scanPick(Rng &rng, const std::vector<double> &weights, double total)
+{
+    ADYNA_ASSERT(total > 0.0, "categorical weights sum to zero");
+    return scanAt(next53(rng), weights, total);
+}
+
+/** A point of the polar method and its s = u^2 + v^2. */
+struct PolarPoint
+{
+    double u, v, s;
+};
+
+/**
+ * The polar method's accept loop: draws points (u, v) uniformly in
+ * [-1, 1)^2 until one lies inside the unit circle and off its centre.
+ * Marked inline so that normal() keeps the loop in its own body.
+ */
+inline PolarPoint
+polarPoint(Rng &rng)
+{
+    PolarPoint p{};
+    do {
+        p.u = rng.uniform(-1.0, 1.0);
+        p.v = rng.uniform(-1.0, 1.0);
+        p.s = p.u * p.u + p.v * p.v;
+    } while (p.s >= 1.0 || p.s == 0.0);
+    return p;
+}
+
+/** One past the largest 53-bit u: the threshold of an unreachable
+ * index. */
+constexpr std::uint64_t kNoU = std::uint64_t{1} << 53;
+
+/**
+ * Fill @p out[j - 1] with t_j = min{u : scanAt(u) >= j} for j in
+ * 1..n-1 (kNoU where no u reaches j), by bisection over u that runs
+ * the scan itself. The thresholds do not decrease, so each search
+ * starts at the previous one.
+ */
+void
+bisectThresholds(const std::vector<double> &weights, double total,
+                 std::uint64_t *out)
+{
+    std::uint64_t lo = 0;
+    for (std::size_t j = 1; j < weights.size(); ++j) {
+        std::uint64_t hi = kNoU;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (scanAt(mid, weights, total) >= j)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        out[j - 1] = lo;
+    }
 }
 
 } // namespace
@@ -82,8 +156,7 @@ Rng::next()
 double
 Rng::uniform()
 {
-    // 53 random mantissa bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    return unitOf(next53(*this));
 }
 
 double
@@ -121,16 +194,24 @@ Rng::normal()
         hasSpareNormal_ = false;
         return spareNormal_;
     }
-    double u, v, s;
-    do {
-        u = uniform(-1.0, 1.0);
-        v = uniform(-1.0, 1.0);
-        s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double mul = std::sqrt(-2.0 * std::log(s) / s);
-    spareNormal_ = v * mul;
+    const PolarPoint p = polarPoint(*this);
+    const double mul = std::sqrt(-2.0 * std::log(p.s) / p.s);
+    spareNormal_ = p.v * mul;
     hasSpareNormal_ = true;
-    return u * mul;
+    return p.u * mul;
+}
+
+void
+Rng::skipNormals(std::size_t n)
+{
+    if (n > 0 && hasSpareNormal_) {
+        hasSpareNormal_ = false;
+        --n;
+    }
+    for (; n >= 2; n -= 2)
+        (void)polarPoint(*this);
+    if (n == 1)
+        (void)normal(); // its second normal stays as the spare
 }
 
 double
@@ -215,32 +296,77 @@ Rng::fork()
 void
 TopKSampler::reset(const std::vector<double> &weights, std::size_t k)
 {
+    if (weights == weights_ && k == picks_.size())
+        return;
+    ++builds_;
     weights_ = weights;
     live_ = weights;
     total_ = weightSum(weights_);
+    picks_.resize(k);
+    const std::size_t n = weights_.size();
+    const std::size_t m = n > 0 ? n - 1 : 0;
+    first_.resize(m);
+    bisectThresholds(weights_, total_, first_.data());
     // Zeroing a weight in place keeps each sum the very additions
     // categorical makes once that weight is picked.
-    totalWithout_.resize(weights_.size());
-    for (std::size_t p = 0; p < weights_.size(); ++p) {
+    totalWithout_.resize(n);
+    second_.resize(k >= 2 ? n * m : 0);
+    for (std::size_t p = 0; p < n; ++p) {
         live_[p] = 0.0;
         totalWithout_[p] = weightSum(live_);
+        if (k >= 2 && totalWithout_[p] > 0.0)
+            bisectThresholds(live_, totalWithout_[p],
+                             second_.data() + p * m);
         live_[p] = weights_[p];
     }
-    picks_.resize(k);
+}
+
+std::span<const std::uint64_t>
+TopKSampler::firstThresholds() const
+{
+    return first_;
+}
+
+std::span<const std::uint64_t>
+TopKSampler::secondThresholds(std::size_t p) const
+{
+    return std::span<const std::uint64_t>(second_).subspan(
+        p * first_.size(), first_.size());
+}
+
+std::size_t
+TopKSampler::pick(std::span<const std::uint64_t> thresholds,
+                  std::uint64_t u)
+{
+    std::size_t index = 0;
+    for (std::uint64_t t : thresholds)
+        index += t <= u;
+    return index;
 }
 
 const std::vector<std::size_t> &
 TopKSampler::draw(Rng &rng)
 {
-    for (std::size_t j = 0; j < picks_.size(); ++j) {
-        const double total = j == 0   ? total_
-                             : j == 1 ? totalWithout_[picks_[0]]
-                                      : weightSum(live_);
-        picks_[j] = scanPick(rng, live_, total);
+    if (picks_.empty())
+        return picks_;
+    ADYNA_ASSERT(total_ > 0.0, "categorical weights sum to zero");
+    picks_[0] = pick(firstThresholds(), next53(rng));
+    if (picks_.size() == 1)
+        return picks_;
+    ADYNA_ASSERT(totalWithout_[picks_[0]] > 0.0,
+                 "categorical weights sum to zero");
+    picks_[1] = pick(secondThresholds(picks_[0]), next53(rng));
+    if (picks_.size() == 2)
+        return picks_;
+
+    live_[picks_[0]] = 0.0;
+    live_[picks_[1]] = 0.0;
+    for (std::size_t j = 2; j < picks_.size(); ++j) {
+        picks_[j] = scanPick(rng, live_, weightSum(live_));
         live_[picks_[j]] = 0.0;
     }
-    for (std::size_t p : picks_)
-        live_[p] = weights_[p];
+    for (std::size_t q : picks_)
+        live_[q] = weights_[q];
     return picks_;
 }
 

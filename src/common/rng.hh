@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace adyna {
@@ -51,6 +52,15 @@ class Rng
     /** Standard normal draw (Marsaglia polar method). */
     double normal();
 
+    /**
+     * Step past @p n normal() draws: afterwards the generator is where
+     * n normal() calls leave it, spare included. Points whose two
+     * normals are both skipped cost only their accept loop; the log
+     * and sqrt run only for a point whose second normal is left over
+     * as the spare.
+     */
+    void skipNormals(std::size_t n);
+
     /** Normal draw with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
@@ -86,18 +96,29 @@ class Rng
  * weight vector, over and over: each draw() picks exactly what k
  * sequential Rng::categorical calls pick when each pick's weight is
  * zeroed before the next, bit for bit and uniform() for uniform().
- * Because the weights are fixed, reset() sums them once: the first
- * pick's total is their in-order sum and the second's is one of n
- * in-order sums, each taken with one weight zeroed. Later picks
- * (k >= 3) re-sum the unpicked weights in order. Every pick draws one
- * uniform() and runs categorical's sequential scan over the weights
- * with the earlier picks zeroed.
+ *
+ * categorical turns the 53-bit integer u behind uniform() into an
+ * index by a sequential `draw -= w` scan that falls back to the last
+ * index. For fixed weights that pick is a non-decreasing step
+ * function of u (each rounding step is monotone), so it is fully
+ * described by the n - 1 thresholds t_j = min{u : pick(u) >= j}, and
+ * pick(u) = #{j : t_j <= u}. reset() finds each threshold by
+ * bisection over u that runs the scan itself, so a table answers
+ * every u exactly as the scan does, boundaries and fallback included;
+ * a prefix-sum CDF would not. It keeps a table for the first pick
+ * (weights summed in order) and, when k >= 2, one for the second pick
+ * after each first pick p (the in-order sum with weight p zeroed in
+ * place, the very additions categorical makes). A draw's first two
+ * picks are one next() and one count each. Later picks (k >= 3)
+ * re-sum the unpicked weights in order and run the scan.
  */
 class TopKSampler
 {
   public:
     /**
-     * Fix the weights and k of the following draws.
+     * Fix the weights and k of the following draws. The tables are
+     * rebuilt only when the weights or k differ from the previous
+     * call's.
      * @param weights non-negative weights (categorical's check).
      * @param k picks per draw; a draw that needs more picks than
      *          there are positive weights panics as categorical does.
@@ -107,6 +128,23 @@ class TopKSampler
     /** The next k picks, in pick order; valid until the next call. */
     const std::vector<std::size_t> &draw(Rng &rng);
 
+    /** The first pick's thresholds t_1..t_{n-1}; 2^53 where no u
+     * reaches the index. Valid until the next reset(). */
+    std::span<const std::uint64_t> firstThresholds() const;
+
+    /** The second pick's thresholds after first pick @p p; valid for
+     * k >= 2 and a positive sum of the weights without p. */
+    std::span<const std::uint64_t> secondThresholds(std::size_t p) const;
+
+    /** The pick at the 53 bits @p u behind a uniform() draw: how many
+     * of @p thresholds are <= u. draw() makes its first two picks so. */
+    static std::size_t pick(std::span<const std::uint64_t> thresholds,
+                            std::uint64_t u);
+
+    /** Table builds so far (reset() calls that changed the weights or
+     * k); a work counter for tests, in no report. */
+    std::uint64_t builds() const { return builds_; }
+
   private:
     std::vector<double> weights_;
     /** weights_ with the current draw's picks zeroed. */
@@ -115,7 +153,11 @@ class TopKSampler
     double total_ = 0.0;
     /** In-order sum of weights_ with index p zeroed, per p. */
     std::vector<double> totalWithout_;
+    std::vector<std::uint64_t> first_;
+    /** secondThresholds(p) at [p * (n - 1), (p + 1) * (n - 1)). */
+    std::vector<std::uint64_t> second_;
     std::vector<std::size_t> picks_;
+    std::uint64_t builds_ = 0;
 };
 
 } // namespace adyna

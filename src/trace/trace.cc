@@ -116,6 +116,17 @@ TraceGenerator::next()
 }
 
 void
+TraceGenerator::selectEasiest(std::size_t n)
+{
+    // Pairs are unique by sample index, so the n smallest are one set
+    // whatever the method.
+    if (n > 0 && n < ranked_.size())
+        std::nth_element(ranked_.begin(),
+                         ranked_.begin() + static_cast<std::ptrdiff_t>(n),
+                         ranked_.end());
+}
+
+void
 TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
 {
     const graph::OpNode &node = dg_.graph().node(sw.switchOp);
@@ -134,18 +145,26 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
         return samples_[i].rows * units;
     };
 
-    // Sort the active samples easiest-first with per-gate jitter, so
+    // Rank the active samples by difficulty with per-gate jitter, so
     // rank-based decisions correlate across gates through the shared
-    // latent difficulty while retaining batch-to-batch variety.
+    // latent difficulty while retaining batch-to-batch variety. Every
+    // gate draws the jitter; a TopKExperts gate reads no rank, so it
+    // only steps its stream past the draws.
+    const bool ranks = policy.kind != RoutingPolicy::Kind::TopKExperts;
     ranked_.clear();
+    std::size_t active = 0;
     for (std::size_t i = 0; i < samples_.size(); ++i) {
         if (!samples_[i].active)
             continue;
         oc.activeBefore += effRows(i);
-        const double jitter = rng_.normal(0.0, cfg_.gateNoise);
-        ranked_.emplace_back(samples_[i].difficulty + jitter, i);
+        ++active;
+        if (ranks)
+            ranked_.emplace_back(samples_[i].difficulty +
+                                     rng_.normal(0.0, cfg_.gateNoise),
+                                 i);
     }
-    std::sort(ranked_.begin(), ranked_.end());
+    if (!ranks)
+        rng_.skipNormals(active);
 
     switch (policy.kind) {
       case RoutingPolicy::Kind::EarlyExit: {
@@ -155,6 +174,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
             static_cast<std::uint32_t>(cfg_.batchSize), f);
         target = std::min<std::int64_t>(
             target, static_cast<std::int64_t>(ranked_.size()));
+        selectEasiest(static_cast<std::size_t>(target));
         for (std::int64_t i = 0; i < target; ++i) {
             const std::size_t idx =
                 ranked_[static_cast<std::size_t>(i)].second;
@@ -170,6 +190,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
         const double f = phaseFraction(policy.param);
         std::int64_t target = rng_.binomial(
             static_cast<std::uint32_t>(ranked_.size()), f);
+        selectEasiest(static_cast<std::size_t>(target));
         for (std::int64_t i = 0; i < target; ++i)
             oc.branchCounts[0] += // easiest samples skip
                 effRows(ranked_[static_cast<std::size_t>(i)].second);
@@ -262,6 +283,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
         // branches that motivate branch grouping (Section V-B).
         const double keep = phaseFraction(policy.param);
         const double swapProb = cfg_.channelSwapProb;
+        std::sort(ranked_.begin(), ranked_.end());
         for (const auto &[difficulty, idx] : ranked_) {
             // Harder samples keep more channel blocks.
             const double frac = std::clamp(
@@ -299,6 +321,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
                             std::max<std::int64_t>(cfg_.batchSize, 1);
         ADYNA_ASSERT(fold >= 1, "patch-select switch on unfolded batch");
         const double keep = phaseFraction(policy.param);
+        std::sort(ranked_.begin(), ranked_.end());
         for (const auto &[difficulty, idx] : ranked_) {
             ADYNA_ASSERT(samples_[idx].rows == 1,
                          "nested patch selection is not supported");

@@ -136,6 +136,11 @@ class TraceGenerator
      */
     std::map<OpId, double> profileExpectations(int batches) const;
 
+    /** Expert-sampler table builds so far (one whenever a TopKExperts
+     * gate's weights differ from the previous gate's); a work counter
+     * for tests, in no report. */
+    std::uint64_t tableBuilds() const { return topK_.builds(); }
+
   private:
     /** Latent per-sample state during one batch's routing. */
     struct Sample
@@ -158,6 +163,10 @@ class TraceGenerator
 
     void routeSwitch(const graph::SwitchInfo &sw, BatchRouting &out);
 
+    /** Move the @p n smallest entries of ranked_ to its front, in no
+     * particular order. */
+    void selectEasiest(std::size_t n);
+
     const graph::DynGraph &dg_;
     TraceConfig cfg_;
     Rng rng_;
@@ -171,10 +180,15 @@ class TraceGenerator
     // Per-batch buffers, kept so that next() does not allocate them.
     std::vector<Sample> samples_;
     /** Active samples at the current gate as (jittered difficulty,
-     * sample index), easiest first. */
+     * sample index), in the order the gate reads: all sorted easiest
+     * first for ChannelBlocks and PatchSelect, the exit or skip set
+     * moved to the front for EarlyExit and LayerSkip, and left empty
+     * at a TopKExperts gate, which reads no rank. */
     std::vector<std::pair<double, std::size_t>> ranked_;
     /** Expert weights of the current TopKExperts gate. */
     std::vector<double> expertWeights_;
+    /** Expert sampler shared by the TopKExperts gates; it keeps its
+     * tables while consecutive gates' weights are equal. */
     TopKSampler topK_;
 };
 

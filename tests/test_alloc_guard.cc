@@ -229,7 +229,9 @@ TEST(AllocGuard, FirstPeriodOnUnseenPartitionAllocatesNothing)
  * top-k sampler in member buffers, so once they are sized a call
  * allocates only the routing it returns: one map node and one
  * branch-count vector per switch. Inputs are the serving runtimes'
- * per-request traces (batch 1) under drift.
+ * per-request traces (batch 1) under drift, and offline-sweep's five
+ * models at batch 128 under their default traces, whose gates select
+ * the easiest samples, sort them, or skip their jitter.
  */
 TEST(AllocGuard, TraceNextAllocatesOnlyItsOutput)
 {
@@ -237,26 +239,46 @@ TEST(AllocGuard, TraceNextAllocatesOnlyItsOutput)
     GTEST_SKIP() << "allocation counting is unreliable under "
                     "sanitizer runtimes";
 #endif
-    for (const char *name : {"tutel-moe", "skipnet", "pabee"}) {
-        const models::ModelBundle m = models::buildByName(name, 32);
+    struct Shape
+    {
+        const char *model;
+        std::int64_t batch;
+        bool drifting;
+        int calls;
+    };
+    for (const Shape &shape : {Shape{"tutel-moe", 1, true, 2000},
+                               Shape{"skipnet", 1, true, 2000},
+                               Shape{"pabee", 1, true, 2000},
+                               Shape{"skipnet", 128, false, 200},
+                               Shape{"pabee", 128, false, 200},
+                               Shape{"fbsnet", 128, false, 200},
+                               Shape{"tutel-moe", 128, false, 200},
+                               Shape{"dpsnet", 128, false, 200}}) {
+        const models::ModelBundle m =
+            models::buildByName(shape.model, shape.drifting ? 32
+                                                            : shape.batch);
         const DynGraph dg = parseModel(m.graph);
         trace::TraceConfig tc = m.traceConfig;
-        tc.batchSize = 1;
-        tc.driftStrength = 0.9;
-        tc.driftPeriod = 700;
+        tc.batchSize = shape.batch;
+        if (shape.drifting) {
+            tc.driftStrength = 0.9;
+            tc.driftPeriod = 700;
+        }
         trace::TraceGenerator gen(dg, tc, 7);
         for (int i = 0; i < 50; ++i)
             (void)gen.next();
 
-        constexpr int kCalls = 2000;
         const std::uint64_t before =
             g_allocs.load(std::memory_order_relaxed);
-        for (int i = 0; i < kCalls; ++i)
+        for (int i = 0; i < shape.calls; ++i)
             (void)gen.next();
         const std::uint64_t after =
             g_allocs.load(std::memory_order_relaxed);
-        EXPECT_EQ(after - before, 2u * dg.switches().size() * kCalls)
-            << name << ": " << dg.switches().size() << " switches";
+        EXPECT_EQ(after - before,
+                  2u * dg.switches().size() *
+                      static_cast<std::uint64_t>(shape.calls))
+            << shape.model << " at batch " << shape.batch << ": "
+            << dg.switches().size() << " switches";
     }
 }
 

@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/cli.hh"
@@ -123,11 +125,12 @@ sequentialTopK(Rng &rng, std::vector<double> weights, std::size_t k)
     return chosen;
 }
 
-TEST(Rng, TopKSamplerMatchesSequentialCategorical)
+/** Sampler weight cases: random weights over 1..16 indices, a
+ * quarter of them zero, plus Tutel-MoE's expert bias under 16 drift
+ * tilts exp(0.9 z). */
+std::vector<std::vector<double>>
+samplerCases(Rng &gen)
 {
-    // Random weights over 1..16 indices, a quarter of them zero,
-    // plus Tutel-MoE's expert bias under drift tilts exp(0.9 z).
-    Rng gen(37);
     std::vector<std::vector<double>> cases;
     for (std::size_t n = 1; n <= 16; ++n)
         for (int rep = 0; rep < 4; ++rep) {
@@ -146,6 +149,13 @@ TEST(Rng, TopKSamplerMatchesSequentialCategorical)
             x *= std::exp(0.9 * gen.normal());
         cases.push_back(std::move(w));
     }
+    return cases;
+}
+
+TEST(Rng, TopKSamplerMatchesSequentialCategorical)
+{
+    Rng gen(37);
+    const std::vector<std::vector<double>> cases = samplerCases(gen);
 
     Rng a(41), b(41);
     TopKSampler sampler;
@@ -166,6 +176,104 @@ TEST(Rng, TopKSamplerMatchesSequentialCategorical)
     EXPECT_GE(draws, 100000u);
 }
 
+/** categorical's pick at the 53 bits @p u behind its uniform() draw:
+ * a test-side copy of its in-order sum and sequential scan. Sets
+ * @p fellBack when rounding leaves the draw unspent. */
+std::size_t
+scanAt(std::uint64_t u, const std::vector<double> &weights,
+       bool *fellBack = nullptr)
+{
+    double total = 0.0;
+    for (double w : weights)
+        total += w;
+    double draw = static_cast<double>(u) * 0x1.0p-53 * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        draw -= weights[i];
+        if (draw < 0.0)
+            return i;
+    }
+    if (fellBack)
+        *fellBack = true;
+    return weights.size() - 1;
+}
+
+/**
+ * Random draws almost never land on a pick boundary, so this checks
+ * the sampler's tables where they can be wrong: at every threshold t,
+ * at t - 1 and at both ends of the u range, the table's first pick and
+ * its second pick after each first pick must be the scan's.
+ */
+TEST(Rng, TopKSamplerThresholdsMatchScanAtEveryBoundary)
+{
+    constexpr std::uint64_t kLastU = (std::uint64_t{1} << 53) - 1;
+    Rng gen(53);
+    std::vector<std::vector<double>> cases = samplerCases(gen);
+    // 0.1 + 0.2 + 0.3 rounds up, so at the largest u the draw is left
+    // unspent and the fallback picks the last, zero-weight index.
+    const std::vector<double> fallback{0.1, 0.2, 0.3, 0.0};
+    bool fellBack = false;
+    ASSERT_EQ(scanAt(kLastU, fallback, &fellBack), 3u);
+    ASSERT_TRUE(fellBack);
+    cases.push_back(fallback);
+
+    std::size_t checked = 0;
+    const auto expectScan = [&](std::span<const std::uint64_t> table,
+                                const std::vector<double> &w,
+                                const std::string &what) {
+        std::vector<std::uint64_t> us{0, kLastU};
+        for (std::uint64_t t : table) {
+            if (t <= kLastU)
+                us.push_back(t);
+            if (t > 0)
+                us.push_back(t - 1);
+        }
+        for (std::uint64_t u : us) {
+            ASSERT_EQ(TopKSampler::pick(table, u), scanAt(u, w))
+                << what << " at u = " << u;
+            ++checked;
+        }
+    };
+    TopKSampler sampler;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const std::vector<double> &w = cases[c];
+        sampler.reset(w, 2);
+        const std::string name = "case " + std::to_string(c);
+        expectScan(sampler.firstThresholds(), w, name + " first pick");
+        for (std::size_t p = 0; p < w.size(); ++p) {
+            std::vector<double> zeroed = w;
+            zeroed[p] = 0.0;
+            double rest = 0.0;
+            for (double x : zeroed)
+                rest += x;
+            if (rest > 0.0)
+                expectScan(sampler.secondThresholds(p), zeroed,
+                           name + " second pick after " +
+                               std::to_string(p));
+        }
+    }
+    EXPECT_GE(checked, 10000u);
+}
+
+TEST(Rng, SkipNormalsLeavesTheStreamWhereNormalsDo)
+{
+    for (const bool spare : {false, true})
+        for (std::size_t n = 0; n <= 7; ++n) {
+            Rng drawn(59), skipped(59);
+            if (spare) { // one normal() leaves its pair's spare
+                (void)drawn.normal();
+                (void)skipped.normal();
+            }
+            for (std::size_t i = 0; i < n; ++i)
+                (void)drawn.normal();
+            skipped.skipNormals(n);
+            Rng drawnRaw = drawn, skippedRaw = skipped;
+            EXPECT_EQ(skippedRaw.next(), drawnRaw.next())
+                << "n = " << n << (spare ? " after a spare" : "");
+            EXPECT_EQ(skipped.normal(), drawn.normal())
+                << "n = " << n << (spare ? " after a spare" : "");
+        }
+}
+
 TEST(TopKSamplerDeathTest, NegativeOrNanWeightPanics)
 {
     TopKSampler sampler;
@@ -180,6 +288,13 @@ TEST(TopKSamplerDeathTest, MorePicksThanPositiveWeightsPanics)
     Rng rng(43);
     TopKSampler sampler;
     sampler.reset({1.0, 0.0, 2.0}, 3);
+    EXPECT_DEATH((void)sampler.draw(rng),
+                 "categorical weights sum to zero");
+    // The first and second picks, answered from tables, check too.
+    sampler.reset({0.0, 0.0}, 1);
+    EXPECT_DEATH((void)sampler.draw(rng),
+                 "categorical weights sum to zero");
+    sampler.reset({0.0, 1.0}, 2);
     EXPECT_DEATH((void)sampler.draw(rng),
                  "categorical weights sum to zero");
 }

@@ -362,7 +362,10 @@ streamDigest(const DynGraph &dg, const TraceConfig &cfg,
  * the streams are pinned to constants: serve-drift's per-request
  * traces (batch 1, drift 0.9 over 700-request phases, seed 7), a
  * Tutel-MoE batch of 6272 tokens per gate (the binomial-chain path),
- * and top-1 and top-3 gates of eight experts.
+ * offline-sweep's five models at batch 128 under their default
+ * trace configurations, Tutel-MoE at batch 8 (1568 tokens per gate,
+ * the per-token sampler path, across several drift phases), and
+ * top-1 and top-3 gates of eight experts.
  */
 TEST(Trace, StreamsMatchParentDigests)
 {
@@ -391,6 +394,21 @@ TEST(Trace, StreamsMatchParentDigests)
             << pin.model << " at batch " << pin.batch;
     }
 
+    for (const Pin &pin : {Pin{"skipnet", 128, 0x790ed6fcb1ca825fULL},
+                           Pin{"pabee", 128, 0xa3c3404862ed02b6ULL},
+                           Pin{"fbsnet", 128, 0xc879fcf5c7f933d5ULL},
+                           Pin{"tutel-moe", 128, 0xcb37589d7bb30599ULL},
+                           Pin{"dpsnet", 128, 0x393a9ca24c37f3dfULL},
+                           Pin{"tutel-moe", 8, 0x4d8177f82751e892ULL}}) {
+        const models::ModelBundle m =
+            models::buildByName(pin.model, pin.batch);
+        TraceConfig tc = m.traceConfig;
+        tc.batchSize = pin.batch;
+        EXPECT_EQ(streamDigest(parseModel(m.graph), tc, 7, 400),
+                  pin.digest)
+            << pin.model << " at batch " << pin.batch;
+    }
+
     TraceConfig moe;
     moe.batchSize = 8;
     EXPECT_EQ(streamDigest(moeModel(8, 8, 1), moe, 7, 2000),
@@ -399,6 +417,34 @@ TEST(Trace, StreamsMatchParentDigests)
     EXPECT_EQ(streamDigest(moeModel(8, 8, 3), moe, 7, 2000),
               0x1d2d3776ddf01eebULL)
         << "top-3";
+}
+
+/**
+ * The expert sampler's tables depend only on a gate's weights (bias
+ * times the phase's tilt) and k, so they are rebuilt only when those
+ * change. Tutel-MoE's two TopKExperts gates share bias, tilt and k, so
+ * the second gate reuses the first one's tables: one build per drift
+ * phase. Serve-drift's Tutel-MoE shape: 2000 per-request calls reach
+ * the phases starting at calls 0, 700 and 1400.
+ */
+TEST(Trace, ExpertTablesBuiltOncePerDriftPhase)
+{
+    const models::ModelBundle m = models::buildByName("tutel-moe", 32);
+    const DynGraph dg = parseModel(m.graph);
+    std::uint64_t gates = 0;
+    for (const SwitchInfo &sw : dg.switches())
+        gates += dg.graph().node(sw.switchOp).policy.kind ==
+                 RoutingPolicy::Kind::TopKExperts;
+    ASSERT_EQ(gates, 2u);
+
+    TraceConfig tc = m.traceConfig;
+    tc.batchSize = 1;
+    tc.driftStrength = 0.9;
+    tc.driftPeriod = 700;
+    TraceGenerator gen(dg, tc, 7);
+    for (int i = 0; i < 2000; ++i)
+        (void)gen.next();
+    EXPECT_EQ(gen.tableBuilds(), 3u);
 }
 
 } // namespace
