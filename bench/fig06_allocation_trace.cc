@@ -71,7 +71,7 @@ main(int argc, char **argv)
         const int probeBatches = 40;
         for (int b = 0; b < probeBatches; ++b) {
             const auto r = probe.next();
-            const auto &oc = r.outcomes.at(sw);
+            const auto &oc = r.outcome(sw);
             e1 += static_cast<double>(oc.branchCounts[0]);
             e2 += static_cast<double>(oc.branchCounts[1]);
         }
@@ -127,7 +127,7 @@ main(int argc, char **argv)
     double sumB1 = 0.0, sumB2 = 0.0;
     for (int b = 0; b < p.batches; ++b) {
         const auto routing = gen.next();
-        const auto &oc = routing.outcomes.at(sw);
+        const auto &oc = routing.outcome(sw);
         const double n1 = static_cast<double>(oc.branchCounts[0]);
         const double n2 = static_cast<double>(oc.branchCounts[1]);
         sumB1 += n1;

@@ -5,19 +5,63 @@
  * track table) and, per switch, the recent per-branch load vectors
  * used by the scheduler for tile-sharing pair selection. Reports are
  * pulled periodically by the scheduler on the host.
+ *
+ * Like the hardware's table, which has one slot per dynamic operator,
+ * the tables are flat: op ids are dense graph indices, so both the
+ * frequency tables and the branch-load histories live in vectors
+ * indexed by OpId, grown on first use. Every walk over them runs in
+ * ascending op id; the serving runtime's drift-monitor load series
+ * takes the id one past the graph, so it comes last.
  */
 
 #ifndef ADYNA_ARCH_PROFILER_HH
 #define ADYNA_ARCH_PROFILER_HH
 
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace adyna::arch {
+
+/** Frequency tables indexed by OpId; an op never recorded has an
+ * empty table or lies past the end. */
+using FreqTables = std::vector<FreqHistogram>;
+
+/**
+ * A switch's per-branch load vectors of its most recent batches: a
+ * fixed ring of at most `capacity` rows, read oldest first. Once the
+ * ring is full, a new row overwrites the oldest in place, so a
+ * steady stream of same-width rows allocates nothing.
+ */
+class BranchHistory
+{
+  public:
+    std::size_t size() const { return rows_.size(); }
+    bool empty() const { return rows_.empty(); }
+
+    /** The @p i-th oldest load vector. */
+    const std::vector<std::int64_t> &operator[](std::size_t i) const
+    {
+        i += head_;
+        return rows_[i < rows_.size() ? i : i - rows_.size()];
+    }
+
+    /** The newest load vector. */
+    const std::vector<std::int64_t> &back() const
+    {
+        return (*this)[rows_.size() - 1];
+    }
+
+    /** Append @p loads, dropping the oldest row beyond @p capacity. */
+    void push(const std::vector<std::int64_t> &loads,
+              std::size_t capacity);
+
+  private:
+    std::vector<std::vector<std::int64_t>> rows_;
+    /** Index of the oldest row (0 until the ring is full). */
+    std::size_t head_ = 0;
+};
 
 /** Per-run profiler state. */
 class Profiler
@@ -26,7 +70,8 @@ class Profiler
     /** @param history batches of per-branch loads kept per switch. */
     explicit Profiler(std::size_t history = 64);
 
-    /** Record the dyn_dim value an operator observed in one batch. */
+    /** Record the dyn_dim value an operator observed in one batch.
+     * A value the op's table already holds allocates nothing. */
     void recordValue(OpId op, std::int64_t value);
 
     /** Note one completed batch (or request) in the current
@@ -41,15 +86,16 @@ class Profiler
     void recordBranchLoads(OpId switch_op,
                            const std::vector<std::int64_t> &loads);
 
-    /** Frequency track table of an operator (empty if never seen). */
+    /** Frequency track table of an operator (empty if never seen),
+     * valid until the next record call. */
     const FreqHistogram &table(OpId op) const;
 
-    /** All tracked operators. */
+    /** All tracked operators (non-empty tables), ascending. */
     std::vector<OpId> trackedOps() const;
 
-    /** Recent per-branch load history of a switch (newest last). */
-    const std::deque<std::vector<std::int64_t>> &
-    branchHistory(OpId switch_op) const;
+    /** Recent per-branch load history of a switch (oldest first),
+     * valid until the next record call. */
+    const BranchHistory &branchHistory(OpId switch_op) const;
 
     /**
      * Covariance of the loads of two branches of a switch over the
@@ -63,10 +109,7 @@ class Profiler
 
     /** Copy of every current frequency table — the snapshot a drift
      * monitor keeps as its reference distribution at schedule time. */
-    std::map<OpId, FreqHistogram> tablesSnapshot() const
-    {
-        return tables_;
-    }
+    FreqTables tablesSnapshot() const { return tables_; }
 
     /**
      * Drift of the current window against a reference snapshot: the
@@ -77,11 +120,10 @@ class Profiler
      * op (a repopularized expert, say) must not be averaged away by
      * many stationary ones. Returns 0 when nothing is comparable.
      */
-    double driftL1(const std::map<OpId, FreqHistogram> &reference,
-                   int buckets = 8) const;
+    double driftL1(const FreqTables &reference, int buckets = 8) const;
 
-    /** Clear the frequency tables (start of a profiling period);
-     * branch history is kept rolling. */
+    /** Clear the frequency tables (start of a profiling period),
+     * keeping their storage; branch history is kept rolling. */
     void resetTables();
 
     /** Clear everything. */
@@ -90,11 +132,12 @@ class Profiler
   private:
     std::size_t history_;
     std::uint64_t windowBatches_ = 0;
-    std::map<OpId, FreqHistogram> tables_;
-    std::map<OpId, std::deque<std::vector<std::int64_t>>> branches_;
+    FreqTables tables_;
+    /** Indexed by switch OpId. */
+    std::vector<BranchHistory> branches_;
 
     static const FreqHistogram kEmptyTable;
-    static const std::deque<std::vector<std::int64_t>> kEmptyHistory;
+    static const BranchHistory kEmptyHistory;
 };
 
 } // namespace adyna::arch

@@ -7,6 +7,14 @@
 
 namespace adyna {
 
+namespace {
+
+/** Search comparator: entry @p e holds a value below @p v. */
+constexpr auto valueBelow = [](const FreqHistogram::Entry &e,
+                               std::int64_t v) { return e.first < v; };
+
+} // namespace
+
 void
 RunningStats::add(double x)
 {
@@ -82,7 +90,12 @@ FreqHistogram::add(std::int64_t value, std::uint64_t weight)
 {
     if (weight == 0)
         return;
-    counts_[value] += weight;
+    const auto it =
+        std::lower_bound(counts_.begin(), counts_.end(), value, valueBelow);
+    if (it != counts_.end() && it->first == value)
+        it->second += weight;
+    else
+        counts_.insert(it, {value, weight});
     total_ += weight;
 }
 
@@ -100,30 +113,12 @@ FreqHistogram::reset()
     total_ = 0;
 }
 
-void
-FreqHistogram::decay(double factor)
-{
-    ADYNA_ASSERT(factor >= 0.0 && factor <= 1.0,
-                 "decay factor out of range: ", factor);
-    total_ = 0;
-    for (auto it = counts_.begin(); it != counts_.end();) {
-        const auto decayed = static_cast<std::uint64_t>(
-            std::llround(static_cast<double>(it->second) * factor));
-        if (decayed == 0) {
-            it = counts_.erase(it);
-        } else {
-            it->second = decayed;
-            total_ += decayed;
-            ++it;
-        }
-    }
-}
-
 std::uint64_t
 FreqHistogram::count(std::int64_t value) const
 {
-    const auto it = counts_.find(value);
-    return it == counts_.end() ? 0 : it->second;
+    const auto it =
+        std::lower_bound(counts_.begin(), counts_.end(), value, valueBelow);
+    return it != counts_.end() && it->first == value ? it->second : 0;
 }
 
 double
@@ -154,13 +149,13 @@ FreqHistogram::variance() const
 std::int64_t
 FreqHistogram::maxValue() const
 {
-    return counts_.empty() ? 0 : counts_.rbegin()->first;
+    return counts_.empty() ? 0 : counts_.back().first;
 }
 
 std::int64_t
 FreqHistogram::minValue() const
 {
-    return counts_.empty() ? 0 : counts_.begin()->first;
+    return counts_.empty() ? 0 : counts_.front().first;
 }
 
 std::int64_t
@@ -176,13 +171,7 @@ FreqHistogram::quantile(double q) const
         if (static_cast<double>(acc) >= target)
             return value;
     }
-    return counts_.rbegin()->first;
-}
-
-std::vector<std::pair<std::int64_t, std::uint64_t>>
-FreqHistogram::sorted() const
-{
-    return {counts_.begin(), counts_.end()};
+    return counts_.back().first;
 }
 
 double
@@ -219,8 +208,8 @@ distributionL1(const FreqHistogram &a, const FreqHistogram &b,
     if (a.empty() || b.empty())
         return 0.0;
 
-    const auto sa = a.sorted();
-    const auto sb = b.sorted();
+    const auto &sa = a.sorted();
+    const auto &sb = b.sorted();
     const double totA = static_cast<double>(a.total());
     const double totB = static_cast<double>(b.total());
 

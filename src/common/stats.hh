@@ -9,8 +9,8 @@
 #define ADYNA_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace adyna {
@@ -50,11 +50,16 @@ class RunningStats
  * domain. This is the exact structure maintained by the hardware
  * profiler's frequency track tables (Section IV of the paper) and
  * consumed by the frequency-weighted scheduler and the multi-kernel
- * sampling algorithm.
+ * sampling algorithm. The (value, count) pairs live in one vector
+ * sorted by value, so every sum over them runs in ascending value
+ * order; a value already present is counted without allocating, and
+ * reset() keeps the storage for the next window.
  */
 class FreqHistogram
 {
   public:
+    using Entry = std::pair<std::int64_t, std::uint64_t>;
+
     /** Record one occurrence of @p value (optionally weighted). */
     void add(std::int64_t value, std::uint64_t weight = 1);
 
@@ -63,9 +68,6 @@ class FreqHistogram
 
     /** Discard all recorded occurrences. */
     void reset();
-
-    /** Exponentially decay all counts by @p factor in [0,1]. */
-    void decay(double factor);
 
     /** Total number of recorded occurrences. */
     std::uint64_t total() const { return total_; }
@@ -91,13 +93,13 @@ class FreqHistogram
     /** Smallest value v such that P(X <= v) >= q, for q in [0,1]. */
     std::int64_t quantile(double q) const;
 
-    /** Sorted (value, count) pairs. */
-    std::vector<std::pair<std::int64_t, std::uint64_t>> sorted() const;
+    /** (value, count) pairs, ascending by value, every count > 0. */
+    const std::vector<Entry> &sorted() const { return counts_; }
 
     bool empty() const { return counts_.empty(); }
 
   private:
-    std::map<std::int64_t, std::uint64_t> counts_;
+    std::vector<Entry> counts_;
     std::uint64_t total_ = 0;
 };
 

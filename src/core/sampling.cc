@@ -15,8 +15,15 @@ redistributeFrequencies(const std::vector<std::int64_t> &vals,
     ADYNA_ASSERT(vals.size() == freq.size(),
                  "vals/freq length mismatch");
     ADYNA_ASSERT(!new_vals.empty(), "empty re-sampled value set");
+    ADYNA_ASSERT(std::is_sorted(vals.begin(), vals.end()) &&
+                     std::is_sorted(new_vals.begin(), new_vals.end()),
+                 "value sets must be sorted");
 
     std::vector<double> newFreq(new_vals.size(), 0.0);
+    // Both sets ascend, so the first new sample above each range's
+    // lower bound only moves forward: one walk over new_vals serves
+    // every range.
+    std::size_t first = 0;
     for (std::size_t pos = 0; pos < vals.size(); ++pos) {
         const double f = freq[pos];
         if (f <= 0.0)
@@ -28,16 +35,17 @@ redistributeFrequencies(const std::vector<std::int64_t> &vals,
             continue;
         }
         const std::int64_t lb = pos == 0 ? 0 : vals[pos - 1];
+        while (first < new_vals.size() && new_vals[first] <= lb)
+            ++first;
 
         // New samples inside (lb, ub], uniform mass split by the
         // widths of the sub-ranges they cover.
         std::int64_t pv = lb;
         double assigned = 0.0;
         bool any = false;
-        for (std::size_t p = 0; p < new_vals.size(); ++p) {
+        for (std::size_t p = first;
+             p < new_vals.size() && new_vals[p] <= ub; ++p) {
             const std::int64_t v = new_vals[p];
-            if (v <= lb || v > ub)
-                continue;
             const double share =
                 f * static_cast<double>(v - pv) /
                 static_cast<double>(ub - lb);

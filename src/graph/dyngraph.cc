@@ -1,5 +1,6 @@
 #include "graph/dyngraph.hh"
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 
@@ -43,7 +44,32 @@ DynGraph::DynGraph(Graph graph, std::vector<DynOpInfo> info,
                  "DynOpInfo count mismatch: ", info_.size(), " vs ",
                  graph_.size());
     topo_ = graph_.topoOrder();
+    for (OpId id : topo_)
+        if (info_[id].dynamic)
+            dynamicOps_.push_back(id);
+    numberSwitches();
     buildDataFlow();
+}
+
+void
+DynGraph::numberSwitches()
+{
+    std::vector<OpId> ids;
+    ids.reserve(switches_.size());
+    for (const SwitchInfo &sw : switches_)
+        ids.push_back(sw.switchOp);
+    std::sort(ids.begin(), ids.end());
+    const auto slotOf = [&](OpId sw) {
+        const auto it = std::lower_bound(ids.begin(), ids.end(), sw);
+        ADYNA_ASSERT(it != ids.end() && *it == sw, "op ", sw,
+                     " is owned by an unknown switch");
+        return static_cast<std::uint32_t>(it - ids.begin());
+    };
+    for (SwitchInfo &sw : switches_)
+        sw.slot = slotOf(sw.switchOp);
+    for (DynOpInfo &di : info_)
+        if (di.ownerSwitch != kInvalidOp)
+            di.switchSlot = slotOf(di.ownerSwitch);
 }
 
 void
@@ -107,16 +133,6 @@ DynGraph::switchInfo(OpId switch_op) const
         if (sw.switchOp == switch_op)
             return sw;
     ADYNA_PANIC("no SwitchInfo for op ", switch_op);
-}
-
-std::vector<OpId>
-DynGraph::dynamicOps() const
-{
-    std::vector<OpId> out;
-    for (OpId id : topo_)
-        if (info_[id].dynamic)
-            out.push_back(id);
-    return out;
 }
 
 std::vector<OpId>

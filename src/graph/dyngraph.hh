@@ -3,8 +3,8 @@
  * The paper's unified representation: dynamic operator graphs
  * (Section IV). Produced by the model parser from a user-level Graph;
  * all dynamism is folded onto the batch dimension (N), each dynamic
- * operator knows its controlling switch, and a frequency track table
- * slot exists for every dynamic operator.
+ * operator knows its controlling switch and that switch's slot, and a
+ * frequency track table slot exists for every dynamic operator.
  */
 
 #ifndef ADYNA_GRAPH_DYNGRAPH_HH
@@ -35,6 +35,9 @@ struct DynOpInfo
     /** Nearest switch controlling this op's batch extent. */
     OpId ownerSwitch = kInvalidOp;
 
+    /** SwitchInfo::slot of ownerSwitch (0 when there is none). */
+    std::uint32_t switchSlot = 0;
+
     /** Branch index on ownerSwitch, or -1 for post-merge ops. */
     int branch = -1;
 
@@ -52,6 +55,11 @@ struct DynOpInfo
 struct SwitchInfo
 {
     OpId switchOp = kInvalidOp;
+
+    /** Rank of switchOp among the graph's switch ids, ascending: the
+     * index of this switch's entry in a trace::BatchRouting. Set by
+     * DynGraph; switches() itself stays in topological order. */
+    std::uint32_t slot = 0;
 
     /** Per-branch operator ids, in topological order. */
     std::vector<std::vector<OpId>> branches;
@@ -80,9 +88,11 @@ struct Producer
  * A parsed dynamic operator graph: the fused computation graph plus
  * per-op dynamism annotations, per-switch branch structure and the
  * data-flow view (which op produces which op's input, looking through
- * the routing nodes). The structure is immutable after parsing;
- * runtime frequency track tables are kept by the profiler
- * (adyna::arch) keyed by OpId.
+ * the routing nodes). The structure is immutable after parsing. Op
+ * ids are dense graph indices, so the profiler (adyna::arch) keeps
+ * its runtime frequency track tables in vectors indexed by OpId;
+ * switches are numbered 0..S-1 in ascending switch id (their slots),
+ * which index a routing's per-switch outcomes.
  */
 class DynGraph
 {
@@ -102,8 +112,9 @@ class DynGraph
     bool isDynamic(OpId id) const { return info(id).dynamic; }
     std::int64_t maxDyn(OpId id) const { return info(id).maxDyn; }
 
-    /** Ids of all dynamic operators (frequency-table owners). */
-    std::vector<OpId> dynamicOps() const;
+    /** Ids of all dynamic operators (frequency-table owners), in
+     * topological order; built once, in the constructor. */
+    const std::vector<OpId> &dynamicOps() const { return dynamicOps_; }
 
     /** Ids of all compute operators, topologically ordered. */
     std::vector<OpId> computeOps() const;
@@ -157,12 +168,14 @@ class DynGraph
     std::string summary() const;
 
   private:
+    void numberSwitches();
     void buildDataFlow();
 
     Graph graph_;
     std::vector<DynOpInfo> info_;
     std::vector<SwitchInfo> switches_;
     std::vector<OpId> topo_;
+    std::vector<OpId> dynamicOps_;
 
     /** Producers of op i are producers_[producerStart_[i] ..
      * producerStart_[i + 1]); consumers likewise. */

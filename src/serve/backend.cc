@@ -10,17 +10,6 @@ namespace adyna::serve {
 
 namespace {
 
-/**
- * Synthetic drift-monitor series: the request's total dynamic load
- * (sum of its dyn-op values). Exit/skip gates are binary per request
- * and all shift together under a drift phase, so each op's own
- * distribution moves only slightly while the execution-path-length
- * distribution moves a lot — this series captures that correlated
- * shift. The id lives far outside any real graph's op-id range and
- * only ever enters the drift profiler, never the scheduler.
- */
-constexpr OpId kLoadSeriesOp = 0xFFFFFFFFu;
-
 /** Salt of the offline-profiling and drift-reference probe streams. */
 constexpr std::uint64_t kProbeSalt = 0x517cc1b727220a95ULL;
 
@@ -40,21 +29,6 @@ constexpr std::size_t kSearchProbeBatches = 8;
 /** Admission control sheds an arrival when its projected latency
  * exceeds this multiple of the SLO deadline. */
 constexpr double kShedLatencyFactor = 1.5;
-
-/** Record one request's dyn-value draws into a drift profiler. */
-void
-recordRequest(arch::Profiler &prof, const graph::DynGraph &dg,
-              const trace::BatchRouting &routing)
-{
-    prof.noteBatch();
-    std::int64_t totalLoad = 0;
-    for (OpId op : dg.dynamicOps()) {
-        const std::int64_t v = routing.dynValue(dg, op);
-        prof.recordValue(op, v);
-        totalLoad += v;
-    }
-    prof.recordValue(kLoadSeriesOp, totalLoad);
-}
 
 /** Mean per-request dynamic load an expectation set embodies.
  * Expectations are compiled-batch statistics, so divide the batch
@@ -168,8 +142,10 @@ Backend::bringUp()
         monitor_.setReference(reference);
         monitor_.setNoiseFloor(monitor_.distanceTo(driftProf_));
         // The reference keeps both windows' worth of samples.
-        for (const auto &[op, hist] : driftProf_.tablesSnapshot())
-            reference[op].merge(hist);
+        const arch::FreqTables second = driftProf_.tablesSnapshot();
+        reference.resize(std::max(reference.size(), second.size()));
+        for (std::size_t op = 0; op < second.size(); ++op)
+            reference[op].merge(second[op]);
         monitor_.setReference(std::move(reference));
         driftProf_.resetTables();
     }

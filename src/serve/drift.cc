@@ -14,6 +14,26 @@ constexpr int kL1Buckets = 8;
 
 } // namespace
 
+OpId
+loadSeriesOp(const graph::DynGraph &dg)
+{
+    return static_cast<OpId>(dg.graph().size());
+}
+
+void
+recordRequest(arch::Profiler &prof, const graph::DynGraph &dg,
+              const trace::BatchRouting &routing)
+{
+    prof.noteBatch();
+    std::int64_t totalLoad = 0;
+    for (OpId op : dg.dynamicOps()) {
+        const std::int64_t v = routing.dynValue(dg, op);
+        prof.recordValue(op, v);
+        totalLoad += v;
+    }
+    prof.recordValue(loadSeriesOp(dg), totalLoad);
+}
+
 DriftMonitor::DriftMonitor(DriftConfig cfg) : cfg_(cfg)
 {
     ADYNA_ASSERT(cfg_.windowRequests >= 1, "window must be >= 1");
@@ -27,7 +47,7 @@ DriftMonitor::DriftMonitor(DriftConfig cfg) : cfg_(cfg)
 }
 
 void
-DriftMonitor::setReference(std::map<OpId, FreqHistogram> reference)
+DriftMonitor::setReference(arch::FreqTables reference)
 {
     reference_ = std::move(reference);
     hotStreak_ = 0;
@@ -57,10 +77,11 @@ DriftMonitor::distanceTo(const arch::Profiler &profiler) const
     // tiny expectations are pure sampling noise.
     double refSum = 0.0;
     double curSum = 0.0;
-    for (const auto &[op, ref] : reference_) {
+    for (std::size_t op = 0; op < reference_.size(); ++op) {
+        const FreqHistogram &ref = reference_[op];
         if (ref.empty())
             continue;
-        const FreqHistogram &cur = profiler.table(op);
+        const FreqHistogram &cur = profiler.table(static_cast<OpId>(op));
         if (cur.empty())
             continue;
         refSum += ref.expectation();

@@ -13,10 +13,10 @@
 #ifndef ADYNA_SERVE_DRIFT_HH
 #define ADYNA_SERVE_DRIFT_HH
 
-#include <map>
-
 #include "arch/profiler.hh"
 #include "common/types.hh"
+#include "graph/dyngraph.hh"
+#include "trace/trace.hh"
 
 namespace adyna::serve {
 
@@ -45,6 +45,27 @@ struct DriftConfig
     int cooldownWindows = 2;
 };
 
+/**
+ * The drift profiler's synthetic series: a request's total dynamic
+ * load (the sum of its dyn-op values). Exit/skip gates are binary per
+ * request and all shift together under a drift phase, so each op's
+ * own distribution moves only slightly while the execution-path-length
+ * distribution moves a lot — this series captures that correlated
+ * shift. Its id is one past the graph's ops: a dense slot that sorts
+ * after every op, so the drift sums take it last. It only ever enters
+ * the drift profiler, never the scheduler.
+ */
+OpId loadSeriesOp(const graph::DynGraph &dg);
+
+/**
+ * Record one request's dyn-value draws into a drift profiler: one
+ * noted batch, each dynamic op's value, and their sum at
+ * loadSeriesOp(). Once every value is in its table this allocates
+ * nothing.
+ */
+void recordRequest(arch::Profiler &prof, const graph::DynGraph &dg,
+                   const trace::BatchRouting &routing);
+
 /** Windowed L1 drift detector with hysteresis and cooldown. */
 class DriftMonitor
 {
@@ -54,7 +75,7 @@ class DriftMonitor
     /** Install the reference distributions the active schedule was
      * built from (typically Profiler::tablesSnapshot()). Clears the
      * hot streak and starts the cooldown. */
-    void setReference(std::map<OpId, FreqHistogram> reference);
+    void setReference(arch::FreqTables reference);
 
     /** Calibrate the same-distribution noise floor: the L1 distance
      * measured between two windows of known-identical traffic (e.g.
@@ -72,7 +93,9 @@ class DriftMonitor
      * a tail that moves a lot of compute (deeper early-exits, say)
      * barely dents the bucket masses but moves the mean — and the
      * scheduler allocates tiles by exactly these expectations, so a
-     * mean shift is by definition a stale schedule.
+     * mean shift is by definition a stale schedule. Both walks run in
+     * ascending op id (the load series, one past the graph, last),
+     * which fixes the order of the expectation sums.
      */
     double distanceTo(const arch::Profiler &profiler) const;
 
@@ -94,14 +117,12 @@ class DriftMonitor
     /** Windows observed since construction. */
     int windowsObserved() const { return windows_; }
 
-    const std::map<OpId, FreqHistogram> &reference() const
-    {
-        return reference_;
-    }
+    const arch::FreqTables &reference() const { return reference_; }
 
   private:
     DriftConfig cfg_;
-    std::map<OpId, FreqHistogram> reference_;
+    /** Indexed by OpId, like the profiler's tables. */
+    arch::FreqTables reference_;
     double noiseFloor_ = 0.0;
     double lastDistance_ = 0.0;
     int hotStreak_ = 0;

@@ -1,5 +1,6 @@
 #include "trace/replay.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -81,7 +82,18 @@ loadTrace(std::istream &is)
                 oc.branchCounts.push_back(c);
             if (oc.branchCounts.empty())
                 ADYNA_FATAL("switch record without branch counts");
-            out.back().outcomes[sw] = std::move(oc);
+            // Records are kept in ascending switch id whatever order
+            // the file lists them in; a repeated switch overwrites.
+            auto &outcomes = out.back().outcomes;
+            const auto at = std::lower_bound(
+                outcomes.begin(), outcomes.end(), sw,
+                [](const auto &entry, OpId id) {
+                    return entry.first < id;
+                });
+            if (at != outcomes.end() && at->first == sw)
+                at->second = std::move(oc);
+            else
+                outcomes.emplace(at, sw, std::move(oc));
         } else {
             ADYNA_FATAL("unexpected token in trace: '", tok, "'");
         }

@@ -17,10 +17,11 @@ BatchRouting::dynValue(const graph::DynGraph &dg, OpId op) const
     const graph::DynOpInfo &di = dg.info(op);
     if (!di.dynamic)
         return dg.graph().node(op).dims.n();
-    const auto it = outcomes.find(di.ownerSwitch);
-    ADYNA_ASSERT(it != outcomes.end(), "no routing outcome for switch ",
-                 di.ownerSwitch, " needed by op ", op);
-    const SwitchOutcome &oc = it->second;
+    ADYNA_ASSERT(di.switchSlot < outcomes.size() &&
+                     outcomes[di.switchSlot].first == di.ownerSwitch,
+                 "no routing outcome for switch ", di.ownerSwitch,
+                 " needed by op ", op);
+    const SwitchOutcome &oc = outcomes[di.switchSlot].second;
     if (di.branch >= 0) {
         ADYNA_ASSERT(static_cast<std::size_t>(di.branch) <
                          oc.branchCounts.size(),
@@ -30,16 +31,31 @@ BatchRouting::dynValue(const graph::DynGraph &dg, OpId op) const
     return oc.activeAfter;
 }
 
+const SwitchOutcome &
+BatchRouting::outcome(OpId switch_op) const
+{
+    const auto it = std::lower_bound(
+        outcomes.begin(), outcomes.end(), switch_op,
+        [](const auto &entry, OpId id) { return entry.first < id; });
+    ADYNA_ASSERT(it != outcomes.end() && it->first == switch_op,
+                 "no routing outcome for switch ", switch_op);
+    return it->second;
+}
+
 BatchRouting
 mergeRoutings(const std::vector<const BatchRouting *> &parts)
 {
     ADYNA_ASSERT(!parts.empty(), "cannot merge zero routings");
-    BatchRouting out;
-    for (const BatchRouting *part : parts) {
-        for (const auto &[sw, oc] : part->outcomes) {
-            SwitchOutcome &dst = out.outcomes[sw];
-            if (dst.branchCounts.empty())
-                dst.branchCounts.resize(oc.branchCounts.size(), 0);
+    BatchRouting out = *parts.front();
+    for (std::size_t p = 1; p < parts.size(); ++p) {
+        const auto &outcomes = parts[p]->outcomes;
+        ADYNA_ASSERT(outcomes.size() == out.outcomes.size(),
+                     "routings cover different switch sets");
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+            const auto &[sw, oc] = outcomes[i];
+            auto &[dstSw, dst] = out.outcomes[i];
+            ADYNA_ASSERT(sw == dstSw,
+                         "routings cover different switch sets");
             ADYNA_ASSERT(dst.branchCounts.size() ==
                              oc.branchCounts.size(),
                          "routings disagree on the branch count of "
@@ -51,9 +67,6 @@ mergeRoutings(const std::vector<const BatchRouting *> &parts)
             dst.activeBefore += oc.activeBefore;
         }
     }
-    ADYNA_ASSERT(out.outcomes.size() ==
-                     parts.front()->outcomes.size(),
-                 "routings cover different switch sets");
     return out;
 }
 
@@ -110,6 +123,7 @@ TraceGenerator::next()
         s.difficulty = drawDifficulty();
 
     BatchRouting out;
+    out.outcomes.resize(dg_.switches().size());
     for (const SwitchInfo &sw : dg_.switches())
         routeSwitch(sw, out);
     return out;
@@ -344,7 +358,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
       }
     }
 
-    out.outcomes[sw.switchOp] = std::move(oc);
+    out.outcomes[sw.slot] = {sw.switchOp, std::move(oc)};
 }
 
 std::map<OpId, double>
@@ -352,10 +366,9 @@ TraceGenerator::profileExpectations(int batches) const
 {
     TraceGenerator probe(dg_, cfg_, seed_ ^ 0x517cc1b727220a95ULL);
     std::map<OpId, double> sums;
-    const auto dynOps = dg_.dynamicOps();
     for (int b = 0; b < batches; ++b) {
         const BatchRouting routing = probe.next();
-        for (OpId op : dynOps)
+        for (OpId op : dg_.dynamicOps())
             sums[op] += static_cast<double>(routing.dynValue(dg_, op));
     }
     for (auto &[op, sum] : sums)

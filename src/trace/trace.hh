@@ -42,26 +42,39 @@ struct SwitchOutcome
     std::int64_t activeBefore = 0;
 };
 
-/** Routing decisions of one batch across all switches. */
+/**
+ * Routing decisions of one batch across all switches: one flat
+ * (switch id, outcome) entry per switch of the graph, in ascending
+ * switch id, so entry i belongs to the switch whose SwitchInfo::slot
+ * is i and an op finds its switch's outcome at DynOpInfo::switchSlot
+ * without a search.
+ */
 struct BatchRouting
 {
-    /** Outcome per switch op id. */
-    std::map<OpId, SwitchOutcome> outcomes;
+    /** (switch op id, outcome) per switch, ascending switch id. */
+    std::vector<std::pair<OpId, SwitchOutcome>> outcomes;
 
     /**
      * The dyn_dim (batch) value a given dynamic operator observes in
      * this batch: branch ops see their branch count, post-merge ops
      * see the active-after count. Static ops see their full extent.
+     * Reads the entry at the op's switch slot; panics if that entry
+     * is missing or belongs to another switch.
      */
     std::int64_t dynValue(const graph::DynGraph &dg, OpId op) const;
+
+    /** The outcome of switch @p switch_op, by binary search over the
+     * ids; panics if absent. */
+    const SwitchOutcome &outcome(OpId switch_op) const;
 };
 
 /**
- * Sum the per-switch outcomes of several routings: the routing the
- * concatenated batch would observe (branch counts, active-before and
- * active-after add up sample-wise). All parts must cover the same
- * switch set — routings of the same graph; used by the serving
- * batcher to merge single-request draws into one engine batch.
+ * Sum the per-switch outcomes of several routings, entry by entry:
+ * the routing the concatenated batch would observe (branch counts,
+ * active-before and active-after add up sample-wise). All parts must
+ * list the same switches — routings of the same graph; used by the
+ * serving batcher to merge single-request draws into one engine
+ * batch.
  */
 BatchRouting mergeRoutings(const std::vector<const BatchRouting *> &parts);
 
@@ -122,9 +135,11 @@ class TraceGenerator
                    std::uint64_t seed);
 
     /**
-     * Produce the routing for the next batch. Once the member buffers
-     * are sized, it allocates only its result: one map node and one
-     * branch-count vector per switch.
+     * Produce the routing for the next batch. Switches are routed in
+     * switches() order, which is topological and fixes the draw
+     * order; each outcome is stored at its switch's slot. Once the
+     * member buffers are sized, a call allocates only its result: the
+     * outcome vector and one branch-count vector per switch.
      */
     BatchRouting next();
 

@@ -2,9 +2,11 @@
  * @file
  * Zero-allocation guard for the serve hot path: a steady-state
  * Engine::runPeriod (out-param result, scratch buffers sized) must
- * not touch the heap, and neither may the first period on a segment
- * partition the engine has never run. A warm TraceGenerator::next
- * allocates only the routing it returns.
+ * not touch the heap, with or without a profiler attached, and
+ * neither may the first period on a segment partition the engine has
+ * never run. A warm TraceGenerator::next allocates only the routing
+ * it returns, and recording a served request into a warm drift
+ * profiler allocates nothing.
  *
  * The guard counts calls to the replaceable global operator new. The
  * tests skip under sanitizer builds (ADYNA_SANITIZE): sanitizer
@@ -25,6 +27,7 @@
 #include "core/scheduler.hh"
 #include "graph/parser.hh"
 #include "models/models.hh"
+#include "serve/drift.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -162,6 +165,56 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
 }
 
 /**
+ * With a profiler attached, runPeriod also records every batch's
+ * branch loads into the profiler's fixed per-switch rings and every
+ * dynamic op's value into its frequency table. Once the rings are
+ * full (64 batches) and the tables hold the values the batches
+ * carry, a period allocates nothing either. SkipNet at batch 16: the
+ * same six routings run every period, so every value is seen in the
+ * warm-up.
+ */
+TEST(AllocGuard, SteadyStateRunPeriodWithProfilerAllocatesNothing)
+{
+#ifdef ADYNA_SANITIZE
+    GTEST_SKIP() << "allocation counting is unreliable under "
+                    "sanitizer runtimes";
+#endif
+    const models::ModelBundle m = models::buildByName("skipnet", 16);
+    const DynGraph dg = parseModel(m.graph);
+    costmodel::Mapper mapper(hw().tech);
+    Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
+    const Schedule s = sched.build({}, {}, nullptr);
+
+    Engine eng(dg, hw(), mapper, ExecPolicy{});
+    arch::Chip chip(hw());
+    trace::TraceConfig tc = m.traceConfig;
+    tc.batchSize = 16;
+    trace::TraceGenerator gen(dg, tc, 1);
+    std::vector<trace::BatchRouting> batches;
+    for (int i = 0; i < 6; ++i)
+        batches.push_back(gen.next());
+
+    arch::Profiler prof;
+    PeriodResult out;
+    Tick barrier = 0;
+    for (int i = 0; i < 16; ++i) {
+        eng.runPeriod(chip, s, batches, &prof, barrier, out);
+        barrier = out.endTime;
+    }
+    ASSERT_EQ(prof.branchHistory(dg.switches()[0].switchOp).size(), 64u);
+
+    const std::uint64_t before =
+        g_allocs.load(std::memory_order_relaxed);
+    eng.runPeriod(chip, s, batches, &prof, barrier, out);
+    const std::uint64_t after =
+        g_allocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state runPeriod with a profiler performed "
+        << (after - before) << " heap allocations";
+    EXPECT_EQ(out.batchEnds.size(), batches.size());
+}
+
+/**
  * The engine plans every period from the graph's data-flow view, so
  * the first period on a segment partition it has never run needs no
  * new state: once warm-up on the other partitions of the same graph
@@ -227,7 +280,7 @@ TEST(AllocGuard, FirstPeriodOnUnseenPartitionAllocatesNothing)
 /**
  * TraceGenerator::next keeps its samples, ranking, gate weights and
  * top-k sampler in member buffers, so once they are sized a call
- * allocates only the routing it returns: one map node and one
+ * allocates only the routing it returns: its outcome vector and one
  * branch-count vector per switch. Inputs are the serving runtimes'
  * per-request traces (batch 1) under drift, and offline-sweep's five
  * models at batch 128 under their default traces, whose gates select
@@ -275,10 +328,56 @@ TEST(AllocGuard, TraceNextAllocatesOnlyItsOutput)
         const std::uint64_t after =
             g_allocs.load(std::memory_order_relaxed);
         EXPECT_EQ(after - before,
-                  2u * dg.switches().size() *
+                  (dg.switches().size() + 1) *
                       static_cast<std::uint64_t>(shape.calls))
             << shape.model << " at batch " << shape.batch << ": "
             << dg.switches().size() << " switches";
+    }
+}
+
+/**
+ * A served request reaches the drift profiler through
+ * serve::recordRequest: noteBatch, the graph's cached dynamicOps(),
+ * one dynValue per dynamic op, recordValue into flat per-op tables,
+ * and the load series. Once the tables hold every value the requests
+ * carry, none of it allocates, across a window reset too (which
+ * keeps the tables' storage). Serve-drift's per-request shapes:
+ * batch 1 under drift.
+ */
+TEST(AllocGuard, DriftProfilerRecordsRequestsWithoutAllocating)
+{
+#ifdef ADYNA_SANITIZE
+    GTEST_SKIP() << "allocation counting is unreliable under "
+                    "sanitizer runtimes";
+#endif
+    for (const char *model : {"skipnet", "pabee", "tutel-moe"}) {
+        const models::ModelBundle m = models::buildByName(model, 32);
+        const DynGraph dg = parseModel(m.graph);
+        trace::TraceConfig tc = m.traceConfig;
+        tc.batchSize = 1;
+        tc.driftStrength = 0.9;
+        tc.driftPeriod = 700;
+        trace::TraceGenerator gen(dg, tc, 7);
+        std::vector<trace::BatchRouting> requests;
+        for (int i = 0; i < 1500; ++i)
+            requests.push_back(gen.next());
+
+        arch::Profiler prof;
+        for (const trace::BatchRouting &r : requests)
+            serve::recordRequest(prof, dg, r);
+        prof.resetTables();
+
+        const std::uint64_t before =
+            g_allocs.load(std::memory_order_relaxed);
+        for (const trace::BatchRouting &r : requests)
+            serve::recordRequest(prof, dg, r);
+        const std::uint64_t after =
+            g_allocs.load(std::memory_order_relaxed);
+        EXPECT_EQ(after - before, 0u)
+            << model << ": recording " << requests.size()
+            << " requests performed " << (after - before)
+            << " heap allocations";
+        EXPECT_EQ(prof.windowBatches(), requests.size());
     }
 }
 

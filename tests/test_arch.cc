@@ -265,7 +265,7 @@ TEST(Profiler, SnapshotIsDeepCopy)
     prof.recordValue(2, 99);
     prof.recordValue(5, 1);
     EXPECT_EQ(snap.at(2).total(), 1u);
-    EXPECT_EQ(snap.count(5), 0u);
+    EXPECT_TRUE(snap.size() <= 5 || snap[5].empty());
 }
 
 TEST(Profiler, DriftL1ZeroOnSelfAndDisjointOps)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <span>
 #include <sstream>
@@ -436,19 +437,6 @@ TEST(FreqHistogram, MergeAddsCounts)
     EXPECT_EQ(a.total(), 6u);
 }
 
-TEST(FreqHistogram, DecayHalvesAndDropsZeros)
-{
-    FreqHistogram h;
-    h.add(1, 100);
-    h.add(2, 1);
-    h.decay(0.5);
-    EXPECT_EQ(h.count(1), 50u);
-    // 0.5 rounds to 1 (llround of 0.5 is 1), still present.
-    EXPECT_EQ(h.count(2), 1u);
-    h.decay(0.0);
-    EXPECT_TRUE(h.empty());
-}
-
 TEST(FreqHistogram, SortedPairsAscending)
 {
     FreqHistogram h;
@@ -459,6 +447,181 @@ TEST(FreqHistogram, SortedPairsAscending)
     ASSERT_EQ(pairs.size(), 3u);
     EXPECT_EQ(pairs[0].first, 1);
     EXPECT_EQ(pairs[2].first, 9);
+}
+
+/**
+ * The histogram as first written: a std::map from value to count,
+ * with every summary computed over the map in ascending value order.
+ * The flat histogram must match it bit for bit.
+ */
+struct MapHistogram
+{
+    std::map<std::int64_t, std::uint64_t> counts;
+    std::uint64_t total = 0;
+
+    void add(std::int64_t value, std::uint64_t weight)
+    {
+        if (weight == 0)
+            return;
+        counts[value] += weight;
+        total += weight;
+    }
+
+    void merge(const MapHistogram &other)
+    {
+        for (const auto &[value, count] : other.counts)
+            add(value, count);
+    }
+
+    double expectation() const
+    {
+        if (total == 0)
+            return 0.0;
+        double acc = 0.0;
+        for (const auto &[value, count] : counts)
+            acc += static_cast<double>(value) * static_cast<double>(count);
+        return acc / static_cast<double>(total);
+    }
+
+    double variance() const
+    {
+        if (total == 0)
+            return 0.0;
+        const double m = expectation();
+        double acc = 0.0;
+        for (const auto &[value, count] : counts) {
+            const double d = static_cast<double>(value) - m;
+            acc += d * d * static_cast<double>(count);
+        }
+        return acc / static_cast<double>(total);
+    }
+
+    std::int64_t quantile(double q) const
+    {
+        if (counts.empty())
+            return 0;
+        const double target = q * static_cast<double>(total);
+        std::uint64_t acc = 0;
+        for (const auto &[value, count] : counts) {
+            acc += count;
+            if (static_cast<double>(acc) >= target)
+                return value;
+        }
+        return counts.rbegin()->first;
+    }
+};
+
+/** distributionL1 over two map histograms, as first written. */
+double
+mapDistributionL1(const MapHistogram &a, const MapHistogram &b,
+                  int buckets)
+{
+    if (a.counts.empty() || b.counts.empty())
+        return 0.0;
+    const double totA = static_cast<double>(a.total);
+    const double totB = static_cast<double>(b.total);
+    const std::int64_t lo =
+        std::min(a.counts.begin()->first, b.counts.begin()->first);
+    const std::int64_t hi =
+        std::max(a.counts.rbegin()->first, b.counts.rbegin()->first);
+    std::set<std::int64_t> values;
+    for (const auto &[v, c] : a.counts)
+        values.insert(v);
+    for (const auto &[v, c] : b.counts)
+        values.insert(v);
+    const auto mass = [](const MapHistogram &h, std::int64_t v) {
+        const auto it = h.counts.find(v);
+        return it == h.counts.end() ? 0.0 : static_cast<double>(it->second);
+    };
+    if (buckets <= 0 || values.size() <= static_cast<std::size_t>(buckets)) {
+        double dist = 0.0;
+        for (std::int64_t v : values)
+            dist += std::abs(mass(a, v) / totA - mass(b, v) / totB);
+        return dist;
+    }
+    const double width = static_cast<double>(hi - lo + 1) /
+                         static_cast<double>(buckets);
+    const auto bucketOf = [&](std::int64_t v) {
+        const auto i =
+            static_cast<std::size_t>(static_cast<double>(v - lo) / width);
+        return std::min<std::size_t>(i, static_cast<std::size_t>(buckets) -
+                                            1);
+    };
+    std::vector<double> pa(static_cast<std::size_t>(buckets), 0.0);
+    std::vector<double> pb(static_cast<std::size_t>(buckets), 0.0);
+    for (const auto &[v, c] : a.counts)
+        pa[bucketOf(v)] += static_cast<double>(c) / totA;
+    for (const auto &[v, c] : b.counts)
+        pb[bucketOf(v)] += static_cast<double>(c) / totB;
+    double dist = 0.0;
+    for (std::size_t i = 0; i < pa.size(); ++i)
+        dist += std::abs(pa[i] - pb[i]);
+    return dist;
+}
+
+/**
+ * Random add, merge and reset streams into two flat histograms and
+ * two map ones: narrow per-request values (a batch-1 branch count),
+ * and wide batch-128 values spread over 100+ distinct values, as
+ * Tutel-MoE's expert loads and DPSNet's kept patches produce.
+ */
+TEST(FreqHistogram, MatchesMapReferenceBitForBit)
+{
+    struct Domain
+    {
+        std::int64_t lo, hi;
+        int adds;
+        std::size_t minDistinct;
+    };
+    Rng rng(77);
+    for (const Domain &d :
+         {Domain{0, 2, 300, 3}, Domain{0, 4, 300, 5},
+          Domain{200, 6272, 500, 100}, Domain{0, 3136, 400, 100}}) {
+        for (int trial = 0; trial < 20; ++trial) {
+            FreqHistogram flat[2];
+            MapHistogram ref[2];
+            for (int i = 0; i < d.adds; ++i) {
+                const int side = rng.bernoulli(0.5) ? 1 : 0;
+                const std::int64_t v = rng.uniformInt(d.lo, d.hi);
+                const auto w = static_cast<std::uint64_t>(
+                    rng.bernoulli(0.2) ? rng.uniformInt(0, 5) : 1);
+                flat[side].add(v, w);
+                ref[side].add(v, w);
+                if (rng.bernoulli(0.02)) {
+                    flat[0].merge(flat[1]);
+                    ref[0].merge(ref[1]);
+                }
+                if (i < d.adds / 4 && rng.bernoulli(0.004)) {
+                    flat[1].reset();
+                    ref[1] = MapHistogram{};
+                }
+            }
+            for (int side = 0; side < 2; ++side) {
+                const FreqHistogram &h = flat[side];
+                const MapHistogram &m = ref[side];
+                ASSERT_EQ(h.sorted(),
+                          (std::vector<FreqHistogram::Entry>(
+                              m.counts.begin(), m.counts.end())));
+                EXPECT_GE(h.distinct(), d.minDistinct);
+                EXPECT_EQ(h.total(), m.total);
+                for (std::int64_t v = d.lo - 1; v <= d.hi + 1; ++v) {
+                    const auto it = m.counts.find(v);
+                    ASSERT_EQ(h.count(v),
+                              it == m.counts.end() ? 0u : it->second);
+                }
+                EXPECT_EQ(h.expectation(), m.expectation());
+                EXPECT_EQ(h.variance(), m.variance());
+                for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9,
+                                 0.99, 1.0})
+                    EXPECT_EQ(h.quantile(q), m.quantile(q)) << q;
+                EXPECT_EQ(h.minValue(), m.counts.begin()->first);
+                EXPECT_EQ(h.maxValue(), m.counts.rbegin()->first);
+            }
+            for (int buckets : {0, 8})
+                EXPECT_EQ(distributionL1(flat[0], flat[1], buckets),
+                          mapDistributionL1(ref[0], ref[1], buckets));
+        }
+    }
 }
 
 TEST(Geomean, KnownValue)

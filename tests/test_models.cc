@@ -267,7 +267,7 @@ TEST(TutelMoe, RoutesTokensNotImages)
             RoutingPolicy::Kind::TopKExperts)
             continue;
         ++moeSwitches;
-        const auto &oc = r.outcomes.at(sw.switchOp);
+        const auto &oc = r.outcome(sw.switchOp);
         std::int64_t total = 0;
         for (std::int64_t c : oc.branchCounts)
             total += c;
@@ -329,7 +329,7 @@ TEST(AdaVit, SkipRowsBoundedByKeptPatches)
         std::int64_t kept = -1;
         for (const SwitchInfo &sw : dg.switches()) {
             const auto &node = dg.graph().node(sw.switchOp);
-            const auto &oc = r.outcomes.at(sw.switchOp);
+            const auto &oc = r.outcome(sw.switchOp);
             if (node.policy.kind == RoutingPolicy::Kind::PatchSelect)
                 kept = oc.branchCounts[0];
         }
@@ -338,7 +338,7 @@ TEST(AdaVit, SkipRowsBoundedByKeptPatches)
             const auto &node = dg.graph().node(sw.switchOp);
             if (node.policy.kind != RoutingPolicy::Kind::LayerSkip)
                 continue;
-            const auto &oc = r.outcomes.at(sw.switchOp);
+            const auto &oc = r.outcome(sw.switchOp);
             // Skip+run rows together equal the kept patch rows.
             EXPECT_EQ(oc.branchCounts[0] + oc.branchCounts[1], kept);
         }

@@ -72,7 +72,7 @@ swingRoutings(const DynGraph &dg, std::int64_t batch, int n)
                                                           hot};
         oc.activeBefore = batch;
         oc.activeAfter = batch;
-        r.outcomes[sw] = oc;
+        r.outcomes.emplace_back(sw, oc);
         out.push_back(std::move(r));
     }
     return out;
@@ -88,7 +88,7 @@ TEST(TileSharing, AbsorbsAntiCorrelatedSwings)
     arch::Profiler prof;
     const OpId sw = dg.switches()[0].switchOp;
     for (const auto &r : swingRoutings(dg, 128, 32))
-        prof.recordBranchLoads(sw, r.outcomes.at(sw).branchCounts);
+        prof.recordBranchLoads(sw, r.outcome(sw).branchCounts);
 
     SchedulerConfig shareCfg;
     shareCfg.tileSharing = true;

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
+#include "common/rng.hh"
 #include "core/sampling.hh"
 
 namespace {
@@ -76,6 +78,99 @@ TEST(Redistribute, EmptyRangeMassFallsUpward)
     const auto out = redistributeFrequencies(vals, freq, newVals);
     EXPECT_NEAR(sum(out), 8.0, 1e-9);
     EXPECT_NEAR(out[1], 7.0, 1e-9); // 6 from (10,20] + 1 own
+}
+
+/**
+ * Algorithm 2 as first written: every old range rescans the whole new
+ * value set. The library walks the new values once; it must add each
+ * share in this loop's order, so every output double is equal.
+ */
+std::vector<double>
+redistributeByRescan(const std::vector<std::int64_t> &vals,
+                     const std::vector<double> &freq,
+                     const std::vector<std::int64_t> &new_vals)
+{
+    std::vector<double> newFreq(new_vals.size(), 0.0);
+    for (std::size_t pos = 0; pos < vals.size(); ++pos) {
+        const double f = freq[pos];
+        if (f <= 0.0)
+            continue;
+        const std::int64_t ub = vals[pos];
+        if (ub < new_vals.front()) {
+            newFreq.front() += f;
+            continue;
+        }
+        const std::int64_t lb = pos == 0 ? 0 : vals[pos - 1];
+        std::int64_t pv = lb;
+        double assigned = 0.0;
+        bool any = false;
+        for (std::size_t p = 0; p < new_vals.size(); ++p) {
+            const std::int64_t v = new_vals[p];
+            if (v <= lb || v > ub)
+                continue;
+            const double share = f * static_cast<double>(v - pv) /
+                                 static_cast<double>(ub - lb);
+            newFreq[p] += share;
+            assigned += share;
+            pv = v;
+            any = true;
+        }
+        const double rest = f - assigned;
+        if (rest > 0.0 || !any) {
+            const auto it =
+                std::lower_bound(new_vals.begin(), new_vals.end(), ub);
+            const std::size_t idx =
+                it == new_vals.end()
+                    ? new_vals.size() - 1
+                    : static_cast<std::size_t>(it - new_vals.begin());
+            newFreq[idx] += any ? rest : f;
+        }
+    }
+    return newFreq;
+}
+
+TEST(Redistribute, OneWalkMatchesPerRangeRescanBitForBit)
+{
+    struct Case
+    {
+        std::vector<std::int64_t> vals;
+        std::vector<double> freq;
+        std::vector<std::int64_t> newVals;
+    };
+    std::vector<Case> cases = {
+        // Zero frequencies between live ranges.
+        {{10, 20, 30, 40}, {0.0, 3.3, 0.0, 1.7}, {15, 25, 40}},
+        // Ranges holding no new value.
+        {{10, 20, 30, 40, 80}, {1.1, 2.2, 3.3, 4.4, 5.5}, {10, 80}},
+        // Old values below the first new value.
+        {{1, 2, 3, 50}, {0.7, 0.9, 1.3, 2.9}, {7, 9, 50}},
+        // Overflow past the last new value.
+        {{10, 60, 90, 120}, {2.5, 1.5, 0.5, 3.5}, {5, 20, 45}},
+    };
+    // Random sorted sets, duplicates allowed, over narrow and wide
+    // value spans.
+    Rng rng(2025);
+    const auto sortedSet = [&](std::int64_t n, std::int64_t hi) {
+        std::vector<std::int64_t> v;
+        for (std::int64_t i = 0; i < n; ++i)
+            v.push_back(rng.uniformInt(0, hi));
+        std::sort(v.begin(), v.end());
+        return v;
+    };
+    for (int trial = 0; trial < 3000; ++trial) {
+        const std::int64_t hi = trial % 2 == 0 ? 24 : 6000;
+        Case c;
+        c.vals = sortedSet(rng.uniformInt(1, 12), hi);
+        c.newVals = sortedSet(rng.uniformInt(1, 12), hi);
+        for (std::size_t i = 0; i < c.vals.size(); ++i)
+            c.freq.push_back(rng.bernoulli(0.25)
+                                 ? 0.0
+                                 : rng.uniform(0.0, 100.0));
+        cases.push_back(std::move(c));
+    }
+    for (const Case &c : cases)
+        EXPECT_EQ(redistributeFrequencies(c.vals, c.freq, c.newVals),
+                  redistributeByRescan(c.vals, c.freq, c.newVals));
 }
 
 // ------------------------------------------------- resampleKernelValues

@@ -13,12 +13,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/designs.hh"
+#include "core/sampling.hh"
 #include "graph/parser.hh"
 #include "json_check.hh"
 #include "kernels/store_cache.hh"
@@ -236,7 +238,7 @@ TEST(Batcher, MergedRoutingSumsPerRequestDraws)
         std::vector<std::int64_t> counts(merged.branchCounts.size(),
                                          0);
         for (const trace::BatchRouting &d : draws) {
-            const trace::SwitchOutcome &o = d.outcomes.at(op);
+            const trace::SwitchOutcome &o = d.outcome(op);
             before += o.activeBefore;
             after += o.activeAfter;
             ASSERT_EQ(o.branchCounts.size(), counts.size());
@@ -291,8 +293,8 @@ TEST(Batcher, IndependentTenantBatchersNeverMixRequests)
         for (const auto &[op, merged] : f.routing.outcomes) {
             std::int64_t before = 0, after = 0;
             for (const trace::BatchRouting &d : draws) {
-                before += d.outcomes.at(op).activeBefore;
-                after += d.outcomes.at(op).activeAfter;
+                before += d.outcome(op).activeBefore;
+                after += d.outcome(op).activeAfter;
             }
             EXPECT_EQ(merged.activeBefore, before);
             EXPECT_EQ(merged.activeAfter, after);
@@ -474,6 +476,175 @@ TEST(Drift, MeanShiftBeyondBucketResolutionIsCaught)
     mon.setReference(ref.tablesSnapshot());
     // The expectation roughly doubles -> relative shift near 1.
     EXPECT_GT(mon.distanceTo(cur), 0.9);
+}
+
+/** A profiler and the map-keyed tables earlier versions kept, fed
+ * the same records. */
+struct MirroredProfiler
+{
+    arch::Profiler flat;
+    std::map<OpId, FreqHistogram> tables;
+
+    void record(OpId op, std::int64_t value)
+    {
+        flat.recordValue(op, value);
+        tables[op].add(value);
+    }
+
+    void resetTables()
+    {
+        flat.resetTables();
+        tables.clear();
+    }
+};
+
+/** DriftMonitor::distanceTo over map-keyed tables, as first written:
+ * both walks in ascending op id. */
+double
+mapDistance(const std::map<OpId, FreqHistogram> &reference,
+            const std::map<OpId, FreqHistogram> &current)
+{
+    double worst = 0.0;
+    int compared = 0;
+    double refSum = 0.0;
+    double curSum = 0.0;
+    for (const auto &[op, ref] : reference) {
+        if (ref.empty())
+            continue;
+        const auto it = current.find(op);
+        if (it == current.end() || it->second.empty())
+            continue;
+        worst = std::max(worst, distributionL1(ref, it->second, 8));
+        ++compared;
+    }
+    for (const auto &[op, ref] : reference) {
+        if (ref.empty())
+            continue;
+        const auto it = current.find(op);
+        if (it == current.end() || it->second.empty())
+            continue;
+        refSum += ref.expectation();
+        curSum += it->second.expectation();
+    }
+    const double shape = compared == 0 ? 0.0 : worst;
+    const double scale =
+        refSum <= 0.0
+            ? 0.0
+            : std::min(std::abs(curSum - refSum) / refSum, 2.0);
+    return std::max(shape, scale);
+}
+
+/** core::refreshScheduleInputs over map-keyed tables, as first
+ * written. */
+void
+mapRefresh(const std::map<OpId, FreqHistogram> &tables,
+           std::map<OpId, double> &expectations,
+           std::map<OpId, std::vector<std::int64_t>> &kernel_values)
+{
+    std::map<OpId, double> newExp;
+    for (const auto &[op, table] : tables)
+        if (!table.empty())
+            newExp[op] = table.expectation();
+    if (!newExp.empty())
+        expectations = std::move(newExp);
+    for (auto &[op, values] : kernel_values) {
+        const auto it = tables.find(op);
+        if (it == tables.end() || it->second.empty())
+            continue;
+        const auto freq = core::bucketFrequencies(it->second, values);
+        values = core::resampleKernelValues(
+            values, freq, static_cast<int>(values.size()));
+    }
+}
+
+/**
+ * One window of a random request stream over a @p ops-op graph: with
+ * probability @p tail a request is hard and every tracked op sees a
+ * large tail value on top of its base value (an early exit's deep
+ * path, say); the load series at id @p ops, one past the graph,
+ * records the request's sum. A shift of @p tail moves the means far
+ * more than the bucketed shapes, so the expectation sums decide the
+ * distance.
+ */
+void
+recordWindow(MirroredProfiler &prof, Rng &rng,
+             const std::vector<OpId> &tracked, OpId ops, int requests,
+             double tail)
+{
+    for (int r = 0; r < requests; ++r) {
+        const bool hard = rng.bernoulli(tail);
+        std::int64_t total = 0;
+        for (OpId op : tracked) {
+            const std::int64_t base = 3 + op % 7;
+            const std::int64_t v =
+                base + rng.uniformInt(0, 2) + (hard ? 9 * base : 0);
+            prof.record(op, v);
+            total += v;
+        }
+        prof.record(ops, total);
+        prof.flat.noteBatch();
+    }
+}
+
+/**
+ * The drift monitor and the schedule-input refresh read flat per-op
+ * tables; their sums must run in the order the map-keyed code summed
+ * in (ascending op id, the load series last), so every distance,
+ * expectation and resampled kernel set is bit-identical. Random
+ * op subsets, tail shifts and kernel-value sets, with the load
+ * series in every profiler.
+ */
+TEST(Drift, FlatTablesMatchMapKeyedCodeBitForBit)
+{
+    Rng rng(4242);
+    int scaleWins = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        const OpId ops = static_cast<OpId>(rng.uniformInt(4, 40));
+        std::vector<OpId> tracked;
+        for (OpId op = 0; op < ops; ++op)
+            if (rng.bernoulli(0.7))
+                tracked.push_back(op);
+        const double tail = rng.uniform(0.02, 0.3);
+        const double drifted = tail * rng.uniform(0.5, 2.0);
+
+        MirroredProfiler ref, cur;
+        recordWindow(ref, rng, tracked, ops, 400, tail);
+        recordWindow(cur, rng, tracked, ops, 400, drifted);
+        if (trial % 10 == 9)
+            cur.resetTables(); // a window with nothing to compare
+
+        DriftMonitor mon(DriftConfig{});
+        mon.setReference(ref.flat.tablesSnapshot());
+        const double distance = mon.distanceTo(cur.flat);
+        EXPECT_EQ(distance, mapDistance(ref.tables, cur.tables))
+            << "trial " << trial;
+        scaleWins += distance > cur.flat.driftL1(ref.flat.tablesSnapshot());
+
+        // Schedule inputs: expectations of every tracked op and
+        // kernel sets for a random subset of ids, the load series and
+        // untracked ops included.
+        std::map<OpId, double> exp{{0, 1.5}};
+        std::map<OpId, std::vector<std::int64_t>> kernels;
+        for (OpId op = 0; op <= ops; ++op) {
+            if (!rng.bernoulli(0.5))
+                continue;
+            std::vector<std::int64_t> values;
+            for (std::int64_t v = rng.uniformInt(1, 4);
+                 v <= (op == ops ? 80 * ops : 60);
+                 v += rng.uniformInt(1, op == ops ? 6 * ops : 6))
+                values.push_back(v);
+            kernels[op] = values;
+        }
+        auto mapExp = exp;
+        auto mapKernels = kernels;
+        core::refreshScheduleInputs(cur.flat, true, exp, kernels);
+        mapRefresh(cur.tables, mapExp, mapKernels);
+        EXPECT_EQ(exp, mapExp) << "trial " << trial;
+        EXPECT_EQ(kernels, mapKernels) << "trial " << trial;
+    }
+    // The expectation sums decide the distance in a share of trials,
+    // so a reordered sum shows.
+    EXPECT_GT(scaleWins, 10);
 }
 
 TEST(Drift, EffectiveThresholdTracksNoiseFloor)

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "crossed_switches.hh"
 #include "graph/parser.hh"
 #include "graph/transforms.hh"
 #include "models/models.hh"
@@ -84,7 +86,7 @@ TEST(Trace, DeterministicForSameSeed)
         const BatchRouting ra = a.next();
         const BatchRouting rb = b.next();
         for (const auto &[sw, oc] : ra.outcomes) {
-            const auto &ocb = rb.outcomes.at(sw);
+            const auto &ocb = rb.outcome(sw);
             EXPECT_EQ(oc.branchCounts, ocb.branchCounts);
             EXPECT_EQ(oc.activeAfter, ocb.activeAfter);
         }
@@ -100,7 +102,7 @@ TEST(Trace, EarlyExitConservation)
         ASSERT_EQ(r.outcomes.size(), 2u);
         std::int64_t prevAfter = 128;
         for (const SwitchInfo &sw : dg.switches()) {
-            const SwitchOutcome &oc = r.outcomes.at(sw.switchOp);
+            const SwitchOutcome &oc = r.outcome(sw.switchOp);
             // Exits + continues = arrivals; arrivals = upstream after.
             EXPECT_EQ(oc.branchCounts[0] + oc.branchCounts[1],
                       oc.activeBefore);
@@ -120,9 +122,9 @@ TEST(Trace, EarlyExitMarginalCalibrated)
     for (int i = 0; i < batches; ++i) {
         const BatchRouting r = gen.next();
         exits0 += static_cast<double>(
-            r.outcomes.at(dg.switches()[0].switchOp).branchCounts[0]);
+            r.outcome(dg.switches()[0].switchOp).branchCounts[0]);
         exits1 += static_cast<double>(
-            r.outcomes.at(dg.switches()[1].switchOp).branchCounts[0]);
+            r.outcome(dg.switches()[1].switchOp).branchCounts[0]);
     }
     // Both gates remove ~25% of the *original* batch.
     EXPECT_NEAR(exits0 / batches / 128.0, 0.25, 0.02);
@@ -138,7 +140,7 @@ TEST(Trace, LayerSkipConservesBatch)
     for (int i = 0; i < batches; ++i) {
         const BatchRouting r = gen.next();
         const SwitchOutcome &oc =
-            r.outcomes.at(dg.switches()[0].switchOp);
+            r.outcome(dg.switches()[0].switchOp);
         EXPECT_EQ(oc.branchCounts[0] + oc.branchCounts[1], 64);
         EXPECT_EQ(oc.activeAfter, 64);
         skipped += static_cast<double>(oc.branchCounts[0]);
@@ -153,7 +155,7 @@ TEST(Trace, MoETopKCountsSumToKTimesBatch)
     for (int i = 0; i < 20; ++i) {
         const BatchRouting r = gen.next();
         const SwitchOutcome &oc =
-            r.outcomes.at(dg.switches()[0].switchOp);
+            r.outcome(dg.switches()[0].switchOp);
         std::int64_t total = 0;
         for (std::int64_t c : oc.branchCounts)
             total += c;
@@ -171,7 +173,7 @@ TEST(Trace, MoEBiasSkewsExpertLoad)
     for (int i = 0; i < 200; ++i) {
         const BatchRouting r = gen.next();
         const SwitchOutcome &oc =
-            r.outcomes.at(dg.switches()[0].switchOp);
+            r.outcome(dg.switches()[0].switchOp);
         for (int e = 0; e < 4; ++e)
             load[static_cast<std::size_t>(e)] +=
                 static_cast<double>(oc.branchCounts[e]);
@@ -195,7 +197,7 @@ TEST(Trace, ChannelBlocksEverySampleKeepsAtLeastOne)
     for (int i = 0; i < batches; ++i) {
         const BatchRouting r = gen.next();
         const SwitchOutcome &oc =
-            r.outcomes.at(dg.switches()[0].switchOp);
+            r.outcome(dg.switches()[0].switchOp);
         std::int64_t sum = 0;
         for (std::int64_t c : oc.branchCounts) {
             EXPECT_LE(c, 32);
@@ -232,7 +234,7 @@ TEST(Trace, PatchSelectRowsConserved)
     for (int i = 0; i < batches; ++i) {
         const BatchRouting r = gen.next();
         const SwitchOutcome &oc =
-            r.outcomes.at(dg.switches()[0].switchOp);
+            r.outcome(dg.switches()[0].switchOp);
         EXPECT_EQ(oc.branchCounts[0] + oc.branchCounts[1],
                   batch * fold);
         EXPECT_GE(oc.branchCounts[0], batch); // >= 1 patch per image
@@ -248,12 +250,81 @@ TEST(Trace, DynValueMatchesOutcomes)
     const BatchRouting r = gen.next();
     for (const OpNode &n : dg.graph().nodes()) {
         if (n.name == "l1") {
-            const auto &oc =
-                r.outcomes.at(dg.info(n.id).ownerSwitch);
+            const auto &oc = r.outcome(dg.info(n.id).ownerSwitch);
             EXPECT_EQ(r.dynValue(dg, n.id), oc.branchCounts[1]);
         }
         if (n.name == "l0") {
             EXPECT_EQ(r.dynValue(dg, n.id), 64);
+        }
+    }
+}
+
+/**
+ * A routing stores each outcome at its switch's slot (ascending
+ * switch id), while the generator routes in switches() order, which
+ * is topological. On the crossed model the two orders differ, so an
+ * outcome stored in routing order would sit in a neighbour's slot and
+ * dynValue would hand an op another switch's count.
+ */
+TEST(Trace, RoutingSlotsFollowSwitchIdsNotRoutingOrder)
+{
+    const DynGraph dg = test::crossedSwitchModel(8);
+    std::vector<OpId> routed;
+    for (const SwitchInfo &sw : dg.switches())
+        routed.push_back(sw.switchOp);
+    ASSERT_FALSE(std::is_sorted(routed.begin(), routed.end()));
+    for (const SwitchInfo &sw : dg.switches())
+        EXPECT_EQ(static_cast<std::ptrdiff_t>(sw.slot),
+                  std::count_if(routed.begin(), routed.end(),
+                                [&](OpId id) { return id < sw.switchOp; }));
+
+    TraceGenerator gen(dg, stationary(8), 5);
+    for (int b = 0; b < 50; ++b) {
+        const BatchRouting r = gen.next();
+        ASSERT_EQ(r.outcomes.size(), dg.switches().size());
+        for (std::size_t i = 0; i + 1 < r.outcomes.size(); ++i)
+            EXPECT_LT(r.outcomes[i].first, r.outcomes[i + 1].first);
+        for (const SwitchInfo &sw : dg.switches()) {
+            EXPECT_EQ(r.outcomes[sw.slot].first, sw.switchOp);
+            EXPECT_EQ(r.outcomes[sw.slot].second.branchCounts.size(),
+                      static_cast<std::size_t>(sw.numBranches()));
+        }
+        for (OpId op : dg.dynamicOps()) {
+            const DynOpInfo &di = dg.info(op);
+            const SwitchOutcome &own = r.outcome(di.ownerSwitch);
+            EXPECT_EQ(r.dynValue(dg, op),
+                      di.branch >= 0
+                          ? own.branchCounts[static_cast<std::size_t>(
+                                di.branch)]
+                          : own.activeAfter)
+                << "op " << op << " of switch " << di.ownerSwitch;
+        }
+    }
+}
+
+/** dynValue reads an op's switch slot only after checking that the
+ * entry there is the op's own switch: a routing that lacks the switch,
+ * or holds another switch in its slot, panics instead of returning a
+ * neighbour's count. */
+TEST(TraceDeathTest, DynValueWithoutItsOwnSwitchPanics)
+{
+    const DynGraph dg = test::crossedSwitchModel(8);
+    TraceGenerator gen(dg, stationary(8), 5);
+    for (const SwitchInfo &sw : dg.switches()) {
+        const BatchRouting full = gen.next();
+        BatchRouting missing = full;
+        missing.outcomes.erase(missing.outcomes.begin() + sw.slot);
+        BatchRouting swapped = full;
+        std::swap(swapped.outcomes[sw.slot],
+                  swapped.outcomes[(sw.slot + 1) %
+                                   swapped.outcomes.size()]);
+        for (OpId op : dg.dynamicOps()) {
+            if (dg.info(op).ownerSwitch != sw.switchOp)
+                continue;
+            EXPECT_DEATH((void)missing.dynValue(dg, op),
+                         "no routing outcome for switch");
+            EXPECT_DEATH((void)swapped.dynValue(dg, op),
+                         "no routing outcome for switch");
         }
     }
 }
@@ -271,7 +342,7 @@ TEST(Trace, DifficultyCorrelationAcrossGates)
     double arrivals = 0, exits = 0;
     for (int i = 0; i < 200; ++i) {
         const BatchRouting r = gen.next();
-        const auto &oc1 = r.outcomes.at(dg.switches()[1].switchOp);
+        const auto &oc1 = r.outcome(dg.switches()[1].switchOp);
         arrivals += static_cast<double>(oc1.activeBefore);
         exits += static_cast<double>(oc1.branchCounts[0]);
     }
@@ -294,7 +365,7 @@ TEST(Trace, DriftChangesPhaseMarginals)
         for (int i = 0; i < batches; ++i) {
             const BatchRouting r = gen.next();
             sum += static_cast<double>(
-                r.outcomes.at(dg.switches()[0].switchOp)
+                r.outcome(dg.switches()[0].switchOp)
                     .branchCounts[0]);
         }
         return sum / batches;
@@ -320,7 +391,7 @@ TEST(Trace, ProfileExpectationsDoNotDisturbMainStream)
     const BatchRouting ra = a.next();
     const BatchRouting rb = b.next();
     for (const auto &[sw, oc] : ra.outcomes)
-        EXPECT_EQ(oc.branchCounts, rb.outcomes.at(sw).branchCounts);
+        EXPECT_EQ(oc.branchCounts, rb.outcome(sw).branchCounts);
 }
 
 TEST(Trace, ProfileExpectationsMatchLongRunMean)

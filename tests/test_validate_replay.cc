@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "baselines/designs.hh"
+#include "crossed_switches.hh"
 #include "core/scheduler.hh"
 #include "core/validate.hh"
 #include "graph/parser.hh"
@@ -127,11 +128,96 @@ TEST(Replay, SaveLoadRoundTrip)
         ASSERT_EQ(loaded[b].outcomes.size(),
                   batches[b].outcomes.size());
         for (const auto &[sw, oc] : batches[b].outcomes) {
-            const auto &lo = loaded[b].outcomes.at(sw);
+            const auto &lo = loaded[b].outcome(sw);
             EXPECT_EQ(lo.branchCounts, oc.branchCounts);
             EXPECT_EQ(lo.activeBefore, oc.activeBefore);
             EXPECT_EQ(lo.activeAfter, oc.activeAfter);
         }
+    }
+}
+
+/**
+ * saveTrace writes each batch's switches in ascending id. The crossed
+ * model routes them in another order, so its bytes are pinned: they
+ * are what the map-keyed routing of earlier versions wrote.
+ */
+TEST(Replay, SaveTraceBytesPinnedOnCrossedSwitchOrder)
+{
+    const graph::DynGraph dg = test::crossedSwitchModel(8);
+    trace::TraceConfig tc;
+    tc.batchSize = 8;
+    trace::TraceGenerator gen(dg, tc, 5);
+    std::ostringstream os;
+    trace::saveTrace(os, trace::captureTrace(gen, 3));
+    EXPECT_EQ(os.str(), "adyna-trace v1 3\n"
+                        "batch 0\n"
+                        "switch 3 before 8 after 8 counts 4 4\n"
+                        "switch 7 before 8 after 6 counts 2 6\n"
+                        "switch 14 before 8 after 8 counts 3 6 3 4\n"
+                        "batch 1\n"
+                        "switch 3 before 8 after 8 counts 2 6\n"
+                        "switch 7 before 8 after 5 counts 3 5\n"
+                        "switch 14 before 8 after 8 counts 5 7 1 3\n"
+                        "batch 2\n"
+                        "switch 3 before 8 after 8 counts 4 4\n"
+                        "switch 7 before 8 after 5 counts 3 5\n"
+                        "switch 14 before 8 after 8 counts 3 5 4 4\n");
+}
+
+/**
+ * A trace file may list a batch's switch records in any order:
+ * loadTrace stores them in ascending switch id, so a file with every
+ * batch's records reversed loads to the routings the ordered file
+ * gives, and each op's dynValue reads its own switch.
+ */
+TEST(Replay, LoadTraceSortsOutOfOrderSwitchRecords)
+{
+    const graph::DynGraph dg = test::crossedSwitchModel(8);
+    trace::TraceConfig tc;
+    tc.batchSize = 8;
+    trace::TraceGenerator gen(dg, tc, 9);
+    const auto batches = trace::captureTrace(gen, 6);
+    std::ostringstream ordered;
+    trace::saveTrace(ordered, batches);
+
+    // Reverse the switch lines of every batch.
+    std::istringstream in(ordered.str());
+    std::string reversed, line;
+    std::vector<std::string> records;
+    const auto flush = [&] {
+        for (auto it = records.rbegin(); it != records.rend(); ++it)
+            reversed += *it + '\n';
+        records.clear();
+    };
+    while (std::getline(in, line)) {
+        if (line.rfind("switch ", 0) == 0) {
+            records.push_back(line);
+        } else {
+            flush();
+            reversed += line + '\n';
+        }
+    }
+    flush();
+    ASSERT_NE(reversed, ordered.str());
+
+    std::istringstream a(ordered.str()), b(reversed);
+    const auto fromOrdered = trace::loadTrace(a);
+    const auto fromReversed = trace::loadTrace(b);
+    ASSERT_EQ(fromReversed.size(), batches.size());
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        ASSERT_EQ(fromReversed[i].outcomes.size(),
+                  fromOrdered[i].outcomes.size());
+        for (std::size_t k = 0; k < fromOrdered[i].outcomes.size(); ++k) {
+            const auto &[sw, oc] = fromOrdered[i].outcomes[k];
+            const auto &[swR, ocR] = fromReversed[i].outcomes[k];
+            EXPECT_EQ(swR, sw);
+            EXPECT_EQ(ocR.branchCounts, oc.branchCounts);
+            EXPECT_EQ(ocR.activeBefore, oc.activeBefore);
+            EXPECT_EQ(ocR.activeAfter, oc.activeAfter);
+        }
+        for (OpId op : dg.dynamicOps())
+            EXPECT_EQ(fromReversed[i].dynValue(dg, op),
+                      batches[i].dynValue(dg, op));
     }
 }
 
