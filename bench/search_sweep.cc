@@ -108,24 +108,16 @@ main(int argc, char **argv)
         core::Scheduler scheduler(w.dg, hw, mapper, schedCfg);
         scheduler.setStoreCache(&storeCache);
 
-        // Offline profiling at the compiled batch size (the System /
-        // ServeRuntime profiling loop).
+        // Offline profiling at the compiled batch size (System's and
+        // the serving back-end's bring-up).
         arch::Profiler prof;
         std::map<OpId, double> expectations;
         std::map<OpId, std::vector<std::int64_t>> kernelValues =
             scheduler.initialKernelValues();
-        trace::TraceGenerator gen(w.dg, tc,
-                                  p.seed ^ 0x517cc1b727220a95ULL);
-        for (int b = 0; b < profileBatches; ++b) {
-            const trace::BatchRouting routing = gen.next();
-            prof.noteBatch();
-            for (const auto &[sw, oc] : routing.outcomes)
-                prof.recordBranchLoads(sw, oc.branchCounts);
-            for (OpId op : w.dg.dynamicOps())
-                prof.recordValue(op, routing.dynValue(w.dg, op));
-        }
-        core::refreshScheduleInputs(prof, true, expectations,
-                                    kernelValues);
+        trace::TraceGenerator gen(w.dg, tc, core::probeSeed(p.seed));
+        core::profileOffline(
+            prof, w.dg, profileBatches, [&](int) { return gen.next(); },
+            true, expectations, kernelValues);
 
         const core::Schedule base =
             scheduler.build(expectations, kernelValues, &prof);

@@ -17,6 +17,7 @@
 #include "baselines/designs.hh"
 #include "common/cli.hh"
 #include "common/table.hh"
+#include "core/sampling.hh"
 #include "graph/parser.hh"
 #include "models/models.hh"
 #include "trace/trace.hh"
@@ -52,9 +53,15 @@ main(int argc, char **argv)
         }
         const graph::DynGraph dg = graph::parseModel(bundle.graph);
 
-        // Theoretical saving from the trace alone.
-        trace::TraceGenerator probe(dg, bundle.traceConfig, seed);
-        const auto exps = probe.profileExpectations(60);
+        // Theoretical saving from the trace alone (offline profile).
+        trace::TraceGenerator probe(dg, bundle.traceConfig,
+                                    core::probeSeed(seed));
+        arch::Profiler prof;
+        std::map<OpId, double> exps;
+        std::map<OpId, std::vector<std::int64_t>> noKernels;
+        core::profileOffline(
+            prof, dg, 60, [&](int) { return probe.next(); }, false, exps,
+            noKernels);
         std::vector<std::pair<OpId, double>> pairs(exps.begin(),
                                                    exps.end());
         const double theoretical =

@@ -195,4 +195,22 @@ refreshScheduleInputs(
     }
 }
 
+void
+profileOffline(arch::Profiler &profiler, const graph::DynGraph &dg,
+               int batches, const RoutingSource &next, bool resample,
+               std::map<OpId, double> &expectations,
+               std::map<OpId, std::vector<std::int64_t>> &kernel_values)
+{
+    for (int b = 0; b < batches; ++b) {
+        const trace::BatchRouting routing = next(b);
+        profiler.noteBatch();
+        for (const auto &[sw, oc] : routing.outcomes)
+            profiler.recordBranchLoads(sw, oc.branchCounts);
+        for (OpId op : dg.dynamicOps())
+            profiler.recordValue(op, routing.dynValue(dg, op));
+    }
+    refreshScheduleInputs(profiler, resample, expectations, kernel_values);
+    profiler.resetTables();
+}
+
 } // namespace adyna::core

@@ -8,18 +8,26 @@
  * least (Equation 1's punishment) and inserts a new value where it
  * saves the most, redistributing frequencies under a uniform
  * within-range assumption.
+ *
+ * Also the one copy of a run's bring-up (Figure 4): the offline
+ * profile on a probe stream that System, the serving back-end and
+ * the search sweep take their first expectations and kernel sample
+ * from.
  */
 
 #ifndef ADYNA_CORE_SAMPLING_HH
 #define ADYNA_CORE_SAMPLING_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
 #include "arch/profiler.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "graph/dyngraph.hh"
+#include "trace/trace.hh"
 
 namespace adyna::core {
 
@@ -76,6 +84,35 @@ void refreshScheduleInputs(
     const arch::Profiler &profiler, bool resample,
     std::map<OpId, double> &expectations,
     std::map<OpId, std::vector<std::int64_t>> &kernel_values);
+
+/**
+ * Seed of a run's offline probe stream, derived from the run's seed
+ * @p run_seed: the routings the offline profile draws, which the
+ * serving back-end's drift reference draws again.
+ */
+constexpr std::uint64_t
+probeSeed(std::uint64_t run_seed)
+{
+    return run_seed ^ 0x517cc1b727220a95ULL;
+}
+
+/** Where an offline profile takes batch @p b's routing from. */
+using RoutingSource = std::function<trace::BatchRouting(int b)>;
+
+/**
+ * Figure 4's offline profile: record @p batches routings from
+ * @p next into @p profiler (each batch noted, then each switch's
+ * branch loads in `outcomes` order, then each dynamic op's dyn value
+ * in `dynamicOps()` order), pull the expectations and, when
+ * @p resample is set, the initial kernel sample from it
+ * (refreshScheduleInputs), then reset its frequency tables. The
+ * branch-load history stays for the first schedule's sharing pairs
+ * and grouped branches.
+ */
+void profileOffline(arch::Profiler &profiler, const graph::DynGraph &dg,
+                    int batches, const RoutingSource &next, bool resample,
+                    std::map<OpId, double> &expectations,
+                    std::map<OpId, std::vector<std::int64_t>> &kernel_values);
 
 /** Fixed reconfiguration overhead charged per re-schedule on top of
  * the natural pipeline drain (the kernel/metadata reload), cycles:

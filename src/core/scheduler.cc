@@ -279,19 +279,10 @@ Scheduler::build(const std::map<OpId, double> &expectations,
                      &kernel_values,
                  const arch::Profiler *profiler) const
 {
-    const auto &segs = segmentOps();
-    std::vector<Segment> built;
-    built.reserve(segs.size());
-    for (const auto &segOps : segs)
-        built.push_back(buildSegment(segOps, expectations, profiler));
-    compileStores(built, kernel_values);
-
-    Schedule schedule;
-    schedule.segments.reserve(built.size());
-    for (Segment &seg : built)
-        schedule.segments.push_back(
-            std::make_shared<const Segment>(std::move(seg)));
-    return schedule;
+    // Against an empty base nothing splices: every segment is built
+    // and compiled, in partition order.
+    return buildDelta(Schedule{}, expectations, kernel_values, profiler,
+                      {});
 }
 
 Schedule

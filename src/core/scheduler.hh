@@ -109,6 +109,9 @@ class Scheduler
      * @param profiler optional runtime profile (tile-sharing pair
      *        selection and branch-grouping activity); nullptr
      *        disables both optimizations.
+     *
+     * The one build path: buildDelta against an empty base, which
+     * rebuilds every segment.
      */
     Schedule build(const std::map<OpId, double> &expectations,
                    const std::map<OpId, std::vector<std::int64_t>>
@@ -122,9 +125,10 @@ class Scheduler
      *
      * A segment is spliced when its op partition matches the base
      * schedule's and none of its ops appear in @p changed_ops;
-     * otherwise it is rebuilt through the exact full-build path, so
-     * with the same @p profiler and unchanged per-op inputs the
-     * result is byte-identical to build(). An empty @p changed_ops
+     * otherwise it is rebuilt exactly as build() builds it (build()
+     * is this call against an empty base), so with the same
+     * @p profiler and unchanged per-op inputs the result is
+     * byte-identical to build(). An empty @p changed_ops
      * with a matching partition therefore returns a pure splice —
      * the serve loop's sub-tolerance-drift fast path.
      *

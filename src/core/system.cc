@@ -31,18 +31,6 @@ System::setReplay(std::vector<trace::BatchRouting> replay)
 }
 
 void
-System::setSharedMapper(costmodel::Mapper *mapper)
-{
-    sharedMapper_ = mapper;
-}
-
-void
-System::setSharedStoreCache(kernels::KernelStoreCache *cache)
-{
-    sharedStoreCache_ = cache;
-}
-
-void
 System::setFaultPlan(fault::FaultPlan plan, std::uint64_t seed)
 {
     faultPlan_ = std::move(plan);
@@ -52,19 +40,11 @@ System::setFaultPlan(fault::FaultPlan plan, std::uint64_t seed)
 RunReport
 System::run()
 {
-    std::optional<costmodel::Mapper> localMapper;
-    if (!sharedMapper_)
-        localMapper.emplace(hw_.tech);
-    costmodel::Mapper &mapper =
-        sharedMapper_ ? *sharedMapper_ : *localMapper;
+    CacheContext caches(hw_, sharedMapper_, sharedStoreCache_);
+    costmodel::Mapper &mapper = caches.mapper();
+    kernels::KernelStoreCache &storeCache = caches.storeCache();
     const std::uint64_t hits0 = mapper.hits();
     const std::uint64_t misses0 = mapper.misses();
-
-    std::optional<kernels::KernelStoreCache> localStoreCache;
-    if (!sharedStoreCache_)
-        localStoreCache.emplace();
-    kernels::KernelStoreCache &storeCache =
-        sharedStoreCache_ ? *sharedStoreCache_ : *localStoreCache;
     const std::uint64_t sHits0 = storeCache.hits();
     const std::uint64_t sMisses0 = storeCache.misses();
 
@@ -78,55 +58,34 @@ System::run()
     std::size_t replayCursor = 0;
 
     // ---- offline profiling (Figure 4: initial statistics) ----------
+    // Warm the profiler (and the expectations) with offline
+    // statistics so the first schedule can pick sharing pairs /
+    // grouped branches, and take the initial kernel sample against
+    // them whatever resampleKernels and exactKernels say (the
+    // "initial profile only" ablation and the exact-kernel designs
+    // are measured with it). With a replayed trace, its prefix
+    // doubles as the offline profile.
     std::map<OpId, double> expectations;
     std::map<OpId, std::vector<std::int64_t>> kernelValues =
         scheduler.initialKernelValues();
-    if (!schedCfg_.worstCase && options_.profileBatches > 0) {
-        // Warm the profiler (and the expectations) with offline
-        // statistics so the first schedule can pick sharing pairs /
-        // grouped branches. With a replayed trace, its prefix doubles
-        // as the offline profile.
-        std::map<OpId, double> sums;
+    if (!schedCfg_.worstCase) {
         trace::TraceGenerator probe(dg_, traceCfg_,
-                                    options_.seed ^
-                                        0x517cc1b727220a95ULL);
-        for (int b = 0; b < options_.profileBatches; ++b) {
-            const trace::BatchRouting routing =
-                replay_.empty()
-                    ? probe.next()
-                    : replay_[static_cast<std::size_t>(b) %
-                              replay_.size()];
-            profiler.noteBatch();
-            for (const auto &[sw, oc] : routing.outcomes)
-                profiler.recordBranchLoads(sw, oc.branchCounts);
-            for (OpId op : dg_.dynamicOps()) {
-                const auto v = routing.dynValue(dg_, op);
-                profiler.recordValue(op, v);
-                sums[op] += static_cast<double>(v);
-            }
-        }
-        for (auto &[op, sum] : sums)
-            expectations[op] = sum / options_.profileBatches;
-
-        // Initial kernel sampling against the offline profile.
-        for (auto &[op, values] : kernelValues) {
-            const auto freq =
-                bucketFrequencies(profiler.table(op), values);
-            values = resampleKernelValues(
-                values, freq, static_cast<int>(values.size()));
-        }
-        profiler.resetTables();
+                                    probeSeed(options_.seed));
+        profileOffline(
+            profiler, dg_, options_.profileBatches,
+            [&](int b) {
+                return replay_.empty()
+                           ? probe.next()
+                           : replay_[static_cast<std::size_t>(b) %
+                                     replay_.size()];
+            },
+            true, expectations, kernelValues);
     }
 
     Schedule schedule = scheduler.build(
         expectations, kernelValues,
         schedCfg_.worstCase ? nullptr : &profiler);
-    const auto checkSchedule = [&](const Schedule &sch) {
-        const auto issues = validateSchedule(sch, dg_, hw_);
-        ADYNA_ASSERT(issues.empty(), "invalid schedule:\n",
-                     issuesToString(issues));
-    };
-    checkSchedule(schedule);
+    checkSchedule(schedule, dg_, hw_);
 
     // ---- main loop with periodic reconfiguration --------------------
     RunReport report;
@@ -144,6 +103,18 @@ System::run()
                          faultSeed_ ? faultSeed_
                                     : options_.seed ^ fault::kSeedSalt);
     Tick barrier = 0;
+
+    // One re-schedule on the current inputs, fail-over or periodic:
+    // the period boundary already drained the pipeline, so it adds
+    // only the fixed kernel/metadata reload cost.
+    const auto reschedule = [&] {
+        schedule = scheduler.build(expectations, kernelValues, &profiler);
+        checkSchedule(schedule, dg_, hw_);
+        report.storedKernels =
+            std::max(report.storedKernels, schedule.totalKernels());
+        barrier += kReconfigOverheadCycles;
+    };
+
     int done = 0;
     while (done < options_.numBatches) {
         // Fault events due by the current clock strike before the
@@ -157,12 +128,7 @@ System::run()
             std::vector<TileId> alive = chip.healthyTiles();
             if (!alive.empty()) {
                 scheduler.setHealthyTiles(std::move(alive));
-                schedule = scheduler.build(expectations, kernelValues,
-                                           &profiler);
-                checkSchedule(schedule);
-                report.storedKernels = std::max(
-                    report.storedKernels, schedule.totalKernels());
-                barrier += kReconfigOverheadCycles;
+                reschedule();
                 ++report.failovers;
             }
         }
@@ -196,15 +162,7 @@ System::run()
                                   !policy_.exactKernels,
                               expectations, kernelValues);
         profiler.resetTables();
-
-        schedule = scheduler.build(expectations, kernelValues,
-                                   &profiler);
-        checkSchedule(schedule);
-        report.storedKernels = std::max(report.storedKernels,
-                                        schedule.totalKernels());
-        // Reconfiguration: the period boundary already drained the
-        // pipeline; add the fixed kernel/metadata reload cost.
-        barrier += kReconfigOverheadCycles;
+        reschedule();
         ++report.reconfigurations;
     }
 

@@ -2,8 +2,9 @@
  * @file
  * AdynaSystem: the public entry point. Owns the scheduler, the
  * execution engine, the chip model, and the profiler feedback loop
- * (Figure 4's overall workflow): offline profiling, initial
- * multi-kernel sampling, periodic frequency-weighted re-allocation
+ * (Figure 4's overall workflow): the offline profile and initial
+ * multi-kernel sampling (core::profileOffline, shared with the
+ * serving back-end), then periodic frequency-weighted re-allocation
  * and kernel re-sampling with pipeline-drain reconfiguration costs.
  */
 
@@ -15,6 +16,7 @@
 
 #include "arch/chip.hh"
 #include "arch/profiler.hh"
+#include "core/caches.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
 #include "fault/fault.hh"
@@ -100,7 +102,7 @@ struct RunReport
 };
 
 /** One design point = scheduler config + engine policy + options. */
-class System
+class System : public SharedCaches
 {
   public:
     System(const graph::DynGraph &dg, trace::TraceConfig trace_cfg,
@@ -118,26 +120,6 @@ class System
      * entries double as the offline profile.
      */
     void setReplay(std::vector<trace::BatchRouting> replay);
-
-    /**
-     * Use @p mapper (shared, possibly with concurrent Systems)
-     * instead of a private per-run Mapper, so identical mapping
-     * searches are memoized once per sweep. The mapper must be built
-     * from the same TechParams as this System's HwConfig (the memo
-     * key does not include the tech) and must outlive the run.
-     * Results are unaffected; only wall-clock and the cache counters
-     * change. Pass nullptr to restore the private mapper.
-     */
-    void setSharedMapper(costmodel::Mapper *mapper);
-
-    /**
-     * Use @p cache (shared, possibly with concurrent Systems) instead
-     * of a private per-run cache for compiled kernel-store reuse.
-     * Must outlive the run; pass nullptr to restore the private
-     * cache. Results are unaffected; only wall-clock and the cache
-     * counters change.
-     */
-    void setSharedStoreCache(kernels::KernelStoreCache *cache);
 
     /**
      * Inject @p plan during the run: events fire on the chip clock at
@@ -162,8 +144,6 @@ class System
     RunOptions options_;
     std::string designName_;
     std::vector<trace::BatchRouting> replay_;
-    costmodel::Mapper *sharedMapper_ = nullptr;
-    kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
     fault::FaultPlan faultPlan_;
     std::uint64_t faultSeed_ = 0;
 };

@@ -154,4 +154,13 @@ issuesToString(const std::vector<ScheduleIssue> &issues)
     return os.str();
 }
 
+void
+checkSchedule(const Schedule &schedule, const graph::DynGraph &dg,
+              const arch::HwConfig &hw)
+{
+    const auto issues = validateSchedule(schedule, dg, hw);
+    ADYNA_ASSERT(issues.empty(), "\"", dg.name(), "\": invalid schedule:\n",
+                 issuesToString(issues));
+}
+
 } // namespace adyna::core

@@ -49,6 +49,12 @@ validateSchedule(const Schedule &schedule, const graph::DynGraph &dg,
 /** Render issues for diagnostics. */
 std::string issuesToString(const std::vector<ScheduleIssue> &issues);
 
+/** Abort with issuesToString's report if @p schedule fails
+ * validateSchedule: the check each schedule System and the serving
+ * back-end build passes before it is installed. */
+void checkSchedule(const Schedule &schedule, const graph::DynGraph &dg,
+                   const arch::HwConfig &hw);
+
 } // namespace adyna::core
 
 #endif // ADYNA_CORE_VALIDATE_HH

@@ -104,7 +104,7 @@ struct Tenant
            std::uint64_t seed, const arch::HwConfig &hw,
            const core::SchedulerConfig &sched_cfg,
            const core::ExecPolicy &policy,
-           serve::BackendContext &ctx)
+           core::CacheContext &ctx)
         : spec(&s),
           backend(*w.dg, w.traceCfg, hw, sched_cfg, policy, s.serve,
                   w.name, ctx, seed),
@@ -182,7 +182,7 @@ MTenantRuntime::run()
 {
     const std::size_t n = cfg_.tenants.size();
 
-    serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_);
+    core::CacheContext ctx(hw_, sharedMapper_, sharedStoreCache_);
 
     // ---- initial partition -----------------------------------------
     TilePartitioner partitioner(hw_, cfg_.partition);

@@ -43,9 +43,9 @@
 #include <vector>
 
 #include "arch/hwconfig.hh"
+#include "core/caches.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
-#include "costmodel/mapper.hh"
 #include "fault/fault.hh"
 #include "graph/dyngraph.hh"
 #include "mtenant/partition.hh"
@@ -153,7 +153,7 @@ void writeFields(JsonWriter &w, const MTenantReport &report);
 std::string toJson(const MTenantReport &report);
 
 /** Multi-tenant serving simulation over one shared chip. */
-class MTenantRuntime : public serve::SharedCaches
+class MTenantRuntime : public core::SharedCaches
 {
   public:
     /** @param workloads one workload per cfg.tenants entry, same

@@ -83,7 +83,7 @@ struct ChipBackend
                 const core::SchedulerConfig &sched_cfg,
                 const core::ExecPolicy &policy,
                 const serve::ServeConfig &serve_cfg,
-                serve::BackendContext &ctx)
+                core::CacheContext &ctx)
         : id(chip_id), model(model_idx), chip(hw),
           backend(*w.dg, w.traceCfg, hw, sched_cfg, policy, serve_cfg,
                   w.name, ctx, seed),
@@ -324,7 +324,7 @@ PodRuntime::run()
     const int K = cfg_.chips;
     const auto kNever = serve::Batcher::kNever;
 
-    serve::BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_);
+    core::CacheContext ctx(hw_, sharedMapper_, sharedStoreCache_);
 
     Interconnect ic(cfg_.interconnect, K);
     Router router(cfg_.router, K);

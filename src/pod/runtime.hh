@@ -48,9 +48,9 @@
 #include <vector>
 
 #include "arch/hwconfig.hh"
+#include "core/caches.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
-#include "costmodel/mapper.hh"
 #include "fault/fault.hh"
 #include "graph/dyngraph.hh"
 #include "pod/breaker.hh"
@@ -306,7 +306,7 @@ void writeFields(JsonWriter &w, const PodReport &report);
 std::string toJson(const PodReport &report);
 
 /** Multi-chip pod serving simulation. */
-class PodRuntime : public serve::SharedCaches
+class PodRuntime : public core::SharedCaches
 {
   public:
     /** @param workloads the served models (one under Replicated);

@@ -10,9 +10,6 @@ namespace adyna::serve {
 
 namespace {
 
-/** Salt of the offline-profiling and drift-reference probe streams. */
-constexpr std::uint64_t kProbeSalt = 0x517cc1b727220a95ULL;
-
 /**
  * Relative expectation shift below which an op counts as unchanged
  * for delta segment selection. Kernel-value re-sampling alone never
@@ -56,23 +53,12 @@ perRequest(trace::TraceConfig tc)
 
 } // namespace
 
-BackendContext::BackendContext(const arch::HwConfig &hw,
-                               costmodel::Mapper *shared_mapper,
-                               kernels::KernelStoreCache *shared_stores)
-    : mapper_(shared_mapper), stores_(shared_stores)
-{
-    if (!mapper_)
-        mapper_ = &localMapper_.emplace(hw.tech);
-    if (!stores_)
-        stores_ = &localStores_.emplace();
-}
-
 Backend::Backend(const graph::DynGraph &dg,
                  const trace::TraceConfig &trace_cfg,
                  const arch::HwConfig &hw,
                  const core::SchedulerConfig &sched_cfg,
                  const core::ExecPolicy &policy, const ServeConfig &cfg,
-                 std::string workload_name, BackendContext &ctx,
+                 std::string workload_name, core::CacheContext &ctx,
                  std::uint64_t seed)
     : dg_(dg), traceCfg_(trace_cfg), hw_(hw), schedCfg_(sched_cfg),
       policy_(policy), cfg_(cfg), name_(std::move(workload_name)),
@@ -93,31 +79,16 @@ Backend::setTiles(std::vector<TileId> tiles)
 }
 
 void
-Backend::checkSchedule(const core::Schedule &schedule) const
-{
-    const auto issues = core::validateSchedule(schedule, dg_, hw_);
-    ADYNA_ASSERT(issues.empty(), "\"", name_, "\": invalid schedule:\n",
-                 core::issuesToString(issues));
-}
-
-void
 Backend::bringUp()
 {
     // ---- offline profiling (compiled-batch statistics) -------------
     kernelValues_ = scheduler_.initialKernelValues();
-    if (!schedCfg_.worstCase && cfg_.profileBatches > 0) {
-        trace::TraceGenerator probe(dg_, traceCfg_, seed_ ^ kProbeSalt);
-        for (int b = 0; b < cfg_.profileBatches; ++b) {
-            const trace::BatchRouting routing = probe.next();
-            engineProf_.noteBatch();
-            for (const auto &[sw, oc] : routing.outcomes)
-                engineProf_.recordBranchLoads(sw, oc.branchCounts);
-            for (OpId op : dg_.dynamicOps())
-                engineProf_.recordValue(op, routing.dynValue(dg_, op));
-        }
-        core::refreshScheduleInputs(engineProf_, !policy_.exactKernels,
-                                    expectations_, kernelValues_);
-        engineProf_.resetTables();
+    if (!schedCfg_.worstCase) {
+        trace::TraceGenerator probe(dg_, traceCfg_, core::probeSeed(seed_));
+        core::profileOffline(
+            engineProf_, dg_, cfg_.profileBatches,
+            [&](int) { return probe.next(); }, !policy_.exactKernels,
+            expectations_, kernelValues_);
     }
 
     // Drift reference: the per-request distribution the first
@@ -131,7 +102,7 @@ Backend::bringUp()
     // distance identical traffic shows at this window size).
     {
         trace::TraceGenerator refProbe(dg_, perRequest(traceCfg_),
-                                       seed_ ^ kProbeSalt);
+                                       core::probeSeed(seed_));
         const int half = cfg_.drift.windowRequests;
         for (int i = 0; i < half; ++i)
             recordRequest(driftProf_, dg_, refProbe.next());
@@ -267,7 +238,7 @@ Backend::build(const std::vector<OpId> *delta, core::DeltaStats *stats)
     stats_.mapperMisses += mapper.misses() - mm0;
     stats_.storeHits += stores.hits() - sh0;
     stats_.storeMisses += stores.misses() - sm0;
-    checkSchedule(schedule);
+    core::checkSchedule(schedule, dg_, hw_);
     return schedule;
 }
 

@@ -40,13 +40,12 @@
 #include "arch/chip.hh"
 #include "arch/hwconfig.hh"
 #include "arch/profiler.hh"
+#include "core/caches.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
 #include "core/search_stats.hh"
-#include "costmodel/mapper.hh"
 #include "fault/fault.hh"
 #include "graph/dyngraph.hh"
-#include "kernels/store_cache.hh"
 #include "search/search.hh"
 #include "serve/arrival.hh"
 #include "serve/batcher.hh"
@@ -56,32 +55,6 @@
 #include "trace/trace.hh"
 
 namespace adyna::serve {
-
-/**
- * The mapping memo and kernel-store cache one serving run's
- * back-ends share. An unset cache falls back to one local to the
- * run, so a run never depends on what earlier runs in the same
- * process compiled (a rebuild's modeled cost reads the store cache's
- * miss delta).
- */
-class BackendContext
-{
-  public:
-    BackendContext(const arch::HwConfig &hw,
-                   costmodel::Mapper *shared_mapper,
-                   kernels::KernelStoreCache *shared_stores);
-    BackendContext(const BackendContext &) = delete;
-    BackendContext &operator=(const BackendContext &) = delete;
-
-    costmodel::Mapper &mapper() { return *mapper_; }
-    kernels::KernelStoreCache &storeCache() { return *stores_; }
-
-  private:
-    std::optional<costmodel::Mapper> localMapper_;
-    std::optional<kernels::KernelStoreCache> localStores_;
-    costmodel::Mapper *mapper_;
-    kernels::KernelStoreCache *stores_;
-};
 
 /** One workload's serving back-end (see the file comment). */
 class Backend
@@ -98,16 +71,19 @@ class Backend
     /**
      * @param trace_cfg the workload's dynamism model at the compiled
      *        batch size (cfg.batching.maxBatch).
-     * @param seed derives the offline-profiling and drift-reference
-     *        probe streams; the arrival and request streams stay
-     *        with the driver.
+     * @param ctx the mapper and store cache the run's back-ends
+     *        share.
+     * @param seed derives the probe stream (core::probeSeed) that
+     *        the offline profile and the drift reference both draw;
+     *        the arrival and request streams stay with the runtime
+     *        that owns the back-end.
      * All references must outlive the back-end.
      */
     Backend(const graph::DynGraph &dg, const trace::TraceConfig &trace_cfg,
             const arch::HwConfig &hw,
             const core::SchedulerConfig &sched_cfg,
             const core::ExecPolicy &policy, const ServeConfig &cfg,
-            std::string workload_name, BackendContext &ctx,
+            std::string workload_name, core::CacheContext &ctx,
             std::uint64_t seed);
     Backend(const Backend &) = delete;
     Backend &operator=(const Backend &) = delete;
@@ -204,7 +180,6 @@ class Backend
                  const std::vector<OpId> *changed);
     std::vector<OpId> changedOps() const;
     void closeWindow();
-    void checkSchedule(const core::Schedule &schedule) const;
 
     const graph::DynGraph &dg_;
     trace::TraceConfig traceCfg_;
@@ -213,7 +188,7 @@ class Backend
     core::ExecPolicy policy_;
     const ServeConfig &cfg_;
     std::string name_;
-    BackendContext &ctx_;
+    core::CacheContext &ctx_;
     std::uint64_t seed_;
     const fault::FaultInjector *injector_ = nullptr;
 

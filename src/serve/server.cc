@@ -99,7 +99,7 @@ ServeRuntime::ServeRuntime(const graph::DynGraph &dg,
 ServeReport
 ServeRuntime::run()
 {
-    BackendContext ctx(hw_, sharedMapper_, sharedStoreCache_);
+    core::CacheContext ctx(hw_, sharedMapper_, sharedStoreCache_);
     arch::Chip chip(hw_);
     Backend be(dg_, traceCfg_, hw_, schedCfg_, policy_, cfg_,
                workloadName_, ctx, cfg_.seed);

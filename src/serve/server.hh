@@ -27,10 +27,10 @@
 
 #include "arch/hwconfig.hh"
 #include "common/json.hh"
+#include "core/caches.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
 #include "core/search_stats.hh"
-#include "costmodel/mapper.hh"
 #include "fault/fault.hh"
 #include "graph/dyngraph.hh"
 #include "search/search.hh"
@@ -252,40 +252,10 @@ void writeFields(JsonWriter &w, const ServeReport &report);
 /** One serving run as a JSON object (for BENCH_serve.json). */
 std::string toJson(const ServeReport &report);
 
-/**
- * The cache hooks every serving runtime (single-chip, multi-tenant,
- * pod) exposes to its back-ends' schedule builds.
- */
-class SharedCaches
-{
-  public:
-    /** Share a mapping-search memo across concurrent runtimes (same
-     * contract as System::setSharedMapper). */
-    void setSharedMapper(costmodel::Mapper *mapper)
-    {
-        sharedMapper_ = mapper;
-    }
-
-    /** Use @p cache for compiled-store reuse across runs (same
-     * contract as System::setSharedStoreCache). It is keyed by tile
-     * count, so same-size regions stay warm across repartitions.
-     * Unset, each run compiles into a cache local to that run. */
-    void setSharedStoreCache(kernels::KernelStoreCache *cache)
-    {
-        sharedStoreCache_ = cache;
-    }
-
-  protected:
-    ~SharedCaches() = default;
-
-    costmodel::Mapper *sharedMapper_ = nullptr;
-    kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-};
-
 /** Request-driven serving simulation over one workload graph: one
  * serve::Backend (backend.hh) fed by one open-loop arrival stream on
  * one chip. */
-class ServeRuntime : public SharedCaches
+class ServeRuntime : public core::SharedCaches
 {
   public:
     /**

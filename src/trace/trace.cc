@@ -81,7 +81,7 @@ totalDynLoad(const graph::DynGraph &dg, const BatchRouting &routing)
 
 TraceGenerator::TraceGenerator(const graph::DynGraph &dg, TraceConfig cfg,
                                std::uint64_t seed)
-    : dg_(dg), cfg_(cfg), rng_(seed), seed_(seed)
+    : dg_(dg), cfg_(cfg), rng_(seed)
 {
     ADYNA_ASSERT(cfg_.batchSize > 0, "batch size must be positive");
 }
@@ -359,21 +359,6 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, BatchRouting &out)
     }
 
     out.outcomes[sw.slot] = {sw.switchOp, std::move(oc)};
-}
-
-std::map<OpId, double>
-TraceGenerator::profileExpectations(int batches) const
-{
-    TraceGenerator probe(dg_, cfg_, seed_ ^ 0x517cc1b727220a95ULL);
-    std::map<OpId, double> sums;
-    for (int b = 0; b < batches; ++b) {
-        const BatchRouting routing = probe.next();
-        for (OpId op : dg_.dynamicOps())
-            sums[op] += static_cast<double>(routing.dynValue(dg_, op));
-    }
-    for (auto &[op, sum] : sums)
-        sum /= batches;
-    return sums;
 }
 
 } // namespace adyna::trace

@@ -11,13 +11,16 @@
  * the cross-gate correlation (easy samples exit earlier and skip
  * more) and the batch-to-batch variance that the paper's scheduling
  * techniques exploit. See DESIGN.md, substitutions.
+ *
+ * A generator only draws routings. Profiling a stream (the offline
+ * profile every run starts from, on the probe stream its seed
+ * derives) is core::profileOffline's job, in core/sampling.
  */
 
 #ifndef ADYNA_TRACE_TRACE_HH
 #define ADYNA_TRACE_TRACE_HH
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -143,14 +146,6 @@ class TraceGenerator
      */
     BatchRouting next();
 
-    /**
-     * Convenience: generate @p batches batches on an independent
-     * probe stream (the main stream is not disturbed) and return the
-     * empirical dyn-value expectation per dynamic op (used for
-     * offline profiling in tests and in Adyna's initial schedule).
-     */
-    std::map<OpId, double> profileExpectations(int batches) const;
-
     /** Expert-sampler table builds so far (one whenever a TopKExperts
      * gate's weights differ from the previous gate's); a work counter
      * for tests, in no report. */
@@ -185,7 +180,6 @@ class TraceGenerator
     const graph::DynGraph &dg_;
     TraceConfig cfg_;
     Rng rng_;
-    std::uint64_t seed_;
     std::uint64_t batches_ = 0;
 
     // Drift phase state.

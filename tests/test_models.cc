@@ -16,6 +16,7 @@
 #include "graph/parser.hh"
 #include "models/models.hh"
 #include "models/random.hh"
+#include "probe_expectations.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -64,8 +65,7 @@ TEST_P(AllWorkloads, DynamicSavingsAreRealized)
     const DynGraph dg = parseModel(bundle.graph);
     TraceConfig cfg = bundle.traceConfig;
     cfg.batchSize = 32;
-    TraceGenerator gen(dg, cfg, 11);
-    const auto exp = gen.profileExpectations(100);
+    const auto exp = test::probeExpectations(dg, cfg, 11, 100);
     std::vector<std::pair<OpId, double>> pairs(exp.begin(), exp.end());
     const double expected = dg.expectedMacs(pairs);
     const double worst = static_cast<double>(dg.worstCaseMacs());
@@ -227,8 +227,8 @@ TEST(Pabee, ExitTraceSavesAboutFortyPercent)
 {
     const ModelBundle bundle = buildPabee(64);
     const DynGraph dg = parseModel(bundle.graph);
-    TraceGenerator gen(dg, bundle.traceConfig, 3);
-    const auto exp = gen.profileExpectations(200);
+    const auto exp =
+        test::probeExpectations(dg, bundle.traceConfig, 3, 200);
     std::vector<std::pair<OpId, double>> pairs(exp.begin(), exp.end());
     const double ratio = dg.expectedMacs(pairs) /
                          static_cast<double>(dg.worstCaseMacs());

@@ -3,16 +3,29 @@
  * Unit tests for the multi-kernel sampling algorithms (Section VII,
  * Algorithms 1 and 2): frequency redistribution conservation,
  * punishment/saving move selection, convergence, and the bucketing
- * of raw value histograms onto kernel sets.
+ * of raw value histograms onto kernel sets. Also the offline profile
+ * every run starts from, bit for bit against test-side copies of the
+ * hand-written profiles it replaced, and System's first schedule
+ * against it.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
+#include <string>
 
+#include "arch/profiler.hh"
+#include "baselines/designs.hh"
 #include "common/rng.hh"
 #include "core/sampling.hh"
+#include "core/scheduler.hh"
+#include "graph/parser.hh"
+#include "kernels/store_cache.hh"
+#include "models/models.hh"
+#include "probe_expectations.hh"
+#include "trace/trace.hh"
 
 namespace {
 
@@ -280,6 +293,268 @@ TEST(Bucket, EmptyInputs)
     const auto freq = bucketFrequencies(h, {10});
     ASSERT_EQ(freq.size(), 1u);
     EXPECT_DOUBLE_EQ(freq[0], 0.0);
+}
+
+// --------------------------------------------------- offline profile
+
+using KernelValues = std::map<OpId, std::vector<std::int64_t>>;
+
+/** The salt System, the serving back-end, search_sweep and
+ * TraceGenerator::profileExpectations each XORed into the run seed
+ * for their probe stream, before core::probeSeed derived it once. */
+constexpr std::uint64_t kProbeSalt = 0x517cc1b727220a95ULL;
+
+/** Schedule inputs an offline profile produced. */
+struct Inputs
+{
+    std::map<OpId, double> expectations;
+    KernelValues kernelValues;
+};
+
+/**
+ * Test-side copy of System::run's offline block before the shared
+ * profile: per-op sums of the dyn values, expectations as sum /
+ * batches, then Algorithm 1 on every kernel-value set against the
+ * bucketed table, whatever the design's kernels.
+ */
+Inputs
+systemBlockReference(const graph::DynGraph &dg, int batches,
+                     const RoutingSource &next, KernelValues kernel_values,
+                     arch::Profiler &profiler)
+{
+    Inputs in;
+    in.kernelValues = std::move(kernel_values);
+    std::map<OpId, double> sums;
+    for (int b = 0; b < batches; ++b) {
+        const trace::BatchRouting routing = next(b);
+        profiler.noteBatch();
+        for (const auto &[sw, oc] : routing.outcomes)
+            profiler.recordBranchLoads(sw, oc.branchCounts);
+        for (OpId op : dg.dynamicOps()) {
+            const auto v = routing.dynValue(dg, op);
+            profiler.recordValue(op, v);
+            sums[op] += static_cast<double>(v);
+        }
+    }
+    for (auto &[op, sum] : sums)
+        in.expectations[op] = sum / batches;
+    for (auto &[op, values] : in.kernelValues) {
+        const auto freq = bucketFrequencies(profiler.table(op), values);
+        values = resampleKernelValues(values, freq,
+                                      static_cast<int>(values.size()));
+    }
+    profiler.resetTables();
+    return in;
+}
+
+/** Test-side copy of TraceGenerator::profileExpectations: per-op
+ * sums over the probe stream, each divided by the batch count. */
+std::map<OpId, double>
+profileExpectationsReference(const graph::DynGraph &dg,
+                             const trace::TraceConfig &cfg,
+                             std::uint64_t seed, int batches)
+{
+    trace::TraceGenerator probe(dg, cfg, seed ^ kProbeSalt);
+    std::map<OpId, double> sums;
+    for (int b = 0; b < batches; ++b) {
+        const trace::BatchRouting routing = probe.next();
+        for (OpId op : dg.dynamicOps())
+            sums[op] += static_cast<double>(routing.dynValue(dg, op));
+    }
+    for (auto &[op, sum] : sums)
+        sum /= batches;
+    return sums;
+}
+
+/** Both profilers hold the same branch-load history and no
+ * frequency table. */
+void
+expectSameHistoryNoTables(const graph::DynGraph &dg,
+                          const arch::Profiler &got,
+                          const arch::Profiler &want)
+{
+    EXPECT_TRUE(got.trackedOps().empty());
+    EXPECT_EQ(got.windowBatches(), 0u);
+    for (const graph::SwitchInfo &sw : dg.switches()) {
+        const arch::BranchHistory &g = got.branchHistory(sw.switchOp);
+        const arch::BranchHistory &w = want.branchHistory(sw.switchOp);
+        ASSERT_EQ(g.size(), w.size());
+        for (std::size_t i = 0; i < g.size(); ++i)
+            EXPECT_EQ(g[i], w[i]);
+    }
+}
+
+/** A paper model at @p batch with its kernel values and trace. */
+struct Model
+{
+    Model(const std::string &name, std::int64_t batch)
+        : bundle(models::buildByName(name, batch)),
+          dg(graph::parseModel(bundle.graph)), mapper(hw.tech),
+          scheduler(dg, hw, mapper,
+                    baselines::schedulerConfig(baselines::Design::Adyna))
+    {
+        trace = bundle.traceConfig;
+        trace.batchSize = batch;
+    }
+
+    arch::HwConfig hw;
+    models::ModelBundle bundle;
+    graph::DynGraph dg;
+    costmodel::Mapper mapper;
+    Scheduler scheduler;
+    trace::TraceConfig trace;
+};
+
+/** The shared profile on @p next against System's block on @p ref,
+ * two sources of the same routings. Returns whether Algorithm 1
+ * moved any kernel value. */
+bool
+expectProfileMatchesSystemBlock(const Model &m, int batches,
+                                const RoutingSource &next,
+                                const RoutingSource &ref)
+{
+    const KernelValues initial = m.scheduler.initialKernelValues();
+    arch::Profiler prof;
+    Inputs got;
+    got.kernelValues = initial;
+    profileOffline(prof, m.dg, batches, next, true, got.expectations,
+                   got.kernelValues);
+
+    arch::Profiler refProf;
+    const Inputs want =
+        systemBlockReference(m.dg, batches, ref, initial, refProf);
+    EXPECT_EQ(got.expectations, want.expectations);
+    EXPECT_EQ(got.kernelValues, want.kernelValues);
+    EXPECT_FALSE(got.expectations.empty());
+    expectSameHistoryNoTables(m.dg, prof, refProf);
+    return got.kernelValues != initial;
+}
+
+TEST(OfflineProfile, MatchesSystemBlockOnEveryPaperModel)
+{
+    int resampled = 0;
+    for (const std::string &name : models::workloadNames()) {
+        for (std::int64_t batch : {1, 8, 128}) {
+            SCOPED_TRACE(name + " at batch " + std::to_string(batch));
+            const Model m(name, batch);
+            trace::TraceGenerator probe(m.dg, m.trace, probeSeed(7));
+            trace::TraceGenerator refProbe(m.dg, m.trace, 7 ^ kProbeSalt);
+            resampled += expectProfileMatchesSystemBlock(
+                m, 40, [&](int) { return probe.next(); },
+                [&](int) { return refProbe.next(); });
+        }
+    }
+    // Algorithm 1 moved values somewhere, so the kernel-value check
+    // compares real samples, not the initial sets.
+    EXPECT_GT(resampled, 0);
+}
+
+TEST(OfflineProfile, MatchesSystemBlockOnDriftingTrace)
+{
+    const Model m("tutel-moe", 32);
+    trace::TraceConfig tc = m.trace;
+    tc.driftStrength = 1.0;
+    tc.driftPeriod = 6; // the profile crosses six phases
+    trace::TraceGenerator probe(m.dg, tc, probeSeed(11));
+    trace::TraceGenerator refProbe(m.dg, tc, 11 ^ kProbeSalt);
+    EXPECT_TRUE(expectProfileMatchesSystemBlock(
+        m, 40, [&](int) { return probe.next(); },
+        [&](int) { return refProbe.next(); }));
+}
+
+TEST(OfflineProfile, MatchesSystemBlockOnWrappingReplay)
+{
+    const Model m("skipnet", 128);
+    trace::TraceGenerator gen(m.dg, m.trace, 3);
+    std::vector<trace::BatchRouting> replay;
+    for (int b = 0; b < 7; ++b)
+        replay.push_back(gen.next());
+    const RoutingSource wrap = [&](int b) {
+        return replay[static_cast<std::size_t>(b) % replay.size()];
+    };
+    EXPECT_TRUE(expectProfileMatchesSystemBlock(m, 40, wrap, wrap));
+}
+
+TEST(OfflineProfile, ExpectationsMatchProfileExpectationsCopy)
+{
+    for (const std::string &name : models::workloadNames()) {
+        for (std::int64_t batch : {1, 8, 128}) {
+            SCOPED_TRACE(name + " at batch " + std::to_string(batch));
+            const Model m(name, batch);
+            EXPECT_EQ(test::probeExpectations(m.dg, m.trace, 5, 60),
+                      profileExpectationsReference(m.dg, m.trace, 5, 60));
+        }
+    }
+    const Model m("pabee", 16);
+    trace::TraceConfig tc = m.trace;
+    tc.driftStrength = 1.0;
+    tc.driftPeriod = 10;
+    EXPECT_EQ(test::probeExpectations(m.dg, tc, 9, 60),
+              profileExpectationsReference(m.dg, tc, 9, 60));
+}
+
+/**
+ * System's first schedule is built from the shared profile with the
+ * initial kernel sample, for every design: a Scheduler fed System's
+ * block (test-side copy) over the same routings compiles nothing the
+ * run's store cache does not already hold. Covers an exact-kernel
+ * design (full-kernel), whose initial sample must run although it
+ * never re-samples, and a replay shorter than the profile, which
+ * wraps. One period, so the run builds exactly once.
+ */
+TEST(OfflineProfile, SystemFirstScheduleUsesSharedProfile)
+{
+    const arch::HwConfig hw;
+    const models::ModelBundle bundle = models::buildSkipNet(128);
+    const graph::DynGraph dg = graph::parseModel(bundle.graph);
+    trace::TraceGenerator gen(dg, bundle.traceConfig, 4);
+    std::vector<trace::BatchRouting> replay;
+    for (int b = 0; b < 6; ++b)
+        replay.push_back(gen.next());
+
+    constexpr int kBatches = 4;
+    for (baselines::Design design :
+         {baselines::Design::Adyna, baselines::Design::FullKernel}) {
+        for (bool replayed : {false, true}) {
+            SCOPED_TRACE(std::string(baselines::designName(design)) +
+                         (replayed ? ", replayed" : ", probe stream"));
+            kernels::KernelStoreCache stores;
+            core::System sys = baselines::makeSystem(
+                dg, bundle.traceConfig, hw, design, kBatches, 21);
+            sys.setSharedStoreCache(&stores);
+            if (replayed)
+                sys.setReplay(replay);
+            const core::RunReport rep = sys.run();
+            ASSERT_EQ(rep.reconfigurations, 0);
+
+            costmodel::Mapper mapper(hw.tech);
+            Scheduler sched(dg, hw, mapper,
+                            baselines::schedulerConfig(design));
+            sched.setStoreCache(&stores);
+            const int profileBatches =
+                baselines::runOptions(design, kBatches, 21).profileBatches;
+            ASSERT_GT(profileBatches, static_cast<int>(replay.size()));
+            trace::TraceGenerator refProbe(dg, bundle.traceConfig,
+                                           21 ^ kProbeSalt);
+            arch::Profiler refProf;
+            const KernelValues initial = sched.initialKernelValues();
+            const Inputs want = systemBlockReference(
+                dg, profileBatches,
+                [&](int b) {
+                    return replayed ? replay[static_cast<std::size_t>(b) %
+                                             replay.size()]
+                                    : refProbe.next();
+                },
+                initial, refProf);
+            ASSERT_NE(want.kernelValues, initial);
+
+            const std::uint64_t misses0 = stores.misses();
+            const std::uint64_t hits0 = stores.hits();
+            sched.build(want.expectations, want.kernelValues, &refProf);
+            EXPECT_EQ(stores.misses(), misses0);
+            EXPECT_GT(stores.hits(), hits0);
+        }
+    }
 }
 
 } // namespace

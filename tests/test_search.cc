@@ -57,16 +57,9 @@ struct SearchFixture
         tc.batchSize = batch;
         kernelValues = scheduler.initialKernelValues();
         trace::TraceGenerator gen(dg, tc, 0x9e3779b97f4a7c15ULL);
-        for (int b = 0; b < 24; ++b) {
-            const trace::BatchRouting routing = gen.next();
-            prof.noteBatch();
-            for (const auto &[sw, oc] : routing.outcomes)
-                prof.recordBranchLoads(sw, oc.branchCounts);
-            for (OpId op : dg.dynamicOps())
-                prof.recordValue(op, routing.dynValue(dg, op));
-        }
-        core::refreshScheduleInputs(prof, true, expectations,
-                                    kernelValues);
+        core::profileOffline(
+            prof, dg, 24, [&](int) { return gen.next(); }, true,
+            expectations, kernelValues);
         base = scheduler.build(expectations, kernelValues, &prof);
         for (int b = 0; b < 6; ++b)
             probe.push_back(gen.next());

@@ -14,6 +14,7 @@
 #include "graph/parser.hh"
 #include "graph/transforms.hh"
 #include "models/models.hh"
+#include "probe_expectations.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -382,23 +383,11 @@ TEST(Trace, DriftChangesPhaseMarginals)
     EXPECT_GT(hi - lo, 3.0);
 }
 
-TEST(Trace, ProfileExpectationsDoNotDisturbMainStream)
-{
-    const DynGraph dg = earlyExitModel(64, 0.3, 0.2);
-    TraceGenerator a(dg, stationary(64), 21);
-    TraceGenerator b(dg, stationary(64), 21);
-    (void)a.profileExpectations(50);
-    const BatchRouting ra = a.next();
-    const BatchRouting rb = b.next();
-    for (const auto &[sw, oc] : ra.outcomes)
-        EXPECT_EQ(oc.branchCounts, rb.outcome(sw).branchCounts);
-}
-
 TEST(Trace, ProfileExpectationsMatchLongRunMean)
 {
     const DynGraph dg = skipModel(128, 0.35);
-    TraceGenerator gen(dg, stationary(128), 22);
-    const auto exp = gen.profileExpectations(500);
+    const auto exp =
+        test::probeExpectations(dg, stationary(128), 22, 500);
     // Branch-1 (block) ops should see ~0.65 * 128 samples.
     for (const OpNode &n : dg.graph().nodes()) {
         if (n.name == "b0.conv") {
