@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "common/logging.hh"
 #include "kernels/store.hh"
@@ -24,27 +23,98 @@ ceilDiv(std::int64_t a, std::int64_t b)
     return (a + b - 1) / b;
 }
 
-/** An allocation unit: one stage op, or a group of branch-grouped
- * ops sharing tiles temporally. */
-struct Unit
-{
-    std::vector<OpId> ops;
-    double work = 0.0;
-    int tiles = 1;
-    bool resident = true;
-    std::vector<TileId> range;
-
-    Bytes
-    weightBytes(const graph::Graph &g) const
-    {
-        Bytes total = 0;
-        for (OpId op : ops)
-            total += g.node(op).weightBytes();
-        return total;
-    }
-};
-
 } // namespace
+
+std::vector<AllocUnit>
+allocateTiles(const std::vector<double> &work,
+              const std::vector<int> &group, int tiles)
+{
+    ADYNA_ASSERT(!work.empty() && work.size() == group.size() &&
+                     tiles >= 1,
+                 "allocateTiles needs one group id per position and "
+                 "at least one position and one tile");
+
+    // ---- allocation units ------------------------------------------
+    int groups = 0;
+    for (int g : group)
+        groups = std::max(groups, g + 1);
+    std::vector<int> unitOfGroup(static_cast<std::size_t>(groups), -1);
+    std::vector<AllocUnit> units;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        const int g = group[i];
+        std::size_t ui = units.size();
+        if (g >= 0 && unitOfGroup[static_cast<std::size_t>(g)] >= 0)
+            ui = static_cast<std::size_t>(
+                unitOfGroup[static_cast<std::size_t>(g)]);
+        if (ui == units.size()) {
+            units.emplace_back();
+            if (g >= 0)
+                unitOfGroup[static_cast<std::size_t>(g)] =
+                    static_cast<int>(ui);
+        }
+        units[ui].members.push_back(static_cast<int>(i));
+        units[ui].work += work[i];
+    }
+
+    // ---- fold the smallest units while they outnumber the tiles ----
+    // (small chips / large switch regions); their members then share
+    // a tile range temporally, like grouped branches.
+    while (static_cast<int>(units.size()) > tiles) {
+        std::size_t a = 0, b = 1;
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            if (units[i].work < units[a].work) {
+                b = a;
+                a = i;
+            } else if (i != a && units[i].work < units[b].work) {
+                b = i;
+            }
+        }
+        if (a > b)
+            std::swap(a, b);
+        units[a].members.insert(units[a].members.end(),
+                                units[b].members.begin(),
+                                units[b].members.end());
+        units[a].work += units[b].work;
+        units.erase(units.begin() + static_cast<std::ptrdiff_t>(b));
+    }
+
+    // ---- frequency-weighted tile counts ----------------------------
+    double totalWork = 0.0;
+    for (const AllocUnit &u : units)
+        totalWork += u.work;
+    if (totalWork <= 0.0)
+        totalWork = 1.0;
+
+    std::vector<double> fractional(units.size());
+    int used = 0;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        const double ideal =
+            units[i].work / totalWork * static_cast<double>(tiles);
+        units[i].tiles = std::max(1, static_cast<int>(ideal));
+        fractional[i] = ideal - static_cast<double>(units[i].tiles);
+        used += units[i].tiles;
+    }
+    while (used > tiles) { // min-1 clamps may overshoot
+        const auto it = std::max_element(
+            units.begin(), units.end(),
+            [](const AllocUnit &x, const AllocUnit &y) {
+                return x.tiles < y.tiles;
+            });
+        ADYNA_ASSERT(it->tiles > 1, "cannot fit units on tiles");
+        --it->tiles;
+        --used;
+    }
+    while (used < tiles) { // largest-remainder distribution
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < units.size(); ++i)
+            if (fractional[i] > fractional[best])
+                best = i;
+        ++units[best].tiles;
+        fractional[best] -= 1.0;
+        ++used;
+    }
+    return units;
+}
 
 Scheduler::Scheduler(const graph::DynGraph &dg, arch::HwConfig hw,
                      costmodel::Mapper &mapper, SchedulerConfig cfg)
@@ -129,17 +199,23 @@ Scheduler::stageOps() const
 }
 
 double
-Scheduler::expectedWork(OpId op,
+Scheduler::expectedRows(OpId op,
                         const std::map<OpId, double> &expectations) const
 {
-    const OpNode &node = dg_.graph().node(op);
-    double rows = static_cast<double>(node.dims.n());
     if (!cfg_.worstCase && dg_.isDynamic(op)) {
         const auto it = expectations.find(op);
         if (it != expectations.end())
-            rows = std::max(1.0, it->second);
+            return std::max(1.0, it->second);
     }
-    return rows * costmodel::perRowWork(node, hw_.tech);
+    return static_cast<double>(dg_.graph().node(op).dims.n());
+}
+
+double
+Scheduler::expectedWork(OpId op,
+                        const std::map<OpId, double> &expectations) const
+{
+    return expectedRows(op, expectations) *
+           costmodel::perRowWork(dg_.graph().node(op), hw_.tech);
 }
 
 std::vector<std::vector<OpId>>
@@ -360,285 +436,184 @@ Scheduler::buildSegment(const std::vector<OpId> &segOps,
                         const std::map<OpId, double> &expectations,
                         const arch::Profiler *profiler) const
 {
-    {
-        Segment seg;
+    const std::size_t n = segOps.size();
+    // Segment position of every op (-1 outside the segment).
+    std::vector<int> pos(dg_.graph().size(), -1);
+    for (std::size_t i = 0; i < n; ++i)
+        pos[segOps[i]] = static_cast<int>(i);
 
-        // ---- branch grouping --------------------------------------
-        std::map<OpId, int> groupOf; // op -> unit group id
-        int nextGroup = 0;
-        if (cfg_.branchGrouping && profiler) {
-            // Membership test built once per segment; the linear
-            // std::find scan here made grouping O(stages^2) per
-            // switch branch.
-            const std::unordered_set<OpId> segSet(segOps.begin(),
-                                                  segOps.end());
-            for (const SwitchInfo &sw : dg_.switches()) {
-                std::vector<int> lowBranches;
-                for (int b = 0; b < sw.numBranches(); ++b) {
-                    bool hasStage = false;
-                    for (OpId op : sw.branches[static_cast<
-                             std::size_t>(b)])
-                        hasStage |= segSet.count(op) != 0;
-                    if (!hasStage)
-                        continue;
-                    if (profiler->branchActivity(sw.switchOp, b) <
+    // ---- branch grouping --------------------------------------------
+    // group[i]: branch group id of position i, -1 for none.
+    std::vector<int> group(n, -1);
+    int nextGroup = 0;
+    if (cfg_.branchGrouping && profiler) {
+        for (const SwitchInfo &sw : dg_.switches()) {
+            std::vector<int> lowBranches;
+            for (int b = 0; b < sw.numBranches(); ++b) {
+                bool hasStage = false;
+                for (OpId op : sw.branches[static_cast<std::size_t>(b)])
+                    hasStage |= pos[op] >= 0;
+                if (hasStage &&
+                    profiler->branchActivity(sw.switchOp, b) <
                         groupThreshold(sw.switchOp))
-                        lowBranches.push_back(b);
-                }
-                if (lowBranches.size() < 2)
-                    continue;
-                const int gid = nextGroup++;
-                for (int b : lowBranches)
-                    for (OpId op : sw.branches[static_cast<
-                             std::size_t>(b)])
-                        groupOf[op] = gid;
+                    lowBranches.push_back(b);
             }
+            if (lowBranches.size() < 2)
+                continue;
+            const int gid = nextGroup++;
+            for (int b : lowBranches)
+                for (OpId op : sw.branches[static_cast<std::size_t>(b)])
+                    if (pos[op] >= 0)
+                        group[static_cast<std::size_t>(pos[op])] = gid;
         }
-
-        // ---- allocation units --------------------------------------
-        std::vector<Unit> units;
-        std::map<int, std::size_t> groupUnit;
-        std::map<OpId, std::size_t> unitOf;
-        for (OpId op : segOps) {
-            const auto git = groupOf.find(op);
-            if (git != groupOf.end()) {
-                const auto uit = groupUnit.find(git->second);
-                std::size_t ui;
-                if (uit == groupUnit.end()) {
-                    ui = units.size();
-                    units.push_back({});
-                    groupUnit[git->second] = ui;
-                } else {
-                    ui = uit->second;
-                }
-                units[ui].ops.push_back(op);
-                units[ui].work +=
-                    expectedWork(op, expectations) * allocBias(op);
-                unitOf[op] = ui;
-            } else {
-                unitOf[op] = units.size();
-                units.push_back({{op},
-                                 expectedWork(op, expectations) *
-                                     allocBias(op),
-                                 1, true, {}});
-            }
-        }
-
-        // ---- frequency-weighted tile counts ------------------------
-        // More units than tiles (small chips / large switch regions):
-        // fold the smallest-work units together; their ops then share
-        // a tile range temporally, like grouped branches.
-        const int T = activeTileCount();
-        while (static_cast<int>(units.size()) > T) {
-            std::size_t a = 0, b = 1;
-            for (std::size_t i = 0; i < units.size(); ++i) {
-                if (units[i].work < units[a].work) {
-                    b = a;
-                    a = i;
-                } else if (i != a && units[i].work < units[b].work) {
-                    b = i;
-                }
-            }
-            if (a > b)
-                std::swap(a, b);
-            units[a].ops.insert(units[a].ops.end(),
-                                units[b].ops.begin(),
-                                units[b].ops.end());
-            units[a].work += units[b].work;
-            for (auto &[op, ui] : unitOf) {
-                if (ui == b)
-                    ui = a;
-                else if (ui > b)
-                    --ui;
-            }
-            for (auto &[gid, ui] : groupUnit) {
-                if (ui == b)
-                    ui = a;
-                else if (ui > b)
-                    --ui;
-            }
-            units.erase(units.begin() +
-                        static_cast<std::ptrdiff_t>(b));
-        }
-        double totalWork = 0.0;
-        for (const Unit &u : units)
-            totalWork += u.work;
-        if (totalWork <= 0.0)
-            totalWork = 1.0;
-
-        std::vector<double> fractional(units.size());
-        int used = 0;
-        for (std::size_t i = 0; i < units.size(); ++i) {
-            const double ideal =
-                units[i].work / totalWork * static_cast<double>(T);
-            units[i].tiles = std::max(1, static_cast<int>(ideal));
-            fractional[i] = ideal - static_cast<double>(units[i].tiles);
-            used += units[i].tiles;
-        }
-        while (used > T) { // min-1 clamps may overshoot
-            const auto it = std::max_element(
-                units.begin(), units.end(),
-                [](const Unit &a, const Unit &b) {
-                    return a.tiles < b.tiles;
-                });
-            ADYNA_ASSERT(it->tiles > 1, "cannot fit units on tiles");
-            --it->tiles;
-            --used;
-        }
-        while (used < T) { // largest-remainder distribution
-            std::size_t best = 0;
-            for (std::size_t i = 1; i < units.size(); ++i)
-                if (fractional[i] > fractional[best])
-                    best = i;
-            ++units[best].tiles;
-            fractional[best] -= 1.0;
-            ++used;
-        }
-
-        // ---- weight residency ---------------------------------------
-        // Weights stay resident when the unit's tiles can hold them
-        // next to the activation double buffers; otherwise they are
-        // streamed from DRAM each batch. Compute balance is never
-        // sacrificed for residency: streaming a few megabytes per
-        // batch costs far less than starving the bottleneck stage.
-        const Bytes perTileWeightBudget = static_cast<Bytes>(
-            static_cast<double>(hw_.tech.spadBytes) * 0.6);
-        for (std::size_t i = 0; i < units.size(); ++i) {
-            const Bytes weights = units[i].weightBytes(dg_.graph());
-            const int minT = static_cast<int>(ceilDiv(
-                static_cast<std::int64_t>(weights),
-                static_cast<std::int64_t>(perTileWeightBudget)));
-            units[i].resident = units[i].tiles >= minT;
-        }
-
-        // ---- tile ranges (snake order) -------------------------------
-        const auto snake = activeTileOrder();
-        int cursor = 0;
-        for (Unit &u : units) {
-            for (int t = 0; t < u.tiles; ++t)
-                u.range.push_back(
-                    snake[static_cast<std::size_t>(cursor + t) %
-                          snake.size()]);
-            cursor += u.tiles;
-        }
-
-        // ---- stages ---------------------------------------------------
-        for (OpId op : segOps) {
-            const Unit &u = units[unitOf[op]];
-            StageAssign st;
-            st.op = op;
-            st.tiles = u.range;
-            st.baseTiles = u.tiles;
-            st.weightsResident = u.resident;
-            seg.stages.push_back(std::move(st));
-            if (u.resident)
-                seg.residentWeightBytes +=
-                    dg_.graph().node(op).weightBytes();
-        }
-
-        // ---- tile sharing ----------------------------------------------
-        if (cfg_.tileSharing && profiler) {
-            for (const SwitchInfo &sw : dg_.switches()) {
-                // Branches with stages in this segment, ungrouped.
-                std::vector<int> cands;
-                for (int b = 0; b < sw.numBranches(); ++b) {
-                    bool ok = false;
-                    for (OpId op : sw.branches[static_cast<
-                             std::size_t>(b)]) {
-                        if (seg.stageOf(op) >= 0 && !groupOf.count(op))
-                            ok = true;
-                    }
-                    if (ok)
-                        cands.push_back(b);
-                }
-                if (cands.size() < 2)
-                    continue;
-                // Greedy pairing by least load covariance: the two
-                // branches least likely to peak together complement
-                // each other best (Section V-B).
-                std::vector<std::tuple<double, int, int>> covs;
-                for (std::size_t i = 0; i < cands.size(); ++i)
-                    for (std::size_t j = i + 1; j < cands.size(); ++j)
-                        covs.emplace_back(
-                            profiler->branchCovariance(
-                                sw.switchOp, cands[i], cands[j]),
-                            cands[i], cands[j]);
-                std::sort(covs.begin(), covs.end());
-                std::vector<char> taken(
-                    static_cast<std::size_t>(sw.numBranches()), 0);
-                for (const auto &[cov, ba, bb] : covs) {
-                    (void)cov;
-                    if (taken[static_cast<std::size_t>(ba)] ||
-                        taken[static_cast<std::size_t>(bb)])
-                        continue;
-                    taken[static_cast<std::size_t>(ba)] = 1;
-                    taken[static_cast<std::size_t>(bb)] = 1;
-
-                    const auto &opsA =
-                        sw.branches[static_cast<std::size_t>(ba)];
-                    const auto &opsB =
-                        sw.branches[static_cast<std::size_t>(bb)];
-                    const std::size_t depth =
-                        std::min(opsA.size(), opsB.size());
-                    for (std::size_t d = 0; d < depth; ++d) {
-                        const int ia = seg.stageOf(opsA[d]);
-                        const int ib = seg.stageOf(opsB[d]);
-                        if (ia < 0 || ib < 0)
-                            continue;
-                        StageAssign &sa =
-                            seg.stages[static_cast<std::size_t>(ia)];
-                        StageAssign &sb =
-                            seg.stages[static_cast<std::size_t>(ib)];
-                        if (sa.sharePair >= 0 || sb.sharePair >= 0)
-                            continue;
-                        const int ta = sa.baseTiles;
-                        const int tb = sb.baseTiles;
-                        const int tt = ta + tb;
-                        if (tt < 2)
-                            continue;
-                        const double wa = std::max(
-                            expectedWork(sa.op, expectations) *
-                                allocBias(sa.op),
-                            1.0);
-                        const double wb = std::max(
-                            expectedWork(sb.op, expectations) *
-                                allocBias(sb.op),
-                            1.0);
-                        const auto ratioAlloc = [tt](double x,
-                                                     double y) {
-                            int a = static_cast<int>(
-                                std::lround(x / (x + y) * tt));
-                            a = std::clamp(a, 1, tt - 1);
-                            return std::pair<int, int>{a, tt - a};
-                        };
-                        SharePair pair;
-                        pair.stageA = ia;
-                        pair.stageB = ib;
-                        pair.alloc[0] = {ta, tb};
-                        pair.alloc[1] = ratioAlloc(2 * wa, wb);
-                        pair.alloc[2] = ratioAlloc(wa, 2 * wb);
-
-                        // Union range: A's tiles then B's tiles; A
-                        // allocates from the front, B from the back.
-                        std::vector<TileId> unionRange = sa.tiles;
-                        unionRange.insert(unionRange.end(),
-                                          sb.tiles.begin(),
-                                          sb.tiles.end());
-                        sa.tiles = unionRange;
-                        sb.tiles = unionRange;
-                        sa.sharePair =
-                            static_cast<int>(seg.pairs.size());
-                        sb.sharePair = sa.sharePair;
-                        sa.shareFirst = true;
-                        sb.shareFirst = false;
-                        seg.pairs.push_back(pair);
-                    }
-                }
-            }
-        }
-
-        return seg;
     }
+
+    // ---- allocation units and tile counts -----------------------------
+    std::vector<double> work(n);
+    for (std::size_t i = 0; i < n; ++i)
+        work[i] =
+            expectedWork(segOps[i], expectations) * allocBias(segOps[i]);
+    const std::vector<AllocUnit> units =
+        allocateTiles(work, group, activeTileCount());
+
+    // ---- weight residency, tile ranges (snake order), stages ----------
+    // Weights stay resident when the unit's tiles can hold them next
+    // to the activation double buffers; otherwise they are streamed
+    // from DRAM each batch. Compute balance is never sacrificed for
+    // residency: streaming a few megabytes per batch costs far less
+    // than starving the bottleneck stage.
+    const Bytes perTileWeightBudget = static_cast<Bytes>(
+        static_cast<double>(hw_.tech.spadBytes) * kResidentWeightFill);
+    const auto snake = activeTileOrder();
+    Segment seg;
+    seg.stages.resize(n);
+    int cursor = 0;
+    for (const AllocUnit &u : units) {
+        Bytes weights = 0;
+        for (int m : u.members)
+            weights += dg_.graph()
+                           .node(segOps[static_cast<std::size_t>(m)])
+                           .weightBytes();
+        const bool resident =
+            u.tiles >= ceilDiv(static_cast<std::int64_t>(weights),
+                               static_cast<std::int64_t>(
+                                   perTileWeightBudget));
+        std::vector<TileId> range;
+        for (int t = 0; t < u.tiles; ++t)
+            range.push_back(
+                snake[static_cast<std::size_t>(cursor + t) %
+                      snake.size()]);
+        cursor += u.tiles;
+        for (int m : u.members) {
+            StageAssign &st = seg.stages[static_cast<std::size_t>(m)];
+            st.op = segOps[static_cast<std::size_t>(m)];
+            st.tiles = range;
+            st.baseTiles = u.tiles;
+            st.weightsResident = resident;
+        }
+        if (resident)
+            seg.residentWeightBytes += weights;
+    }
+
+    // ---- tile sharing ----------------------------------------------
+    if (cfg_.tileSharing && profiler) {
+        for (const SwitchInfo &sw : dg_.switches()) {
+            // Branches with stages in this segment, ungrouped.
+            std::vector<int> cands;
+            for (int b = 0; b < sw.numBranches(); ++b) {
+                bool ok = false;
+                for (OpId op : sw.branches[static_cast<
+                         std::size_t>(b)]) {
+                    const int i = pos[op];
+                    if (i >= 0 && group[static_cast<std::size_t>(i)] < 0)
+                        ok = true;
+                }
+                if (ok)
+                    cands.push_back(b);
+            }
+            if (cands.size() < 2)
+                continue;
+            // Greedy pairing by least load covariance: the two
+            // branches least likely to peak together complement
+            // each other best (Section V-B).
+            std::vector<std::tuple<double, int, int>> covs;
+            for (std::size_t i = 0; i < cands.size(); ++i)
+                for (std::size_t j = i + 1; j < cands.size(); ++j)
+                    covs.emplace_back(
+                        profiler->branchCovariance(
+                            sw.switchOp, cands[i], cands[j]),
+                        cands[i], cands[j]);
+            std::sort(covs.begin(), covs.end());
+            std::vector<char> taken(
+                static_cast<std::size_t>(sw.numBranches()), 0);
+            for (const auto &[cov, ba, bb] : covs) {
+                (void)cov;
+                if (taken[static_cast<std::size_t>(ba)] ||
+                    taken[static_cast<std::size_t>(bb)])
+                    continue;
+                taken[static_cast<std::size_t>(ba)] = 1;
+                taken[static_cast<std::size_t>(bb)] = 1;
+
+                const auto &opsA =
+                    sw.branches[static_cast<std::size_t>(ba)];
+                const auto &opsB =
+                    sw.branches[static_cast<std::size_t>(bb)];
+                const std::size_t depth =
+                    std::min(opsA.size(), opsB.size());
+                for (std::size_t d = 0; d < depth; ++d) {
+                    const int ia = pos[opsA[d]];
+                    const int ib = pos[opsB[d]];
+                    if (ia < 0 || ib < 0)
+                        continue;
+                    StageAssign &sa =
+                        seg.stages[static_cast<std::size_t>(ia)];
+                    StageAssign &sb =
+                        seg.stages[static_cast<std::size_t>(ib)];
+                    if (sa.sharePair >= 0 || sb.sharePair >= 0)
+                        continue;
+                    const int ta = sa.baseTiles;
+                    const int tb = sb.baseTiles;
+                    const int tt = ta + tb;
+                    if (tt < 2)
+                        continue;
+                    const double wa =
+                        std::max(work[static_cast<std::size_t>(ia)], 1.0);
+                    const double wb =
+                        std::max(work[static_cast<std::size_t>(ib)], 1.0);
+                    const auto ratioAlloc = [tt](double x,
+                                                 double y) {
+                        int a = static_cast<int>(
+                            std::lround(x / (x + y) * tt));
+                        a = std::clamp(a, 1, tt - 1);
+                        return std::pair<int, int>{a, tt - a};
+                    };
+                    SharePair pair;
+                    pair.stageA = ia;
+                    pair.stageB = ib;
+                    pair.alloc[0] = {ta, tb};
+                    pair.alloc[1] = ratioAlloc(2 * wa, wb);
+                    pair.alloc[2] = ratioAlloc(wa, 2 * wb);
+
+                    // Union range: A's tiles then B's tiles; A
+                    // allocates from the front, B from the back.
+                    std::vector<TileId> unionRange = sa.tiles;
+                    unionRange.insert(unionRange.end(),
+                                      sb.tiles.begin(),
+                                      sb.tiles.end());
+                    sa.tiles = unionRange;
+                    sb.tiles = unionRange;
+                    sa.sharePair =
+                        static_cast<int>(seg.pairs.size());
+                    sb.sharePair = sa.sharePair;
+                    sa.shareFirst = true;
+                    sb.shareFirst = false;
+                    seg.pairs.push_back(pair);
+                }
+            }
+        }
+    }
+
+    return seg;
 }
 
 void

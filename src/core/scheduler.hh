@@ -28,6 +28,49 @@ inline constexpr double kSpadFill = 0.5;
  * (Section V-B). */
 inline constexpr double kGroupActivityThreshold = 0.25;
 
+/** Fraction of a tile's scratchpad a unit's resident weights may
+ * fill next to the activation double buffers; a unit whose weights
+ * need more tiles than it got streams them from DRAM each batch. */
+inline constexpr double kResidentWeightFill = 0.6;
+
+/** One allocation unit of allocateTiles(). */
+struct AllocUnit
+{
+    /** Segment positions sharing the unit's tiles, in the order they
+     * joined it: a folded unit lists its own members, then the
+     * folded-in unit's. */
+    std::vector<int> members;
+
+    /** Summed allocation weight of the members. */
+    double work = 0.0;
+
+    /** Tiles the unit gets. */
+    int tiles = 0;
+};
+
+/**
+ * Section V's frequency-weighted tile allocation over one segment:
+ * the one copy of the rule, shared by Scheduler and the search
+ * surrogate (search::PlanTree).
+ *
+ * @param work each segment position's biased allocation weight.
+ * @param group each position's branch group id, -1 for none;
+ *        positions sharing an id form one unit (grouped branches
+ *        share their tiles temporally), every other position is a
+ *        unit of its own.
+ * @param tiles tiles to allocate (>= 1).
+ *
+ * While units outnumber the tiles, the two smallest-work units fold
+ * together (the later into the earlier). Each unit then gets
+ * max(1, floor(share)) tiles of its work share; the first largest
+ * unit gives tiles back while the min-1 clamps overshoot, and the
+ * rest go out by largest remainder. Units come back in first-member
+ * order.
+ */
+std::vector<AllocUnit> allocateTiles(const std::vector<double> &work,
+                                     const std::vector<int> &group,
+                                     int tiles);
+
 /** Scheduler policy knobs. */
 struct SchedulerConfig
 {
@@ -210,10 +253,18 @@ class Scheduler
         return segmentOps();
     }
 
-    /** Expected per-batch work of an op, in single-tile cycles (the
-     * frequency-weighted allocation weight before any override
-     * bias). Public so the search surrogate prices mutations with
-     * the exact weights the real allocator uses. */
+    /** Expected rows an op processes per batch: a dynamic op's
+     * expectation (at least 1), else, or under worstCase, its
+     * worst-case rows. The search surrogate sizes activation traffic
+     * with it. */
+    double expectedRows(OpId op,
+                        const std::map<OpId, double> &expectations) const;
+
+    /** Expected per-batch work of an op, in single-tile cycles:
+     * expectedRows() times its per-row work (the frequency-weighted
+     * allocation weight before any override bias). Public so the
+     * search surrogate prices mutations with the exact weights the
+     * real allocator uses. */
     double expectedWork(OpId op,
                         const std::map<OpId, double> &expectations) const;
 
@@ -237,10 +288,9 @@ class Scheduler
      * pure-splice path reduces to segment copies. */
     const std::vector<std::vector<OpId>> &segmentOps() const;
 
-    /** Build one segment (branch grouping, allocation units, tile
-     * counts, residency, ranges, stages, tile sharing) for @p
-     * seg_ops. Kernel stores are left empty — compileStores() fills
-     * them. */
+    /** Build one segment (branch grouping, allocateTiles(),
+     * residency, ranges, stages, tile sharing) for @p seg_ops.
+     * Kernel stores are left empty — compileStores() fills them. */
     Segment buildSegment(const std::vector<OpId> &seg_ops,
                          const std::map<OpId, double> &expectations,
                          const arch::Profiler *profiler) const;

@@ -70,16 +70,6 @@ SearchContext::SearchContext(const core::Scheduler &scheduler,
     // the engine store-and-forwards every cross-segment edge through
     // HBM, and that traffic — not the pipeline shape — is what makes
     // over-splitting expensive.
-    const auto expectedRows = [&](OpId op) {
-        const auto &node = dg.graph().node(op);
-        double rows = static_cast<double>(node.dims.n());
-        if (!scheduler.config().worstCase && dg.isDynamic(op)) {
-            const auto it = expectations.find(op);
-            if (it != expectations.end())
-                rows = std::max(1.0, it->second);
-        }
-        return rows;
-    };
     inEdges_.resize(ops_.size());
     extInBytes_.assign(ops_.size(), 0.0);
     outBytes_.assign(ops_.size(), 0.0);
@@ -87,14 +77,15 @@ SearchContext::SearchContext(const core::Scheduler &scheduler,
     rows_.reserve(ops_.size());
     for (std::size_t i = 0; i < ops_.size(); ++i) {
         const OpId op = ops_[i];
-        const double rows = expectedRows(op);
+        const double rows = scheduler.expectedRows(op, expectations);
         rows_.push_back(rows);
         outBytes_[i] =
             rows * static_cast<double>(dg.outBytesPerRow(op));
         for (const graph::Producer &p : dg.producers(op)) {
             const bool input =
                 dg.graph().node(p.op).kind == graph::OpKind::Input;
-            const double prows = input ? rows : expectedRows(p.op);
+            const double prows =
+                input ? rows : scheduler.expectedRows(p.op, expectations);
             const double bytes =
                 std::min(rows, prows) *
                 static_cast<double>(dg.outBytesPerRow(p.op));
@@ -328,11 +319,11 @@ PlanTree::segmentCost(int atom_begin, int atom_end) const
 {
     const int lo = ctx_.atomStart(atom_begin);
     const int hi = ctx_.atomStart(atom_end);
-    const int T = ctx_.tiles();
 
-    // ---- branch grouping (mirrors Scheduler::buildSegment) --------
-    // unitOf[o - lo]: -1 = own unit, else group id.
-    std::vector<int> groupOf(static_cast<std::size_t>(hi - lo), -1);
+    // ---- branch grouping (the scheduler's rule over stage-op
+    // indices, with the tree's GroupMode scaling each threshold) -----
+    // group[o - lo]: -1 = own unit, else group id.
+    std::vector<int> group(static_cast<std::size_t>(hi - lo), -1);
     int nextGroup = 0;
     if (ctx_.groupingEnabled()) {
         for (const auto &sw : ctx_.switches()) {
@@ -355,96 +346,18 @@ PlanTree::segmentCost(int atom_begin, int atom_end) const
             for (std::size_t b : low)
                 for (int o : sw.branchOps[b])
                     if (o >= lo && o < hi)
-                        groupOf[static_cast<std::size_t>(o - lo)] =
-                            gid;
+                        group[static_cast<std::size_t>(o - lo)] = gid;
         }
     }
 
-    // ---- allocation units ------------------------------------------
-    struct Unit
-    {
-        double allocW = 0.0; ///< biased weight (drives tiles)
-        double weight = 0.0; ///< weight bytes
-        int tiles = 1;
-        std::vector<int> opsIdx; ///< member stage-op indices
-    };
-    std::vector<Unit> units;
-    std::vector<int> groupUnit(static_cast<std::size_t>(nextGroup),
-                               -1);
-    for (int o = lo; o < hi; ++o) {
-        const int gid = groupOf[static_cast<std::size_t>(o - lo)];
-        std::size_t ui;
-        if (gid >= 0 &&
-            groupUnit[static_cast<std::size_t>(gid)] >= 0) {
-            ui = static_cast<std::size_t>(
-                groupUnit[static_cast<std::size_t>(gid)]);
-        } else {
-            ui = units.size();
-            units.push_back({});
-            if (gid >= 0)
-                groupUnit[static_cast<std::size_t>(gid)] =
-                    static_cast<int>(ui);
-        }
-        units[ui].allocW +=
+    // ---- allocation units and tile counts (the scheduler's own) ----
+    std::vector<double> work(static_cast<std::size_t>(hi - lo));
+    for (int o = lo; o < hi; ++o)
+        work[static_cast<std::size_t>(o - lo)] =
             ctx_.work(o) *
             biasOf(st_.biasExp[static_cast<std::size_t>(o)]);
-        units[ui].weight += ctx_.weightBytes(o);
-        units[ui].opsIdx.push_back(o);
-    }
-
-    // ---- fold the smallest units while they outnumber tiles --------
-    while (static_cast<int>(units.size()) > T) {
-        std::size_t a = 0, b = 1;
-        for (std::size_t i = 0; i < units.size(); ++i) {
-            if (units[i].allocW < units[a].allocW) {
-                b = a;
-                a = i;
-            } else if (i != a && units[i].allocW < units[b].allocW) {
-                b = i;
-            }
-        }
-        if (a > b)
-            std::swap(a, b);
-        units[a].allocW += units[b].allocW;
-        units[a].weight += units[b].weight;
-        units[a].opsIdx.insert(units[a].opsIdx.end(),
-                               units[b].opsIdx.begin(),
-                               units[b].opsIdx.end());
-        units.erase(units.begin() + static_cast<std::ptrdiff_t>(b));
-    }
-
-    // ---- frequency-weighted tile counts ----------------------------
-    double totalAlloc = 0.0;
-    for (const Unit &u : units)
-        totalAlloc += u.allocW;
-    if (totalAlloc <= 0.0)
-        totalAlloc = 1.0;
-    std::vector<double> fractional(units.size());
-    int used = 0;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        const double ideal =
-            units[i].allocW / totalAlloc * static_cast<double>(T);
-        units[i].tiles = std::max(1, static_cast<int>(ideal));
-        fractional[i] = ideal - static_cast<double>(units[i].tiles);
-        used += units[i].tiles;
-    }
-    while (used > T) {
-        std::size_t big = 0;
-        for (std::size_t i = 1; i < units.size(); ++i)
-            if (units[i].tiles > units[big].tiles)
-                big = i;
-        --units[big].tiles;
-        --used;
-    }
-    while (used < T) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < units.size(); ++i)
-            if (fractional[i] > fractional[best])
-                best = i;
-        ++units[best].tiles;
-        fractional[best] -= 1.0;
-        ++used;
-    }
+    const std::vector<core::AllocUnit> units =
+        core::allocateTiles(work, group, ctx_.tiles());
 
     // ---- price the pipeline ----------------------------------------
     // A segment streams kSurrogateBatches batches. Stages pipeline
@@ -460,25 +373,28 @@ PlanTree::segmentCost(int atom_begin, int atom_end) const
     // stage's compute (double-buffered prefetch bounds completion,
     // not start): a non-resident unit costs the max of the two while
     // its bytes still count against the shared HBM bandwidth.
-    const double perTileBudget = ctx_.spadBytes() * 0.6;
+    const double perTileBudget =
+        ctx_.spadBytes() * core::kResidentWeightFill;
     double bottleneck = 0.0;
     double residentBytes = 0.0;
     double streamBytes = 0.0;
-    for (const Unit &u : units) {
+    for (const core::AllocUnit &u : units) {
+        double weight = 0.0;
+        double t = 0.0;
+        for (int m : u.members) {
+            weight += ctx_.weightBytes(lo + m);
+            t += ctx_.opCycles(lo + m, u.tiles);
+        }
         const double minTiles =
-            perTileBudget > 0.0
-                ? std::ceil(u.weight / perTileBudget)
-                : 0.0;
+            perTileBudget > 0.0 ? std::ceil(weight / perTileBudget)
+                                : 0.0;
         const bool resident =
             static_cast<double>(u.tiles) >= minTiles;
-        double t = 0.0;
-        for (int o : u.opsIdx)
-            t += ctx_.opCycles(o, u.tiles);
         if (resident) {
-            residentBytes += u.weight;
+            residentBytes += weight;
         } else {
-            t = std::max(t, u.weight / ctx_.hbmBytesPerCycle());
-            streamBytes += u.weight;
+            t = std::max(t, weight / ctx_.hbmBytesPerCycle());
+            streamBytes += weight;
         }
         bottleneck = std::max(bottleneck, t);
     }

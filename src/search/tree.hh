@@ -6,10 +6,12 @@
  * space). A candidate is (segment boundaries over the atom sequence,
  * per-op allocation-bias exponents, per-switch grouping modes); a
  * mutation flips one of those and re-prices only the touched
- * segments through a surrogate of the real allocator, so the
- * annealer evaluates thousands of candidates per second without ever
- * building a schedule. Only surviving candidates are materialized —
- * via Scheduler::buildDelta, so even that costs a segment splice for
+ * segments, so the annealer evaluates thousands of candidates per
+ * second without ever building a schedule. A segment's tile counts
+ * come from core::allocateTiles, the allocation rule the scheduler
+ * builds with; a pipeline model over sampled kernel cost curves then
+ * prices them. Only surviving candidates are materialized — via
+ * Scheduler::buildDelta, so even that costs a segment splice for
  * everything the mutation left alone.
  */
 
@@ -330,7 +332,8 @@ class PlanTree
     std::size_t segOfAtom(int a) const;
 
     /** Surrogate cost of the segment covering atoms
-     * [atomBegin, atomEnd). */
+     * [atomBegin, atomEnd): the tree's branch groups and biased
+     * work through core::allocateTiles, then the pipeline model. */
     double segmentCost(int atom_begin, int atom_end) const;
 
     /** Sum segCost_ into total_. */

@@ -346,7 +346,15 @@ Backend::closeWindow()
                 std::max(stats_.maxRescheduleCycles, budget);
         } else {
             Cycles charge = rb.cost;
-            if (searcher_ && !probeRing_.empty()) {
+            const bool search = searcher_ && !probeRing_.empty();
+            if (search && budget > 0 && rb.cost == budget) {
+                // The rebuild spent the whole budget. A search budget
+                // of 0 reads as unbounded, so the search does not run;
+                // it counts as exhausted, as a leftover below one
+                // evaluation does.
+                stats_.search.budgetExhausted = true;
+                stats_.search.chains = cfg_.search.chains;
+            } else if (search) {
                 // Anytime search inside the watchdog's leftover: its
                 // modeled spend is capped at budget - rb.cost, so
                 // charge never exceeds the budget (0 = unbounded).

@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the dynamism-aware scheduler (Section V):
- * segmentation atoms and capacity, frequency-weighted allocation,
- * weight residency, tile sharing pairs, branch grouping, and kernel
- * store construction.
+ * segmentation atoms and capacity, frequency-weighted allocation
+ * (allocateTiles against the two loops it replaced), weight
+ * residency, tile sharing pairs, branch grouping, kernel store
+ * construction, and profiled builds pinned to recorded digests.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "arch/profiler.hh"
+#include "common/rng.hh"
+#include "core/sampling.hh"
 #include "core/scheduler.hh"
 #include "graph/parser.hh"
 #include "graph/transforms.hh"
@@ -319,6 +323,333 @@ TEST(Scheduler, ColdBuildMapperWorkIsPinned)
     EXPECT_EQ(mapper.misses(), 138u);
     // An exhaustive split x order search costs 4662 here.
     EXPECT_EQ(mapper.costed(), 1068u);
+}
+
+/** FNV-1a over a schedule fingerprint. */
+std::uint64_t
+digest(const Schedule &s)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (unsigned char c : scheduleFingerprint(s)) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/**
+ * Profiled Adyna builds (grouping and sharing on) of the five models
+ * at batch 8 and 128, on the full grid and on 4 healthy tiles. On 4
+ * tiles allocation units outnumber the tiles and fold: at batch 8 in
+ * 7 of FBSNet's segments, 2 of Tutel-MoE's and 1 of DPSNet's. The
+ * digests were recorded before the allocation rule moved into
+ * allocateTiles; a change to the rule moves them.
+ */
+TEST(Scheduler, ProfiledBuildsMatchParentDigests)
+{
+    struct Pin
+    {
+        const char *model;
+        std::int64_t batch;
+        std::uint64_t full;
+        std::uint64_t fourTiles;
+    };
+    const Pin pins[] = {
+        {"skipnet", 8, 0x9f96bc587a379e8fULL, 0x3c144850dfdce40cULL},
+        {"pabee", 8, 0x6d0f109e01b05165ULL, 0x53e2a515cd9eeeecULL},
+        {"fbsnet", 8, 0xcec594fd51b2a424ULL, 0x41bfe458d4b41fb6ULL},
+        {"tutel-moe", 8, 0x09881d52f82ce076ULL, 0xd03ac91284cf46e8ULL},
+        {"dpsnet", 8, 0x08da2a03bbf2d26bULL, 0xdfaacc8c1f0004f1ULL},
+        {"skipnet", 128, 0x119a83a1f34eef24ULL, 0x93c5bf7cd0b4e260ULL},
+        {"pabee", 128, 0x7930732942d94209ULL, 0x23f3675ad4ff3d13ULL},
+        {"fbsnet", 128, 0xd465d16881365aa9ULL, 0x753538aa4ff7960fULL},
+        {"tutel-moe", 128, 0x74eaf1a2490d36aeULL, 0x069c82b59721c74eULL},
+        {"dpsnet", 128, 0x4791ddf4bfb6a07fULL, 0xb88711dc2818d188ULL},
+    };
+    for (const Pin &pin : pins) {
+        const auto bundle = models::buildByName(pin.model, pin.batch);
+        const DynGraph dg = parseModel(bundle.graph);
+        costmodel::Mapper mapper(hw().tech);
+        kernels::KernelStoreCache stores;
+        Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
+        sched.setStoreCache(&stores);
+        trace::TraceConfig tc = bundle.traceConfig;
+        tc.batchSize = pin.batch;
+        trace::TraceGenerator gen(dg, tc, 7);
+        arch::Profiler prof;
+        std::map<OpId, double> exps;
+        auto kv = sched.initialKernelValues();
+        profileOffline(
+            prof, dg, 40, [&](int) { return gen.next(); }, true, exps,
+            kv);
+        const std::uint64_t dFull = digest(sched.build(exps, kv, &prof));
+        EXPECT_EQ(dFull, pin.full)
+            << pin.model << " at batch " << pin.batch;
+        sched.setHealthyTiles({0, 1, 2, 3});
+        const std::uint64_t dFour = digest(sched.build(exps, kv, &prof));
+        EXPECT_EQ(dFour, pin.fourTiles)
+            << pin.model << " at batch " << pin.batch << " on 4 tiles";
+    }
+}
+
+// ---- allocateTiles against the loops it replaced -------------------
+
+/**
+ * The allocation loop Scheduler::buildSegment ran before
+ * allocateTiles: units keyed through op -> group and op -> unit
+ * maps, renumbered on every fold. Positions stand in for op ids.
+ */
+std::vector<AllocUnit>
+schedulerLoop(const std::vector<double> &work,
+              const std::vector<int> &group, int T)
+{
+    std::map<OpId, int> groupOf;
+    for (std::size_t i = 0; i < group.size(); ++i)
+        if (group[i] >= 0)
+            groupOf[static_cast<OpId>(i)] = group[i];
+
+    struct Unit
+    {
+        std::vector<OpId> ops;
+        double work = 0.0;
+        int tiles = 1;
+    };
+    std::vector<Unit> units;
+    std::map<int, std::size_t> groupUnit;
+    std::map<OpId, std::size_t> unitOf;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        const OpId op = static_cast<OpId>(i);
+        const auto git = groupOf.find(op);
+        if (git != groupOf.end()) {
+            const auto uit = groupUnit.find(git->second);
+            std::size_t ui;
+            if (uit == groupUnit.end()) {
+                ui = units.size();
+                units.push_back({});
+                groupUnit[git->second] = ui;
+            } else {
+                ui = uit->second;
+            }
+            units[ui].ops.push_back(op);
+            units[ui].work += work[i];
+            unitOf[op] = ui;
+        } else {
+            unitOf[op] = units.size();
+            units.push_back({{op}, work[i], 1});
+        }
+    }
+    while (static_cast<int>(units.size()) > T) {
+        std::size_t a = 0, b = 1;
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            if (units[i].work < units[a].work) {
+                b = a;
+                a = i;
+            } else if (i != a && units[i].work < units[b].work) {
+                b = i;
+            }
+        }
+        if (a > b)
+            std::swap(a, b);
+        units[a].ops.insert(units[a].ops.end(), units[b].ops.begin(),
+                            units[b].ops.end());
+        units[a].work += units[b].work;
+        for (auto &[op, ui] : unitOf) {
+            if (ui == b)
+                ui = a;
+            else if (ui > b)
+                --ui;
+        }
+        for (auto &[gid, ui] : groupUnit) {
+            if (ui == b)
+                ui = a;
+            else if (ui > b)
+                --ui;
+        }
+        units.erase(units.begin() + static_cast<std::ptrdiff_t>(b));
+    }
+    double totalWork = 0.0;
+    for (const Unit &u : units)
+        totalWork += u.work;
+    if (totalWork <= 0.0)
+        totalWork = 1.0;
+    std::vector<double> fractional(units.size());
+    int used = 0;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        const double ideal =
+            units[i].work / totalWork * static_cast<double>(T);
+        units[i].tiles = std::max(1, static_cast<int>(ideal));
+        fractional[i] = ideal - static_cast<double>(units[i].tiles);
+        used += units[i].tiles;
+    }
+    while (used > T) {
+        const auto it = std::max_element(
+            units.begin(), units.end(),
+            [](const Unit &a, const Unit &b) { return a.tiles < b.tiles; });
+        --it->tiles;
+        --used;
+    }
+    while (used < T) {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < units.size(); ++i)
+            if (fractional[i] > fractional[best])
+                best = i;
+        ++units[best].tiles;
+        fractional[best] -= 1.0;
+        ++used;
+    }
+
+    std::vector<AllocUnit> out;
+    for (const Unit &u : units) {
+        AllocUnit au;
+        for (OpId op : u.ops)
+            au.members.push_back(static_cast<int>(op));
+        au.work = u.work;
+        au.tiles = u.tiles;
+        out.push_back(std::move(au));
+    }
+    return out;
+}
+
+/** The allocation loop search::PlanTree::segmentCost ran before
+ * allocateTiles: index-based units with a group -> unit vector. */
+std::vector<AllocUnit>
+surrogateLoop(const std::vector<double> &work,
+              const std::vector<int> &group, int T)
+{
+    int groups = 0;
+    for (int g : group)
+        groups = std::max(groups, g + 1);
+    struct Unit
+    {
+        double allocW = 0.0;
+        int tiles = 1;
+        std::vector<int> opsIdx;
+    };
+    std::vector<Unit> units;
+    std::vector<int> groupUnit(static_cast<std::size_t>(groups), -1);
+    for (std::size_t o = 0; o < work.size(); ++o) {
+        const int gid = group[o];
+        std::size_t ui;
+        if (gid >= 0 && groupUnit[static_cast<std::size_t>(gid)] >= 0) {
+            ui = static_cast<std::size_t>(
+                groupUnit[static_cast<std::size_t>(gid)]);
+        } else {
+            ui = units.size();
+            units.push_back({});
+            if (gid >= 0)
+                groupUnit[static_cast<std::size_t>(gid)] =
+                    static_cast<int>(ui);
+        }
+        units[ui].allocW += work[o];
+        units[ui].opsIdx.push_back(static_cast<int>(o));
+    }
+    while (static_cast<int>(units.size()) > T) {
+        std::size_t a = 0, b = 1;
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            if (units[i].allocW < units[a].allocW) {
+                b = a;
+                a = i;
+            } else if (i != a && units[i].allocW < units[b].allocW) {
+                b = i;
+            }
+        }
+        if (a > b)
+            std::swap(a, b);
+        units[a].allocW += units[b].allocW;
+        units[a].opsIdx.insert(units[a].opsIdx.end(),
+                               units[b].opsIdx.begin(),
+                               units[b].opsIdx.end());
+        units.erase(units.begin() + static_cast<std::ptrdiff_t>(b));
+    }
+    double totalAlloc = 0.0;
+    for (const Unit &u : units)
+        totalAlloc += u.allocW;
+    if (totalAlloc <= 0.0)
+        totalAlloc = 1.0;
+    std::vector<double> fractional(units.size());
+    int used = 0;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        const double ideal =
+            units[i].allocW / totalAlloc * static_cast<double>(T);
+        units[i].tiles = std::max(1, static_cast<int>(ideal));
+        fractional[i] = ideal - static_cast<double>(units[i].tiles);
+        used += units[i].tiles;
+    }
+    while (used > T) {
+        std::size_t big = 0;
+        for (std::size_t i = 1; i < units.size(); ++i)
+            if (units[i].tiles > units[big].tiles)
+                big = i;
+        --units[big].tiles;
+        --used;
+    }
+    while (used < T) {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < units.size(); ++i)
+            if (fractional[i] > fractional[best])
+                best = i;
+        ++units[best].tiles;
+        fractional[best] -= 1.0;
+        ++used;
+    }
+
+    std::vector<AllocUnit> out;
+    for (const Unit &u : units)
+        out.push_back(AllocUnit{u.opsIdx, u.allocW, u.tiles});
+    return out;
+}
+
+/**
+ * allocateTiles gives bit for bit what both replaced loops gave, on
+ * seeded random segments: 1-40 positions, 0-4 branch groups, 1 to
+ * twice the unit count tiles (so units fold about half the time),
+ * and work drawn from a few small integers half the time, so ties
+ * and zero work reach the fold, the trim and the remainder pass.
+ */
+TEST(AllocateTiles, MatchesBothReplacedLoopsBitForBit)
+{
+    Rng rng(0x5eed);
+    for (int c = 0; c < 4000; ++c) {
+        const int n = static_cast<int>(rng.uniformInt(1, 40));
+        const int groups = static_cast<int>(rng.uniformInt(0, 4));
+        const bool ties = rng.bernoulli(0.5);
+        std::vector<double> work(static_cast<std::size_t>(n));
+        std::vector<int> group(static_cast<std::size_t>(n), -1);
+        std::set<int> used;
+        int single = 0;
+        for (int i = 0; i < n; ++i) {
+            const auto at = static_cast<std::size_t>(i);
+            work[at] = ties ? static_cast<double>(rng.uniformInt(0, 3))
+                            : rng.uniform(0.0, 1e6);
+            if (groups > 0 && rng.bernoulli(0.4)) {
+                group[at] =
+                    static_cast<int>(rng.uniformInt(0, groups - 1));
+                used.insert(group[at]);
+            } else {
+                ++single;
+            }
+        }
+        const int unitCount = single + static_cast<int>(used.size());
+        const int tiles =
+            static_cast<int>(rng.uniformInt(1, 2 * unitCount));
+
+        const std::vector<AllocUnit> got =
+            allocateTiles(work, group, tiles);
+        for (const auto &ref : {schedulerLoop(work, group, tiles),
+                                surrogateLoop(work, group, tiles)}) {
+            ASSERT_EQ(got.size(), ref.size()) << "case " << c;
+            for (std::size_t u = 0; u < got.size(); ++u) {
+                EXPECT_EQ(got[u].members, ref[u].members)
+                    << "case " << c << " unit " << u;
+                EXPECT_EQ(got[u].work, ref[u].work)
+                    << "case " << c << " unit " << u;
+                EXPECT_EQ(got[u].tiles, ref[u].tiles)
+                    << "case " << c << " unit " << u;
+            }
+            if (HasFailure())
+                return;
+        }
+    }
 }
 
 } // namespace

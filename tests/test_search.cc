@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <vector>
 
 #include "arch/profiler.hh"
@@ -40,11 +41,14 @@ hw()
 
 /** One workload wired exactly like the search_sweep bench: profiled
  * expectations, a heuristic base schedule, and a probe drawn from
- * the same trace stream. */
+ * the same trace stream. @p healthy_tiles > 0 restricts the
+ * scheduler to that many tiles. */
 struct SearchFixture
 {
     explicit SearchFixture(const std::string &model,
-                           std::int64_t batch = 64)
+                           std::int64_t batch = 64,
+                           int profile_batches = 24,
+                           int healthy_tiles = 0)
         : bundle(models::buildByName(model, batch)),
           dg(graph::parseModel(bundle.graph)),
           mapper(hw().tech),
@@ -53,13 +57,19 @@ struct SearchFixture
               baselines::schedulerConfig(baselines::Design::Adyna))
     {
         scheduler.setStoreCache(&storeCache);
+        if (healthy_tiles > 0) {
+            std::vector<TileId> tiles(
+                static_cast<std::size_t>(healthy_tiles));
+            std::iota(tiles.begin(), tiles.end(), TileId{0});
+            scheduler.setHealthyTiles(tiles);
+        }
         trace::TraceConfig tc = bundle.traceConfig;
         tc.batchSize = batch;
         kernelValues = scheduler.initialKernelValues();
         trace::TraceGenerator gen(dg, tc, 0x9e3779b97f4a7c15ULL);
         core::profileOffline(
-            prof, dg, 24, [&](int) { return gen.next(); }, true,
-            expectations, kernelValues);
+            prof, dg, profile_batches, [&](int) { return gen.next(); },
+            true, expectations, kernelValues);
         base = scheduler.build(expectations, kernelValues, &prof);
         for (int b = 0; b < 6; ++b)
             probe.push_back(gen.next());
@@ -299,6 +309,65 @@ TEST(ScheduleSearch, TinyBudgetFallsBackToHeuristic)
     EXPECT_EQ(res.searchedCost, res.heuristicCost);
     EXPECT_LE(res.spentCycles, scfg.cycleBudget);
     EXPECT_TRUE(stats.budgetExhausted);
+}
+
+/**
+ * One search per model after search_sweep's 40-batch profile, plus
+ * Tutel-MoE on 8 healthy tiles, where the surrogate's allocation
+ * units fold. Pins the heuristic and searched probe costs, the
+ * winner's tree fingerprint and the tried, accepted and materialized
+ * counts, recorded before the surrogate's allocation moved into
+ * core::allocateTiles.
+ */
+TEST(ScheduleSearch, ResultsMatchParentDigests)
+{
+    struct Pin
+    {
+        const char *model;
+        int tiles;
+        Tick heuristic;
+        Tick searched;
+        std::uint64_t winner;
+        std::uint64_t tried;
+        std::uint64_t accepted;
+        std::uint64_t materialized;
+    };
+    const Pin pins[] = {
+        {"skipnet", 0, 6074879, 6074871, 0x03c5374a788df55cULL,
+         400, 189, 4},
+        {"pabee", 0, 29961649, 27418702, 0x0a563082e5e05b5aULL,
+         400, 264, 4},
+        {"fbsnet", 0, 6697037, 6697037, 0x955eb6c73db92020ULL,
+         400, 247, 4},
+        {"tutel-moe", 0, 8456927, 8436396, 0x49ecf5008d51ea6cULL,
+         400, 236, 4},
+        {"dpsnet", 0, 1159254, 1131670, 0x03cc9d4c47738d62ULL,
+         400, 261, 4},
+        {"tutel-moe", 8, 134022925, 121753299, 0x4e43e2a658ed55d5ULL,
+         400, 247, 4},
+    };
+    for (const Pin &pin : pins) {
+        SearchFixture f(pin.model, 64, 40, pin.tiles);
+        ScheduleSearch searcher(
+            f.dg, hw(), f.mapper,
+            baselines::execPolicy(baselines::Design::Adyna),
+            smallConfig());
+        core::SearchStats stats;
+        const auto res = searcher.run(
+            f.scheduler, f.base, nullptr, f.expectations,
+            f.kernelValues, &f.prof, f.probe, &f.storeCache, &stats);
+        const auto at = [&pin] {
+            return std::string(pin.model) + " on " +
+                   (pin.tiles > 0 ? std::to_string(pin.tiles) + " tiles"
+                                  : std::string("the full grid"));
+        };
+        EXPECT_EQ(res.heuristicCost, pin.heuristic) << at();
+        EXPECT_EQ(res.searchedCost, pin.searched) << at();
+        EXPECT_EQ(PlanTree::fingerprint(res.tree), pin.winner) << at();
+        EXPECT_EQ(stats.candidatesTried, pin.tried) << at();
+        EXPECT_EQ(stats.candidatesAccepted, pin.accepted) << at();
+        EXPECT_EQ(stats.materialized, pin.materialized) << at();
+    }
 }
 
 TEST(ScheduleSearch, RestoresSchedulerOverridePointer)

@@ -973,6 +973,24 @@ TEST(ServeRuntime, SearchStaysInsideWatchdogBudget)
     EXPECT_EQ(r.requests, 2400u);
 }
 
+TEST(ServeRuntime, RebuildThatSpendsTheBudgetGetsNoSearch)
+{
+    // B is the run's largest heuristic rebuild cost. At budget B that
+    // rebuild leaves the search 0 cycles, which must not read as an
+    // unbounded search budget; B - 1 sends it to the watchdog and
+    // B + 1 leaves less than one probe evaluation.
+    const Cycles b = searchServe(false, 0, 11).maxRescheduleCycles;
+    ASSERT_GT(b, core::kReconfigOverheadCycles);
+    for (const Cycles budget : {b - 1, b, b + 1}) {
+        const ServeReport r = searchServe(true, budget, 11);
+        EXPECT_EQ(r.requests, 2400u) << "budget " << budget;
+        EXPECT_LE(r.maxRescheduleCycles, budget) << "budget " << budget;
+        if (budget == b) {
+            EXPECT_GT(r.search.budgetExhausted, 0u);
+        }
+    }
+}
+
 TEST(ServeRuntime, SearchOffKeepsReportBytes)
 {
     // Search-off runs must serialize the pre-search report exactly:
